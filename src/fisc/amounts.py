@@ -98,24 +98,22 @@ def format_rational(value: Fraction | int) -> str:
     byte-identical outputs.
     """
     frac = Fraction(value)
-    den = frac.denominator
+    num, den = frac.numerator, frac.denominator
     # Finite decimal expansion iff denominator is 2^a * 5^b.
-    d = den
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    if d != 1:
-        return "%d/%d" % (frac.numerator, frac.denominator)
+    a = (den & -den).bit_length() - 1
+    odd = den >> a
+    b = 0
+    while odd % 5 == 0:
+        odd //= 5
+        b += 1
+    if odd != 1:
+        return "%d/%d" % (num, den)
     if den == 1:
-        return str(frac.numerator)
-    # Scale to the exact number of decimal places needed.
-    places = 0
-    scaled = frac
-    while scaled.denominator != 1:
-        scaled *= 10
-        places += 1
-    digits = abs(int(scaled))
-    sign = "-" if frac < 0 else ""
+        return str(num)
+    # 10^places is the smallest power of ten that den divides.
+    places = max(a, b)
+    digits = abs(num) * (10**places // den)
+    sign = "-" if num < 0 else ""
     text = str(digits).rjust(places + 1, "0")
     return "%s%s.%s" % (sign, text[:-places], text[-places:])
 

@@ -53,11 +53,6 @@ def tax_year_of(timestamp: int, policy: JurisdictionPolicy) -> int:
     return stamp.year - 1
 
 
-def tax_year_start_ts(year: int, policy: JurisdictionPolicy) -> int:
-    month, day = policy.tax_year_start
-    return int(datetime(year, month, day, tzinfo=timezone.utc).timestamp())
-
-
 @dataclass
 class IngestResult:
     income: Fraction = Fraction(0)
@@ -129,7 +124,6 @@ def ingest_event(
         return result
 
     if record.kind is EventKind.SELF_TRANSFER:
-        store.transfer_noop()
         return result
 
     if record.kind in (EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL):
@@ -341,6 +335,7 @@ def _pvct_unit_cost(record: ChainEventRecord, policy: JurisdictionPolicy) -> Fra
 
 
 def _portfolio_fmv(store: LotStore, last_price: dict[str, Fraction]) -> Fraction:
+    """Open holdings at last known prices, from the store's running quantities."""
     total = Fraction(0)
     for asset in store.all_assets():
         price = last_price.get(asset)
@@ -422,8 +417,4 @@ def _avg_total_averages(
 def _rebase_pools_to_average(
     store: LotStore, averages: dict[tuple[int, str], Fraction], year: int
 ) -> None:
-    for asset in store.all_assets():
-        avg = averages.get((year, asset))
-        if avg is not None:
-            for lot in store.lots(asset):
-                lot.unit_basis = avg
+    store.rebase_all({asset: avg for (y, asset), avg in averages.items() if y == year})

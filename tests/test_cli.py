@@ -100,6 +100,19 @@ class TestReport:
         )
         assert main(["report", str(events), "--out", str(tmp_path / "o")]) == EXIT_POLICY
 
+    def test_specid_repeated_lot_exit_3(self, tmp_path):
+        events = write(
+            tmp_path, "events.fisc",
+            "asset X 0\n"
+            "event seq=1 ts=0 kind=purchase asset=X qty=100 fmv=1\n"
+            "event seq=2 ts=1 kind=purchase asset=X qty=100 fmv=2\n"
+            "event seq=3 ts=2 kind=sale asset=X qty=150 fmv=3 specid=1,1\n",
+        )
+        out = tmp_path / "out"
+        code = main(["report", str(events), "--method", "specid", "--out", str(out)])
+        assert code == EXIT_POLICY
+        assert not out.exists()
+
     def test_config_env_fallback(self, tmp_path, monkeypatch):
         events = write(tmp_path, "events.fisc", EVENTS)
         policy = write(tmp_path, "policy.conf", "allowed_methods = lifo\n")

@@ -57,6 +57,17 @@ class TestOrderedMethods:
             store.dispose("BTC", 4 * BTC, Fraction(1), AccountingMethod.FIFO)
 
 
+    def test_mixed_orderings_share_one_book(self):
+        store = store_with_three_lots()
+        store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.FIFO)
+        # SpecID uses up lot 1 while FIFO's order still lists it first.
+        store.dispose(
+            "BTC", BTC // 2, Fraction(250), AccountingMethod.SPEC_ID, specid_lots=(1,)
+        )
+        result = store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.FIFO)
+        assert [(p.lot_id, p.qty) for p in result.parts] == [(2, BTC // 2)]
+
+
 class TestSpecId:
     def test_explicit_lot_choice(self):
         store = store_with_three_lots()
@@ -76,6 +87,17 @@ class TestSpecId:
             store.dispose(
                 "BTC", BTC, Fraction(250), AccountingMethod.SPEC_ID, specid_lots=(99,)
             )
+
+    def test_repeated_lot_rejected(self):
+        # Referencing lot 1 twice used to count its quantity twice: the
+        # disposal passed the cover check and consumed only one lot's worth.
+        store = store_with_three_lots()
+        with pytest.raises(LotError):
+            store.dispose(
+                "BTC", BTC + BTC // 2, Fraction(250), AccountingMethod.SPEC_ID,
+                specid_lots=(1, 1),
+            )
+        assert store.total_qty("BTC") == 3 * BTC
 
     def test_referenced_lots_too_small(self):
         store = store_with_three_lots()
@@ -101,6 +123,17 @@ class TestAveragePooling:
         store.add_lot("BTC", BTC, Fraction(300), 20, pooled=True)
         result = store.dispose("BTC", BTC, Fraction(350), AccountingMethod.AVG_MOVING)
         assert result.basis == 200 and result.gain == 150
+
+
+    def test_pooled_merge_reorders_later_disposals(self):
+        store = LotStore({"BTC": 8})
+        store.add_lot("BTC", BTC, Fraction(100), 10)
+        store.add_lot("BTC", BTC, Fraction(300), 20)
+        store.dispose("BTC", BTC // 2, Fraction(350), AccountingMethod.HIFO)
+        # Merging into lot 1 raises its basis above lot 2's.
+        store.add_lot("BTC", BTC, Fraction(1000), 30, pooled=True)
+        result = store.dispose("BTC", BTC // 2, Fraction(350), AccountingMethod.HIFO)
+        assert [p.lot_id for p in result.parts] == [1]
 
 
 class TestOverride:
@@ -130,6 +163,14 @@ class TestRebase:
         store = store_with_three_lots()
         store.rebase_all({"BTC": Fraction(500)})
         assert all(l.unit_basis == 500 for l in store.lots("BTC"))
+
+    def test_hifo_after_rebase_follows_new_basis(self):
+        store = store_with_three_lots()
+        store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.HIFO)
+        store.rebase_all({"BTC": Fraction(500)})
+        # Every lot now has basis 500, so HIFO falls back to lot id order.
+        result = store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.HIFO)
+        assert [p.lot_id for p in result.parts] == [1]
 
     def test_unknown_asset_untouched(self):
         store = store_with_three_lots()
