@@ -120,4 +120,7 @@ def format_rational(value: Fraction | int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of format_rational; also accepts plain decimals and a/b."""
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from ..addresses import Scheme as AddrScheme, address_from_pubkey
 from ..amounts import format_rational, parse_rational
 from ..signatures import DEFAULT_SCHEME
 from ..tax.policy import JurisdictionPolicy
@@ -17,13 +18,6 @@ class ScenarioError(Exception):
     def __init__(self, line_no: int, message: str):
         super().__init__("line %d: %s" % (line_no, message))
         self.line_no = line_no
-
-
-@dataclass
-class Wallet:
-    label: str
-    address: str
-    seed: bytes
 
 
 @dataclass
@@ -59,9 +53,15 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                     raise ValueError("eoi must be allow or deny")
                 scenario.eoi_rows.append((args[0], args[1], args[2]))
             elif tag == "latency":
-                scenario.latencies.append((args[0], args[1], int(args[2])))
+                ticks = int(args[2])
+                if ticks < 0:
+                    raise ValueError("latency must be non-negative")
+                scenario.latencies.append((args[0], args[1], ticks))
             elif tag == "drop":
-                scenario.drops.append((args[0], args[1], parse_rational(args[2])))
+                probability = parse_rational(args[2])
+                if not 0 <= probability <= 1:
+                    raise ValueError("drop probability must be in [0, 1]")
+                scenario.drops.append((args[0], args[1], probability))
             elif tag == "dsc":
                 scenario.dscs.append((args[0], args[1], args[2]))
             elif tag in ("register", "register_tampered"):
@@ -82,7 +82,10 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 )
             elif tag == "transfer":
                 # transfer <origin-label> <beneficiary-label-or-addr:..> <base-units> <deadline>
-                scenario.transfers.append((args[0], args[1], int(args[2]), int(args[3])))
+                amount, deadline = int(args[2]), int(args[3])
+                if amount < 0 or deadline < 0:
+                    raise ValueError("transfer amount and deadline must be non-negative")
+                scenario.transfers.append((args[0], args[1], amount, deadline))
             elif tag == "withholding":
                 kv = dict(item.split("=", 1) for item in args)
                 if "standard" in kv:
@@ -91,8 +94,6 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                     scenario.elevated_withholding = parse_rational(kv["elevated"])
             else:
                 raise ValueError("unknown directive %r" % tag)
-        except ScenarioError:
-            raise
         except (IndexError, ValueError, KeyError) as exc:
             raise ScenarioError(line_no, str(exc))
     if not scenario.jurisdictions:
@@ -127,7 +128,7 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
         network.authorities[jurisdiction].issue_dsc(tin, public)
         holder_keys[(jurisdiction, tin)] = private
 
-    wallets: dict[str, Wallet] = {}
+    wallets: dict[str, str] = {}  # label -> registered address
     rejections: list[str] = []
     for jurisdiction, tin, wallet_label, tampered in scenario.registrations:
         seed = b"wallet|" + wallet_label.encode()
@@ -136,24 +137,19 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
         )
         if tampered:
             bad_sig = bytes([proof.wallet_signature[0] ^ 1]) + proof.wallet_signature[1:]
-            proof = type(proof)(
-                proof.tin, proof.address, proof.challenge, proof.wallet_pubkey,
-                bad_sig, proof.dsc_signature,
-            )
+            proof = replace(proof, wallet_signature=bad_sig)
         try:
-            network.authorities[jurisdiction].register_ownership(proof)
-            wallets[wallet_label] = Wallet(wallet_label, proof.address.text, seed)
-            network._emit(0, jurisdiction, "registered", proof.address.text)
+            network.register(jurisdiction, proof)
+            wallets[wallet_label] = proof.address.text
         except AttributionError as exc:
             rejections.append("%s %s: %s" % (jurisdiction, wallet_label, exc))
-            network._emit(0, jurisdiction, "registration_rejected", str(exc))
 
     identities: dict[str, PartyIdentity] = {}
     for label, identity in scenario.identities.items():
-        wallet = wallets.get(label)
-        if wallet:
-            identities[wallet.address] = PartyIdentity(
-                identity.name, wallet.address, identity.physical_address,
+        address = wallets.get(label)
+        if address:
+            identities[address] = PartyIdentity(
+                identity.name, address, identity.physical_address,
                 identity.national_id, identity.customer_id, identity.birth_date_place,
             )
 
@@ -167,21 +163,19 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
         if beneficiary_ref.startswith("addr:"):
             beneficiary = beneficiary_ref[5:]
         elif beneficiary_ref in wallets:
-            beneficiary = wallets[beneficiary_ref].address
+            beneficiary = wallets[beneficiary_ref]
         else:
             # Unregistered label: derive its would-be address.
             _, pub = scheme.keypair(b"wallet|" + beneficiary_ref.encode())
-            from ..addresses import Scheme as AddrScheme, address_from_pubkey
-
             beneficiary = address_from_pubkey(pub, AddrScheme.BASE58CHECK_P2PKH).text
         withheld, event, _ = network.originate_transfer(
-            origin.address, beneficiary, amount, policy,
+            origin, beneficiary, amount, policy,
             deadline_ticks=deadline, seq=index + 1, identities=identities,
         )
         ledger_lines.append(
             "%d %s %s %s %s"
             % (
-                index, origin.address, beneficiary,
+                index, origin, beneficiary,
                 event.metadata["attribution"], format_rational(withheld),
             )
         )

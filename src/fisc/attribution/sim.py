@@ -11,11 +11,12 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..tax.events import ChainEventRecord, EventKind
 from ..tax.policy import JurisdictionPolicy
 from ..tax.engine import withholding_amount
-from .protocol import AttributionError, EoiMatrix, TaxAuthority
+from .protocol import AttributionError, EoiMatrix, OwnershipProof, TaxAuthority
 from .travelrule import PartyIdentity, TravelRuleRecord, build_travel_rule_record
 
 
@@ -25,8 +26,7 @@ class QueryOutcome:
     jurisdiction: str | None = None
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     tick: int
     actor: str
     kind: str
@@ -79,8 +79,17 @@ class AttributionNetwork:
         self.authorities[code] = authority
         return authority
 
-    def _emit(self, tick: int, actor: str, kind: str, payload: str) -> None:
-        self.trace.append(TraceEntry(tick, actor, kind, _digest(payload)))
+    def _emit(self, tick: int, actor: str, kind: str, digest: str) -> None:
+        self.trace.append(TraceEntry(tick, actor, kind, digest))
+
+    def register(self, code: str, proof: OwnershipProof) -> None:
+        """Register a proof with `code`'s authority and trace the outcome."""
+        try:
+            self.authorities[code].register_ownership(proof)
+        except AttributionError as exc:
+            self._emit(self.now, code, "registration_rejected", _digest(str(exc)))
+            raise
+        self._emit(self.now, code, "registered", _digest(proof.address.text))
 
     def _post(self, deliver_at: int, actor: str, kind: str, payload: str) -> None:
         heapq.heappush(self._queue, (deliver_at, self._seq, actor, kind, payload))
@@ -105,12 +114,13 @@ class AttributionNetwork:
         start = self.now
         deadline = start + deadline_ticks
         query_payload = "query|%s|%s" % (origin_code, beneficiary_address)
-        self._emit(start, origin_code, "query_broadcast", query_payload)
+        query_digest = _digest(query_payload)
+        self._emit(start, origin_code, "query_broadcast", query_digest)
         for code in sorted(self.authorities):
             if code == origin_code:
                 continue
             if self._rng.random() < self.links.drop_of(origin_code, code):
-                self._emit(start, origin_code, "query_dropped_to_" + code, query_payload)
+                self._emit(start, origin_code, "query_dropped_to_" + code, query_digest)
                 continue
             self._post(start + self.links.latency_of(origin_code, code), code, "query", query_payload)
 
@@ -124,28 +134,28 @@ class AttributionNetwork:
                     origin_code, actor
                 ):
                     reply = "affirm|%s|%s" % (actor, beneficiary_address)
-                    self._emit(at, actor, "affirm", reply)
+                    reply_digest = _digest(reply)
+                    self._emit(at, actor, "affirm", reply_digest)
                     if self._rng.random() < self.links.drop_of(actor, origin_code):
-                        self._emit(at, actor, "affirm_dropped", reply)
+                        self._emit(at, actor, "affirm_dropped", reply_digest)
                         continue
                     self._post(at + self.links.latency_of(actor, origin_code), origin_code,
                                "response", reply)
                 else:
-                    self._emit(at, actor, "no_response", payload)
+                    self._emit(at, actor, "no_response", query_digest)
             elif kind == "response":
                 code = payload.split("|")[1]
                 responses.append((at, code))
-        # Drain anything past the deadline without acting on it.
-        while self._queue:
-            heapq.heappop(self._queue)
+        # Drop anything past the deadline without acting on it.
+        self._queue.clear()
         self.now = deadline
         if not responses:
-            self._emit(deadline, origin_code, "unaffirmed", query_payload)
+            self._emit(deadline, origin_code, "unaffirmed", query_digest)
             return QueryOutcome(False)
         arrival, winner = min(responses)
         if len({code for at, code in responses if at == arrival}) > 1:
-            self._emit(arrival, origin_code, "anomaly_multiple_affirmations", query_payload)
-        self._emit(arrival, origin_code, "affirmed_" + winner, query_payload)
+            self._emit(arrival, origin_code, "anomaly_multiple_affirmations", query_digest)
+        self._emit(arrival, origin_code, "affirmed_" + winner, query_digest)
         return QueryOutcome(True, winner)
 
     # --- originating a transfer ---
@@ -196,7 +206,7 @@ class AttributionNetwork:
             if origin_id and beneficiary_id:
                 travel = build_travel_rule_record(origin_id, beneficiary_id)
         self._emit(self.now, origin_home, "withholding_" + attribution,
-                   "withhold|%s|%s" % (origin_address, withheld))
+                   _digest("withhold|%s|%s" % (origin_address, withheld)))
         return withheld, event, travel
 
     def render_trace(self) -> str:

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .attribution.protocol import AttributionError
 from .attribution.scenario import (
     ScenarioError as AttribScenarioError,
     parse_attribution_scenario,
@@ -145,6 +146,9 @@ def cmd_attrib(args) -> int:
         return EXIT_POLICY if exc.line_no == 0 else EXIT_PARSE
     except KeyError as exc:
         print("%s: unknown reference %s" % (scenario_path, exc), file=sys.stderr)
+        return EXIT_POLICY
+    except (AttributionError, ValueError) as exc:
+        print("%s: %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.txt"

@@ -1,9 +1,11 @@
-"""Pure-Python RIPEMD-160.
+"""RIPEMD-160, needed only for hash160 (address derivation from pubkeys).
 
-The interpreter's OpenSSL build ships without the legacy provider, so
-hashlib.new('ripemd160') is unavailable; this is the standard reference
-construction, needed only for hash160 (address derivation from pubkeys).
+hashlib provides it when OpenSSL does; OpenSSL 3 builds without the legacy
+provider do not, and there the pure-Python reference construction below
+is used. The choice is made once, at import.
 """
+
+import hashlib
 
 # Message schedule indexes for the left path.
 ML = [
@@ -84,8 +86,8 @@ def _compress(h0, h1, h2, h3, h4, block):
     )
 
 
-def ripemd160(data: bytes) -> bytes:
-    """RIPEMD-160 digest of data."""
+def ripemd160_pure(data: bytes) -> bytes:
+    """RIPEMD-160 digest of data, computed in Python."""
     state = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
     padded = data + b"\x80"
     padded += b"\x00" * ((119 - len(data)) & 63)
@@ -93,3 +95,17 @@ def ripemd160(data: bytes) -> bytes:
     for offset in range(0, len(padded), 64):
         state = _compress(*state, padded[offset:offset + 64])
     return b"".join(w.to_bytes(4, "little") for w in state)
+
+
+try:
+    hashlib.new("ripemd160")
+    _HASHLIB_RIPEMD160 = True
+except ValueError:
+    _HASHLIB_RIPEMD160 = False
+
+
+def ripemd160(data: bytes) -> bytes:
+    """RIPEMD-160 digest of data."""
+    if _HASHLIB_RIPEMD160:
+        return hashlib.new("ripemd160", data).digest()
+    return ripemd160_pure(data)

@@ -1,5 +1,11 @@
-import pytest
+import hashlib
+import importlib
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import fisc.ripemd160
 from fisc.addresses import (
     AddressKind,
     Scheme,
@@ -11,7 +17,13 @@ from fisc.addresses import (
     derive_address,
     hash160,
 )
-from fisc.ripemd160 import ripemd160
+from fisc.ripemd160 import ripemd160, ripemd160_pure
+
+# Widely published sample: compressed pubkey -> hash160.
+SAMPLE_PUBKEY = bytes.fromhex(
+    "0250863AD64A87AE8A2FE83C1AF1A8403CB53F53E486D8511DAD8A04887E5B2352"
+)
+SAMPLE_HASH160 = "f54a5851e9372b87810a8e60cdd2e7cfd80b6e31"
 
 
 # Official RIPEMD-160 test vectors.
@@ -27,14 +39,52 @@ from fisc.ripemd160 import ripemd160
 )
 def test_ripemd160_vectors(message, digest):
     assert ripemd160(message).hex() == digest
+    assert ripemd160_pure(message).hex() == digest
+
+
+# 55/56 and 119/120 bytes are where the padding spills into one more block;
+# 63/64 is a block edge.
+@pytest.mark.skipif(not fisc.ripemd160._HASHLIB_RIPEMD160,
+                    reason="hashlib lacks ripemd160 (OpenSSL without the legacy provider)")
+@given(st.binary(min_size=0, max_size=300))
+@example(b"\x00" * 55)
+@example(b"\xff" * 56)
+@example(b"a" * 63)
+@example(b"a" * 64)
+@example(b"\x80" * 119)
+@example(b"\x01" * 120)
+def test_ripemd160_pure_matches_hashlib(data):
+    assert ripemd160_pure(data) == hashlib.new("ripemd160", data).digest()
+
+
+def test_fallback_selected_without_hashlib_ripemd160(monkeypatch):
+    real_new = hashlib.new
+
+    def new(name, *args, **kwargs):
+        if name.lower() == "ripemd160":
+            raise ValueError("unsupported hash type " + name)
+        return real_new(name, *args, **kwargs)
+
+    selected = fisc.ripemd160._HASHLIB_RIPEMD160
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(hashlib, "new", new)
+            importlib.reload(fisc.ripemd160)
+            assert not fisc.ripemd160._HASHLIB_RIPEMD160
+            # fisc.addresses keeps the function bound at its import; the
+            # reload re-ran the selection in that function's globals, and
+            # the patched hashlib.new would raise if it were still used.
+            assert hash160(SAMPLE_PUBKEY).hex() == SAMPLE_HASH160
+            assert fisc.ripemd160.ripemd160(b"abc").hex() == (
+                "8eb208f7e05d987a9b044a8e98c6b087f15a0bfc"
+            )
+    finally:
+        importlib.reload(fisc.ripemd160)
+    assert fisc.ripemd160._HASHLIB_RIPEMD160 == selected
 
 
 def test_hash160_known_pubkey():
-    # Widely published sample: compressed pubkey -> hash160.
-    pubkey = bytes.fromhex(
-        "0250863AD64A87AE8A2FE83C1AF1A8403CB53F53E486D8511DAD8A04887E5B2352"
-    )
-    assert hash160(pubkey).hex() == "f54a5851e9372b87810a8e60cdd2e7cfd80b6e31"
+    assert hash160(SAMPLE_PUBKEY).hex() == SAMPLE_HASH160
 
 
 class TestClassify:

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from fisc.signatures import MockScheme
 from fisc.tax.policy import JurisdictionPolicy
 
 SCHEME = MockScheme()
+PINNED_SCENARIO = Path(__file__).with_name("attrib_pinned.scn")
 POLICY = JurisdictionPolicy()
 
 
@@ -191,6 +194,20 @@ class TestQueries:
 
         assert run() == run()
 
+    def test_register_traces_outcome(self):
+        network = build_network()
+        holder_private, holder_public = SCHEME.keypair(b"h|FR-1")
+        network.authorities["FR"].issue_dsc("FR-1", holder_public)
+        proof = build_ownership_proof("FR-1", b"wa", holder_private, scheme=SCHEME)
+        network.register("FR", proof)
+        with pytest.raises(UnknownTin):
+            network.register("DE", proof)
+        assert [(e.actor, e.kind) for e in network.trace] == [
+            ("FR", "registered"), ("DE", "registration_rejected"),
+        ]
+        assert proof.address.text in network.authorities["FR"].registry
+        assert proof.address.text not in network.authorities["DE"].registry
+
     def test_soundness_under_registry_tampering(self):
         # A proof mutated after registration fails re-verification at
         # response time, so the authority stays silent.
@@ -326,6 +343,19 @@ class TestScenario:
         second = run_attribution_scenario(parse_attribution_scenario(SCENARIO))
         assert first.trace == second.trace
         assert first.ledger == second.ledger
+
+    def test_pinned_outputs(self):
+        # The scenario reaches every trace kind. Its digests pin every byte
+        # of both outputs, so a reordered trace or a digest taken over the
+        # wrong payload fails here, where a rerun comparison would pass.
+        scenario = parse_attribution_scenario(PINNED_SCENARIO.read_text())
+        run = run_attribution_scenario(scenario)
+        assert sha256(run.trace.encode()).hexdigest() == (
+            "b922238142057c91f1ba8b009cc34eaf80afc7b0312d600a600acc9024cf6b3f"
+        )
+        assert sha256(run.ledger.encode()).hexdigest() == (
+            "b5342c08cecabd954abf90b4cdf7d708b793d2f12183c32f96377960a564e332"
+        )
 
     def test_missing_jurisdiction_rejected(self):
         with pytest.raises(ScenarioError):

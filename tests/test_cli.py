@@ -122,6 +122,15 @@ class TestReport:
         assert main(["report", str(events), "--out", str(out)]) == EXIT_POLICY
         assert main(["report", str(events), "--method", "lifo", "--out", str(out)]) == EXIT_OK
 
+    def test_policy_zero_denominator_exit_2(self, tmp_path, capsys):
+        events = write(tmp_path, "events.fisc", EVENTS)
+        policy = write(tmp_path, "policy.cfg", "standard_withholding = 1/0\n")
+        out = tmp_path / "out"
+        code = main(["report", str(events), "--config", str(policy), "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert "zero denominator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         code = main(["report", str(tmp_path / "nope.fisc"), "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
@@ -188,6 +197,41 @@ class TestAttrib:
     def test_parse_error_exit_2(self, tmp_path):
         scenario = write(tmp_path, "bad.scn", "jurisdiction AT\nnope\n")
         assert main(["attrib", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+    # Each line is appended to ATTRIB_SCENARIO, so it is line 10.
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "drop AT DE 1/0",
+            "withholding standard=1/0",
+            "transfer wallet_ann wallet_bob -100 8",
+            "transfer wallet_ann wallet_bob 100 -8",
+            "latency AT DE -1",
+            "drop AT DE 3/2",
+            "drop AT DE -1/2",
+        ],
+    )
+    def test_invalid_directive_exit_2_with_line(self, tmp_path, capsys, line):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert "bad.scn:10:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("withholding standard=1/2 elevated=1/10", "elevated withholding must be >= standard"),
+            ("dsc DE T1 h9", "TIN T1 already has a certificate"),
+            ("jurisdiction AT", "jurisdiction AT already present"),
+        ],
+    )
+    def test_scenario_violation_exit_3(self, tmp_path, capsys, line, message):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_version_flag(capsys):
