@@ -97,8 +97,10 @@ def format_rational(value: Fraction | int) -> str:
     Used everywhere reports are serialized so identical inputs produce
     byte-identical outputs.
     """
-    frac = Fraction(value)
+    frac = value if type(value) is Fraction else Fraction(value)
     num, den = frac.numerator, frac.denominator
+    if den == 1:
+        return str(num)
     # Finite decimal expansion iff denominator is 2^a * 5^b.
     a = (den & -den).bit_length() - 1
     odd = den >> a
@@ -108,8 +110,6 @@ def format_rational(value: Fraction | int) -> str:
         b += 1
     if odd != 1:
         return "%d/%d" % (num, den)
-    if den == 1:
-        return str(num)
     # 10^places is the smallest power of ten that den divides.
     places = max(a, b)
     digits = abs(num) * (10**places // den)

@@ -37,12 +37,15 @@ class AttributionScenario:
 
 def parse_attribution_scenario(text: str) -> AttributionScenario:
     scenario = AttributionScenario()
+    links: list[tuple[int, str, str]] = []  # (line, asker, responder) of link rows
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         tag, args = fields[0], fields[1:]
+        if tag in ("eoi", "latency", "drop"):
+            links.append((line_no, *args[:2]))
         try:
             if tag == "seed":
                 scenario.seed = int(args[0])
@@ -98,6 +101,10 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
             raise ScenarioError(line_no, str(exc))
     if not scenario.jurisdictions:
         raise ScenarioError(0, "scenario declares no jurisdictions")
+    for line_no, *codes in links:
+        for code in codes:
+            if code not in scenario.jurisdictions:
+                raise ScenarioError(line_no, "jurisdiction %r is not declared" % code)
     return scenario
 
 

@@ -43,6 +43,13 @@ INCOME_KINDS = MINING_KINDS | {
 
 COST_KINDS = {EventKind.PURCHASE, EventKind.ICO_ALLOCATION}
 
+_ZERO = Fraction(0)
+
+
+def _value(quantity: int, scale: int, unit_price: Fraction) -> Fraction:
+    """`quantity` base units at `unit_price` per whole unit, normalised once."""
+    return Fraction(quantity * unit_price.numerator, scale * unit_price.denominator)
+
 
 def tax_year_of(timestamp: int, policy: JurisdictionPolicy) -> int:
     """Label a moment with the calendar year its tax year started in."""
@@ -81,23 +88,23 @@ def _acquisition_treatment(
     """(per-unit income recognized, per-unit basis for the new lot)."""
     fmv = record.fmv_unit
     if record.kind in COST_KINDS:
-        return Fraction(0), fmv
+        return _ZERO, fmv
     if record.kind in MINING_KINDS:
         if policy.mining_is_business or policy.hobby_miner is HobbyMinerRule.NONE:
             return fmv, fmv  # income at FMV, basis at FMV
         if policy.hobby_miner is HobbyMinerRule.EXEMPT_WITH_COST_BASIS:
-            return Fraction(0), fmv
-        return Fraction(0), Fraction(0)  # zero basis, no deduction
+            return _ZERO, fmv
+        return _ZERO, _ZERO  # zero basis, no deduction
     if record.kind in (EventKind.STAKING_REWARD, EventKind.MEV_PAYOUT, EventKind.NFT_ROYALTY):
         return fmv, fmv
     if record.kind is EventKind.FORK_RECEIPT:
         if policy.fork_treatment is ReceiptTreatment.FMV_INCOME:
             return fmv, fmv
-        return Fraction(0), Fraction(0)
+        return _ZERO, _ZERO
     if record.kind is EventKind.AIRDROP:
         if policy.airdrop_treatment is ReceiptTreatment.FMV_INCOME:
             return fmv, fmv
-        return Fraction(0), Fraction(0)
+        return _ZERO, _ZERO
     raise EngineError("not an acquisition kind: %s" % record.kind.value)
 
 
@@ -114,13 +121,11 @@ def ingest_event(
     """
     result = IngestResult()
     scale = 10 ** store.decimals(record.asset)
-    qty_units = Fraction(record.quantity, scale)
 
     if "deduction" in record.metadata:
-        amount = qty_units * record.fmv_unit
         if "slashing" in record.metadata and not policy.slashing_deductible:
             return result
-        result.deduction = amount
+        result.deduction = _value(record.quantity, scale, record.fmv_unit)
         return result
 
     if record.kind is EventKind.SELF_TRANSFER:
@@ -138,16 +143,16 @@ def ingest_event(
         else:
             store.add_lot(
                 record.asset, record.quantity, record.fmv_unit, record.timestamp,
-                record.kind, pooled=method in (AccountingMethod.AVG_MOVING,),
+                record.kind, pooled=method is AccountingMethod.AVG_MOVING,
             )
         return result
 
     if record.kind in ACQUISITION_KINDS:
         income_unit, basis_unit = _acquisition_treatment(record, policy)
-        result.income = qty_units * income_unit
+        result.income = _value(record.quantity, scale, income_unit)
         store.add_lot(
             record.asset, record.quantity, basis_unit, record.timestamp,
-            record.kind, pooled=method in (AccountingMethod.AVG_MOVING,),
+            record.kind, pooled=method is AccountingMethod.AVG_MOVING,
         )
         return result
 
@@ -240,10 +245,6 @@ class TaxReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _year(report: TaxReport, year: int) -> YearTotals:
-    return report.years.setdefault(year, YearTotals())
-
-
 def compute_report(
     records: list[ChainEventRecord],
     policy: JurisdictionPolicy,
@@ -259,6 +260,8 @@ def compute_report(
     pvct_cost = Fraction(0)  # remaining global acquisition cost (PVCT only)
     current_year: int | None = None
     last_seq: int | None = None
+    # Tax year, ledger date and year totals depend only on the UTC day.
+    days: dict[int, tuple[int, str, YearTotals]] = {}
 
     year_averages: dict[tuple[int, str], Fraction] = {}
     if method is AccountingMethod.AVG_TOTAL:
@@ -269,7 +272,11 @@ def compute_report(
             raise SequenceError("seq %d out of order (after %d)" % (record.seq, last_seq))
         last_seq = record.seq
 
-        year = tax_year_of(record.timestamp, policy)
+        day = record.timestamp // 86_400
+        if day not in days:
+            year = tax_year_of(record.timestamp, policy)
+            days[day] = (year, record.date_str(), report.years.setdefault(year, YearTotals()))
+        year, date, totals = days[day]
         if current_year is None:
             current_year = year
         while year > current_year:
@@ -286,9 +293,9 @@ def compute_report(
         if record.kind in DISPOSAL_KINDS:
             if method is AccountingMethod.AVG_TOTAL:
                 avg = year_averages.get((year, record.asset), Fraction(0))
-                basis_override = Fraction(record.quantity, scale) * avg
+                basis_override = _value(record.quantity, scale, avg)
             elif method is AccountingMethod.PVCT:
-                proceeds = Fraction(record.quantity, scale) * record.fmv_unit
+                proceeds = _value(record.quantity, scale, record.fmv_unit)
                 portfolio_fmv = _portfolio_fmv(store, last_price)
                 basis_override = (
                     pvct_cost * proceeds / portfolio_fmv if portfolio_fmv else Fraction(0)
@@ -306,17 +313,16 @@ def compute_report(
 
         if method is AccountingMethod.PVCT:
             if record.kind in ACQUISITION_KINDS:
-                pvct_cost += Fraction(record.quantity, scale) * _pvct_unit_cost(record, policy)
+                pvct_cost += _value(record.quantity, scale, _pvct_unit_cost(record, policy))
             if result.disposal is not None:
                 pvct_cost -= result.disposal.basis
 
-        totals = _year(report, year)
         if result.income:
             totals.ordinary_income += result.income
             report.lines.append(
                 LedgerLine(
-                    record.seq, record.date_str(), record.kind.value, record.asset,
-                    record.quantity, result.income, Fraction(0), Fraction(0), "-",
+                    record.seq, date, record.kind.value, record.asset,
+                    record.quantity, result.income, _ZERO, _ZERO, "-",
                 )
             )
         if result.deduction:
@@ -324,7 +330,7 @@ def compute_report(
         if result.withholding:
             totals.withholding_owed += result.withholding
         if result.disposal is not None:
-            _record_disposal(report, totals, record, result.disposal, policy, store)
+            _record_disposal(report, totals, record, date, result.disposal, policy)
     return report
 
 
@@ -340,7 +346,7 @@ def _portfolio_fmv(store: LotStore, last_price: dict[str, Fraction]) -> Fraction
     for asset in store.all_assets():
         price = last_price.get(asset)
         if price is not None:
-            total += Fraction(store.total_qty(asset), 10 ** store.decimals(asset)) * price
+            total += _value(store.total_qty(asset), 10 ** store.decimals(asset), price)
     return total
 
 
@@ -348,11 +354,10 @@ def _record_disposal(
     report: TaxReport,
     totals: YearTotals,
     record: ChainEventRecord,
+    date: str,
     disposal: DisposalResult,
     policy: JurisdictionPolicy,
-    store: LotStore,
 ) -> None:
-    scale = 10 ** store.decimals(record.asset)
     cutoff = policy.long_term_days * 86_400
     for part in disposal.parts:
         part_proceeds = disposal.proceeds * Fraction(part.qty, disposal.qty)
@@ -364,7 +369,7 @@ def _record_disposal(
             totals.short_term_gain += gain
         report.lines.append(
             LedgerLine(
-                record.seq, record.date_str(), record.kind.value, record.asset,
+                record.seq, date, record.kind.value, record.asset,
                 part.qty, part_proceeds, part.basis, gain, term,
             )
         )
@@ -396,9 +401,9 @@ def _avg_total_averages(
             if record.kind in ACQUISITION_KINDS:
                 _, basis_unit = _acquisition_treatment(record, policy)
                 acq_qty[record.asset] = acq_qty.get(record.asset, 0) + record.quantity
-                acq_cost[record.asset] = acq_cost.get(record.asset, Fraction(0)) + Fraction(
-                    record.quantity, scale
-                ) * basis_unit
+                acq_cost[record.asset] = acq_cost.get(record.asset, _ZERO) + _value(
+                    record.quantity, scale, basis_unit
+                )
             elif record.kind in DISPOSAL_KINDS:
                 disp_qty[record.asset] = disp_qty.get(record.asset, 0) + record.quantity
         assets = set(acq_qty) | set(disp_qty) | set(carry_qty)

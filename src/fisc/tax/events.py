@@ -34,6 +34,12 @@ class EventKind(Enum):
     GIFT = "gift"
     SELF_TRANSFER = "self_transfer"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality and keeps `kind in SET` tests out of Python code.
+    __hash__ = object.__hash__
+
+
+_KINDS = {kind.value: kind for kind in EventKind}
 
 ACQUISITION_KINDS = {
     EventKind.PURCHASE,
@@ -93,10 +99,19 @@ def _parse_timestamp(text: str) -> int:
     return int(stamp.timestamp())
 
 
+class _Prices(dict):
+    """Price text -> Fraction, parsed once per distinct text in a file."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_rational(text)
+        return value
+
+
 def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]:
     """Parse an event file into (asset decimals, ordered records)."""
     decimals: dict[str, int] = {}
     records: list[ChainEventRecord] = []
+    prices = _Prices()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -116,15 +131,16 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
         kv: dict[str, str] = {}
         meta: dict[str, str] = {}
         for item in fields[1:]:
-            if "=" not in item:
+            key, eq, value = item.partition("=")
+            if not eq:
                 raise EventParseError(line_no, "expected key=value, got %r" % item)
-            key, value = item.split("=", 1)
             if key.startswith("meta."):
                 meta[key[5:]] = value
             else:
                 kv[key] = value
         try:
-            kind = EventKind(kv["kind"])
+            # An unknown kind falls through to EventKind(), which raises.
+            kind = _KINDS.get(kv["kind"]) or EventKind(kv["kind"])
             asset = kv["asset"]
             if asset not in decimals:
                 raise EventParseError(line_no, "asset %r not declared" % asset)
@@ -134,7 +150,7 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
                 kind=kind,
                 asset=asset,
                 quantity=int(kv["qty"]),
-                fmv_unit=parse_rational(kv["fmv"]),
+                fmv_unit=prices[kv["fmv"]],
                 counterparty_address=kv.get("counterparty"),
                 specid_lot=tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None,
                 metadata=meta,
@@ -150,22 +166,17 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
 
 
 def serialize_event(record: ChainEventRecord) -> str:
-    parts = [
-        "event",
-        "seq=%d" % record.seq,
-        "ts=%d" % record.timestamp,
-        "kind=%s" % record.kind.value,
-        "asset=%s" % record.asset,
-        "qty=%d" % record.quantity,
-        "fmv=%s" % format_rational(record.fmv_unit),
-    ]
+    line = "event seq=%d ts=%d kind=%s asset=%s qty=%d fmv=%s" % (
+        record.seq, record.timestamp, record.kind.value, record.asset, record.quantity,
+        format_rational(record.fmv_unit),
+    )
     if record.counterparty_address:
-        parts.append("counterparty=%s" % record.counterparty_address)
+        line += " counterparty=%s" % record.counterparty_address
     if record.specid_lot:
-        parts.append("specid=%s" % ",".join(str(i) for i in record.specid_lot))
+        line += " specid=" + ",".join(map(str, record.specid_lot))
     for key in sorted(record.metadata):
-        parts.append("meta.%s=%s" % (key, record.metadata[key]))
-    return " ".join(parts)
+        line += " meta.%s=%s" % (key, record.metadata[key])
+    return line
 
 
 def serialize_event_file(decimals: dict[str, int], records: list[ChainEventRecord]) -> str:

@@ -58,7 +58,7 @@ class Lot:
     def __post_init__(self):
         if self.remaining_qty < 0:
             raise ValueError("lot quantity must be non-negative")
-        if self.unit_basis < 0:
+        if self.unit_basis.numerator < 0:  # the sign, without a slow Fraction comparison
             raise ValueError("unit basis must be non-negative")
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from datetime import date
 from enum import Enum
 from fractions import Fraction
 
@@ -40,6 +41,16 @@ class JurisdictionPolicy:
     lp_events_are_disposals: bool = False
 
     def __post_init__(self):
+        try:
+            date(2001, *self.tax_year_start)  # a common year: no 29 February
+        except (TypeError, ValueError):
+            raise ValueError("tax_year_start %r is not a day found in every year"
+                             % (self.tax_year_start,)) from None
+        if self.long_term_days < 0:
+            raise ValueError("long_term_days must be non-negative")
+        for rate in (self.standard_withholding, self.elevated_withholding):
+            if not 0 <= rate <= 1:
+                raise ValueError("withholding rate %s is outside [0, 1]" % rate)
         if self.elevated_withholding < self.standard_withholding:
             raise ValueError("elevated withholding must be >= standard")
         if not self.allowed_methods:

@@ -1,15 +1,23 @@
 """Reference implementations kept for differential tests.
 
-`SeedLotStore` is the original filter-and-sort lot store and
-`seed_format_rational` the original scale-by-ten decimal renderer. Both
-are deliberately simple and slow; `fisc` must produce exactly what they do.
+`SeedLotStore` is the original filter-and-sort lot store,
+`seed_format_rational` the original scale-by-ten decimal renderer, and
+`seed_parse_event_file` / `seed_serialize_event` the original event-line
+parser and writer. All are deliberately simple and slow; `fisc` must
+produce exactly what they do, errors included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from fisc.tax.events import EventKind
+from fisc.amounts import parse_rational
+from fisc.tax.events import (
+    ChainEventRecord,
+    EventKind,
+    EventParseError,
+    _parse_timestamp,
+)
 from fisc.tax.lots import (
     AccountingMethod,
     DisposalResult,
@@ -184,3 +192,79 @@ def seed_format_rational(value: Fraction | int) -> str:
     sign = "-" if frac < 0 else ""
     text = str(digits).rjust(places + 1, "0")
     return "%s%s.%s" % (sign, text[:-places], text[-places:])
+
+
+def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]:
+    """Every field checked for '=' and split again; kind by EventKind(value)."""
+    decimals: dict[str, int] = {}
+    records: list[ChainEventRecord] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "asset":
+            if len(fields) != 3:
+                raise EventParseError(line_no, "asset lines are 'asset <id> <decimals>'")
+            try:
+                decimals[fields[1]] = int(fields[2])
+            except ValueError:
+                raise EventParseError(line_no, "bad decimals %r" % fields[2])
+            continue
+        if tag != "event":
+            raise EventParseError(line_no, "unknown line tag %r" % tag)
+        kv: dict[str, str] = {}
+        meta: dict[str, str] = {}
+        for item in fields[1:]:
+            if "=" not in item:
+                raise EventParseError(line_no, "expected key=value, got %r" % item)
+            key, value = item.split("=", 1)
+            if key.startswith("meta."):
+                meta[key[5:]] = value
+            else:
+                kv[key] = value
+        try:
+            kind = EventKind(kv["kind"])
+            asset = kv["asset"]
+            if asset not in decimals:
+                raise EventParseError(line_no, "asset %r not declared" % asset)
+            record = ChainEventRecord(
+                seq=int(kv["seq"]),
+                timestamp=_parse_timestamp(kv["ts"]),
+                kind=kind,
+                asset=asset,
+                quantity=int(kv["qty"]),
+                fmv_unit=parse_rational(kv["fmv"]),
+                counterparty_address=kv.get("counterparty"),
+                specid_lot=tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None,
+                metadata=meta,
+            )
+        except EventParseError:
+            raise
+        except KeyError as exc:
+            raise EventParseError(line_no, "missing field %s" % exc)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise EventParseError(line_no, str(exc))
+        records.append(record)
+    return decimals, records
+
+
+def seed_serialize_event(record: ChainEventRecord) -> str:
+    """One formatted part per field, joined at the end."""
+    parts = [
+        "event",
+        "seq=%d" % record.seq,
+        "ts=%d" % record.timestamp,
+        "kind=%s" % record.kind.value,
+        "asset=%s" % record.asset,
+        "qty=%d" % record.quantity,
+        "fmv=%s" % seed_format_rational(record.fmv_unit),
+    ]
+    if record.counterparty_address:
+        parts.append("counterparty=%s" % record.counterparty_address)
+    if record.specid_lot:
+        parts.append("specid=%s" % ",".join(str(i) for i in record.specid_lot))
+    for key in sorted(record.metadata):
+        parts.append("meta.%s=%s" % (key, record.metadata[key]))
+    return " ".join(parts)

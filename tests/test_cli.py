@@ -131,6 +131,36 @@ class TestReport:
         assert "zero denominator" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("tax_year_start = 13-40", "tax_year_start (13, 40) is not a day"),
+            ("tax_year_start = 0-1", "tax_year_start (0, 1) is not a day"),
+            ("tax_year_start = 2-29", "tax_year_start (2, 29) is not a day"),
+            ("long_term_days = -5", "long_term_days must be non-negative"),
+            ("standard_withholding = -1/10", "withholding rate -1/10 is outside [0, 1]"),
+            ("elevated_withholding = 3/2", "withholding rate 3/2 is outside [0, 1]"),
+        ],
+    )
+    def test_policy_out_of_range_exit_2(self, tmp_path, capsys, line, message):
+        events = write(tmp_path, "events.fisc", EVENTS)
+        policy = write(tmp_path, "policy.cfg", line + "\n")
+        out = tmp_path / "out"
+        code = main(["report", str(events), "--config", str(policy), "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_policy_range_edges_accepted(self, tmp_path):
+        events = write(tmp_path, "events.fisc", EVENTS)
+        policy = write(tmp_path, "policy.cfg", (
+            "tax_year_start = 2-28\nlong_term_days = 0\n"
+            "standard_withholding = 0\nelevated_withholding = 1\n"
+        ))
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--config", str(policy), "--out", str(out)]) == EXIT_OK
+        assert "2,2021-08-01,sale,BTC,100000000,400,100,300,long" in (out / "ledger.csv").read_text()
+
     def test_missing_file(self, tmp_path):
         code = main(["report", str(tmp_path / "nope.fisc"), "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
@@ -224,6 +254,8 @@ class TestAttrib:
             ("withholding standard=1/2 elevated=1/10", "elevated withholding must be >= standard"),
             ("dsc DE T1 h9", "TIN T1 already has a certificate"),
             ("jurisdiction AT", "jurisdiction AT already present"),
+            ("withholding standard=-1/10", "withholding rate -1/10 is outside [0, 1]"),
+            ("withholding elevated=5", "withholding rate 5 is outside [0, 1]"),
         ],
     )
     def test_scenario_violation_exit_3(self, tmp_path, capsys, line, message):
@@ -232,6 +264,23 @@ class TestAttrib:
         assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line,code",
+        [("eoi XX YY allow", "XX"), ("latency QQ DE 5", "QQ"), ("drop AT ZZ 1/2", "ZZ")],
+    )
+    def test_undeclared_jurisdiction_exit_2_with_line(self, tmp_path, capsys, line, code):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert "bad.scn:10: line 10: jurisdiction %r is not declared" % code in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jurisdiction_may_be_declared_after_its_links(self, tmp_path):
+        scenario = write(tmp_path, "late.scn", (
+            "latency AT FR 2\neoi AT FR allow\n" + ATTRIB_SCENARIO + "jurisdiction FR\n"
+        ))
+        assert main(["attrib", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_version_flag(capsys):

@@ -140,6 +140,12 @@ def test_format_rational_terminating_matches_seed(num, a, b):
 
 
 @given(st.fractions() | st.integers())
+@example(0)
+@example(Fraction(0))
+@example(7)
+@example(-10**50)
+@example(True)
+@example(Fraction(-5, 1))
 @example(Fraction(1, 3))
 @example(Fraction(-22, 7))
 @example(Fraction(7, 30))

@@ -1,0 +1,148 @@
+"""The event-line parser and writer, and the engine's per-day labels.
+
+`seed_oracles` keeps the previous parser and writer. Both sides get the
+same random records and files, malformed ones included, and must agree
+exactly: records, metadata, bytes written, and each error's line number
+and message. `compute_report` labels each record through a per-day memo;
+its years and dates must equal `tax_year_of` and `date_str()` per record.
+"""
+
+import string
+from datetime import date
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fisc.tax.engine import compute_report, tax_year_of
+from fisc.tax.events import (
+    ChainEventRecord,
+    EventKind,
+    EventParseError,
+    parse_event_file,
+    serialize_event,
+    serialize_event_file,
+)
+from fisc.tax.lots import AccountingMethod
+from fisc.tax.policy import JurisdictionPolicy
+from seed_oracles import seed_parse_event_file, seed_serialize_event
+
+TOKEN = st.text(string.ascii_letters + string.digits + "._-:", min_size=1, max_size=8)
+# Metadata values may hold '=': only the first one splits a field.
+VALUE = st.text(string.ascii_letters + string.digits + "._-:=/", max_size=8)
+# datetime's range: 0001-01-01 to 9999-12-31, as days from the epoch.
+DAYS = st.integers(-719_162, 2_932_896)
+TIMESTAMPS = st.builds(lambda day, second: day * 86_400 + second, DAYS, st.integers(0, 86_399))
+
+
+@st.composite
+def event_files(draw):
+    decimals = draw(st.dictionaries(TOKEN, st.integers(0, 18), min_size=1, max_size=3))
+    records = []
+    for seq in range(1, draw(st.integers(0, 12)) + 1):
+        kind = draw(st.sampled_from(list(EventKind)))
+        low = 0 if kind is EventKind.SELF_TRANSFER else 1
+        records.append(ChainEventRecord(
+            seq=seq,
+            timestamp=draw(st.integers(-10**11, 10**11)),
+            kind=kind,
+            asset=draw(st.sampled_from(sorted(decimals))),
+            quantity=draw(st.integers(low, 10**24)),
+            fmv_unit=draw(st.fractions(min_value=-10**6, max_value=10**9)),
+            counterparty_address=draw(st.none() | TOKEN),
+            specid_lot=draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1,
+                                                 max_size=4).map(tuple)),
+            metadata=draw(st.dictionaries(TOKEN, VALUE, max_size=3)),
+        ))
+    return decimals, records
+
+
+@given(event_files())
+@settings(max_examples=150, deadline=None)
+def test_serialize_parse_round_trip(file):
+    decimals, records = file
+    for record in records:
+        assert serialize_event(record) == seed_serialize_event(record)
+    text = serialize_event_file(decimals, records)
+    parsed_decimals, parsed = parse_event_file(text)
+    assert parsed_decimals == decimals
+    assert parsed == records
+    assert [r.metadata for r in parsed] == [r.metadata for r in records]
+    assert outcome(parse_event_file, text) == outcome(seed_parse_event_file, text)
+
+
+def outcome(parse, text):
+    """Decimals, records and metadata, or the error's line number and message."""
+    try:
+        decimals, records = parse(text)
+    except EventParseError as exc:
+        return exc.line_no, str(exc)
+    return decimals, records, [r.metadata for r in records]
+
+
+@given(event_files(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_extra_fields_parse_like_seed(file, data):
+    """Unknown keys, `meta`-like keys and repeated known keys."""
+    decimals, records = file
+    field = st.builds("{}{}={}".format,
+                      st.sampled_from(("", "meta", "meta.", "kind", "qty", "fmv")), TOKEN, VALUE)
+    lines = [
+        " ".join([line, *data.draw(st.lists(field, max_size=3))]) if line.startswith("event")
+        else line
+        for line in serialize_event_file(decimals, records).splitlines()
+    ]
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_event_file, text) == outcome(seed_parse_event_file, text)
+
+
+@given(event_files(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_malformed_line_same_error_as_seed(file, data):
+    decimals, records = file
+    lines = serialize_event_file(decimals, records).splitlines()
+    index = data.draw(st.integers(len(decimals), len(lines)))
+    if index == len(lines):  # a new last line
+        lines.append("event seq=0 ts=0 kind=sale asset=%s qty=1 fmv=1" % min(decimals))
+    fields = lines[index].split()
+    fault = data.draw(st.sampled_from(("no_equals", "unknown_kind", "undeclared_asset")))
+    if fault == "no_equals":
+        bad = data.draw(TOKEN.filter(lambda t: "=" not in t))
+        fields.insert(data.draw(st.integers(1, len(fields))), bad)
+    elif fault == "unknown_kind":
+        kind = data.draw(TOKEN.filter(lambda t: t not in {k.value for k in EventKind}))
+        fields = [f for f in fields if not f.startswith("kind=")] + ["kind=" + kind]
+    else:
+        asset = data.draw(TOKEN.filter(lambda t: t not in decimals))
+        fields = [f for f in fields if not f.startswith("asset=")] + ["asset=" + asset]
+    lines[index:index + 1] = [" ".join(fields)]
+    text = "\n".join(lines) + "\n"
+    error = outcome(parse_event_file, text)
+    assert error[0] == index + 1
+    assert error == outcome(seed_parse_event_file, text)
+
+
+@given(
+    start=st.dates(date(2001, 1, 1), date(2001, 12, 31)),
+    stamps=st.lists(st.sampled_from((-30_636_403_200, -86_400, -1, 0)) | TIMESTAMPS,
+                    min_size=1, max_size=30),
+    repeats=st.lists(st.integers(-2 * 86_400, 3 * 86_400 - 1), max_size=10),
+)
+@example(start=date(2001, 4, 6), stamps=[-30_636_403_200, -1, 8_207_999, 8_208_000], repeats=[])
+@example(start=date(2001, 1, 1), stamps=[-1, 0, -86_400], repeats=[1, 86_399])
+@settings(max_examples=150, deadline=None)
+def test_per_day_labels_match_per_record_calls(start, stamps, repeats):
+    # More records on and around the first day drawn, so the memo is hit
+    # and neighbouring days must not share an entry.
+    stamps += [stamps[0] // 86_400 * 86_400 + second for second in repeats]
+    policy = JurisdictionPolicy(tax_year_start=(start.month, start.day))
+    records = [ChainEventRecord(seq, ts, EventKind.MINING_REWARD, "X", 1, 1)
+               for seq, ts in enumerate(stamps, start=1)]
+    report = compute_report(records, policy, AccountingMethod.FIFO, {"X": 0})
+    assert [(line.seq, line.date) for line in report.lines] == [
+        (r.seq, r.date_str()) for r in records
+    ]
+    expected: dict[int, int] = {}
+    for record in records:
+        year = tax_year_of(record.timestamp, policy)
+        expected[year] = expected.get(year, 0) + 1
+    assert {year: t.ordinary_income for year, t in report.years.items()} == expected
