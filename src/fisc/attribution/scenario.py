@@ -7,17 +7,12 @@ from fractions import Fraction
 
 from ..addresses import Scheme as AddrScheme, address_from_pubkey
 from ..amounts import format_rational, parse_rational
+from ..lineformat import LineError, LineReader, pairs
 from ..signatures import DEFAULT_SCHEME
 from ..tax.policy import JurisdictionPolicy
 from .protocol import AttributionError, build_ownership_proof
 from .sim import AttributionNetwork, LinkConfig
 from .travelrule import PartyIdentity
-
-
-class ScenarioError(Exception):
-    def __init__(self, line_no: int, message: str):
-        super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
 
 
 @dataclass
@@ -38,15 +33,11 @@ class AttributionScenario:
 def parse_attribution_scenario(text: str) -> AttributionScenario:
     scenario = AttributionScenario()
     links: list[tuple[int, str, str]] = []  # (line, asker, responder) of link rows
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        tag, args = fields[0], fields[1:]
-        if tag in ("eoi", "latency", "drop"):
-            links.append((line_no, *args[:2]))
-        try:
+    with LineReader(text) as lines:
+        for fields in lines:
+            tag, args = fields[0], fields[1:]
+            if tag in ("eoi", "latency", "drop"):
+                links.append((lines.line_no, *args[:2]))
             if tag == "seed":
                 scenario.seed = int(args[0])
             elif tag == "jurisdiction":
@@ -74,7 +65,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 )
             elif tag == "identity":
                 # identity <wallet-label> name=<n> physical=<p>
-                kv = dict(item.split("=", 1) for item in args[1:])
+                kv = pairs(args[1:])
                 scenario.identities[args[0]] = PartyIdentity(
                     name=kv.get("name", ""),
                     account="",  # filled once the wallet address is derived
@@ -90,21 +81,19 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                     raise ValueError("transfer amount and deadline must be non-negative")
                 scenario.transfers.append((args[0], args[1], amount, deadline))
             elif tag == "withholding":
-                kv = dict(item.split("=", 1) for item in args)
+                kv = pairs(args)
                 if "standard" in kv:
                     scenario.standard_withholding = parse_rational(kv["standard"])
                 if "elevated" in kv:
                     scenario.elevated_withholding = parse_rational(kv["elevated"])
             else:
                 raise ValueError("unknown directive %r" % tag)
-        except (IndexError, ValueError, KeyError) as exc:
-            raise ScenarioError(line_no, str(exc))
     if not scenario.jurisdictions:
-        raise ScenarioError(0, "scenario declares no jurisdictions")
+        raise LineError(0, "scenario declares no jurisdictions")
     for line_no, *codes in links:
         for code in codes:
             if code not in scenario.jurisdictions:
-                raise ScenarioError(line_no, "jurisdiction %r is not declared" % code)
+                raise LineError(line_no, "jurisdiction %r is not declared" % code)
     return scenario
 
 
@@ -155,10 +144,7 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
     for label, identity in scenario.identities.items():
         address = wallets.get(label)
         if address:
-            identities[address] = PartyIdentity(
-                identity.name, address, identity.physical_address,
-                identity.national_id, identity.customer_id, identity.birth_date_place,
-            )
+            identities[address] = replace(identity, account=address)
 
     policy = JurisdictionPolicy(
         standard_withholding=scenario.standard_withholding,

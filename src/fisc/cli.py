@@ -15,20 +15,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .attribution.protocol import AttributionError
-from .attribution.scenario import (
-    ScenarioError as AttribScenarioError,
-    parse_attribution_scenario,
-    run_attribution_scenario,
-)
-from .scenarios import (
-    ScenarioError,
-    run_chain_scenario,
-    run_pool_scenario,
-    run_validator_scenario,
-)
+from .lineformat import LineError
+from .scenarios import run_chain_scenario, run_pool_scenario, run_validator_scenario
 from .tax.engine import EngineError, PolicyViolation, compute_report
-from .tax.events import EventParseError, parse_event_file
+from .tax.events import parse_event_file
 from .tax.lots import AccountingMethod, LotError
 from .tax.policy import parse_policy
 
@@ -55,27 +45,28 @@ def _write_manifest(out_dir: Path, command: str, inputs: list[Path], seed: int |
     )
 
 
-def _resolve_config(args) -> Path | None:
-    if args.config:
-        return Path(args.config)
-    env = os.environ.get("FISC_CONFIG")
-    return Path(env) if env else None
+def _bad_input(path: Path, exc: LineError | OSError) -> int:
+    """Print why an input file was refused; line 0 is a whole-file violation."""
+    if isinstance(exc, OSError):
+        print(str(exc), file=sys.stderr)
+        return EXIT_PARSE
+    print("%s:%d: %s" % (path, exc.line_no, exc), file=sys.stderr)
+    return EXIT_POLICY if exc.line_no == 0 else EXIT_PARSE
 
 
 def cmd_report(args) -> int:
     events_path = Path(args.events)
     out_dir = Path(args.out)
-    policy_path = _resolve_config(args)
+    config = args.config or os.environ.get("FISC_CONFIG")
+    policy_path = Path(config) if config else None
     try:
         decimals, records = parse_event_file(events_path.read_text())
-    except EventParseError as exc:
-        print("%s:%d: %s" % (events_path, exc.line_no, exc), file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+    except (LineError, OSError) as exc:
+        return _bad_input(events_path, exc)
     try:
-        policy = parse_policy(policy_path.read_text()) if policy_path else parse_policy("")
+        policy = parse_policy(policy_path.read_text() if policy_path else "")
+    except LineError as exc:
+        return _bad_input(policy_path, exc)
     except (ValueError, OSError) as exc:
         print("%s: %s" % (policy_path, exc), file=sys.stderr)
         return EXIT_PARSE
@@ -109,45 +100,39 @@ def cmd_simulate(args) -> int:
     scenario_path = Path(args.scenario)
     out_dir = Path(args.out)
     try:
-        text = scenario_path.read_text()
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        output = _SIM_RUNNERS[args.kind](text)
-    except ScenarioError as exc:
-        print("%s:%d: %s" % (scenario_path, exc.line_no, exc), file=sys.stderr)
-        return EXIT_POLICY if exc.line_no == 0 else EXIT_PARSE
+        events_text, state_text = _SIM_RUNNERS[args.kind](scenario_path.read_text())
+    except (LineError, OSError) as exc:
+        return _bad_input(scenario_path, exc)
     out_dir.mkdir(parents=True, exist_ok=True)
     events_path = out_dir / "events.fisc"
     state_path = out_dir / "state.txt"
-    events_path.write_text(output.events_text)
-    state_path.write_text(output.state_text)
+    events_path.write_text(events_text)
+    state_path.write_text(state_text)
     _write_manifest(out_dir, "simulate " + args.kind, [scenario_path], args.seed,
                     [events_path, state_path])
     return EXIT_OK
 
 
 def cmd_attrib(args) -> int:
+    # Imported here, so that report and simulate do not load the package.
+    from .attribution.protocol import AttributionError
+    from .attribution.scenario import parse_attribution_scenario, run_attribution_scenario
+    from .attribution.travelrule import TravelRuleError
+
     scenario_path = Path(args.scenario)
     out_dir = Path(args.out)
     try:
-        text = scenario_path.read_text()
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+        scenario = parse_attribution_scenario(scenario_path.read_text())
+    except (LineError, OSError) as exc:
+        return _bad_input(scenario_path, exc)
+    if args.seed is not None:
+        scenario.seed = args.seed
     try:
-        scenario = parse_attribution_scenario(text)
-        if args.seed is not None:
-            scenario.seed = args.seed
         run = run_attribution_scenario(scenario)
-    except AttribScenarioError as exc:
-        print("%s:%d: %s" % (scenario_path, exc.line_no, exc), file=sys.stderr)
-        return EXIT_POLICY if exc.line_no == 0 else EXIT_PARSE
     except KeyError as exc:
         print("%s: unknown reference %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    except (AttributionError, ValueError) as exc:
+    except (AttributionError, TravelRuleError, ValueError) as exc:
         print("%s: %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -21,6 +21,12 @@ class RewardSchedule:
     initial_subsidy: Amount = Amount(50 * SATOSHI_PER_BTC)
     halving_interval_blocks: int = 210_000
     supply_cap: Amount = Amount(21_000_000 * SATOSHI_PER_BTC)
+
+    def __post_init__(self):
+        if self.halving_interval_blocks <= 0:
+            raise ValueError("halving interval must be positive")
+        if self.initial_subsidy.is_negative:
+            raise ValueError("initial subsidy must be non-negative")
 
 
 def block_subsidy(height: int, schedule: RewardSchedule = RewardSchedule()) -> Amount:
@@ -134,6 +140,10 @@ class Validator:
     stake: Amount = Amount(ETH_STAKE_WEI, 18)
     effective: bool = True
     status: ValidatorStatus = ValidatorStatus.ACTIVE
+
+    def __post_init__(self):
+        if self.stake.is_negative:
+            raise ValueError("stake must be non-negative")
 
 
 @dataclass(frozen=True)

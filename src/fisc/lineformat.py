@@ -1,0 +1,69 @@
+"""The line format of every fisc input file: events, policies, scenarios.
+
+`#` starts a comment anywhere on a line, blank lines are skipped, and a
+line is its whitespace-separated tokens. A field is a `key=value` token.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+
+from .defi.pool import PoolError
+
+# Raised while a line is handled, these become a LineError at that line.
+_LINE_FAULTS = (KeyError, ValueError, IndexError, ZeroDivisionError, PoolError)
+_EQUALS, _ONCE = repeat("="), repeat(1)
+
+
+class LineError(ValueError):
+    """A fault at a 1-based line; line 0 is a fault of the whole file."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(message)
+        self.line_no = line_no
+
+
+class LineReader:
+    """`with LineReader(text) as lines: for fields in lines: ...`
+
+    A fault raised in the block becomes a LineError at `lines.line_no`, the
+    current line or 0 once all are read; a KeyError reads as a missing
+    field. The block is entered once per file, not once per line.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.line_no = 0
+
+    def __iter__(self):
+        for self.line_no, raw in enumerate(self.text.splitlines(), start=1):
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            fields = raw.split()
+            if fields:
+                yield fields
+        self.line_no = 0
+
+    def __enter__(self) -> LineReader:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, _LINE_FAULTS) and not isinstance(exc, LineError):
+            message = "missing field %s" % exc if isinstance(exc, KeyError) else str(exc)
+            raise LineError(self.line_no, message) from exc
+
+
+def pair(token: str) -> tuple[str, str]:
+    """Split a `key=value` token at its first `=`."""
+    key, eq, value = token.partition("=")
+    if not eq:
+        raise ValueError("expected key=value, got %r" % token)
+    return key, value
+
+
+def pairs(tokens: list[str]) -> dict[str, str]:
+    """`key=value` tokens as a dict; a repeated key keeps its last value."""
+    try:
+        return dict(map(str.split, tokens, _EQUALS, _ONCE))
+    except ValueError:
+        return dict(map(pair, tokens))  # raises at the first token without '='

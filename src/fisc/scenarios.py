@@ -1,15 +1,15 @@
 """Replay scenarios for the simulate subcommands.
 
 Each runner parses a small line-based scenario file, replays it through
-the relevant engine, and emits ChainEventRecords the tax engine ingests.
+the relevant engine, and returns the text of an event file the tax engine
+ingests and of the final state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .amounts import format_rational, parse_rational
+from .amounts import Amount, parse_rational
 from .consensus import (
     DutyEvent,
     PosParams,
@@ -21,34 +21,15 @@ from .consensus import (
     apply_penalty_or_slash,
     block_subsidy,
 )
-from .amounts import Amount
 from .defi.pool import LiquidityPool, LpPosition
+from .lineformat import LineError, LineReader, pairs
 from .tax.events import ChainEventRecord, EventKind, serialize_event_file
-
-
-class ScenarioError(Exception):
-    def __init__(self, line_no: int, message: str):
-        super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
-
-
-def _lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
-
-
-@dataclass
-class ScenarioOutput:
-    events_text: str
-    state_text: str
 
 
 # --- pool ---
 
 
-def run_pool_scenario(text: str) -> ScenarioOutput:
+def run_pool_scenario(text: str) -> tuple[str, str]:
     """Replay swaps and LP operations against one constant-product pool."""
     pool: LiquidityPool | None = None
     decimals = 8
@@ -56,27 +37,26 @@ def run_pool_scenario(text: str) -> ScenarioOutput:
     price_x, price_y = Fraction(1), Fraction(1)
     positions: dict[str, LpPosition] = {}
     events: list[ChainEventRecord] = []
-    seq = 0
     timestamp = 0
 
     def emit(kind: EventKind, asset: str, qty: int, fmv: Fraction, **meta: str):
-        nonlocal seq
-        seq += 1
         events.append(
-            ChainEventRecord(seq, timestamp, kind, asset, qty, fmv, metadata=dict(meta))
+            ChainEventRecord(len(events) + 1, timestamp, kind, asset, qty, fmv, metadata=meta)
         )
 
-    for line_no, fields in _lines(text):
-        tag, kv = fields[0], dict(item.split("=", 1) for item in fields[1:] if "=" in item)
-        try:
+    with LineReader(text) as lines:
+        for fields in lines:
+            tag, kv = fields[0], pairs(fields[1:])
             if tag == "pool":
                 decimals = int(kv.get("decimals", "8"))
+                if decimals < 0:
+                    raise ValueError("decimals must be non-negative")
                 asset_x = kv.get("asset_x", "X")
                 asset_y = kv.get("asset_y", "Y")
                 scale = 10**decimals
                 pool = LiquidityPool(
-                    int(Fraction(kv["reserve_x"]) * scale),
-                    int(Fraction(kv["reserve_y"]) * scale),
+                    int(parse_rational(kv["reserve_x"]) * scale),
+                    int(parse_rational(kv["reserve_y"]) * scale),
                     parse_rational(kv.get("fee", "3/1000")),
                 )
             elif pool is None:
@@ -87,67 +67,67 @@ def run_pool_scenario(text: str) -> ScenarioOutput:
             elif tag == "time":
                 timestamp = int(kv["at"])
             elif tag == "deposit":
-                scale = 10**decimals
                 position = pool.add_liquidity(
                     kv["owner"],
-                    int(Fraction(kv["x"]) * scale),
-                    int(Fraction(kv["y"]) * scale),
+                    int(parse_rational(kv["x"]) * scale),
+                    int(parse_rational(kv["y"]) * scale),
                     price_x, price_y, timestamp,
                 )
                 positions[kv["owner"]] = position
                 emit(EventKind.LP_DEPOSIT, asset_x, position.x_in, price_x, owner=kv["owner"])
                 emit(EventKind.LP_DEPOSIT, asset_y, position.y_in, price_y, owner=kv["owner"])
             elif tag == "swap":
-                scale = 10**decimals
-                amount_in = int(Fraction(kv["in"]) * scale)
-                x_to_y = kv.get("dir", "x2y") == "x2y"
+                direction = kv.get("dir", "x2y")
+                if direction not in ("x2y", "y2x"):
+                    raise ValueError("dir must be x2y or y2x, got %r" % direction)
+                x_to_y = direction == "x2y"
+                amount_in = int(parse_rational(kv["in"]) * scale)
                 out = pool.swap_exact_in(amount_in, x_to_y)
                 sold = asset_x if x_to_y else asset_y
                 bought = asset_y if x_to_y else asset_x
                 emit(EventKind.SWAP, sold, amount_in, price_x if x_to_y else price_y)
                 emit(EventKind.PURCHASE, bought, out, price_y if x_to_y else price_x)
             elif tag == "withdraw":
-                position = positions.pop(kv["owner"])
-                x_out, y_out = pool.remove_liquidity(position)
+                owner = kv["owner"]
+                if owner not in positions:
+                    raise ValueError("owner %r has no open position" % owner)
+                x_out, y_out = pool.remove_liquidity(positions.pop(owner))
                 if x_out:
-                    emit(EventKind.LP_WITHDRAWAL, asset_x, x_out, price_x, owner=kv["owner"])
+                    emit(EventKind.LP_WITHDRAWAL, asset_x, x_out, price_x, owner=owner)
                 if y_out:
-                    emit(EventKind.LP_WITHDRAWAL, asset_y, y_out, price_y, owner=kv["owner"])
+                    emit(EventKind.LP_WITHDRAWAL, asset_y, y_out, price_y, owner=owner)
             else:
                 raise ValueError("unknown directive %r" % tag)
-        except ScenarioError:
-            raise
-        except Exception as exc:
-            raise ScenarioError(line_no, str(exc))
     if pool is None:
-        raise ScenarioError(0, "scenario declares no pool")
+        raise LineError(0, "scenario declares no pool")
     state = (
         "reserve_x %d\nreserve_y %d\nproduct %d\ntotal_lp_units %d\n"
         % (pool.reserve_x, pool.reserve_y, pool.k, pool.total_lp_units)
     )
-    return ScenarioOutput(
-        serialize_event_file({asset_x: decimals, asset_y: decimals}, events), state
-    )
+    return serialize_event_file({asset_x: decimals, asset_y: decimals}, events), state
 
 
 # --- chain ---
 
 
-def run_chain_scenario(text: str) -> ScenarioOutput:
-    """Replay block heights through the subsidy schedule as mining income."""
+def run_chain_scenario(text: str) -> tuple[str, str]:
+    """Replay block heights through the subsidy schedule as mining income.
+
+    A height past the last halving earns no subsidy and so no income event.
+    """
     schedule = RewardSchedule()
     rule = RetargetRule()
     price = Fraction(0)
     heights: list[int] = []
     asset = "BTC"
-    for line_no, fields in _lines(text):
-        tag, kv = fields[0], dict(item.split("=", 1) for item in fields[1:] if "=" in item)
-        try:
+    with LineReader(text) as lines:
+        for fields in lines:
+            tag, kv = fields[0], pairs(fields[1:])
             if tag == "schedule":
                 decimals = int(kv.get("decimals", "8"))
                 schedule = RewardSchedule(
                     initial_subsidy=Amount(
-                        int(Fraction(kv.get("initial", "50")) * 10**decimals), decimals
+                        int(parse_rational(kv.get("initial", "50")) * 10**decimals), decimals
                     ),
                     halving_interval_blocks=int(kv.get("interval", "210000")),
                 )
@@ -162,61 +142,54 @@ def run_chain_scenario(text: str) -> ScenarioOutput:
                 asset = kv["id"]
             elif tag == "mine":
                 start, end = int(kv["start"]), int(kv["end"])
+                if start < 0:
+                    raise ValueError("height must be non-negative")
                 heights.extend(range(start, end + 1))
             else:
                 raise ValueError("unknown directive %r" % tag)
-        except ScenarioError:
-            raise
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(line_no, str(exc))
     decimals = schedule.initial_subsidy.decimals
     events = []
     state_lines = []
     for seq, height in enumerate(heights, start=1):
         subsidy = block_subsidy(height, schedule)
-        events.append(
-            ChainEventRecord(
-                seq, height * rule.target_block_interval, EventKind.MINING_REWARD,
-                asset, subsidy.base_units, price, metadata={"height": str(height)},
+        if subsidy.base_units:
+            events.append(
+                ChainEventRecord(
+                    seq, height * rule.target_block_interval, EventKind.MINING_REWARD,
+                    asset, subsidy.base_units, price, metadata={"height": str(height)},
+                )
             )
-        )
         state_lines.append("height %d subsidy %d" % (height, subsidy.base_units))
-    return ScenarioOutput(
-        serialize_event_file({asset: decimals}, events), "\n".join(state_lines) + "\n"
-    )
+    return serialize_event_file({asset: decimals}, events), "\n".join(state_lines) + "\n"
 
 
 # --- validators ---
 
 
-def run_validator_scenario(text: str) -> ScenarioOutput:
+def run_validator_scenario(text: str) -> tuple[str, str]:
     """Replay duty/penalty streams over a validator set."""
     params = PosParams()
     price = Fraction(0)
     validators: dict[str, Validator] = {}
     duty_log: list[tuple[str, DutyEvent]] = []
-    for line_no, fields in _lines(text):
-        tag, kv = fields[0], dict(item.split("=", 1) for item in fields[1:] if "=" in item)
-        try:
+    with LineReader(text) as lines:
+        for fields in lines:
+            tag = fields[0]
             if tag == "validator":
-                vid = fields[1]
-                stake_eth = Fraction(kv.get("stake", "32"))
+                vid, kv = fields[1], pairs(fields[2:])
+                stake_eth = parse_rational(kv.get("stake", "32"))
                 validators[vid] = Validator(vid, Amount(int(stake_eth * 10**18), 18))
             elif tag == "price":
-                price = parse_rational(kv["fmv"])
+                price = parse_rational(pairs(fields[1:])["fmv"])
             elif tag == "duty":
                 duty_log.append((fields[1], DutyEvent(fields[2])))
             else:
                 raise ValueError("unknown directive %r" % tag)
-        except ScenarioError:
-            raise
-        except (KeyError, ValueError, IndexError) as exc:
-            raise ScenarioError(line_no, str(exc))
     events = []
     seq = 0
     for index, (vid, duty) in enumerate(duty_log):
         if vid not in validators:
-            raise ScenarioError(0, "duty for unknown validator %s" % vid)
+            raise LineError(0, "duty for unknown validator %s" % vid)
         before = validators[vid]
         try:
             after = apply_penalty_or_slash(before, duty, params)
@@ -238,6 +211,4 @@ def run_validator_scenario(text: str) -> ScenarioOutput:
         "%s stake=%d status=%s" % (vid, v.stake.base_units, v.status.value)
         for vid, v in sorted(validators.items())
     ]
-    return ScenarioOutput(
-        serialize_event_file({"ETH": 18}, events), "\n".join(state_lines) + "\n"
-    )
+    return serialize_event_file({"ETH": 18}, events), "\n".join(state_lines) + "\n"

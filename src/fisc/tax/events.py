@@ -13,6 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ..amounts import format_rational, parse_rational
+from ..lineformat import LineReader, pairs
 
 
 class EventKind(Enum):
@@ -84,12 +85,6 @@ class ChainEventRecord:
         return datetime.fromtimestamp(self.timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
-class EventParseError(Exception):
-    def __init__(self, line_no: int, message: str):
-        super().__init__("line %d: %s" % (line_no, message))
-        self.line_no = line_no
-
-
 def _parse_timestamp(text: str) -> int:
     if text.isdigit() or (text.startswith("-") and text[1:].isdigit()):
         return int(text)
@@ -112,56 +107,35 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
     decimals: dict[str, int] = {}
     records: list[ChainEventRecord] = []
     prices = _Prices()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "asset":
-            if len(fields) != 3:
-                raise EventParseError(line_no, "asset lines are 'asset <id> <decimals>'")
-            try:
-                decimals[fields[1]] = int(fields[2])
-            except ValueError:
-                raise EventParseError(line_no, "bad decimals %r" % fields[2])
-            continue
-        if tag != "event":
-            raise EventParseError(line_no, "unknown line tag %r" % tag)
-        kv: dict[str, str] = {}
-        meta: dict[str, str] = {}
-        for item in fields[1:]:
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise EventParseError(line_no, "expected key=value, got %r" % item)
-            if key.startswith("meta."):
-                meta[key[5:]] = value
-            else:
-                kv[key] = value
-        try:
+    with LineReader(text) as lines:
+        for fields in lines:
+            tag = fields[0]
+            if tag == "asset":
+                if len(fields) != 3:
+                    raise ValueError("asset lines are 'asset <id> <decimals>'")
+                try:
+                    decimals[fields[1]] = int(fields[2])
+                except ValueError:
+                    raise ValueError("bad decimals %r" % fields[2]) from None
+                continue
+            if tag != "event":
+                raise ValueError("unknown line tag %r" % tag)
+            kv = pairs(fields[1:])
             # An unknown kind falls through to EventKind(), which raises.
             kind = _KINDS.get(kv["kind"]) or EventKind(kv["kind"])
             asset = kv["asset"]
             if asset not in decimals:
-                raise EventParseError(line_no, "asset %r not declared" % asset)
-            record = ChainEventRecord(
-                seq=int(kv["seq"]),
-                timestamp=_parse_timestamp(kv["ts"]),
-                kind=kind,
-                asset=asset,
-                quantity=int(kv["qty"]),
-                fmv_unit=prices[kv["fmv"]],
-                counterparty_address=kv.get("counterparty"),
-                specid_lot=tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None,
-                metadata=meta,
-            )
-        except EventParseError:
-            raise
-        except KeyError as exc:
-            raise EventParseError(line_no, "missing field %s" % exc)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise EventParseError(line_no, str(exc))
-        records.append(record)
+                raise ValueError("asset %r not declared" % asset)
+            meta = {}
+            for key in kv:
+                if key[:5] == "meta.":
+                    meta[key[5:]] = kv[key]
+            records.append(ChainEventRecord(
+                int(kv["seq"]), _parse_timestamp(kv["ts"]), kind, asset, int(kv["qty"]),
+                prices[kv["fmv"]], kv.get("counterparty"),
+                tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None,
+                meta,
+            ))
     return decimals, records
 
 

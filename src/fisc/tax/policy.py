@@ -8,6 +8,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ..amounts import parse_rational
+from ..lineformat import LineReader, pair
 from .lots import AccountingMethod
 
 
@@ -57,34 +58,33 @@ class JurisdictionPolicy:
             raise ValueError("allowed_methods must be non-empty")
 
 
+def _month_day(value: str) -> tuple[int, int]:
+    month, day = value.split("-")
+    return int(month), int(day)
+
+
+_CONVERTERS = {
+    **dict.fromkeys(("fork_treatment", "airdrop_treatment"), ReceiptTreatment),
+    "hobby_miner": HobbyMinerRule,
+    **dict.fromkeys(("mining_is_business", "slashing_deductible", "gift_taxable",
+                     "lp_events_are_disposals"), lambda v: v.lower() in ("1", "true", "yes")),
+    "allowed_methods": lambda v: frozenset(AccountingMethod(m.strip()) for m in v.split(",")),
+    **dict.fromkeys(("standard_withholding", "elevated_withholding"), parse_rational),
+    "tax_year_start": _month_day,
+    "long_term_days": int,
+}
+
+
 def parse_policy(text: str) -> JurisdictionPolicy:
-    """Parse a `key = value` policy file mirroring the field names."""
+    """Parse a `key = value` policy file mirroring the field names.
+
+    A bad line raises LineError; the policy checks the values' ranges.
+    """
     values: dict[str, object] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError("line %d: expected key = value" % line_no)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "fork_treatment":
-            values[key] = ReceiptTreatment(value)
-        elif key == "airdrop_treatment":
-            values[key] = ReceiptTreatment(value)
-        elif key == "hobby_miner":
-            values[key] = HobbyMinerRule(value)
-        elif key in ("mining_is_business", "slashing_deductible", "gift_taxable",
-                     "lp_events_are_disposals"):
-            values[key] = value.lower() in ("1", "true", "yes")
-        elif key == "allowed_methods":
-            values[key] = frozenset(AccountingMethod(m.strip()) for m in value.split(","))
-        elif key in ("standard_withholding", "elevated_withholding"):
-            values[key] = parse_rational(value)
-        elif key == "tax_year_start":
-            month, day = value.split("-")
-            values[key] = (int(month), int(day))
-        elif key == "long_term_days":
-            values[key] = int(value)
-        else:
-            raise ValueError("line %d: unknown policy key %r" % (line_no, key))
+    with LineReader(text) as lines:
+        for fields in lines:
+            key, value = (part.strip() for part in pair(" ".join(fields)))
+            if key not in _CONVERTERS:
+                raise ValueError("unknown policy key %r" % key)
+            values[key] = _CONVERTERS[key](value)
     return JurisdictionPolicy(**values)

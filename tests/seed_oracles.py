@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from fisc.amounts import parse_rational
+from fisc.lineformat import LineError as EventParseError
 from fisc.tax.events import (
     ChainEventRecord,
     EventKind,
-    EventParseError,
     _parse_timestamp,
 )
 from fisc.tax.lots import (

@@ -16,7 +16,6 @@ from fisc.attribution.protocol import (
     build_ownership_proof,
 )
 from fisc.attribution.scenario import (
-    ScenarioError,
     parse_attribution_scenario,
     run_attribution_scenario,
 )
@@ -26,6 +25,7 @@ from fisc.attribution.travelrule import (
     TravelRuleError,
     build_travel_rule_record,
 )
+from fisc.lineformat import LineError
 from fisc.signatures import MockScheme
 from fisc.tax.policy import JurisdictionPolicy
 
@@ -358,10 +358,10 @@ class TestScenario:
         )
 
     def test_missing_jurisdiction_rejected(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(LineError):
             parse_attribution_scenario("seed 1\n")
 
     def test_bad_directive_line_number(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(LineError) as err:
             parse_attribution_scenario("jurisdiction AT\nbogus x\n")
         assert err.value.line_no == 2

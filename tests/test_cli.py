@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fisc
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
 
 EVENTS = """\
@@ -84,6 +89,13 @@ class TestReport:
         assert main(["report", str(events), "--out", str(out)]) == EXIT_PARSE
         assert ":2:" in capsys.readouterr().err
 
+    def test_trailing_comment_on_event_line(self, tmp_path):
+        events = write(tmp_path, "events.fisc", EVENTS.replace("fmv=400", "fmv=400 # sold"))
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        ledger = (out / "ledger.csv").read_text()
+        assert "2,2021-08-01,sale,BTC,100000000,400,100,300,long" in ledger
+
     def test_disallowed_method_exit_3(self, tmp_path, capsys):
         events = write(tmp_path, "events.fisc", EVENTS)
         policy = write(tmp_path, "policy.conf", "allowed_methods = fifo\n")
@@ -151,6 +163,15 @@ class TestReport:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_policy_bad_line_exit_2_with_line(self, tmp_path, capsys):
+        events = write(tmp_path, "events.fisc", EVENTS)
+        policy = write(tmp_path, "policy.cfg", "# fiscal year\ntax_year_start = 4\n")
+        out = tmp_path / "out"
+        code = main(["report", str(events), "--config", str(policy), "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert "policy.cfg:2: not enough values to unpack" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_range_edges_accepted(self, tmp_path):
         events = write(tmp_path, "events.fisc", EVENTS)
         policy = write(tmp_path, "policy.cfg", (
@@ -205,6 +226,56 @@ class TestSimulate:
         scenario = write(tmp_path, "empty.scn", "# nothing\n")
         code = main(["simulate", "pool", str(scenario), "--out", str(tmp_path / "o")])
         assert code == EXIT_POLICY
+
+    # Each line is appended to a valid scenario of its kind. Every fault must
+    # be caught at its line, before the replay and before any output exists.
+    @pytest.mark.parametrize(
+        "kind,line,message",
+        [
+            ("chain", "schedule interval=0", "halving interval must be positive"),
+            ("chain", "schedule interval=-5", "halving interval must be positive"),
+            ("chain", "schedule initial=-1", "initial subsidy must be non-negative"),
+            ("chain", "mine start=-3 end=2", "height must be non-negative"),
+            ("chain", "schedule initial=1/0", "zero denominator"),
+            ("validators", "validator v1 stake=-1", "stake must be non-negative"),
+            ("validators", "validator v1 stake=1/0", "zero denominator"),
+            ("pool", "pool reserve_x=40 reserve_y=40 decimals=-2 asset_x=WBTC",
+             "decimals must be non-negative"),
+        ],
+    )
+    def test_replay_fault_exit_2_with_line(self, tmp_path, capsys, kind, line, message):
+        base = {"chain": CHAIN_SCENARIO, "validators": VALIDATOR_SCENARIO,
+                "pool": POOL_SCENARIO}[kind]
+        scenario = write(tmp_path, "bad.scn", base + line + "\n")
+        out = tmp_path / "o"
+        assert main(["simulate", kind, str(scenario), "--out", str(out)]) == EXIT_PARSE
+        line_no = base.count("\n") + 1
+        assert "bad.scn:%d: %s" % (line_no, message) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_withdraw_unknown_owner_names_the_owner(self, tmp_path, capsys):
+        scenario = write(tmp_path, "bad.scn", POOL_SCENARIO + "withdraw owner=nobody\n")
+        code = main(["simulate", "pool", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARSE
+        assert "bad.scn:4: owner 'nobody' has no open position" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["swap in=5 dir y2x", "swap in=5 dir=sideways"])
+    def test_malformed_swap_exit_2(self, tmp_path, capsys, line):
+        scenario = write(tmp_path, "bad.scn", POOL_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "pool", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert "bad.scn:4: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_heights_past_the_last_halving_earn_no_event(self, tmp_path):
+        # 50 BTC halves to zero satoshi after 33 eras.
+        scenario = write(tmp_path, "chain.scn", "schedule interval=1\nmine start=32 end=34\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "chain", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert (out / "state.txt").read_text() == (
+            "height 32 subsidy 1\nheight 33 subsidy 0\nheight 34 subsidy 0\n"
+        )
+        assert (out / "events.fisc").read_text().count("kind=mining_reward") == 1
 
 
 class TestAttrib:
@@ -273,7 +344,7 @@ class TestAttrib:
         scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + line + "\n")
         out = tmp_path / "o"
         assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
-        assert "bad.scn:10: line 10: jurisdiction %r is not declared" % code in capsys.readouterr().err
+        assert "bad.scn:10: jurisdiction %r is not declared" % code in capsys.readouterr().err
         assert not out.exists()
 
     def test_jurisdiction_may_be_declared_after_its_links(self, tmp_path):
@@ -281,6 +352,24 @@ class TestAttrib:
             "latency AT FR 2\neoi AT FR allow\n" + ATTRIB_SCENARIO + "jurisdiction FR\n"
         ))
         assert main(["attrib", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_travel_rule_violation_exit_3(self, tmp_path, capsys):
+        # Both ends are identified but the originator has no physical identifier.
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO.replace(
+            "transfer", "identity wallet_ann name=Ann\nidentity wallet_bob name=Bob\ntransfer"))
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
+        assert "originator needs a physical address" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_leaves_attribution_unloaded():
+    src = str(Path(fisc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, fisc.cli; print(sorted(m for m in sys.modules if 'attribution' in m))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

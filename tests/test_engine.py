@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fisc.lineformat import LineError
 from fisc.tax.engine import (
     PolicyViolation,
     SequenceError,
@@ -14,7 +15,6 @@ from fisc.tax.engine import (
 from fisc.tax.events import (
     ChainEventRecord,
     EventKind,
-    EventParseError,
     parse_event_file,
     serialize_event_file,
 )
@@ -55,13 +55,13 @@ class TestEventFile:
 
     def test_undeclared_asset_rejected_with_line(self):
         text = "event seq=1 ts=0 kind=purchase asset=BTC qty=1 fmv=1\n"
-        with pytest.raises(EventParseError) as err:
+        with pytest.raises(LineError) as err:
             parse_event_file(text)
         assert err.value.line_no == 1
 
     def test_bad_tag_line_number(self):
         text = "asset BTC 8\ngarbage here\n"
-        with pytest.raises(EventParseError) as err:
+        with pytest.raises(LineError) as err:
             parse_event_file(text)
         assert err.value.line_no == 2
 

@@ -13,11 +13,11 @@ from datetime import date
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fisc.lineformat import LineError
 from fisc.tax.engine import compute_report, tax_year_of
 from fisc.tax.events import (
     ChainEventRecord,
     EventKind,
-    EventParseError,
     parse_event_file,
     serialize_event,
     serialize_event_file,
@@ -29,8 +29,9 @@ from seed_oracles import seed_parse_event_file, seed_serialize_event
 TOKEN = st.text(string.ascii_letters + string.digits + "._-:", min_size=1, max_size=8)
 # Metadata values may hold '=': only the first one splits a field.
 VALUE = st.text(string.ascii_letters + string.digits + "._-:=/", max_size=8)
-# datetime's range: 0001-01-01 to 9999-12-31, as days from the epoch.
-DAYS = st.integers(-719_162, 2_932_896)
+# datetime's range, 0001-01-01 to 9999-12-31, as days from the epoch, two
+# days in from each end: the test adds stamps up to two days either side.
+DAYS = st.integers(-719_162 + 2, 2_932_896 - 2)
 TIMESTAMPS = st.builds(lambda day, second: day * 86_400 + second, DAYS, st.integers(0, 86_399))
 
 
@@ -74,7 +75,7 @@ def outcome(parse, text):
     """Decimals, records and metadata, or the error's line number and message."""
     try:
         decimals, records = parse(text)
-    except EventParseError as exc:
+    except LineError as exc:
         return exc.line_no, str(exc)
     return decimals, records, [r.metadata for r in records]
 

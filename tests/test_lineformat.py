@@ -1,0 +1,67 @@
+import pytest
+
+from fisc.defi.pool import PoolError
+from fisc.lineformat import LineError, LineReader, pair, pairs
+
+
+def read(text):
+    with LineReader(text) as lines:
+        return [(lines.line_no, fields) for fields in lines]
+
+
+def test_comments_blanks_and_line_numbers():
+    text = "# header\n\n  a b=1  # trailing\n#\nc\t d#e\n"
+    assert read(text) == [(3, ["a", "b=1"]), (5, ["c", "d"])]
+
+
+def test_pairs_keep_the_last_value_and_split_once():
+    assert pairs(["a=1", "b=x=y", "a=2", "c="]) == {"a": "2", "b": "x=y", "c": ""}
+    assert pair("k = v") == ("k ", " v")
+
+
+@pytest.mark.parametrize("tokens,bad", [(["a=1", "b", "c"], "b"), (["x"], "x")])
+def test_first_token_without_equals_is_named(tokens, bad):
+    with pytest.raises(ValueError, match="expected key=value, got %r" % bad):
+        pairs(tokens)
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        (KeyError("qty"), "missing field 'qty'"),
+        (ValueError("bad value"), "bad value"),
+        (IndexError("list index out of range"), "list index out of range"),
+        (ZeroDivisionError("division by zero"), "division by zero"),
+        (PoolError("pool is not live"), "pool is not live"),
+    ],
+)
+def test_faults_become_line_errors_at_their_line(fault, message):
+    with pytest.raises(LineError) as err:
+        with LineReader("ok\n\nbad\n") as lines:
+            for fields in lines:
+                if fields == ["bad"]:
+                    raise fault
+    assert (err.value.line_no, str(err.value)) == (3, message)
+    assert err.value.__cause__ is fault
+
+
+def test_fault_after_the_last_line_is_a_whole_file_error():
+    with pytest.raises(LineError) as err:
+        with LineReader("a\nb\n") as lines:
+            for _ in lines:
+                pass
+            raise ValueError("nothing declared")
+    assert err.value.line_no == 0
+
+
+def test_line_errors_and_other_exceptions_pass_through():
+    error = LineError(7, "kept")
+    with pytest.raises(LineError) as err:
+        with LineReader("a\n") as lines:
+            for _ in lines:
+                raise error
+    assert err.value is error
+    with pytest.raises(TypeError):
+        with LineReader("a\n") as lines:
+            for _ in lines:
+                raise TypeError("not a line fault")
