@@ -15,6 +15,21 @@ ETH_DECIMALS = 18
 
 SATOSHI_PER_BTC = 10**BTC_DECIMALS
 WEI_PER_ETH = 10**ETH_DECIMALS
+# ERC-20 `decimals` is a uint8, so this covers every real token.
+MAX_DECIMALS = 255
+
+
+def parse_decimals(text: str) -> int:
+    """An asset's decimals from an input file, in [0, MAX_DECIMALS]."""
+    try:
+        decimals = int(text)
+    except ValueError:
+        raise ValueError("bad decimals %r" % text) from None
+    if decimals < 0:
+        raise ValueError("decimals must be non-negative")
+    if decimals > MAX_DECIMALS:
+        raise ValueError("decimals must be at most %d" % MAX_DECIMALS)
+    return decimals
 
 
 @dataclass(frozen=True, order=True)

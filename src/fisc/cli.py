@@ -73,6 +73,8 @@ def cmd_report(args) -> int:
     try:
         method = AccountingMethod(args.method)
         report = compute_report(records, policy, method, decimals)
+        # Rendered before --out exists: a value too long to print leaves nothing.
+        ledger, totals = report.to_csv(), report.to_totals_json()
     except PolicyViolation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_POLICY
@@ -82,8 +84,9 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ledger_path = out_dir / "ledger.csv"
     totals_path = out_dir / "totals.json"
-    ledger_path.write_text(report.to_csv())
-    totals_path.write_text(report.to_totals_json())
+    ledger_path.write_text(ledger)
+    totals_path.write_text(totals)
+    del ledger, totals  # the manifest reads both files back: hold one copy at a time
     inputs = [events_path] + ([policy_path] if policy_path else [])
     _write_manifest(out_dir, "report", inputs, args.seed, [ledger_path, totals_path])
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .amounts import Amount, parse_rational
+from .amounts import Amount, parse_decimals, parse_rational
 from .consensus import (
     DutyEvent,
     PosParams,
@@ -48,9 +48,7 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
         for fields in lines:
             tag, kv = fields[0], pairs(fields[1:])
             if tag == "pool":
-                decimals = int(kv.get("decimals", "8"))
-                if decimals < 0:
-                    raise ValueError("decimals must be non-negative")
+                decimals = parse_decimals(kv.get("decimals", "8"))
                 asset_x = kv.get("asset_x", "X")
                 asset_y = kv.get("asset_y", "Y")
                 scale = 10**decimals
@@ -124,7 +122,7 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
         for fields in lines:
             tag, kv = fields[0], pairs(fields[1:])
             if tag == "schedule":
-                decimals = int(kv.get("decimals", "8"))
+                decimals = parse_decimals(kv.get("decimals", "8"))
                 schedule = RewardSchedule(
                     initial_subsidy=Amount(
                         int(parse_rational(kv.get("initial", "50")) * 10**decimals), decimals

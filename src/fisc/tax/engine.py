@@ -215,33 +215,34 @@ class TaxReport:
 
     def to_csv(self) -> str:
         rows = ["seq,date,kind,asset,qty,proceeds,basis,gain,term"]
-        for line in self.lines:
-            rows.append(
-                "%d,%s,%s,%s,%d,%s,%s,%s,%s"
-                % (
-                    line.seq, line.date, line.kind, line.asset, line.qty,
-                    format_rational(line.proceeds), format_rational(line.basis),
-                    format_rational(line.gain), line.term,
+        try:
+            for line in self.lines:
+                rows.append(
+                    "%d,%s,%s,%s,%d,%s,%s,%s,%s"
+                    % (
+                        line.seq, line.date, line.kind, line.asset, line.qty,
+                        format_rational(line.proceeds), format_rational(line.basis),
+                        format_rational(line.gain), line.term,
+                    )
                 )
-            )
+        except ValueError as exc:  # past CPython's int->str digit limit
+            raise EngineError("seq %d: exact value too long to print: %s"
+                              % (line.seq, exc)) from None
         return "\n".join(rows) + "\n"
 
     def to_totals_json(self) -> str:
         import json
 
-        payload = {
-            "method": self.method.value,
-            "years": {
-                str(year): {
-                    "ordinary_income": format_rational(t.ordinary_income),
-                    "short_term_gain": format_rational(t.short_term_gain),
-                    "long_term_gain": format_rational(t.long_term_gain),
-                    "deductible_expenses": format_rational(t.deductible_expenses),
-                    "withholding_owed": format_rational(t.withholding_owed),
-                }
-                for year, t in sorted(self.years.items())
-            },
-        }
+        years: dict[str, dict[str, str]] = {}
+        for year, totals in sorted(self.years.items()):
+            row = years[str(year)] = {}
+            for name, value in vars(totals).items():
+                try:
+                    row[name] = format_rational(value)
+                except ValueError as exc:  # past CPython's int->str digit limit
+                    raise EngineError("year %d %s: exact value too long to print: %s"
+                                      % (year, name, exc)) from None
+        payload = {"method": self.method.value, "years": years}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -297,9 +298,8 @@ def compute_report(
             elif method is AccountingMethod.PVCT:
                 proceeds = _value(record.quantity, scale, record.fmv_unit)
                 portfolio_fmv = _portfolio_fmv(store, last_price)
-                basis_override = (
-                    pvct_cost * proceeds / portfolio_fmv if portfolio_fmv else Fraction(0)
-                )
+                share = proceeds / portfolio_fmv if portfolio_fmv else _ZERO
+                basis_override = pvct_cost * share
 
         effective_method = method
         if method in (AccountingMethod.AVG_TOTAL, AccountingMethod.PVCT):
@@ -313,9 +313,16 @@ def compute_report(
 
         if method is AccountingMethod.PVCT:
             if record.kind in ACQUISITION_KINDS:
-                pvct_cost += _value(record.quantity, scale, _pvct_unit_cost(record, policy))
-            if result.disposal is not None:
-                pvct_cost -= result.disposal.basis
+                pvct_cost += _value(record.quantity, scale,
+                                    _acquisition_treatment(record, policy)[1])
+            elif result.disposal is not None:
+                # pvct_cost - basis_override as a product: a product of a big
+                # and a small rational needs gcds of the small factors only.
+                # LP deposits under lp_events_are_disposals have no override.
+                if basis_override is None:
+                    pvct_cost -= result.disposal.basis
+                else:
+                    pvct_cost *= 1 - share
 
         if result.income:
             totals.ordinary_income += result.income
@@ -332,12 +339,6 @@ def compute_report(
         if result.disposal is not None:
             _record_disposal(report, totals, record, date, result.disposal, policy)
     return report
-
-
-def _pvct_unit_cost(record: ChainEventRecord, policy: JurisdictionPolicy) -> Fraction:
-    income, basis = _acquisition_treatment(record, policy)
-    del income
-    return basis
 
 
 def _portfolio_fmv(store: LotStore, last_price: dict[str, Fraction]) -> Fraction:

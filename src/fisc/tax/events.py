@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
 
-from ..amounts import format_rational, parse_rational
+from ..amounts import format_rational, parse_decimals, parse_rational
 from ..lineformat import LineReader, pairs
 
 
@@ -113,10 +113,7 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
             if tag == "asset":
                 if len(fields) != 3:
                     raise ValueError("asset lines are 'asset <id> <decimals>'")
-                try:
-                    decimals[fields[1]] = int(fields[2])
-                except ValueError:
-                    raise ValueError("bad decimals %r" % fields[2]) from None
+                decimals[fields[1]] = parse_decimals(fields[2])
                 continue
             if tag != "event":
                 raise ValueError("unknown line tag %r" % tag)

@@ -248,9 +248,10 @@ class LotStore:
         # Quantity conservation: the parts add up to exactly the disposal.
         if remaining:
             raise LotError("disposal of %d %s left %d unconsumed" % (qty, asset, remaining))
-        basis_total = sum((p.basis for p in parts), Fraction(0))
         proceeds = Fraction(qty, scale) * unit_proceeds
-        if basis_override is not None:
+        if basis_override is None:
+            basis_total = sum((p.basis for p in parts), Fraction(0))
+        else:
             # Re-spread the override across the consumed parts pro rata by qty
             # so ledger lines still sum exactly to the totals.
             parts = _respread_basis(parts, qty, basis_override)
@@ -273,13 +274,7 @@ class LotStore:
 def _respread_basis(
     parts: list[LotConsumption], qty: int, basis_total: Fraction
 ) -> list[LotConsumption]:
-    out = []
-    assigned = Fraction(0)
-    for i, part in enumerate(parts):
-        if i == len(parts) - 1:
-            share = basis_total - assigned
-        else:
-            share = basis_total * Fraction(part.qty, qty)
-        assigned += share
-        out.append(LotConsumption(part.lot_id, part.qty, share, part.acquired_at))
-    return out
+    # By multiplication only: the quantities add up to qty, so the shares
+    # add up to basis_total exactly, with no big-rational additions.
+    return [LotConsumption(p.lot_id, p.qty, basis_total * Fraction(p.qty, qty), p.acquired_at)
+            for p in parts]

@@ -1,10 +1,14 @@
 """Reference implementations kept for differential tests.
 
-`SeedLotStore` is the original filter-and-sort lot store,
-`seed_format_rational` the original scale-by-ten decimal renderer, and
-`seed_parse_event_file` / `seed_serialize_event` the original event-line
-parser and writer. All are deliberately simple and slow; `fisc` must
-produce exactly what they do, errors included.
+`SeedLotStore` is the original filter-and-sort lot store, whose
+`_respread_basis` gives the last part of an override what the others leave.
+`seed_compute_report` is the original report loop on that store, with the
+PVCT cost pool kept as a running sum: acquisitions add their cost, every
+disposal subtracts its basis. `seed_format_rational` is the original
+scale-by-ten decimal renderer, and `seed_parse_event_file` /
+`seed_serialize_event` the original event-line parser and writer. All are
+deliberately simple and slow; `fisc` must produce exactly what they do,
+errors included.
 """
 
 from __future__ import annotations
@@ -13,7 +17,10 @@ from fractions import Fraction
 
 from fisc.amounts import parse_rational
 from fisc.lineformat import LineError as EventParseError
+from fisc.tax import engine
 from fisc.tax.events import (
+    ACQUISITION_KINDS,
+    DISPOSAL_KINDS,
     ChainEventRecord,
     EventKind,
     _parse_timestamp,
@@ -26,6 +33,7 @@ from fisc.tax.lots import (
     LotConsumption,
     LotError,
 )
+from fisc.tax.policy import JurisdictionPolicy
 
 
 class SeedLotStore:
@@ -169,6 +177,90 @@ def _respread_basis(
         assigned += share
         out.append(LotConsumption(part.lot_id, part.qty, share, part.acquired_at))
     return out
+
+
+def seed_compute_report(
+    records: list[ChainEventRecord],
+    policy: JurisdictionPolicy,
+    method: AccountingMethod,
+    decimals: dict[str, int] | None = None,
+) -> engine.TaxReport:
+    """`compute_report` with per-record year labels and the summed PVCT pool."""
+    if method not in policy.allowed_methods:
+        raise engine.PolicyViolation("method %s not allowed by policy" % method.value)
+    store = SeedLotStore(decimals)
+    report = engine.TaxReport(method)
+    last_price: dict[str, Fraction] = {}
+    pvct_cost = Fraction(0)
+    current_year = None
+    last_seq = None
+    year_averages = {}
+    if method is AccountingMethod.AVG_TOTAL:
+        year_averages = engine._avg_total_averages(records, policy, store)
+    for record in records:
+        if last_seq is not None and record.seq <= last_seq:
+            raise engine.SequenceError("seq %d out of order (after %d)" % (record.seq, last_seq))
+        last_seq = record.seq
+        year = engine.tax_year_of(record.timestamp, policy)
+        totals = report.years.setdefault(year, engine.YearTotals())
+        if current_year is None:
+            current_year = year
+        while year > current_year:
+            current_year += 1
+            if method is AccountingMethod.PERIODIC:
+                store.rebase_all(dict(last_price))
+            if method is AccountingMethod.AVG_TOTAL:
+                engine._rebase_pools_to_average(store, year_averages, current_year - 1)
+        last_price[record.asset] = record.fmv_unit
+
+        scale = 10 ** store.decimals(record.asset)
+        basis_override = None
+        if record.kind in DISPOSAL_KINDS:
+            if method is AccountingMethod.AVG_TOTAL:
+                avg = year_averages.get((year, record.asset), Fraction(0))
+                basis_override = Fraction(record.quantity, scale) * avg
+            elif method is AccountingMethod.PVCT:
+                proceeds = Fraction(record.quantity, scale) * record.fmv_unit
+                portfolio_fmv = sum(
+                    (Fraction(store.total_qty(a), 10 ** store.decimals(a)) * last_price[a]
+                     for a in store.all_assets() if a in last_price),
+                    Fraction(0),
+                )
+                basis_override = (
+                    pvct_cost * proceeds / portfolio_fmv if portfolio_fmv else Fraction(0)
+                )
+
+        effective_method = method
+        if method in (AccountingMethod.AVG_TOTAL, AccountingMethod.PVCT):
+            effective_method = AccountingMethod.FIFO if record.kind in DISPOSAL_KINDS else method
+        if method is AccountingMethod.AVG_TOTAL and record.kind in ACQUISITION_KINDS:
+            effective_method = AccountingMethod.AVG_MOVING
+        if method is AccountingMethod.PERIODIC and record.kind in DISPOSAL_KINDS:
+            effective_method = AccountingMethod.FIFO
+
+        result = engine.ingest_event(record, policy, store, effective_method, basis_override)
+
+        if method is AccountingMethod.PVCT:
+            if record.kind in ACQUISITION_KINDS:
+                _, basis_unit = engine._acquisition_treatment(record, policy)
+                pvct_cost += Fraction(record.quantity, scale) * basis_unit
+            if result.disposal is not None:
+                pvct_cost -= result.disposal.basis
+
+        date = record.date_str()
+        if result.income:
+            totals.ordinary_income += result.income
+            report.lines.append(engine.LedgerLine(
+                record.seq, date, record.kind.value, record.asset, record.quantity,
+                result.income, Fraction(0), Fraction(0), "-",
+            ))
+        if result.deduction:
+            totals.deductible_expenses += result.deduction
+        if result.withholding:
+            totals.withholding_owed += result.withholding
+        if result.disposal is not None:
+            engine._record_disposal(report, totals, record, date, result.disposal, policy)
+    return report
 
 
 def seed_format_rational(value: Fraction | int) -> str:

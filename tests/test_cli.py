@@ -186,6 +186,51 @@ class TestReport:
         code = main(["report", str(tmp_path / "nope.fisc"), "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "decimals,message",
+        [("-1", "decimals must be non-negative"), ("256", "decimals must be at most 255"),
+         ("5000", "decimals must be at most 255"), ("8.5", "bad decimals '8.5'")],
+    )
+    def test_asset_decimals_out_of_range_exit_2_with_line(self, tmp_path, capsys, decimals,
+                                                          message):
+        events = write(tmp_path, "events.fisc", EVENTS.replace("BTC 8", "BTC " + decimals))
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_PARSE
+        assert "events.fisc:1: %s" % message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_asset_decimals_255_accepted(self, tmp_path):
+        events = write(tmp_path, "events.fisc", "asset X 255\n"
+                       "event seq=1 ts=0 kind=purchase asset=X qty=%d fmv=3\n" % 10**255)
+        assert main(["report", str(events), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_unprintable_ledger_line_exit_3(self, tmp_path, capsys):
+        # Income of a 4,000-digit quantity at a 4,000-digit price: 8,000 digits.
+        big = "9" * 4_000
+        line = "event seq=7 ts=0 kind=mining_reward asset=X qty=%s fmv=%s\n" % (big, big)
+        events = write(tmp_path, "events.fisc", "asset X 0\n" + line)
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_POLICY
+        err = capsys.readouterr().err
+        assert "events.fisc: seq 7: exact value too long to print: Exceeds the limit" in err
+        assert not out.exists()
+
+    def test_unprintable_total_exit_3(self, tmp_path, capsys):
+        # 800 sales at 1/p for distinct 7-digit primes p: every ledger line
+        # prints, but the year's gain has a denominator of about 5,600 digits.
+        primes = [p for p in range(1_000_003, 1_020_000, 2)
+                  if all(p % d for d in range(3, 1_011, 2))][:800]
+        lines = ["asset X 0", "event seq=1 ts=0 kind=purchase asset=X qty=800 fmv=1"]
+        lines += ["event seq=%d ts=%d kind=sale asset=X qty=1 fmv=1/%d" % (seq, seq, p)
+                  for seq, p in enumerate(primes, start=2)]
+        events = write(tmp_path, "events.fisc", "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_POLICY
+        err = capsys.readouterr().err
+        assert "events.fisc: year 1970 short_term_gain: exact value too long to print" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_pool_scenario(self, tmp_path):
@@ -241,6 +286,10 @@ class TestSimulate:
             ("validators", "validator v1 stake=1/0", "zero denominator"),
             ("pool", "pool reserve_x=40 reserve_y=40 decimals=-2 asset_x=WBTC",
              "decimals must be non-negative"),
+            ("pool", "pool reserve_x=40 reserve_y=40 decimals=4400",
+             "decimals must be at most 255"),
+            ("chain", "schedule decimals=256", "decimals must be at most 255"),
+            ("chain", "schedule decimals=-1", "decimals must be non-negative"),
         ],
     )
     def test_replay_fault_exit_2_with_line(self, tmp_path, capsys, kind, line, message):

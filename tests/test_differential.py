@@ -1,4 +1,5 @@
-"""The indexed lot store and integer format_rational against the seed versions.
+"""The indexed lot store, the report loop and integer format_rational against
+the seed versions.
 
 `seed_oracles` holds the original implementations. Both sides get the same
 random operation sequences and must agree exactly, errors included.
@@ -16,7 +17,7 @@ from fisc.tax import engine
 from fisc.tax.events import ChainEventRecord, EventKind
 from fisc.tax.lots import AccountingMethod, LotError, LotStore
 from fisc.tax.policy import JurisdictionPolicy
-from seed_oracles import SeedLotStore, seed_format_rational
+from seed_oracles import SeedLotStore, seed_compute_report, seed_format_rational
 
 DECIMALS = {"A": 0, "B": 2}
 ASSETS = sorted(DECIMALS)
@@ -121,6 +122,65 @@ def test_report_matches_seed_store(method, records):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "LotStore", SeedLotStore)
         old = engine.compute_report(records, policy, method, DECIMALS)
+    assert new.to_csv() == old.to_csv()
+    assert new.to_totals_json() == old.to_totals_json()
+
+
+OVERRIDE_KINDS = (EventKind.PURCHASE, EventKind.PURCHASE, EventKind.MINING_REWARD,
+                  EventKind.SALE, EventKind.SALE, EventKind.SWAP, EventKind.SPEND,
+                  EventKind.GIFT, EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL)
+
+
+@st.composite
+def override_cases(draw):
+    """A policy and a stream over both assets that the policy can replay.
+
+    Disposal kinds may carry `meta.deduction` (with or without
+    `meta.slashing`) and then dispose of nothing; LP events dispose and
+    acquire only under `lp_events_are_disposals`. Sales of up to all that is
+    held consume several lots, so overrides are spread over several parts.
+    """
+    policy = JurisdictionPolicy(
+        gift_taxable=draw(st.booleans()),
+        lp_events_are_disposals=draw(st.booleans()),
+        slashing_deductible=draw(st.booleans()),
+    )
+    records = []
+    held = dict.fromkeys(ASSETS, 0)
+    for seq in range(1, draw(st.integers(1, 30)) + 1):
+        kind = draw(st.sampled_from(OVERRIDE_KINDS))
+        asset = draw(st.sampled_from(ASSETS))
+        meta = {}
+        lp = kind in (EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL)
+        if kind in engine.DISPOSAL_KINDS and draw(st.integers(1, 4)) == 1:
+            meta = {"deduction": "1"}
+            if draw(st.booleans()):
+                meta["slashing"] = "1"
+            qty = draw(st.integers(1, 300))
+        elif kind in engine.DISPOSAL_KINDS or kind is EventKind.LP_DEPOSIT:
+            if not held[asset]:
+                continue
+            qty = draw(st.integers(1, held[asset]))
+            if not lp or policy.lp_events_are_disposals:
+                held[asset] -= qty
+        else:
+            qty = draw(st.integers(1, 300))
+            if not lp or policy.lp_events_are_disposals:
+                held[asset] += qty
+        when = START + draw(st.integers(0, 3 * 365)) * 86_400
+        records.append(ChainEventRecord(seq, when, kind, asset, qty,
+                                        draw(st.fractions(1, 500, max_denominator=8)),
+                                        metadata=meta))
+    return policy, records
+
+
+@pytest.mark.parametrize("method", [AccountingMethod.AVG_TOTAL, AccountingMethod.PVCT])
+@given(case=override_cases())
+@settings(max_examples=100, deadline=None)
+def test_override_methods_match_seed_report(method, case):
+    policy, records = case
+    new = engine.compute_report(records, policy, method, DECIMALS)
+    old = seed_compute_report(records, policy, method, DECIMALS)
     assert new.to_csv() == old.to_csv()
     assert new.to_totals_json() == old.to_totals_json()
 

@@ -394,3 +394,19 @@ class TestPvct:
         # Flat prices: every sale recovers exactly its share of cost.
         assert report.total_gain == 0
         assert sum(l.basis for l in report.lines) == 200
+
+    def test_deduction_spend_leaves_next_sale_basis_unchanged(self):
+        # The deduction spend disposes of nothing, so the cost pool must not
+        # shrink: the next sale takes 200/1800 of the 900 left, 100.
+        records = [
+            ev(1, ts(2020, 2), EventKind.PURCHASE, 100, 10, asset="X"),
+            ev(2, ts(2020, 3), EventKind.SALE, 10, 20, asset="X"),
+            ev(3, ts(2020, 4), EventKind.SPEND, 5, 30, asset="X", metadata={"deduction": "1"}),
+            ev(4, ts(2020, 5), EventKind.SALE, 10, 20, asset="X"),
+        ]
+        with_spend = compute_report(records, DEFAULT, AccountingMethod.PVCT, {"X": 0})
+        without = compute_report(records[:2] + records[3:], DEFAULT, AccountingMethod.PVCT,
+                                 {"X": 0})
+        bases = [[l.basis for l in r.lines if l.seq == 4] for r in (with_spend, without)]
+        assert bases == [[100], [100]]
+        assert with_spend.years[2020].deductible_expenses == 150

@@ -9,15 +9,15 @@ directory after a nonzero exit, and write byte-identical files when rerun
 after exit 0.
 
 Bounds: numbers lie in [-2,000, 2,000], so heights and `mine` ranges stay
-within 2,000 blocks, and `decimals` lie in [-2, 18]. Larger decimals make
-outputs whose integers pass the int->str digit limit, a known defect
-(`schedule decimals=4400` exits 1) left out of these runs.
+within 2,000 blocks. `decimals` lie in [-2, 18] or [253, 258], or are 4,400:
+both sides of each end of the accepted range [0, 255], and a value whose
+outputs would pass the int->str digit limit if it were accepted.
 """
 
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
@@ -40,7 +40,7 @@ PROBABILITY = st.integers(1, 8).flatmap(
     lambda den: st.integers(0, den).map(lambda num: "%d/%d" % (num, den)))
 NAMES = st.sampled_from(["a", "b", "c"])
 OWN_VALUES = {
-    "decimals": st.integers(-2, 18).map(str),
+    "decimals": st.one_of(st.integers(-2, 18), st.integers(253, 258), st.just(4_400)).map(str),
     "dir": st.sampled_from(["x2y", "y2x"]),
     "fee": PROBABILITY,
     "standard": PROBABILITY,
@@ -217,12 +217,14 @@ def check_cli(text: str, command: list[str], trailing: list[str] = ()) -> None:
 
 
 @given(POOL)
+@example("pool reserve_x=1 reserve_y=1 decimals=4400")
 @FUZZ
 def test_pool_scenarios(text):
     check_cli(text, ["simulate", "pool"])
 
 
 @given(CHAIN)
+@example("schedule decimals=4400\nmine start=0 end=0")
 @FUZZ
 def test_chain_scenarios(text):
     check_cli(text, ["simulate", "chain"])
