@@ -1,21 +1,18 @@
-"""Event ingestion, disposal routing and report assembly."""
+"""Event ingestion, the eight accounting methods and report assembly."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from ..amounts import format_rational
-from .events import (
-    ACQUISITION_KINDS,
-    DISPOSAL_KINDS,
-    ChainEventRecord,
-    EventKind,
-)
+from .events import DISPOSAL_KINDS, ChainEventRecord, EventKind
 from .lots import (
     AccountingMethod,
     DisposalResult,
+    InsufficientQuantity,
+    LotConsumption,
     LotStore,
 )
 from .policy import HobbyMinerRule, JurisdictionPolicy, ReceiptTreatment
@@ -35,13 +32,9 @@ class SequenceError(EngineError):
 
 MINING_KINDS = {EventKind.MINING_REWARD, EventKind.POOL_PAYOUT}
 
-INCOME_KINDS = MINING_KINDS | {
-    EventKind.STAKING_REWARD,
-    EventKind.MEV_PAYOUT,
-    EventKind.NFT_ROYALTY,
-}
+LP_KINDS = {EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL}
 
-COST_KINDS = {EventKind.PURCHASE, EventKind.ICO_ALLOCATION}
+COST_KINDS = {EventKind.PURCHASE, EventKind.ICO_ALLOCATION, EventKind.LP_WITHDRAWAL}
 
 _ZERO = Fraction(0)
 
@@ -82,97 +75,221 @@ def withholding_amount(
     return Fraction(proceeds) * rate
 
 
-def _acquisition_treatment(
-    record: ChainEventRecord, policy: JurisdictionPolicy
-) -> tuple[Fraction, Fraction]:
-    """(per-unit income recognized, per-unit basis for the new lot)."""
-    fmv = record.fmv_unit
-    if record.kind in COST_KINDS:
-        return _ZERO, fmv
-    if record.kind in MINING_KINDS:
-        if policy.mining_is_business or policy.hobby_miner is HobbyMinerRule.NONE:
-            return fmv, fmv  # income at FMV, basis at FMV
-        if policy.hobby_miner is HobbyMinerRule.EXEMPT_WITH_COST_BASIS:
-            return _ZERO, fmv
-        return _ZERO, _ZERO  # zero basis, no deduction
-    if record.kind in (EventKind.STAKING_REWARD, EventKind.MEV_PAYOUT, EventKind.NFT_ROYALTY):
-        return fmv, fmv
-    if record.kind is EventKind.FORK_RECEIPT:
-        if policy.fork_treatment is ReceiptTreatment.FMV_INCOME:
-            return fmv, fmv
-        return _ZERO, _ZERO
-    if record.kind is EventKind.AIRDROP:
-        if policy.airdrop_treatment is ReceiptTreatment.FMV_INCOME:
-            return fmv, fmv
-        return _ZERO, _ZERO
-    raise EngineError("not an acquisition kind: %s" % record.kind.value)
+def lot_move(record: ChainEventRecord,
+             policy: JurisdictionPolicy) -> tuple[int, Fraction, Fraction]:
+    """How an event moves lots: (1 if it adds a lot, -1 if it consumes lots,
+    0 if neither; per-unit basis of the added lot; per-unit income).
+
+    ingest_event and the total-average pre-pass both classify events here,
+    so every method sees the same acquisitions and disposals. Under
+    lp_events_are_disposals an LP deposit is a sale and a withdrawal a
+    purchase at FMV; otherwise both leave the lots with the owner.
+    """
+    kind, fmv = record.kind, record.fmv_unit
+    lp_transfer = kind in LP_KINDS and not policy.lp_events_are_disposals
+    if "deduction" in record.metadata or kind is EventKind.SELF_TRANSFER or lp_transfer:
+        return 0, _ZERO, _ZERO
+    if kind in DISPOSAL_KINDS or kind is EventKind.LP_DEPOSIT:
+        return -1, _ZERO, _ZERO
+    hobby = None if policy.mining_is_business or kind not in MINING_KINDS else policy.hobby_miner
+    receipt = (policy.fork_treatment if kind is EventKind.FORK_RECEIPT
+               else policy.airdrop_treatment if kind is EventKind.AIRDROP else None)
+    if kind in COST_KINDS or hobby is HobbyMinerRule.EXEMPT_WITH_COST_BASIS:
+        return 1, fmv, _ZERO
+    if hobby is HobbyMinerRule.ZERO_BASIS_NO_DEDUCTION or receipt is ReceiptTreatment.ZERO_BASIS:
+        return 1, _ZERO, _ZERO
+    return 1, fmv, fmv  # income at FMV, basis at FMV
 
 
-def ingest_event(
-    record: ChainEventRecord,
-    policy: JurisdictionPolicy,
-    store: LotStore,
-    method: AccountingMethod = AccountingMethod.FIFO,
-    basis_override: Fraction | None = None,
-) -> IngestResult:
-    """Apply one event: create lots and income, or route to disposal.
+def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
+                 book: Book) -> IngestResult:
+    """Apply one event to `book`: add a lot and recognize its income,
+    dispose of lots, or record a deduction.
 
     Callers must apply records in seq order; compute_report enforces it.
     """
     result = IngestResult()
-    scale = 10 ** store.decimals(record.asset)
-
-    if "deduction" in record.metadata:
-        if "slashing" in record.metadata and not policy.slashing_deductible:
-            return result
-        result.deduction = _value(record.quantity, scale, record.fmv_unit)
-        return result
-
-    if record.kind is EventKind.SELF_TRANSFER:
-        return result
-
-    if record.kind in (EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL):
-        if not policy.lp_events_are_disposals:
-            # Treated like a self transfer: lots stay with the owner.
-            return result
-        if record.kind is EventKind.LP_DEPOSIT:
-            result.disposal = store.dispose(
-                record.asset, record.quantity, record.fmv_unit, method,
-                record.specid_lot, basis_override,
-            )
-        else:
-            store.add_lot(
-                record.asset, record.quantity, record.fmv_unit, record.timestamp,
-                record.kind, pooled=method is AccountingMethod.AVG_MOVING,
-            )
-        return result
-
-    if record.kind in ACQUISITION_KINDS:
-        income_unit, basis_unit = _acquisition_treatment(record, policy)
-        result.income = _value(record.quantity, scale, income_unit)
-        store.add_lot(
-            record.asset, record.quantity, basis_unit, record.timestamp,
-            record.kind, pooled=method is AccountingMethod.AVG_MOVING,
-        )
-        return result
-
-    if record.kind in DISPOSAL_KINDS:
-        disposal = store.dispose(
-            record.asset, record.quantity, record.fmv_unit, method,
-            record.specid_lot, basis_override,
-        )
+    move, unit_basis, unit_income = lot_move(record, policy)
+    if move > 0:
+        result.income = _value(record.quantity, book.scale(record.asset), unit_income)
+        book.acquire(record, unit_basis)
+    elif move < 0:
+        disposal = book.dispose(record)
         if record.kind is EventKind.GIFT and not policy.gift_taxable:
             # Exempt gift: lots leave the portfolio with no recognized gain.
-            disposal = DisposalResult(
-                disposal.asset, disposal.qty, disposal.basis, disposal.basis, disposal.parts
-            )
+            disposal = replace(disposal, proceeds=disposal.basis)
         result.disposal = disposal
         attribution = record.metadata.get("attribution")
-        if attribution:
+        if attribution and record.kind is not EventKind.LP_DEPOSIT:
             result.withholding = withholding_amount(disposal.proceeds, attribution, policy)
-        return result
+    elif "deduction" in record.metadata and (policy.slashing_deductible
+                                             or "slashing" not in record.metadata):
+        result.deduction = _value(record.quantity, book.scale(record.asset), record.fmv_unit)
+    return result
 
-    raise EngineError("unknown event kind %s" % record.kind.value)
+
+class Book:
+    """One accounting method's holdings. `acquire(record, unit_basis)` adds
+    the record's quantity at `unit_basis` per whole unit, `dispose(record)`
+    consumes and prices it, and `year_end(year)` runs as each tax year
+    closes. compute_report keeps `prices`, each asset's last FMV, current.
+    """
+
+    def __init__(self, records: list[ChainEventRecord], policy: JurisdictionPolicy,
+                 decimals: dict[str, int] | None):
+        self.decimals = dict(decimals or {})
+        self.prices: dict[str, Fraction] = {}
+
+    def scale(self, asset: str) -> int:
+        return 10 ** self.decimals.setdefault(asset, 8)
+
+    def year_end(self, year: int) -> None:
+        pass
+
+
+class Fifo(Book):
+    """Consume the open lots acquired first; subclasses change `order`."""
+
+    order = AccountingMethod.FIFO
+
+    def __init__(self, records, policy, decimals):
+        super().__init__(records, policy, decimals)
+        self.store = LotStore(self.decimals)
+
+    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
+        self.store.add_lot(record.asset, record.quantity, unit_basis, record.timestamp)
+
+    def dispose(self, record: ChainEventRecord) -> DisposalResult:
+        return self.store.dispose(record.asset, record.quantity, record.fmv_unit, self.order,
+                                  record.specid_lot)
+
+
+class Lifo(Fifo):
+    order = AccountingMethod.LIFO
+
+
+class Hifo(Fifo):
+    order = AccountingMethod.HIFO
+
+
+class SpecId(Fifo):
+    order = AccountingMethod.SPEC_ID  # the lots each disposal names, in order
+
+
+class Periodic(Fifo):
+    """FIFO lots revalued to each asset's last price as every year closes."""
+
+    def year_end(self, year: int) -> None:
+        self.store.rebase_all(self.prices)
+
+
+class Pvct(Fifo):
+    """Portfolio-value cost apportionment: one cost pool for the portfolio.
+
+    A disposal's basis is the pool times the disposal's share of the
+    portfolio's value at last prices, and the pool keeps the rest. The basis
+    is spread over the FIFO lots the disposal consumes, which give it its
+    dates. Every step multiplies by a small ratio: adding two rationals
+    whose denominators are both thousands of bits needs a gcd of full-size
+    operands, a product with a small one only gcds of the small factors.
+    """
+
+    cost = _ZERO  # the pool; immutable, so each book rebinds its own
+
+    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
+        super().acquire(record, unit_basis)
+        self.cost += _value(record.quantity, self.scale(record.asset), unit_basis)
+
+    def dispose(self, record: ChainEventRecord) -> DisposalResult:
+        store = self.store
+        value = sum(_value(store.total_qty(asset), self.scale(asset), self.prices[asset])
+                    for asset in store.all_assets())
+        disposal = super().dispose(record)
+        share = disposal.proceeds / value if value else _ZERO
+        basis = self.cost * share
+        self.cost *= 1 - share
+        qty = disposal.qty
+        parts = tuple(LotConsumption(p.lot_id, p.qty, basis * Fraction(p.qty, qty), p.acquired_at)
+                      for p in disposal.parts)
+        return DisposalResult(disposal.asset, qty, disposal.proceeds, basis, parts)
+
+
+class AvgMoving(Book):
+    """Moving average: one pool per asset of running quantity, cost and
+    earliest acquisition date. A disposal takes its quantity's share of the
+    pool's cost; a pool that runs empty restarts at its next acquisition."""
+
+    def __init__(self, records, policy, decimals):
+        super().__init__(records, policy, decimals)
+        self.pools: dict[str, list] = {}  # asset -> [qty, cost, acquired_at]
+
+    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
+        cost = _value(record.quantity, self.scale(record.asset), unit_basis)
+        pool = self.pools.get(record.asset)
+        if pool and pool[0]:
+            pool[0] += record.quantity
+            pool[1] += cost
+            pool[2] = min(pool[2], record.timestamp)
+        else:
+            self.pools[record.asset] = [record.quantity, cost, record.timestamp]
+
+    def dispose(self, record: ChainEventRecord) -> DisposalResult:
+        asset, qty = record.asset, record.quantity
+        pool = self.pools.get(asset) or [0, _ZERO, 0]
+        held = pool[0]
+        if qty > held:
+            raise InsufficientQuantity("disposing %d but only %d %s held" % (qty, held, asset))
+        basis = self._basis(record, pool)
+        pool[0] = held - qty
+        proceeds = _value(qty, self.scale(asset), record.fmv_unit)
+        return DisposalResult(asset, qty, proceeds, basis,
+                              (LotConsumption(0, qty, basis, pool[2]),))
+
+    def _basis(self, record: ChainEventRecord, pool: list) -> Fraction:
+        held, cost = pool[0], pool[1]
+        pool[1] = cost * Fraction(held - record.quantity, held)  # a product, not cost - basis
+        return cost * Fraction(record.quantity, held)
+
+
+class AvgTotal(AvgMoving):
+    """Total average: pools give quantities and dates as under the moving
+    average (their cost goes unread), but each disposal is priced at its
+    tax year's average cost of the asset.
+
+    The constructor fixes each (tax year, asset) average: the cost carried
+    in plus the cost added during the year, over the quantity carried in
+    plus the quantity added. The carry-out is priced at that average, so
+    the years chain exactly. Timestamps need not rise with seq, so an asset
+    may only be disposed of in a year and carry a negative quantity out.
+    """
+
+    def __init__(self, records, policy, decimals):
+        super().__init__(records, policy, decimals)
+        self.policy = policy
+        self.averages: dict[tuple[int, str], Fraction] = {}
+        flows: dict[int, dict[str, list]] = {}  # year -> asset -> [added, its cost, taken]
+        for record in records:
+            move, unit_basis, _ = lot_move(record, policy)
+            flow = flows.setdefault(tax_year_of(record.timestamp, policy), {}).setdefault(
+                record.asset, [0, _ZERO, 0])
+            if move > 0:
+                flow[0] += record.quantity
+                flow[1] += _value(record.quantity, self.scale(record.asset), unit_basis)
+            elif move < 0:
+                flow[2] += record.quantity
+        carry: dict[str, tuple[int, Fraction]] = {}  # asset -> (qty, cost)
+        for year in sorted(flows):
+            for asset in flows[year].keys() | carry.keys():
+                added, added_cost, taken = flows[year].get(asset, (0, _ZERO, 0))
+                qty, cost = carry.get(asset, (0, _ZERO))
+                qty, cost, scale = qty + added, cost + added_cost, self.scale(asset)
+                avg = self.averages[year, asset] = cost / Fraction(qty, scale) if qty else _ZERO
+                carry[asset] = (qty - taken, Fraction(qty - taken, scale) * avg)
+
+    def _basis(self, record: ChainEventRecord, pool: list) -> Fraction:
+        year = tax_year_of(record.timestamp, self.policy)
+        return _value(record.quantity, self.scale(record.asset),
+                      self.averages[year, record.asset])
 
 
 @dataclass(frozen=True)
@@ -246,6 +363,18 @@ class TaxReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+BOOKS: dict[AccountingMethod, type[Book]] = {
+    AccountingMethod.FIFO: Fifo,
+    AccountingMethod.LIFO: Lifo,
+    AccountingMethod.HIFO: Hifo,
+    AccountingMethod.SPEC_ID: SpecId,
+    AccountingMethod.PERIODIC: Periodic,
+    AccountingMethod.PVCT: Pvct,
+    AccountingMethod.AVG_MOVING: AvgMoving,
+    AccountingMethod.AVG_TOTAL: AvgTotal,
+}
+
+
 def compute_report(
     records: list[ChainEventRecord],
     policy: JurisdictionPolicy,
@@ -255,18 +384,12 @@ def compute_report(
     """Deterministic per-year tax report over a seq-ordered single portfolio."""
     if method not in policy.allowed_methods:
         raise PolicyViolation("method %s not allowed by policy" % method.value)
-    store = LotStore(decimals)
+    book = BOOKS[method](records, policy, decimals)
     report = TaxReport(method)
-    last_price: dict[str, Fraction] = {}
-    pvct_cost = Fraction(0)  # remaining global acquisition cost (PVCT only)
     current_year: int | None = None
     last_seq: int | None = None
     # Tax year, ledger date and year totals depend only on the UTC day.
     days: dict[int, tuple[int, str, YearTotals]] = {}
-
-    year_averages: dict[tuple[int, str], Fraction] = {}
-    if method is AccountingMethod.AVG_TOTAL:
-        year_averages = _avg_total_averages(records, policy, store)
 
     for record in records:
         if last_seq is not None and record.seq <= last_seq:
@@ -281,48 +404,11 @@ def compute_report(
         if current_year is None:
             current_year = year
         while year > current_year:
+            book.year_end(current_year)
             current_year += 1
-            if method is AccountingMethod.PERIODIC:
-                store.rebase_all(dict(last_price))
-            if method is AccountingMethod.AVG_TOTAL:
-                _rebase_pools_to_average(store, year_averages, current_year - 1)
 
-        last_price[record.asset] = record.fmv_unit
-
-        basis_override = None
-        scale = 10 ** store.decimals(record.asset)
-        if record.kind in DISPOSAL_KINDS:
-            if method is AccountingMethod.AVG_TOTAL:
-                avg = year_averages.get((year, record.asset), Fraction(0))
-                basis_override = _value(record.quantity, scale, avg)
-            elif method is AccountingMethod.PVCT:
-                proceeds = _value(record.quantity, scale, record.fmv_unit)
-                portfolio_fmv = _portfolio_fmv(store, last_price)
-                share = proceeds / portfolio_fmv if portfolio_fmv else _ZERO
-                basis_override = pvct_cost * share
-
-        effective_method = method
-        if method in (AccountingMethod.AVG_TOTAL, AccountingMethod.PVCT):
-            effective_method = AccountingMethod.FIFO if record.kind in DISPOSAL_KINDS else method
-        if method is AccountingMethod.AVG_TOTAL and record.kind in ACQUISITION_KINDS:
-            effective_method = AccountingMethod.AVG_MOVING  # pooled lot bookkeeping
-        if method is AccountingMethod.PERIODIC and record.kind in DISPOSAL_KINDS:
-            effective_method = AccountingMethod.FIFO
-
-        result = ingest_event(record, policy, store, effective_method, basis_override)
-
-        if method is AccountingMethod.PVCT:
-            if record.kind in ACQUISITION_KINDS:
-                pvct_cost += _value(record.quantity, scale,
-                                    _acquisition_treatment(record, policy)[1])
-            elif result.disposal is not None:
-                # pvct_cost - basis_override as a product: a product of a big
-                # and a small rational needs gcds of the small factors only.
-                # LP deposits under lp_events_are_disposals have no override.
-                if basis_override is None:
-                    pvct_cost -= result.disposal.basis
-                else:
-                    pvct_cost *= 1 - share
+        book.prices[record.asset] = record.fmv_unit
+        result = ingest_event(record, policy, book)
 
         if result.income:
             totals.ordinary_income += result.income
@@ -339,16 +425,6 @@ def compute_report(
         if result.disposal is not None:
             _record_disposal(report, totals, record, date, result.disposal, policy)
     return report
-
-
-def _portfolio_fmv(store: LotStore, last_price: dict[str, Fraction]) -> Fraction:
-    """Open holdings at last known prices, from the store's running quantities."""
-    total = Fraction(0)
-    for asset in store.all_assets():
-        price = last_price.get(asset)
-        if price is not None:
-            total += _value(store.total_qty(asset), 10 ** store.decimals(asset), price)
-    return total
 
 
 def _record_disposal(
@@ -375,52 +451,3 @@ def _record_disposal(
             )
         )
 
-
-def _avg_total_averages(
-    records: list[ChainEventRecord],
-    policy: JurisdictionPolicy,
-    store: LotStore,
-) -> dict[tuple[int, str], Fraction]:
-    """Pass one of the total-average method: fix each (year, asset) average.
-
-    The average for a year is (cost carried in + cost acquired during the
-    year) / (qty carried in + qty acquired); carry-out is priced at that
-    average, chaining exactly into the next year.
-    """
-    averages: dict[tuple[int, str], Fraction] = {}
-    carry_qty: dict[str, int] = {}
-    carry_cost: dict[str, Fraction] = {}
-    by_year: dict[int, list[ChainEventRecord]] = {}
-    for record in records:
-        by_year.setdefault(tax_year_of(record.timestamp, policy), []).append(record)
-    for year in sorted(by_year):
-        acq_qty: dict[str, int] = {}
-        acq_cost: dict[str, Fraction] = {}
-        disp_qty: dict[str, int] = {}
-        for record in by_year[year]:
-            scale = 10 ** store.decimals(record.asset)
-            if record.kind in ACQUISITION_KINDS:
-                _, basis_unit = _acquisition_treatment(record, policy)
-                acq_qty[record.asset] = acq_qty.get(record.asset, 0) + record.quantity
-                acq_cost[record.asset] = acq_cost.get(record.asset, _ZERO) + _value(
-                    record.quantity, scale, basis_unit
-                )
-            elif record.kind in DISPOSAL_KINDS:
-                disp_qty[record.asset] = disp_qty.get(record.asset, 0) + record.quantity
-        assets = set(acq_qty) | set(disp_qty) | set(carry_qty)
-        for asset in assets:
-            scale = 10 ** store.decimals(asset)
-            total_q = carry_qty.get(asset, 0) + acq_qty.get(asset, 0)
-            total_c = carry_cost.get(asset, Fraction(0)) + acq_cost.get(asset, Fraction(0))
-            avg = total_c / Fraction(total_q, scale) if total_q else Fraction(0)
-            averages[(year, asset)] = avg
-            remaining = total_q - disp_qty.get(asset, 0)
-            carry_qty[asset] = remaining
-            carry_cost[asset] = Fraction(remaining, scale) * avg
-    return averages
-
-
-def _rebase_pools_to_average(
-    store: LotStore, averages: dict[tuple[int, str], Fraction], year: int
-) -> None:
-    store.rebase_all({asset: avg for (y, asset), avg in averages.items() if y == year})

@@ -1,9 +1,7 @@
-"""Cost-basis lots and the eight disposal accounting methods.
+"""Cost-basis lots: the per-lot books of FIFO, LIFO, HIFO and SpecID.
 
 All basis and gain arithmetic is exact (Fraction); quantities are integer
-base units. FIFO/LIFO/HIFO/SpecID pick whole or partial lots; the
-average-cost methods pool lots per asset; Periodic and PVCT adjust basis
-at the engine level and consume here in FIFO order.
+base units. The accounting methods are the book classes of `fisc.tax.engine`.
 
 The books are indexed so that a disposal touches only the lots it
 consumes. Each asset keeps its open lots in a dict keyed by `lot_id`
@@ -13,8 +11,8 @@ of the asset: FIFO `(acquired_at, lot_id)`, LIFO `(-acquired_at, -lot_id)`,
 HIFO `(-unit_basis, lot_id)`. FIFO is keyed on `acquired_at`, not on
 insertion order, because timestamps need not rise with `seq`. Lots
 exhausted through another ordering leave a heap lazily when they reach its
-top, and an asset's heaps are dropped whenever a sort key changes (a
-pooled merge or `rebase_all`) and rebuilt on the next disposal.
+top, and `rebase_all`, which changes the HIFO key, drops an asset's heaps
+to be rebuilt on the next disposal.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-from .events import EventKind
 
 
 class AccountingMethod(Enum):
@@ -46,14 +42,13 @@ class InsufficientQuantity(LotError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Lot:
     lot_id: int
     asset: str
     remaining_qty: int  # base units
     unit_basis: Fraction  # reference currency per whole asset unit
     acquired_at: int
-    source: EventKind = EventKind.PURCHASE
 
     def __post_init__(self):
         if self.remaining_qty < 0:
@@ -89,14 +84,7 @@ def _heap_entry(lot: Lot, method: AccountingMethod) -> tuple:
         return (-lot.acquired_at, -lot.lot_id, lot)
     if method is AccountingMethod.HIFO:
         return (-lot.unit_basis, lot.lot_id, lot)
-    # FIFO order is also the physical order for the engine-level methods.
-    return (lot.acquired_at, lot.lot_id, lot)
-
-
-def _ordering(method: AccountingMethod) -> AccountingMethod:
-    if method in (AccountingMethod.LIFO, AccountingMethod.HIFO):
-        return method
-    return AccountingMethod.FIFO
+    return (lot.acquired_at, lot.lot_id, lot)  # FIFO
 
 
 class LotStore:
@@ -111,9 +99,6 @@ class LotStore:
 
     def decimals(self, asset: str) -> int:
         return self._decimals.setdefault(asset, 8)
-
-    def declare_asset(self, asset: str, decimals: int) -> None:
-        self._decimals[asset] = decimals
 
     def lots(self, asset: str) -> list[Lot]:
         """Open lots of `asset` in acquisition-record (lot id) order."""
@@ -138,28 +123,13 @@ class LotStore:
         qty: int,
         unit_basis: Fraction,
         acquired_at: int,
-        source: EventKind = EventKind.PURCHASE,
-        pooled: bool = False,
     ) -> Lot:
-        """Record an acquisition; under average-cost pooling the asset keeps
-        one merged lot whose basis is the running average."""
+        """Record an acquisition as a new lot."""
         if qty <= 0:
             raise ValueError("acquired quantity must be positive")
-        book = self._open.setdefault(asset, {})
-        if pooled and book:
-            pool = next(iter(book.values()))
-            scale = 10 ** self.decimals(asset)
-            old_cost = Fraction(pool.remaining_qty, scale) * pool.unit_basis
-            new_cost = Fraction(qty, scale) * unit_basis
-            pool.remaining_qty += qty
-            pool.unit_basis = (old_cost + new_cost) / Fraction(pool.remaining_qty, scale)
-            pool.acquired_at = min(pool.acquired_at, acquired_at)
-            self._open_qty[asset] += qty
-            self._heaps.pop(asset, None)
-            return pool
-        lot = Lot(self._next_id, asset, qty, unit_basis, acquired_at, source)
+        lot = Lot(self._next_id, asset, qty, unit_basis, acquired_at)
         self._next_id += 1
-        book[lot.lot_id] = lot
+        self._open.setdefault(asset, {})[lot.lot_id] = lot
         self._open_qty[asset] = self._open_qty.get(asset, 0) + qty
         for method, heap in self._heaps.get(asset, {}).items():
             heapq.heappush(heap, _heap_entry(lot, method))
@@ -209,13 +179,9 @@ class LotStore:
         unit_proceeds: Fraction,
         method: AccountingMethod,
         specid_lots: tuple[int, ...] | None = None,
-        basis_override: Fraction | None = None,
     ) -> DisposalResult:
-        """Consume `qty` base units and return the priced disposal.
-
-        basis_override (total basis for the disposal) is used by the
-        engine for AvgTotal/PVCT where basis is not a per-lot property.
-        """
+        """Consume `qty` base units in `method`'s order (FIFO, LIFO, HIFO,
+        or SPEC_ID following `specid_lots`) and return the priced disposal."""
         if qty <= 0:
             raise ValueError("disposal quantity must be positive")
         available = self.total_qty(asset)
@@ -234,7 +200,7 @@ class LotStore:
                 parts.append(self._take(lot, take, scale))
                 remaining -= take
         else:
-            heap = self._heap(asset, _ordering(method))
+            heap = self._heap(asset, method)
             while remaining:
                 lot = heap[0][-1]
                 if lot.remaining_qty == 0:  # exhausted through another ordering
@@ -249,18 +215,12 @@ class LotStore:
         if remaining:
             raise LotError("disposal of %d %s left %d unconsumed" % (qty, asset, remaining))
         proceeds = Fraction(qty, scale) * unit_proceeds
-        if basis_override is None:
-            basis_total = sum((p.basis for p in parts), Fraction(0))
-        else:
-            # Re-spread the override across the consumed parts pro rata by qty
-            # so ledger lines still sum exactly to the totals.
-            parts = _respread_basis(parts, qty, basis_override)
-            basis_total = basis_override
-        return DisposalResult(asset, qty, proceeds, basis_total, tuple(parts))
+        basis = sum((p.basis for p in parts), Fraction(0))
+        return DisposalResult(asset, qty, proceeds, basis, tuple(parts))
 
     def rebase_all(self, prices: dict[str, Fraction]) -> None:
         """Reset every open lot's unit basis to the given per-asset value
-        (Periodic: year-end FMV; AvgTotal: the year's average).
+        (Periodic: the year-end FMV).
 
         Assets without a given price keep their existing basis.
         """
@@ -270,11 +230,3 @@ class LotStore:
                     lot.unit_basis = prices[asset]
                 self._heaps.pop(asset, None)
 
-
-def _respread_basis(
-    parts: list[LotConsumption], qty: int, basis_total: Fraction
-) -> list[LotConsumption]:
-    # By multiplication only: the quantities add up to qty, so the shares
-    # add up to basis_total exactly, with no big-rational additions.
-    return [LotConsumption(p.lot_id, p.qty, basis_total * Fraction(p.qty, qty), p.acquired_at)
-            for p in parts]

@@ -26,6 +26,30 @@ class HobbyMinerRule(Enum):
 ALL_METHODS = frozenset(AccountingMethod)
 
 
+def _in_every_year(month_day: tuple[int, int]) -> bool:
+    try:
+        return bool(date(2001, *month_day))  # a common year: no 29 February
+    except (TypeError, ValueError):
+        return False
+
+
+_RANGES = {  # field -> (test of a value in range, message); see _check_range
+    "tax_year_start": (_in_every_year, "tax_year_start {!r} is not a day found in every year"),
+    "long_term_days": (lambda days: days >= 0, "long_term_days must be non-negative"),
+    **dict.fromkeys(("standard_withholding", "elevated_withholding"),
+                    (lambda rate: 0 <= rate <= 1, "withholding rate {} is outside [0, 1]")),
+    "allowed_methods": (bool, "allowed_methods must be non-empty"),
+}
+
+
+def _check_range(name: str, value: object) -> None:
+    """Raise ValueError if a policy field's value is out of range; the policy
+    checks each field, parse_policy each value at its key's line."""
+    in_range, message = _RANGES.get(name, (None, ""))
+    if in_range and not in_range(value):
+        raise ValueError(message.format(value))
+
+
 @dataclass(frozen=True)
 class JurisdictionPolicy:
     fork_treatment: ReceiptTreatment = ReceiptTreatment.FMV_INCOME
@@ -42,20 +66,10 @@ class JurisdictionPolicy:
     lp_events_are_disposals: bool = False
 
     def __post_init__(self):
-        try:
-            date(2001, *self.tax_year_start)  # a common year: no 29 February
-        except (TypeError, ValueError):
-            raise ValueError("tax_year_start %r is not a day found in every year"
-                             % (self.tax_year_start,)) from None
-        if self.long_term_days < 0:
-            raise ValueError("long_term_days must be non-negative")
-        for rate in (self.standard_withholding, self.elevated_withholding):
-            if not 0 <= rate <= 1:
-                raise ValueError("withholding rate %s is outside [0, 1]" % rate)
+        for name in _RANGES:
+            _check_range(name, getattr(self, name))
         if self.elevated_withholding < self.standard_withholding:
             raise ValueError("elevated withholding must be >= standard")
-        if not self.allowed_methods:
-            raise ValueError("allowed_methods must be non-empty")
 
 
 def _month_day(value: str) -> tuple[int, int]:
@@ -78,7 +92,8 @@ _CONVERTERS = {
 def parse_policy(text: str) -> JurisdictionPolicy:
     """Parse a `key = value` policy file mirroring the field names.
 
-    A bad line raises LineError; the policy checks the values' ranges.
+    A bad line or a value out of range raises LineError at its line; the
+    policy checks the withholding rates against each other.
     """
     values: dict[str, object] = {}
     with LineReader(text) as lines:
@@ -87,4 +102,5 @@ def parse_policy(text: str) -> JurisdictionPolicy:
             if key not in _CONVERTERS:
                 raise ValueError("unknown policy key %r" % key)
             values[key] = _CONVERTERS[key](value)
+            _check_range(key, values[key])
     return JurisdictionPolicy(**values)

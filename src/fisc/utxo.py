@@ -118,12 +118,15 @@ def validate_utxo_tx(
 ) -> Amount:
     """Validate a spend against the set and return the miner fee.
 
-    fee = sum(inputs) - sum(outputs), exactly, in base units. The set is
-    not mutated; call apply_spend afterwards to consume the inputs.
+    fee = sum(inputs) - sum(outputs), exactly, in base units; a negative
+    output is a UtxoError, and the Amount sums raise ValueError on mixed
+    decimals. The set is not mutated; apply_spend consumes the inputs.
     """
+    if any(amount.is_negative for _, amount in tx.outputs):
+        raise UtxoError("outputs must be non-negative")
     seen: set[Outpoint] = set()
-    total_in = 0
     decimals = tx.outputs[0][1].decimals
+    total_in = Amount(0, decimals)
     message = tx.sighash()
     for txin in tx.inputs:
         if txin.outpoint in seen:
@@ -137,11 +140,11 @@ def validate_utxo_tx(
             raise OwnerMismatch("signer key does not hash to %s" % utxo.owner.text)
         if check_signatures and not scheme.verify(txin.pubkey, message, txin.signature):
             raise BadSignature("invalid signature for outpoint %r" % (txin.outpoint,))
-        total_in += utxo.value.base_units
-    total_out = sum(amount.base_units for _, amount in tx.outputs)
+        total_in += utxo.value
+    total_out = sum((amount for _, amount in tx.outputs), Amount(0, decimals))
     if total_out > total_in:
-        raise Overspend("outputs %d exceed inputs %d" % (total_out, total_in))
-    return Amount(total_in - total_out, decimals)
+        raise Overspend("outputs %d exceed inputs %d" % (total_out.base_units, total_in.base_units))
+    return total_in - total_out
 
 
 def apply_spend(tx: UtxoTransaction, utxo_set: UtxoSet) -> None:

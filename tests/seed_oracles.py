@@ -1,11 +1,16 @@
 """Reference implementations kept for differential tests.
 
-`SeedLotStore` is the original filter-and-sort lot store, whose
-`_respread_basis` gives the last part of an override what the others leave.
-`seed_compute_report` is the original report loop on that store, with the
-PVCT cost pool kept as a running sum: acquisitions add their cost, every
-disposal subtracts its basis. `seed_format_rational` is the original
-scale-by-ten decimal renderer, and `seed_parse_event_file` /
+`SeedLotStore` is the original filter-and-sort lot store, with its pooled
+merge and basis override; its `_respread_basis` gives the last part of an
+override what the others leave. `seed_compute_report` is the original
+report loop on that store, with its own copy of the original per-method
+routing (`ingest_event` with a method and an override, the AVG_TOTAL
+pre-pass) and the PVCT cost pool kept as a running sum: acquisitions add
+their cost, every disposal subtracts its basis. It imports no engine
+internals, only the result and report types, `tax_year_of` and
+`withholding_amount`. Its one correction, `_seed_moves`, makes every
+method see the same acquisitions and disposals. `seed_format_rational` is
+the original scale-by-ten decimal renderer, and `seed_parse_event_file` /
 `seed_serialize_event` the original event-line parser and writer. All are
 deliberately simple and slow; `fisc` must produce exactly what they do,
 errors included.
@@ -33,7 +38,7 @@ from fisc.tax.lots import (
     LotConsumption,
     LotError,
 )
-from fisc.tax.policy import JurisdictionPolicy
+from fisc.tax.policy import HobbyMinerRule, JurisdictionPolicy, ReceiptTreatment
 
 
 class SeedLotStore:
@@ -72,7 +77,6 @@ class SeedLotStore:
         qty: int,
         unit_basis: Fraction,
         acquired_at: int,
-        source: EventKind = EventKind.PURCHASE,
         pooled: bool = False,
     ) -> Lot:
         if qty <= 0:
@@ -87,7 +91,7 @@ class SeedLotStore:
             pool.unit_basis = (old_cost + new_cost) / Fraction(pool.remaining_qty, scale)
             pool.acquired_at = min(pool.acquired_at, acquired_at)
             return pool
-        lot = Lot(self._next_id, asset, qty, unit_basis, acquired_at, source)
+        lot = Lot(self._next_id, asset, qty, unit_basis, acquired_at)
         self._next_id += 1
         lots.append(lot)
         return lot
@@ -179,13 +183,155 @@ def _respread_basis(
     return out
 
 
+def _seed_acquisition_treatment(
+    record: ChainEventRecord, policy: JurisdictionPolicy
+) -> tuple[Fraction, Fraction]:
+    """(per-unit income recognized, per-unit basis for the new lot)."""
+    fmv = record.fmv_unit
+    if record.kind in (EventKind.PURCHASE, EventKind.ICO_ALLOCATION):
+        return Fraction(0), fmv
+    if record.kind in (EventKind.MINING_REWARD, EventKind.POOL_PAYOUT):
+        if policy.mining_is_business or policy.hobby_miner is HobbyMinerRule.NONE:
+            return fmv, fmv
+        if policy.hobby_miner is HobbyMinerRule.EXEMPT_WITH_COST_BASIS:
+            return Fraction(0), fmv
+        return Fraction(0), Fraction(0)
+    if record.kind is EventKind.FORK_RECEIPT:
+        if policy.fork_treatment is ReceiptTreatment.FMV_INCOME:
+            return fmv, fmv
+        return Fraction(0), Fraction(0)
+    if record.kind is EventKind.AIRDROP:
+        if policy.airdrop_treatment is ReceiptTreatment.FMV_INCOME:
+            return fmv, fmv
+        return Fraction(0), Fraction(0)
+    if record.kind is EventKind.LP_WITHDRAWAL:
+        return Fraction(0), fmv
+    return fmv, fmv  # staking, MEV, royalties
+
+
+def _seed_moves(record: ChainEventRecord, policy: JurisdictionPolicy) -> str | None:
+    """"acquires", "disposes" or None: whether the event moves lots.
+
+    Correction: the original decided this by kind alone, so its AVG_TOTAL
+    pre-pass counted `meta.deduction` events as disposals, and its AVG_TOTAL
+    pre-pass and PVCT pool left out LP events under lp_events_are_disposals.
+    """
+    if "deduction" in record.metadata:
+        return None
+    lp = policy.lp_events_are_disposals
+    if record.kind in ACQUISITION_KINDS or (lp and record.kind is EventKind.LP_WITHDRAWAL):
+        return "acquires"
+    if record.kind in DISPOSAL_KINDS or (lp and record.kind is EventKind.LP_DEPOSIT):
+        return "disposes"
+    return None
+
+
+def _seed_ingest_event(
+    record: ChainEventRecord,
+    policy: JurisdictionPolicy,
+    store: SeedLotStore,
+    method: AccountingMethod,
+    basis_override: Fraction | None,
+) -> engine.IngestResult:
+    """The original ingest_event: the method and the override routed in."""
+    result = engine.IngestResult()
+    scale = 10 ** store.decimals(record.asset)
+    if "deduction" in record.metadata:
+        if "slashing" in record.metadata and not policy.slashing_deductible:
+            return result
+        result.deduction = Fraction(record.quantity, scale) * record.fmv_unit
+        return result
+    if record.kind is EventKind.SELF_TRANSFER:
+        return result
+    if record.kind in (EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL):
+        if not policy.lp_events_are_disposals:
+            return result
+        if record.kind is EventKind.LP_DEPOSIT:
+            result.disposal = store.dispose(record.asset, record.quantity, record.fmv_unit,
+                                            method, record.specid_lot, basis_override)
+        else:
+            store.add_lot(record.asset, record.quantity, record.fmv_unit, record.timestamp,
+                          pooled=method is AccountingMethod.AVG_MOVING)
+        return result
+    if record.kind in ACQUISITION_KINDS:
+        income_unit, basis_unit = _seed_acquisition_treatment(record, policy)
+        result.income = Fraction(record.quantity, scale) * income_unit
+        store.add_lot(record.asset, record.quantity, basis_unit, record.timestamp,
+                      pooled=method is AccountingMethod.AVG_MOVING)
+        return result
+    disposal = store.dispose(record.asset, record.quantity, record.fmv_unit, method,
+                             record.specid_lot, basis_override)
+    if record.kind is EventKind.GIFT and not policy.gift_taxable:
+        disposal = DisposalResult(disposal.asset, disposal.qty, disposal.basis,
+                                  disposal.basis, disposal.parts)
+    result.disposal = disposal
+    attribution = record.metadata.get("attribution")
+    if attribution:
+        result.withholding = engine.withholding_amount(disposal.proceeds, attribution, policy)
+    return result
+
+
+def _seed_avg_total_averages(
+    records: list[ChainEventRecord], policy: JurisdictionPolicy, store: SeedLotStore
+) -> dict[tuple[int, str], Fraction]:
+    """Each (year, asset) average: (cost carried in + cost acquired) over
+    (qty carried in + qty acquired); the carry-out is priced at it."""
+    averages: dict[tuple[int, str], Fraction] = {}
+    carry_qty: dict[str, int] = {}
+    carry_cost: dict[str, Fraction] = {}
+    by_year: dict[int, list[ChainEventRecord]] = {}
+    for record in records:
+        by_year.setdefault(engine.tax_year_of(record.timestamp, policy), []).append(record)
+    for year in sorted(by_year):
+        acq_qty: dict[str, int] = {}
+        acq_cost: dict[str, Fraction] = {}
+        disp_qty: dict[str, int] = {}
+        for record in by_year[year]:
+            scale = 10 ** store.decimals(record.asset)
+            moves = _seed_moves(record, policy)
+            if moves == "acquires":
+                _, basis_unit = _seed_acquisition_treatment(record, policy)
+                acq_qty[record.asset] = acq_qty.get(record.asset, 0) + record.quantity
+                acq_cost[record.asset] = (acq_cost.get(record.asset, Fraction(0))
+                                          + Fraction(record.quantity, scale) * basis_unit)
+            elif moves == "disposes":
+                disp_qty[record.asset] = disp_qty.get(record.asset, 0) + record.quantity
+        for asset in set(acq_qty) | set(disp_qty) | set(carry_qty):
+            scale = 10 ** store.decimals(asset)
+            total_q = carry_qty.get(asset, 0) + acq_qty.get(asset, 0)
+            total_c = carry_cost.get(asset, Fraction(0)) + acq_cost.get(asset, Fraction(0))
+            avg = total_c / Fraction(total_q, scale) if total_q else Fraction(0)
+            averages[(year, asset)] = avg
+            remaining = total_q - disp_qty.get(asset, 0)
+            carry_qty[asset] = remaining
+            carry_cost[asset] = Fraction(remaining, scale) * avg
+    return averages
+
+
+def _seed_record_disposal(report, totals, record, date, disposal, policy) -> None:
+    cutoff = policy.long_term_days * 86_400
+    for part in disposal.parts:
+        part_proceeds = disposal.proceeds * Fraction(part.qty, disposal.qty)
+        gain = part_proceeds - part.basis
+        term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
+        if term == "long":
+            totals.long_term_gain += gain
+        else:
+            totals.short_term_gain += gain
+        report.lines.append(engine.LedgerLine(
+            record.seq, date, record.kind.value, record.asset,
+            part.qty, part_proceeds, part.basis, gain, term,
+        ))
+
+
 def seed_compute_report(
     records: list[ChainEventRecord],
     policy: JurisdictionPolicy,
     method: AccountingMethod,
     decimals: dict[str, int] | None = None,
 ) -> engine.TaxReport:
-    """`compute_report` with per-record year labels and the summed PVCT pool."""
+    """The original report loop, per-method routing and all, with per-record
+    year labels and the summed PVCT pool; lots move as `_seed_moves` says."""
     if method not in policy.allowed_methods:
         raise engine.PolicyViolation("method %s not allowed by policy" % method.value)
     store = SeedLotStore(decimals)
@@ -196,7 +342,7 @@ def seed_compute_report(
     last_seq = None
     year_averages = {}
     if method is AccountingMethod.AVG_TOTAL:
-        year_averages = engine._avg_total_averages(records, policy, store)
+        year_averages = _seed_avg_total_averages(records, policy, store)
     for record in records:
         if last_seq is not None and record.seq <= last_seq:
             raise engine.SequenceError("seq %d out of order (after %d)" % (record.seq, last_seq))
@@ -210,12 +356,14 @@ def seed_compute_report(
             if method is AccountingMethod.PERIODIC:
                 store.rebase_all(dict(last_price))
             if method is AccountingMethod.AVG_TOTAL:
-                engine._rebase_pools_to_average(store, year_averages, current_year - 1)
+                store.rebase_all({asset: avg for (y, asset), avg in year_averages.items()
+                                  if y == current_year - 1})
         last_price[record.asset] = record.fmv_unit
 
         scale = 10 ** store.decimals(record.asset)
+        moves = _seed_moves(record, policy)
         basis_override = None
-        if record.kind in DISPOSAL_KINDS:
+        if moves == "disposes":
             if method is AccountingMethod.AVG_TOTAL:
                 avg = year_averages.get((year, record.asset), Fraction(0))
                 basis_override = Fraction(record.quantity, scale) * avg
@@ -232,17 +380,17 @@ def seed_compute_report(
 
         effective_method = method
         if method in (AccountingMethod.AVG_TOTAL, AccountingMethod.PVCT):
-            effective_method = AccountingMethod.FIFO if record.kind in DISPOSAL_KINDS else method
-        if method is AccountingMethod.AVG_TOTAL and record.kind in ACQUISITION_KINDS:
+            effective_method = AccountingMethod.FIFO if moves == "disposes" else method
+        if method is AccountingMethod.AVG_TOTAL and moves == "acquires":
             effective_method = AccountingMethod.AVG_MOVING
         if method is AccountingMethod.PERIODIC and record.kind in DISPOSAL_KINDS:
             effective_method = AccountingMethod.FIFO
 
-        result = engine.ingest_event(record, policy, store, effective_method, basis_override)
+        result = _seed_ingest_event(record, policy, store, effective_method, basis_override)
 
         if method is AccountingMethod.PVCT:
-            if record.kind in ACQUISITION_KINDS:
-                _, basis_unit = engine._acquisition_treatment(record, policy)
+            if moves == "acquires":
+                _, basis_unit = _seed_acquisition_treatment(record, policy)
                 pvct_cost += Fraction(record.quantity, scale) * basis_unit
             if result.disposal is not None:
                 pvct_cost -= result.disposal.basis
@@ -259,7 +407,7 @@ def seed_compute_report(
         if result.withholding:
             totals.withholding_owed += result.withholding
         if result.disposal is not None:
-            engine._record_disposal(report, totals, record, date, result.disposal, policy)
+            _seed_record_disposal(report, totals, record, date, result.disposal, policy)
     return report
 
 

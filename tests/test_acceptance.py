@@ -231,16 +231,15 @@ def test_09_cost_basis_oracles():
         cuts = sorted(rng.randrange(1, total_qty) for _ in range(disposal_count - 1))
         chunks = [b - a for a, b in zip([0] + cuts, cuts + [total_qty])]
         chunks = [c for c in chunks if c > 0]
+        events = [ChainEventRecord(i + 1, i, EventKind.PURCHASE, "BTC", q, b)
+                  for i, (q, b) in enumerate(lots)]
+        events += [ChainEventRecord(len(events) + i + 1, len(events) + i, EventKind.SALE, "BTC",
+                                    chunk, price) for i, chunk in enumerate(chunks)]
         gains = []
         for method in methods:
-            store = LotStore({"BTC": 8})
-            for i, (q, b) in enumerate(lots):
-                store.add_lot("BTC", q, b, i, pooled=method is AccountingMethod.AVG_MOVING)
-            gain = sum(
-                store.dispose("BTC", chunk, price, method).gain for chunk in chunks
-            )
-            ok &= store.total_qty("BTC") == 0
-            gains.append(gain)
+            ledger = compute_report(events, JurisdictionPolicy(), method, {"BTC": 8})
+            ok &= sum(line.qty for line in ledger.lines) == total_qty
+            gains.append(ledger.total_gain)
         expected_total = Fraction(total_qty, scale) * price - total_cost
         ok &= all(g == expected_total for g in gains)
 

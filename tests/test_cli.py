@@ -160,7 +160,7 @@ class TestReport:
         out = tmp_path / "out"
         code = main(["report", str(events), "--config", str(policy), "--out", str(out)])
         assert code == EXIT_PARSE
-        assert message in capsys.readouterr().err
+        assert "policy.cfg:1: " + message in capsys.readouterr().err
         assert not out.exists()
 
     def test_policy_bad_line_exit_2_with_line(self, tmp_path, capsys):

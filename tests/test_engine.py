@@ -2,9 +2,12 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisc.lineformat import LineError
 from fisc.tax.engine import (
+    Fifo,
     PolicyViolation,
     SequenceError,
     compute_report,
@@ -18,7 +21,7 @@ from fisc.tax.events import (
     parse_event_file,
     serialize_event_file,
 )
-from fisc.tax.lots import AccountingMethod, LotStore
+from fisc.tax.lots import AccountingMethod
 from fisc.tax.policy import (
     HobbyMinerRule,
     JurisdictionPolicy,
@@ -119,34 +122,34 @@ class TestTaxYear:
 
 class TestIngestTreatments:
     def test_mining_business_income_at_fmv(self):
-        store = LotStore({"BTC": 8})
+        book = Fifo([], DEFAULT, {"BTC": 8})
         result = ingest_event(
-            ev(1, ts(2020), EventKind.MINING_REWARD, 2 * BTC, 10_000), DEFAULT, store
+            ev(1, ts(2020), EventKind.MINING_REWARD, 2 * BTC, 10_000), DEFAULT, book
         )
         assert result.income == 20_000
-        assert store.total_basis("BTC") == 20_000
+        assert book.store.total_basis("BTC") == 20_000
 
     def test_hobby_exempt_keeps_cost_basis(self):
         policy = JurisdictionPolicy(
             mining_is_business=False, hobby_miner=HobbyMinerRule.EXEMPT_WITH_COST_BASIS
         )
-        store = LotStore({"BTC": 8})
+        book = Fifo([], DEFAULT, {"BTC": 8})
         result = ingest_event(
-            ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, store
+            ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, book
         )
         assert result.income == 0
-        assert store.total_basis("BTC") == 10_000
+        assert book.store.total_basis("BTC") == 10_000
 
     def test_hobby_zero_basis(self):
         policy = JurisdictionPolicy(
             mining_is_business=False, hobby_miner=HobbyMinerRule.ZERO_BASIS_NO_DEDUCTION
         )
-        store = LotStore({"BTC": 8})
+        book = Fifo([], DEFAULT, {"BTC": 8})
         result = ingest_event(
-            ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, store
+            ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, book
         )
         assert result.income == 0
-        assert store.total_basis("BTC") == 0
+        assert book.store.total_basis("BTC") == 0
 
     @pytest.mark.parametrize("kind", [EventKind.FORK_RECEIPT, EventKind.AIRDROP])
     def test_receipt_treatment_switch(self, kind):
@@ -156,33 +159,33 @@ class TestIngestTreatments:
             airdrop_treatment=ReceiptTreatment.ZERO_BASIS,
         )
         for policy, income, basis in ((fmv_policy, 400, 400), (zero_policy, 0, 0)):
-            store = LotStore({"BCH": 8})
+            book = Fifo([], DEFAULT, {"BCH": 8})
             result = ingest_event(
-                ev(1, ts(2020), kind, 8 * BTC, 50, asset="BCH"), policy, store
+                ev(1, ts(2020), kind, 8 * BTC, 50, asset="BCH"), policy, book
             )
             assert result.income == income
-            assert store.total_basis("BCH") == basis
+            assert book.store.total_basis("BCH") == basis
 
     def test_self_transfer_is_a_noop(self):
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        before = (store.total_qty("BTC"), store.total_basis("BTC"))
-        result = ingest_event(ev(2, ts(2021), EventKind.SELF_TRANSFER, BTC, 500), DEFAULT, store)
+        book = Fifo([], DEFAULT, {"BTC": 8})
+        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        before = (book.store.total_qty("BTC"), book.store.total_basis("BTC"))
+        result = ingest_event(ev(2, ts(2021), EventKind.SELF_TRANSFER, BTC, 500), DEFAULT, book)
         assert result.income == 0 and result.disposal is None
-        assert (store.total_qty("BTC"), store.total_basis("BTC")) == before
+        assert (book.store.total_qty("BTC"), book.store.total_basis("BTC")) == before
 
     def test_gift_exempt_has_zero_gain(self):
         policy = JurisdictionPolicy(gift_taxable=False)
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), policy, store)
+        book = Fifo([], DEFAULT, {"BTC": 8})
+        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), policy, book)
         assert result.disposal.gain == 0
-        assert store.total_qty("BTC") == 0
+        assert book.store.total_qty("BTC") == 0
 
     def test_gift_taxable_realizes_gain(self):
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), DEFAULT, store)
+        book = Fifo([], DEFAULT, {"BTC": 8})
+        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), DEFAULT, book)
         assert result.disposal.gain == 800
 
     def test_slashing_deduction_gate(self):
@@ -190,10 +193,10 @@ class TestIngestTreatments:
             1, ts(2021), EventKind.SPEND, 10**18, 2000, asset="ETH",
             metadata={"deduction": "1", "slashing": "1"},
         )
-        blocked = ingest_event(record, DEFAULT, LotStore({"ETH": 18}))
+        blocked = ingest_event(record, DEFAULT, Fifo([], DEFAULT, {"ETH": 18}))
         assert blocked.deduction == 0
         allowed = ingest_event(
-            record, JurisdictionPolicy(slashing_deductible=True), LotStore({"ETH": 18})
+            record, JurisdictionPolicy(slashing_deductible=True), Fifo([], DEFAULT, {"ETH": 18})
         )
         assert allowed.deduction == 2000
 
@@ -202,23 +205,23 @@ class TestIngestTreatments:
             1, ts(2021), EventKind.SPEND, 10**18, 100, asset="ETH",
             metadata={"deduction": "1"},
         )
-        result = ingest_event(record, DEFAULT, LotStore({"ETH": 18}))
+        result = ingest_event(record, DEFAULT, Fifo([], DEFAULT, {"ETH": 18}))
         assert result.deduction == 100
 
     def test_lp_events_default_to_transfers(self):
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), DEFAULT, store)
+        book = Fifo([], DEFAULT, {"BTC": 8})
+        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), DEFAULT, book)
         assert result.disposal is None
-        assert store.total_qty("BTC") == BTC
+        assert book.store.total_qty("BTC") == BTC
 
     def test_lp_events_as_disposals_when_enabled(self):
         policy = JurisdictionPolicy(lp_events_are_disposals=True)
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), policy, store)
+        book = Fifo([], DEFAULT, {"BTC": 8})
+        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), policy, book)
         assert result.disposal.gain == 400
-        assert store.total_qty("BTC") == 0
+        assert book.store.total_qty("BTC") == 0
 
 
 class TestWithholding:
@@ -351,6 +354,36 @@ class TestAverageTotal:
         assert total.total_gain == moving.total_gain == 150
 
 
+    def test_deduction_spend_is_not_a_disposal(self):
+        # The spend disposes of nothing, so all 100 bought in 2020 carry into
+        # 2021: (1000 + 2000) / 150 = 20 a unit, the 3000 paid.
+        records = [
+            ev(1, ts(2020, 2), EventKind.PURCHASE, 100, 10, asset="X"),
+            ev(2, ts(2020, 3), EventKind.SPEND, 50, 10, asset="X",
+               metadata={"deduction": "1"}),
+            ev(3, ts(2021, 2), EventKind.PURCHASE, 50, 40, asset="X"),
+            ev(4, ts(2021, 9), EventKind.SALE, 150, 50, asset="X"),
+        ]
+        report = compute_report(records, DEFAULT, AccountingMethod.AVG_TOTAL, {"X": 0})
+        assert [l.basis for l in report.lines if l.seq == 4] == [3000]
+
+    def test_lp_events_move_the_pool_when_disposals(self):
+        # 2020: 100 carried at 1000, a 50 withdrawal at 20 (1000) and 10
+        # bought at 30 (300) give 2300 over 160 units. The deposit and the
+        # sale take 50 and 110 of them, both from the pool dated 2017.
+        policy = JurisdictionPolicy(lp_events_are_disposals=True)
+        records = [
+            ev(1, ts(2017, 2), EventKind.PURCHASE, 100, 10, asset="X"),
+            ev(2, ts(2020, 2), EventKind.LP_DEPOSIT, 50, 20, asset="X"),
+            ev(3, ts(2020, 3), EventKind.LP_WITHDRAWAL, 50, 20, asset="X"),
+            ev(4, ts(2020, 4), EventKind.PURCHASE, 10, 30, asset="X"),
+            ev(5, ts(2020, 5), EventKind.SALE, 110, 30, asset="X"),
+        ]
+        report = compute_report(records, policy, AccountingMethod.AVG_TOTAL, {"X": 0})
+        assert [(l.seq, l.basis, l.term) for l in report.lines] == [
+            (2, Fraction("718.75"), "long"), (5, Fraction("1581.25"), "long")]
+
+
 class TestPeriodic:
     def test_rebase_at_year_boundary(self):
         records = [
@@ -410,3 +443,84 @@ class TestPvct:
         bases = [[l.basis for l in r.lines if l.seq == 4] for r in (with_spend, without)]
         assert bases == [[100], [100]]
         assert with_spend.years[2020].deductible_expenses == 150
+
+    def test_lp_round_trip_keeps_its_cost(self):
+        # The deposit is priced like a sale and the withdrawal adds its FMV
+        # cost back to the pool, so the final sale recovers the 1000 paid.
+        policy = JurisdictionPolicy(lp_events_are_disposals=True)
+        records = [
+            ev(1, ts(2020, 2), EventKind.PURCHASE, 100, 10, asset="X"),
+            ev(2, ts(2020, 3), EventKind.LP_DEPOSIT, 100, 10, asset="X"),
+            ev(3, ts(2020, 4), EventKind.LP_WITHDRAWAL, 100, 10, asset="X"),
+            ev(4, ts(2020, 5), EventKind.SALE, 100, 10, asset="X"),
+        ]
+        report = compute_report(records, policy, AccountingMethod.PVCT, {"X": 0})
+        assert [(l.basis, l.gain) for l in report.lines if l.seq == 4] == [(1000, 0)]
+
+    def test_basis_spread_over_fifo_parts_by_quantity(self):
+        records = [
+            ev(1, ts(2020, 2), EventKind.PURCHASE, 30, 10, asset="X"),
+            ev(2, ts(2020, 3), EventKind.PURCHASE, 30, 20, asset="X"),
+            ev(3, ts(2020, 4), EventKind.PURCHASE, 40, 40, asset="X"),
+            ev(4, ts(2020, 5), EventKind.SALE, 80, 30, asset="X"),
+        ]
+        report = compute_report(records, DEFAULT, AccountingMethod.PVCT, {"X": 0})
+        # 2400 of a 3000 portfolio takes 4/5 of the 2500 cost: 2000.
+        assert [(l.qty, l.basis) for l in report.lines] == [(30, 750), (30, 750), (20, 500)]
+
+
+DECIMALS = {"A": 0, "B": 2}
+LP_KINDS = (EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL)
+STREAM_KINDS = (EventKind.PURCHASE, EventKind.PURCHASE, EventKind.MINING_REWARD,
+                EventKind.SALE, EventKind.SWAP, EventKind.SPEND, EventKind.GIFT) + LP_KINDS
+DISPOSING = {EventKind.SALE, EventKind.SWAP, EventKind.SPEND, EventKind.GIFT,
+             EventKind.LP_DEPOSIT}
+
+
+@st.composite
+def liquidated_streams(draw):
+    """(policy, records, acquisition cost): a stream with LP events under
+    both policy values, deduction spends and gifts, prices of at least 1/8
+    and rising timestamps, that ends by selling every holding."""
+    policy = JurisdictionPolicy(lp_events_are_disposals=draw(st.booleans()),
+                                gift_taxable=draw(st.booleans()))
+    held = dict.fromkeys(DECIMALS, 0)
+    records, cost, when = [], Fraction(0), ts(2019)
+    prices = st.fractions(Fraction(1, 8), 100, max_denominator=8)
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(STREAM_KINDS))
+        asset, price = draw(st.sampled_from(sorted(DECIMALS))), draw(prices)
+        moves = policy.lp_events_are_disposals or kind not in LP_KINDS
+        meta = {}
+        if kind is EventKind.SPEND and draw(st.booleans()):
+            meta, qty = {"deduction": "1"}, draw(st.integers(1, 300))
+        elif kind in DISPOSING:
+            if not held[asset]:
+                continue
+            qty = draw(st.integers(1, held[asset]))
+            held[asset] -= qty if moves else 0
+        else:
+            qty = draw(st.integers(1, 300))
+            if moves:
+                held[asset] += qty
+                cost += Fraction(qty, 10 ** DECIMALS[asset]) * price
+        when += draw(st.integers(0, 200)) * 86_400
+        records.append(ev(len(records) + 1, when, kind, qty, price, asset=asset, metadata=meta))
+    for asset, qty in held.items():
+        if qty:
+            when += 86_400
+            records.append(ev(len(records) + 1, when, EventKind.SALE, qty, draw(prices),
+                              asset=asset))
+    return policy, records, cost
+
+
+@pytest.mark.parametrize("method", [
+    AccountingMethod.FIFO, AccountingMethod.LIFO, AccountingMethod.HIFO,
+    AccountingMethod.AVG_MOVING, AccountingMethod.AVG_TOTAL, AccountingMethod.PVCT,
+])
+@given(case=liquidated_streams())
+@settings(max_examples=60, deadline=None)
+def test_liquidation_disposes_of_exactly_the_cost_acquired(method, case):
+    policy, records, cost = case
+    report = compute_report(records, policy, method, DECIMALS)
+    assert sum(l.basis for l in report.lines if l.term != "-") == cost

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fisc.tax.engine import AvgMoving
+from fisc.tax.events import ChainEventRecord, EventKind
 from fisc.tax.lots import (
     AccountingMethod,
     InsufficientQuantity,
-    Lot,
     LotError,
     LotStore,
-    _respread_basis,
-    LotConsumption,
 )
+from fisc.tax.policy import JurisdictionPolicy
 
 BTC = 10**8
 
@@ -108,54 +108,25 @@ class TestSpecId:
 
 
 class TestAveragePooling:
+    """The moving-average book keeps one pool per asset instead of lots."""
+
+    @staticmethod
+    def pooled_book():
+        book = AvgMoving([], JurisdictionPolicy(), {"BTC": 8})
+        for seq, price in ((1, 100), (2, 300)):
+            book.acquire(ChainEventRecord(seq, seq * 10, EventKind.PURCHASE, "BTC", BTC,
+                                          Fraction(price)), Fraction(price))
+        return book
+
     def test_pooled_lots_merge(self):
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), 10, pooled=True)
-        store.add_lot("BTC", BTC, Fraction(300), 20, pooled=True)
-        lots = store.lots("BTC")
-        assert len(lots) == 1
-        assert lots[0].unit_basis == 200
-        assert lots[0].remaining_qty == 2 * BTC
+        assert self.pooled_book().pools["BTC"] == [2 * BTC, 400, 10]
 
     def test_moving_average_gain(self):
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), 10, pooled=True)
-        store.add_lot("BTC", BTC, Fraction(300), 20, pooled=True)
-        result = store.dispose("BTC", BTC, Fraction(350), AccountingMethod.AVG_MOVING)
+        sale = ChainEventRecord(3, 30, EventKind.SALE, "BTC", BTC, Fraction(350))
+        book = self.pooled_book()
+        result = book.dispose(sale)
         assert result.basis == 200 and result.gain == 150
-
-
-    def test_pooled_merge_reorders_later_disposals(self):
-        store = LotStore({"BTC": 8})
-        store.add_lot("BTC", BTC, Fraction(100), 10)
-        store.add_lot("BTC", BTC, Fraction(300), 20)
-        store.dispose("BTC", BTC // 2, Fraction(350), AccountingMethod.HIFO)
-        # Merging into lot 1 raises its basis above lot 2's.
-        store.add_lot("BTC", BTC, Fraction(1000), 30, pooled=True)
-        result = store.dispose("BTC", BTC // 2, Fraction(350), AccountingMethod.HIFO)
-        assert [p.lot_id for p in result.parts] == [1]
-
-
-class TestOverride:
-    def test_respread_sums_exactly(self):
-        parts = [
-            LotConsumption(1, 30, Fraction(0), 1),
-            LotConsumption(2, 30, Fraction(0), 2),
-            LotConsumption(3, 40, Fraction(0), 3),
-        ]
-        total = Fraction(1000, 3)
-        out = _respread_basis(parts, 100, total)
-        assert sum(p.basis for p in out) == total
-        assert [p.qty for p in out] == [30, 30, 40]
-
-    def test_dispose_with_override(self):
-        store = store_with_three_lots()
-        result = store.dispose(
-            "BTC", 2 * BTC, Fraction(250), AccountingMethod.AVG_TOTAL,
-            basis_override=Fraction(333),
-        )
-        assert result.basis == 333
-        assert sum(p.basis for p in result.parts) == 333
+        assert book.pools["BTC"] == [BTC, 200, 10]
 
 
 class TestRebase:

@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 from fisc.addresses import Scheme, address_from_pubkey
-from fisc.amounts import btc
+from fisc.amounts import Amount, btc
 from fisc.signatures import MockScheme
 from fisc.utxo import (
     DuplicateInput,
@@ -13,6 +13,7 @@ from fisc.utxo import (
     UnknownOutpoint,
     Utxo,
     UtxoSet,
+    UtxoError,
     UtxoTransaction,
     apply_hard_fork,
     apply_spend,
@@ -97,6 +98,25 @@ class TestValidation:
             {mallory_pub: mallory_priv},
         )
         with pytest.raises(OwnerMismatch):
+            validate_utxo_tx(tx, utxo_set)
+
+    def test_negative_output_rejected(self, alice_utxos):
+        # 1.2 in, 10 and -8.8 out: the sums balance, but apply_spend would
+        # keep only the positive output and leave 10 where 1.2 was.
+        priv, pub, addr, utxo_set = alice_utxos
+        _, _, bob = make_wallet(b"bob")
+        tx = signed_tx([((b"\x01" * 32, 0), pub)], [(bob, btc("10")), (addr, btc("-8.8"))],
+                       {pub: priv})
+        with pytest.raises(UtxoError):
+            validate_utxo_tx(tx, utxo_set)
+
+    def test_outputs_in_other_decimals_rejected(self, alice_utxos):
+        # 1.2 BTC in (8 decimals) and 1.2e8 base units out at 6 decimals:
+        # equal base-unit sums, a hundred times the value.
+        priv, pub, addr, utxo_set = alice_utxos
+        tx = signed_tx([((b"\x01" * 32, 0), pub)], [(addr, Amount(btc("1.2").base_units, 6))],
+                       {pub: priv})
+        with pytest.raises(ValueError):
             validate_utxo_tx(tx, utxo_set)
 
     def test_bad_signature(self, alice_utxos):
