@@ -6,6 +6,7 @@ All ledger arithmetic is integer base units (satoshi, wei, ...); rationals
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,6 +107,18 @@ def eth(text: str) -> Amount:
     return Amount.from_decimal_str(text, ETH_DECIMALS)
 
 
+def _places(den: int) -> int | None:
+    """The smallest p with den dividing 10**p, or None if there is none."""
+    # den divides a power of ten iff den = 2^a * 5^b; then p = max(a, b).
+    a = (den & -den).bit_length() - 1
+    odd = den >> a
+    b = 0
+    while odd % 5 == 0:
+        odd //= 5
+        b += 1
+    return max(a, b) if odd == 1 else None
+
+
 def format_rational(value: Fraction | int) -> str:
     """Canonical exact rendering of a rational: decimal when finite, else a/b.
 
@@ -116,21 +129,40 @@ def format_rational(value: Fraction | int) -> str:
     num, den = frac.numerator, frac.denominator
     if den == 1:
         return str(num)
-    # Finite decimal expansion iff denominator is 2^a * 5^b.
-    a = (den & -den).bit_length() - 1
-    odd = den >> a
-    b = 0
-    while odd % 5 == 0:
-        odd //= 5
-        b += 1
-    if odd != 1:
+    places = _places(den)
+    if places is None:
         return "%d/%d" % (num, den)
-    # 10^places is the smallest power of ten that den divides.
-    places = max(a, b)
     digits = abs(num) * (10**places // den)
     sign = "-" if num < 0 else ""
     text = str(digits).rjust(places + 1, "0")
     return "%s%s.%s" % (sign, text[:-places], text[-places:])
+
+
+class DigitLimit:
+    """CPython's int->str digit limit L as format_rational meets it, read
+    once; no limit (0, or before 3.10.7) makes `room` sys.maxsize.
+
+    A value whose numerator and denominator have n and d bits prints if
+    n + 3d <= `room` = 3L. As log10(2) < 1/3, an int of k bits has under
+    k/3 + 1 digits, which bounds the integer and a/b forms. The decimal
+    form prints |num| * 10**p / den with 2**p <= den, so p < d and it has
+    under n/3 + 1 + p <= n/3 + d <= L digits. `fits` decides the rest.
+    """
+
+    def __init__(self):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        limit = get_limit() if get_limit else 0
+        self.room = 3 * limit if limit else sys.maxsize
+        self._ceiling = 10**limit
+
+    def fits(self, value: Fraction) -> bool:
+        """Whether every int format_rational(value) converts is below 10**L,
+        that is has at most L digits; converts nothing."""
+        num, den = abs(value.numerator), value.denominator
+        places = _places(den)
+        if places is not None:  # printed as the digits of num * 10**p / den
+            num, den = num * (10**places // den), 1
+        return num < self._ceiling and den < self._ceiling
 
 
 def parse_rational(text: str) -> Fraction:

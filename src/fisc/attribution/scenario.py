@@ -9,7 +9,7 @@ from ..addresses import Scheme as AddrScheme, address_from_pubkey
 from ..amounts import format_rational, parse_rational
 from ..lineformat import LineError, LineReader, pairs
 from ..signatures import DEFAULT_SCHEME
-from ..tax.policy import JurisdictionPolicy
+from ..tax.policy import JurisdictionPolicy, check_range
 from .protocol import AttributionError, build_ownership_proof
 from .sim import AttributionNetwork, LinkConfig
 from .travelrule import PartyIdentity
@@ -84,8 +84,10 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 kv = pairs(args)
                 if "standard" in kv:
                     scenario.standard_withholding = parse_rational(kv["standard"])
+                    check_range("standard_withholding", scenario.standard_withholding)
                 if "elevated" in kv:
                     scenario.elevated_withholding = parse_rational(kv["elevated"])
+                    check_range("elevated_withholding", scenario.elevated_withholding)
             else:
                 raise ValueError("unknown directive %r" % tag)
     if not scenario.jurisdictions:

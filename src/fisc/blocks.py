@@ -86,7 +86,10 @@ def pow_hash_value(header: BlockHeader) -> int:
 
 
 def verify_pow(header: BlockHeader) -> bool:
-    return pow_hash_value(header) < header.target
+    """Check the hash against the target the header carries: its nBits
+    decoded, as Bitcoin Core's CheckProofOfWork does, not `header.target`,
+    which nBits may round down."""
+    return pow_hash_value(header) < target_from_compact(compact_from_target(header.target))
 
 
 def mine_nonce(header_prefix: BlockHeader, target: int, max_iters: int) -> int | None:

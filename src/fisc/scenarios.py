@@ -2,7 +2,9 @@
 
 Each runner parses a small line-based scenario file, replays it through
 the relevant engine, and returns the text of an event file the tax engine
-ingests and of the final state.
+ingests and of the final state. Replay and rendering run inside the
+LineReader block, so a fault there, such as a value past CPython's int->str
+digit limit, is a LineError at line 0.
 """
 
 from __future__ import annotations
@@ -96,13 +98,13 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
                     emit(EventKind.LP_WITHDRAWAL, asset_y, y_out, price_y, owner=owner)
             else:
                 raise ValueError("unknown directive %r" % tag)
-    if pool is None:
-        raise LineError(0, "scenario declares no pool")
-    state = (
-        "reserve_x %d\nreserve_y %d\nproduct %d\ntotal_lp_units %d\n"
-        % (pool.reserve_x, pool.reserve_y, pool.k, pool.total_lp_units)
-    )
-    return serialize_event_file({asset_x: decimals, asset_y: decimals}, events), state
+        if pool is None:
+            raise LineError(0, "scenario declares no pool")
+        state = (
+            "reserve_x %d\nreserve_y %d\nproduct %d\ntotal_lp_units %d\n"
+            % (pool.reserve_x, pool.reserve_y, pool.k, pool.total_lp_units)
+        )
+        return serialize_event_file({asset_x: decimals, asset_y: decimals}, events), state
 
 
 # --- chain ---
@@ -145,20 +147,20 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
                 heights.extend(range(start, end + 1))
             else:
                 raise ValueError("unknown directive %r" % tag)
-    decimals = schedule.initial_subsidy.decimals
-    events = []
-    state_lines = []
-    for seq, height in enumerate(heights, start=1):
-        subsidy = block_subsidy(height, schedule)
-        if subsidy.base_units:
-            events.append(
-                ChainEventRecord(
-                    seq, height * rule.target_block_interval, EventKind.MINING_REWARD,
-                    asset, subsidy.base_units, price, metadata={"height": str(height)},
+        decimals = schedule.initial_subsidy.decimals
+        events = []
+        state_lines = []
+        for seq, height in enumerate(heights, start=1):
+            subsidy = block_subsidy(height, schedule)
+            if subsidy.base_units:
+                events.append(
+                    ChainEventRecord(
+                        seq, height * rule.target_block_interval, EventKind.MINING_REWARD,
+                        asset, subsidy.base_units, price, metadata={"height": str(height)},
+                    )
                 )
-            )
-        state_lines.append("height %d subsidy %d" % (height, subsidy.base_units))
-    return serialize_event_file({asset: decimals}, events), "\n".join(state_lines) + "\n"
+            state_lines.append("height %d subsidy %d" % (height, subsidy.base_units))
+        return serialize_event_file({asset: decimals}, events), "\n".join(state_lines) + "\n"
 
 
 # --- validators ---
@@ -183,30 +185,30 @@ def run_validator_scenario(text: str) -> tuple[str, str]:
                 duty_log.append((fields[1], DutyEvent(fields[2])))
             else:
                 raise ValueError("unknown directive %r" % tag)
-    events = []
-    seq = 0
-    for index, (vid, duty) in enumerate(duty_log):
-        if vid not in validators:
-            raise LineError(0, "duty for unknown validator %s" % vid)
-        before = validators[vid]
-        try:
-            after = apply_penalty_or_slash(before, duty, params)
-        except SlashedValidatorError:
-            continue
-        validators[vid] = after
-        loss = before.stake.base_units - after.stake.base_units
-        if loss:
-            seq += 1
-            meta = {"validator": vid, "deduction": "1"}
-            if after.status is ValidatorStatus.SLASHED:
-                meta["slashing"] = "1"
-            events.append(
-                ChainEventRecord(
-                    seq, index, EventKind.SPEND, "ETH", loss, price, metadata=meta
+        events = []
+        seq = 0
+        for index, (vid, duty) in enumerate(duty_log):
+            if vid not in validators:
+                raise LineError(0, "duty for unknown validator %s" % vid)
+            before = validators[vid]
+            try:
+                after = apply_penalty_or_slash(before, duty, params)
+            except SlashedValidatorError:
+                continue
+            validators[vid] = after
+            loss = before.stake.base_units - after.stake.base_units
+            if loss:
+                seq += 1
+                meta = {"validator": vid, "deduction": "1"}
+                if after.status is ValidatorStatus.SLASHED:
+                    meta["slashing"] = "1"
+                events.append(
+                    ChainEventRecord(
+                        seq, index, EventKind.SPEND, "ETH", loss, price, metadata=meta
+                    )
                 )
-            )
-    state_lines = [
-        "%s stake=%d status=%s" % (vid, v.stake.base_units, v.status.value)
-        for vid, v in sorted(validators.items())
-    ]
-    return serialize_event_file({"ETH": 18}, events), "\n".join(state_lines) + "\n"
+        state_lines = [
+            "%s stake=%d status=%s" % (vid, v.stake.base_units, v.status.value)
+            for vid, v in sorted(validators.items())
+        ]
+        return serialize_event_file({"ETH": 18}, events), "\n".join(state_lines) + "\n"

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from ..amounts import format_rational
+from ..amounts import DigitLimit, format_rational
 from .events import DISPOSAL_KINDS, ChainEventRecord, EventKind
 from .lots import (
     AccountingMethod,
@@ -316,6 +316,9 @@ class YearTotals:
 
 @dataclass
 class TaxReport:
+    """compute_report appends only lines that to_csv can print; a year total
+    is judged once every line is in, by to_totals_json."""
+
     method: AccountingMethod
     lines: list[LedgerLine] = field(default_factory=list)
     years: dict[int, YearTotals] = field(default_factory=dict)
@@ -332,19 +335,15 @@ class TaxReport:
 
     def to_csv(self) -> str:
         rows = ["seq,date,kind,asset,qty,proceeds,basis,gain,term"]
-        try:
-            for line in self.lines:
-                rows.append(
-                    "%d,%s,%s,%s,%d,%s,%s,%s,%s"
-                    % (
-                        line.seq, line.date, line.kind, line.asset, line.qty,
-                        format_rational(line.proceeds), format_rational(line.basis),
-                        format_rational(line.gain), line.term,
-                    )
+        for line in self.lines:
+            rows.append(
+                "%d,%s,%s,%s,%d,%s,%s,%s,%s"
+                % (
+                    line.seq, line.date, line.kind, line.asset, line.qty,
+                    format_rational(line.proceeds), format_rational(line.basis),
+                    format_rational(line.gain), line.term,
                 )
-        except ValueError as exc:  # past CPython's int->str digit limit
-            raise EngineError("seq %d: exact value too long to print: %s"
-                              % (line.seq, exc)) from None
+            )
         return "\n".join(rows) + "\n"
 
     def to_totals_json(self) -> str:
@@ -381,7 +380,10 @@ def compute_report(
     method: AccountingMethod,
     decimals: dict[str, int] | None = None,
 ) -> TaxReport:
-    """Deterministic per-year tax report over a seq-ordered single portfolio."""
+    """Deterministic per-year tax report over a seq-ordered single portfolio.
+
+    Stops with EngineError at the first ledger line too long to print.
+    """
     if method not in policy.allowed_methods:
         raise PolicyViolation("method %s not allowed by policy" % method.value)
     book = BOOKS[method](records, policy, decimals)
@@ -390,6 +392,8 @@ def compute_report(
     last_seq: int | None = None
     # Tax year, ledger date and year totals depend only on the UTC day.
     days: dict[int, tuple[int, str, YearTotals]] = {}
+    limit = DigitLimit()
+    room = limit.room
 
     for record in records:
         if last_seq is not None and record.seq <= last_seq:
@@ -410,21 +414,32 @@ def compute_report(
         book.prices[record.asset] = record.fmv_unit
         result = ingest_event(record, policy, book)
 
-        if result.income:
-            totals.ordinary_income += result.income
-            report.lines.append(
-                LedgerLine(
-                    record.seq, date, record.kind.value, record.asset,
-                    record.quantity, result.income, _ZERO, _ZERO, "-",
-                )
-            )
+        income = result.income
+        if income:
+            totals.ordinary_income += income
+            line = LedgerLine(record.seq, date, record.kind.value, record.asset,
+                              record.quantity, income, _ZERO, _ZERO, "-")
+            if income.numerator.bit_length() + 3 * income.denominator.bit_length() > room:
+                _check_printable(line, limit)
+            report.lines.append(line)
         if result.deduction:
             totals.deductible_expenses += result.deduction
         if result.withholding:
             totals.withholding_owed += result.withholding
         if result.disposal is not None:
-            _record_disposal(report, totals, record, date, result.disposal, policy)
+            _record_disposal(report, totals, record, date, result.disposal, policy, limit)
     return report
+
+
+def _check_printable(line: LedgerLine, limit: DigitLimit) -> None:
+    """Raise EngineError if to_csv could not print `line`."""
+    for value in (line.proceeds, line.basis, line.gain):
+        if not limit.fits(value):
+            try:
+                format_rational(value)
+            except ValueError as exc:  # past the limit, in CPython's words
+                raise EngineError("seq %d: exact value too long to print: %s"
+                                  % (line.seq, exc)) from None
 
 
 def _record_disposal(
@@ -434,20 +449,26 @@ def _record_disposal(
     date: str,
     disposal: DisposalResult,
     policy: JurisdictionPolicy,
+    limit: DigitLimit,
 ) -> None:
     cutoff = policy.long_term_days * 86_400
+    room = limit.room
     for part in disposal.parts:
-        part_proceeds = disposal.proceeds * Fraction(part.qty, disposal.qty)
-        gain = part_proceeds - part.basis
+        proceeds = disposal.proceeds * Fraction(part.qty, disposal.qty)
+        basis = part.basis
+        gain = proceeds - basis
         term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
         if term == "long":
             totals.long_term_gain += gain
         else:
             totals.short_term_gain += gain
-        report.lines.append(
-            LedgerLine(
-                record.seq, date, record.kind.value, record.asset,
-                part.qty, part_proceeds, part.basis, gain, term,
-            )
-        )
-
+        line = LedgerLine(record.seq, date, record.kind.value, record.asset,
+                          part.qty, proceeds, basis, gain, term)
+        # One sum bounds all three values: with n and d the numerator and
+        # denominator bit lengths of proceeds (p) and basis (b), the gain
+        # has at most dp + db denominator and max(np + db, nb + dp) + 1
+        # numerator bits, so each value's n + 3d is at most the sum + 1.
+        if (proceeds.numerator.bit_length() + basis.numerator.bit_length() + 4 * (
+                proceeds.denominator.bit_length() + basis.denominator.bit_length()) >= room):
+            _check_printable(line, limit)
+        report.lines.append(line)

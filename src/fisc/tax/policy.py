@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ..amounts import parse_rational
-from ..lineformat import LineReader, pair
+from ..lineformat import LineError, LineReader, pair
 from .lots import AccountingMethod
 
 
@@ -33,7 +33,7 @@ def _in_every_year(month_day: tuple[int, int]) -> bool:
         return False
 
 
-_RANGES = {  # field -> (test of a value in range, message); see _check_range
+_RANGES = {  # field -> (test of a value in range, message); see check_range
     "tax_year_start": (_in_every_year, "tax_year_start {!r} is not a day found in every year"),
     "long_term_days": (lambda days: days >= 0, "long_term_days must be non-negative"),
     **dict.fromkeys(("standard_withholding", "elevated_withholding"),
@@ -42,9 +42,10 @@ _RANGES = {  # field -> (test of a value in range, message); see _check_range
 }
 
 
-def _check_range(name: str, value: object) -> None:
+def check_range(name: str, value: object) -> None:
     """Raise ValueError if a policy field's value is out of range; the policy
-    checks each field, parse_policy each value at its key's line."""
+    checks each field, parse_policy and the attribution scenario parser
+    each value at its key's line."""
     in_range, message = _RANGES.get(name, (None, ""))
     if in_range and not in_range(value):
         raise ValueError(message.format(value))
@@ -67,7 +68,7 @@ class JurisdictionPolicy:
 
     def __post_init__(self):
         for name in _RANGES:
-            _check_range(name, getattr(self, name))
+            check_range(name, getattr(self, name))
         if self.elevated_withholding < self.standard_withholding:
             raise ValueError("elevated withholding must be >= standard")
 
@@ -92,15 +93,22 @@ _CONVERTERS = {
 def parse_policy(text: str) -> JurisdictionPolicy:
     """Parse a `key = value` policy file mirroring the field names.
 
-    A bad line or a value out of range raises LineError at its line; the
-    policy checks the withholding rates against each other.
+    A bad line or a value out of range raises LineError at its line. The
+    policy checks the withholding rates against each other once all lines
+    are read; a failure is a LineError at the later of the two rate keys.
     """
     values: dict[str, object] = {}
+    rates_line = 0
     with LineReader(text) as lines:
         for fields in lines:
             key, value = (part.strip() for part in pair(" ".join(fields)))
             if key not in _CONVERTERS:
                 raise ValueError("unknown policy key %r" % key)
             values[key] = _CONVERTERS[key](value)
-            _check_range(key, values[key])
-    return JurisdictionPolicy(**values)
+            check_range(key, values[key])
+            if key.endswith("_withholding"):
+                rates_line = lines.line_no
+    try:
+        return JurisdictionPolicy(**values)
+    except ValueError as exc:  # only the rates' order is left to check
+        raise LineError(rates_line, str(exc)) from None

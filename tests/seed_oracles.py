@@ -10,10 +10,11 @@ their cost, every disposal subtracts its basis. It imports no engine
 internals, only the result and report types, `tax_year_of` and
 `withholding_amount`. Its one correction, `_seed_moves`, makes every
 method see the same acquisitions and disposals. `seed_format_rational` is
-the original scale-by-ten decimal renderer, and `seed_parse_event_file` /
-`seed_serialize_event` the original event-line parser and writer. All are
-deliberately simple and slow; `fisc` must produce exactly what they do,
-errors included.
+the original scale-by-ten decimal renderer, `seed_to_csv` the original
+ledger rendering, which judged every line only once the whole report was
+built, and `seed_parse_event_file` / `seed_serialize_event` the original
+event-line parser and writer. All are deliberately simple and slow; `fisc`
+must produce exactly what they do, errors included.
 """
 
 from __future__ import annotations
@@ -432,6 +433,21 @@ def seed_format_rational(value: Fraction | int) -> str:
     sign = "-" if frac < 0 else ""
     text = str(digits).rjust(places + 1, "0")
     return "%s%s.%s" % (sign, text[:-places], text[-places:])
+
+
+def seed_to_csv(report: engine.TaxReport) -> str:
+    """The original ledger rendering: once the report is built, the first
+    unprintable value raises EngineError naming its line's seq."""
+    rows = ["seq,date,kind,asset,qty,proceeds,basis,gain,term"]
+    for line in report.lines:
+        try:
+            values = [seed_format_rational(v) for v in (line.proceeds, line.basis, line.gain)]
+        except ValueError as exc:  # past CPython's int->str digit limit
+            raise engine.EngineError("seq %d: exact value too long to print: %s"
+                                     % (line.seq, exc)) from None
+        rows.append("%d,%s,%s,%s,%d,%s,%s,%s,%s" % (line.seq, line.date, line.kind, line.asset,
+                                                    line.qty, *values, line.term))
+    return "\n".join(rows) + "\n"
 
 
 def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]:

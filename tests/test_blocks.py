@@ -12,6 +12,7 @@ from fisc.blocks import (
     compact_from_target,
     compute_merkle_root,
     mine_nonce,
+    pow_hash_value,
     target_from_compact,
     verify_pow,
 )
@@ -77,6 +78,16 @@ class TestMerkle:
 class TestPow:
     def test_max_target_always_true(self):
         assert verify_pow(header(target=2**256 - 1))
+
+    def test_hash_between_nbits_and_in_memory_target_rejected(self):
+        # nBits keeps the top 16 bits of 2**256 - 1, so a hash in the top
+        # 2**-16 of the range passes the in-memory target but not the
+        # target the serialized header carries.
+        target = 2**256 - 1
+        decoded = target_from_compact(compact_from_target(target))
+        nonce = next(n for n in range(1 << 20)
+                     if decoded <= pow_hash_value(header(target, n)) < target)
+        assert not verify_pow(header(target, nonce))
 
     def test_zero_target_always_false(self):
         assert not verify_pow(header(target=0))

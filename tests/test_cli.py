@@ -163,6 +163,25 @@ class TestReport:
         assert "policy.cfg:1: " + message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text,line_no",
+        [
+            ("standard_withholding = 1/2\nelevated_withholding = 1/10\n", 2),
+            ("elevated_withholding = 1/10\n# rates\nstandard_withholding = 1/2\n", 3),
+            ("standard_withholding = 1/2\nlong_term_days = 30\n", 1),
+        ],
+        ids=["elevated-last", "standard-last", "standard-only"],
+    )
+    def test_withholding_order_exit_2_at_later_rate(self, tmp_path, capsys, text, line_no):
+        events = write(tmp_path, "events.fisc", EVENTS)
+        policy = write(tmp_path, "policy.cfg", text)
+        out = tmp_path / "out"
+        code = main(["report", str(events), "--config", str(policy), "--out", str(out)])
+        assert code == EXIT_PARSE
+        message = "policy.cfg:%d: elevated withholding must be >= standard" % line_no
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_policy_bad_line_exit_2_with_line(self, tmp_path, capsys):
         events = write(tmp_path, "events.fisc", EVENTS)
         policy = write(tmp_path, "policy.cfg", "# fiscal year\ntax_year_start = 4\n")
@@ -272,6 +291,26 @@ class TestSimulate:
         code = main(["simulate", "pool", str(scenario), "--out", str(tmp_path / "o")])
         assert code == EXIT_POLICY
 
+    # 4,296 nines in whole units are 4,304 digits in base units: past the
+    # int->str limit once the state or event file is rendered.
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            ("chain", "schedule initial=%s\nmine start=0 end=0\n" % ("9" * 4_296)),
+            ("pool", "pool reserve_x=%s reserve_y=100\n" % ("9" * 4_296)),
+            ("validators", "validator v1 stake=%s\n" % ("9" * 4_296)),
+        ],
+        ids=["chain", "pool", "validators"],
+    )
+    def test_unprintable_output_exit_3(self, tmp_path, capsys, kind, text):
+        scenario = write(tmp_path, "big.scn", text)
+        out = tmp_path / "o"
+        assert main(["simulate", kind, str(scenario), "--out", str(out)]) == EXIT_POLICY
+        err = capsys.readouterr().err
+        assert "big.scn:0: Exceeds the limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     # Each line is appended to a valid scenario of its kind. Every fault must
     # be caught at its line, before the replay and before any output exists.
     @pytest.mark.parametrize(
@@ -374,8 +413,6 @@ class TestAttrib:
             ("withholding standard=1/2 elevated=1/10", "elevated withholding must be >= standard"),
             ("dsc DE T1 h9", "TIN T1 already has a certificate"),
             ("jurisdiction AT", "jurisdiction AT already present"),
-            ("withholding standard=-1/10", "withholding rate -1/10 is outside [0, 1]"),
-            ("withholding elevated=5", "withholding rate 5 is outside [0, 1]"),
         ],
     )
     def test_scenario_violation_exit_3(self, tmp_path, capsys, line, message):
@@ -383,6 +420,21 @@ class TestAttrib:
         out = tmp_path / "o"
         assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("withholding standard=-1/10", "withholding rate -1/10 is outside [0, 1]"),
+            ("withholding elevated=5", "withholding rate 5 is outside [0, 1]"),
+        ],
+        ids=["standard", "elevated"],
+    )
+    def test_withholding_out_of_range_exit_2_with_line(self, tmp_path, capsys, line, message):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert "bad.scn:10: " + message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

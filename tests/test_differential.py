@@ -1,5 +1,5 @@
-"""The indexed lot store, the per-method books and integer format_rational
-against the seed versions.
+"""The indexed lot store, the per-method books, integer format_rational and
+the print check as lines are appended, against the seed versions.
 
 `seed_oracles` holds the original implementations. Both sides get the same
 random operation sequences and must agree exactly, errors included.
@@ -9,15 +9,15 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fisc.amounts import format_rational, parse_rational
+from fisc.amounts import DigitLimit, format_rational, parse_rational
 from fisc.tax import engine
 from fisc.tax.events import ChainEventRecord, EventKind
 from fisc.tax.lots import AccountingMethod, LotError, LotStore
 from fisc.tax.policy import JurisdictionPolicy
-from seed_oracles import SeedLotStore, seed_compute_report, seed_format_rational
+from seed_oracles import SeedLotStore, seed_compute_report, seed_format_rational, seed_to_csv
 
 DECIMALS = {"A": 0, "B": 2}
 ASSETS = sorted(DECIMALS)
@@ -84,15 +84,19 @@ KINDS = (EventKind.PURCHASE, EventKind.PURCHASE, EventKind.MINING_REWARD,
 START = int(datetime(2019, 1, 1, tzinfo=timezone.utc).timestamp())
 
 
+FMVS = st.fractions(1, 500, max_denominator=8)
+
+
 @st.composite
-def report_cases(draw):
+def report_cases(draw, prices=FMVS, faults=True):
     """A policy and a stream over both assets that the policy can replay.
 
     Disposal kinds may carry `meta.deduction` (with or without
     `meta.slashing`) and then dispose of nothing; LP events dispose and
     acquire only under `lp_events_are_disposals`. Every disposal names
-    open lots for SpecID, now and then one lot too few or an unknown lot.
-    Timestamps wander over three years and need not rise with seq.
+    open lots for SpecID, now and then (with `faults`) one lot too few or
+    an unknown lot. Timestamps wander over three years and need not rise
+    with seq. Prices are drawn from `prices`.
     """
     policy = JurisdictionPolicy(
         gift_taxable=draw(st.booleans()),
@@ -128,7 +132,7 @@ def report_cases(draw):
                 rest -= take
                 specid.append(lot[0])
             lots[asset] = [lot for lot in lots[asset] if lot[1]]
-            fault = draw(st.sampled_from((None,) * 6 + ("short", "unknown")))
+            fault = draw(st.sampled_from((None,) * 6 + ("short", "unknown"))) if faults else None
             if fault == "short" and len(specid) > 1:
                 specid.pop()
             elif fault == "unknown":
@@ -140,8 +144,7 @@ def report_cases(draw):
                 lots[asset].append([next_lot, qty])
                 next_lot += 1
         when = START + draw(st.integers(0, 3 * 365)) * 86_400
-        records.append(ChainEventRecord(seq, when, kind, asset, qty,
-                                        draw(st.fractions(1, 500, max_denominator=8)),
+        records.append(ChainEventRecord(seq, when, kind, asset, qty, draw(prices),
                                         specid_lot=specid, metadata=meta))
     return policy, records
 
@@ -172,6 +175,33 @@ def test_override_methods_match_seed_report(method, case):
     assert new == old
 
 
+def printed(call):
+    try:
+        return call()
+    except engine.EngineError as exc:
+        return str(exc)
+
+
+# Prices of 300 to 360 digits over as many: a gain over two of them has a
+# denominator of about 640 digits or more, so about half the cases below
+# stop at an unprintable ledger line and some more at a year total.
+HUGE = st.builds(Fraction, st.integers(10**300, 10**360), st.integers(10**300, 10**360))
+
+
+@pytest.mark.parametrize("method", list(AccountingMethod))
+@given(case=report_cases(prices=FMVS | HUGE, faults=False))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_unprintable_report_matches_seed_rendering(low_digit_limit, method, case):
+    """compute_report stops at the first line to_csv could not print; the
+    seed loop builds every line and its rendering fails at that line. With
+    no lot fault drawn, only printing can stop either side early."""
+    policy, records = case
+    new = printed(lambda: report_outputs(engine.compute_report(records, policy, method, DECIMALS)))
+    report = seed_compute_report(records, policy, method, DECIMALS)
+    assert new == printed(lambda: (seed_to_csv(report), report.to_totals_json()))
+
+
 @given(st.integers(-10**40, 10**40), st.integers(0, 60), st.integers(0, 60))
 @example(0, 0, 0)
 @example(0, 3, 2)
@@ -200,3 +230,32 @@ def test_format_rational_terminating_matches_seed(num, a, b):
 def test_format_rational_matches_seed(value):
     assert format_rational(value) == seed_format_rational(value)
     assert parse_rational(format_rational(value)) == value
+
+
+def printable(value: Fraction) -> bool:
+    try:
+        format_rational(value)
+    except ValueError:
+        return False
+    return True
+
+
+# A numerator of 0 to 700 digits over 2^a 5^b, times 3 in the a/b form:
+# every form on both sides of the 640-digit limit.
+DIGITS = st.integers(0, 700).flatmap(lambda k: st.integers(10**k // 10, 10**k))
+
+
+@given(DIGITS, st.booleans(), st.integers(0, 2_500), st.integers(0, 1_100), st.booleans())
+@example(10**640 - 1, True, 0, 0, False)  # 640 digits and a sign: prints
+@example(10**640, False, 0, 0, False)
+@example(2 * 10**639 - 1, False, 1, 0, False)  # 640 digits over 1 place: prints
+@example(2 * 10**639 + 1, False, 1, 0, False)
+@example(10**640 - 2, False, 0, 0, True)  # a/b with a 640-digit numerator: prints
+@example(10**640 + 1, False, 0, 0, True)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_digit_limit_decides_as_format_rational(low_digit_limit, num, negative, a, b, by_three):
+    value = Fraction(-num if negative else num, 2**a * 5**b * (3 if by_three else 1))
+    limit = DigitLimit()
+    assert limit.fits(value) == printable(value)
+    if value.numerator.bit_length() + 3 * value.denominator.bit_length() <= limit.room:
+        assert printable(value)

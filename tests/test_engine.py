@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisc.lineformat import LineError
+from fisc.tax import engine
 from fisc.tax.engine import (
+    EngineError,
     Fifo,
     PolicyViolation,
     SequenceError,
@@ -285,6 +287,34 @@ class TestReport:
         policy = JurisdictionPolicy(allowed_methods=frozenset({AccountingMethod.FIFO}))
         with pytest.raises(PolicyViolation):
             compute_report([], policy, AccountingMethod.HIFO)
+
+    # Under a 640-digit limit: seq 3's gain, 1/7^700 - 1/3^1000, has a
+    # 1,069-digit denominator; seq 4's income has 701 digits; seq 6 sells
+    # more than is held. Proceeds and basis of seq 3 print.
+    STREAM = [
+        ev(1, ts(2020), EventKind.PURCHASE, 1, Fraction(1, 3**1000), asset="X"),
+        ev(2, ts(2020), EventKind.MINING_REWARD, 1, 5, asset="X"),
+        ev(3, ts(2020), EventKind.SALE, 1, Fraction(1, 7**700), asset="X"),
+        ev(4, ts(2020), EventKind.MINING_REWARD, 10**700, 1, asset="X"),
+        ev(5, ts(2020), EventKind.PURCHASE, 1, 1, asset="X"),
+        ev(6, ts(2020), EventKind.SALE, 10**800, 1, asset="X"),
+    ]
+
+    @pytest.mark.parametrize("skip,seq,ingested", [(None, 3, 3), (3, 4, 3)])
+    def test_stops_at_first_unprintable_line(self, low_digit_limit, monkeypatch, skip, seq,
+                                             ingested):
+        calls = []
+
+        def counted(record, policy, book):
+            calls.append(record.seq)
+            return ingest_event(record, policy, book)
+
+        monkeypatch.setattr(engine, "ingest_event", counted)
+        records = [record for record in self.STREAM if record.seq != skip]
+        with pytest.raises(EngineError, match=r"^seq %d: exact value too long to print: "
+                                              r"Exceeds the limit \(640 digits\)" % seq):
+            compute_report(records, DEFAULT, AccountingMethod.FIFO, {"X": 0})
+        assert len(calls) == ingested
 
     @pytest.mark.parametrize("method", list(AccountingMethod))
     def test_every_method_completes(self, method):

@@ -11,7 +11,8 @@ after exit 0.
 Bounds: numbers lie in [-2,000, 2,000], so heights and `mine` ranges stay
 within 2,000 blocks. `decimals` lie in [-2, 18] or [253, 258], or are 4,400:
 both sides of each end of the accepted range [0, 255], and a value whose
-outputs would pass the int->str digit limit if it were accepted.
+outputs would pass the int->str digit limit if it were accepted. Two
+pinned examples pass that limit with an accepted 4,296-digit amount.
 """
 
 import tempfile
@@ -218,6 +219,7 @@ def check_cli(text: str, command: list[str], trailing: list[str] = ()) -> None:
 
 @given(POOL)
 @example("pool reserve_x=1 reserve_y=1 decimals=4400")
+@example("pool reserve_x=%s reserve_y=100" % ("9" * 4_296))
 @FUZZ
 def test_pool_scenarios(text):
     check_cli(text, ["simulate", "pool"])
@@ -225,6 +227,7 @@ def test_pool_scenarios(text):
 
 @given(CHAIN)
 @example("schedule decimals=4400\nmine start=0 end=0")
+@example("schedule initial=%s\nmine start=0 end=0" % ("9" * 4_296))
 @FUZZ
 def test_chain_scenarios(text):
     check_cli(text, ["simulate", "chain"])
