@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from ..addresses import Scheme as AddrScheme, address_from_pubkey
 from ..amounts import format_rational, parse_rational
 from ..lineformat import LineError, LineReader, pairs
 from ..signatures import DEFAULT_SCHEME
-from ..tax.policy import JurisdictionPolicy, check_range
+from ..tax.policy import JurisdictionPolicy, check_range, policy_at
 from .protocol import AttributionError, build_ownership_proof
 from .sim import AttributionNetwork, LinkConfig
 from .travelrule import PartyIdentity
@@ -26,13 +27,14 @@ class AttributionScenario:
     registrations: list[tuple[str, str, str, bool]] = field(default_factory=list)
     identities: dict[str, PartyIdentity] = field(default_factory=dict)
     transfers: list[tuple[str, str, int, int]] = field(default_factory=list)
-    standard_withholding: Fraction = Fraction(1, 10)
-    elevated_withholding: Fraction = Fraction(3, 10)
+    policy: JurisdictionPolicy = field(default_factory=JurisdictionPolicy)
 
 
 def parse_attribution_scenario(text: str) -> AttributionScenario:
     scenario = AttributionScenario()
     links: list[tuple[int, str, str]] = []  # (line, asker, responder) of link rows
+    rates: dict[str, Fraction] = {}
+    rates_line = 0
     with LineReader(text) as lines:
         for fields in lines:
             tag, args = fields[0], fields[1:]
@@ -82,12 +84,12 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 scenario.transfers.append((args[0], args[1], amount, deadline))
             elif tag == "withholding":
                 kv = pairs(args)
-                if "standard" in kv:
-                    scenario.standard_withholding = parse_rational(kv["standard"])
-                    check_range("standard_withholding", scenario.standard_withholding)
-                if "elevated" in kv:
-                    scenario.elevated_withholding = parse_rational(kv["elevated"])
-                    check_range("elevated_withholding", scenario.elevated_withholding)
+                for level in ("standard", "elevated"):
+                    if level in kv:
+                        name = level + "_withholding"
+                        rates[name] = parse_rational(kv[level])
+                        check_range(name, rates[name])
+                rates_line = lines.line_no
             else:
                 raise ValueError("unknown directive %r" % tag)
     if not scenario.jurisdictions:
@@ -96,6 +98,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
         for code in codes:
             if code not in scenario.jurisdictions:
                 raise LineError(line_no, "jurisdiction %r is not declared" % code)
+    scenario.policy = policy_at(rates_line, **rates)
     return scenario
 
 
@@ -106,12 +109,19 @@ class ScenarioRun:
     rejections: list[str]
 
 
+def drop_threshold(probability: Fraction) -> float:
+    """The float t for which random() < t decides exactly as random() <
+    probability: random() returns multiples of 2**-53, so t is the least
+    such multiple at or above the probability, which a float holds exactly."""
+    return math.ceil(probability * 2**53) / 2**53
+
+
 def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
     """Execute a scenario deterministically and render its outputs."""
     network = AttributionNetwork(seed=scenario.seed)
     network.links = LinkConfig(
         latency={(a, b): t for a, b, t in scenario.latencies},
-        drop={(a, b): float(p) for a, b, p in scenario.drops},
+        drop={(a, b): drop_threshold(p) for a, b, p in scenario.drops},
     )
     for code in scenario.jurisdictions:
         network.add_authority(code)
@@ -148,10 +158,6 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
         if address:
             identities[address] = replace(identity, account=address)
 
-    policy = JurisdictionPolicy(
-        standard_withholding=scenario.standard_withholding,
-        elevated_withholding=scenario.elevated_withholding,
-    )
     ledger_lines = ["index origin beneficiary attribution withheld"]
     for index, (origin_label, beneficiary_ref, amount, deadline) in enumerate(scenario.transfers):
         origin = wallets[origin_label]
@@ -164,7 +170,7 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
             _, pub = scheme.keypair(b"wallet|" + beneficiary_ref.encode())
             beneficiary = address_from_pubkey(pub, AddrScheme.BASE58CHECK_P2PKH).text
         withheld, event, _ = network.originate_transfer(
-            origin, beneficiary, amount, policy,
+            origin, beneficiary, amount, scenario.policy,
             deadline_ticks=deadline, seq=index + 1, identities=identities,
         )
         ledger_lines.append(

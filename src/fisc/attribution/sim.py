@@ -1,13 +1,13 @@
-"""Deterministic discrete-event simulation of the attribution protocol.
+"""Deterministic simulation of the attribution protocol.
 
-A single logical timeline: messages are delivered in (tick, seq) order
-from one queue; identical scenarios and seeds replay the exact trace.
+A single logical timeline: every delivery tick of a query is known when it
+is broadcast, so each query walks one list sorted by (tick, code);
+identical scenarios and seeds replay the exact trace.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,9 +32,6 @@ class TraceEntry(NamedTuple):
     kind: str
     digest: str
 
-    def render(self) -> str:
-        return "%d %s %s %s" % (self.tick, self.actor, self.kind, self.digest)
-
 
 def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
@@ -46,12 +43,6 @@ class LinkConfig:
     drop: dict[tuple[str, str], float] = field(default_factory=dict)
     default_latency: int = 1
     default_drop: float = 0.0
-
-    def latency_of(self, src: str, dst: str) -> int:
-        return self.latency.get((src, dst), self.default_latency)
-
-    def drop_of(self, src: str, dst: str) -> float:
-        return self.drop.get((src, dst), self.default_drop)
 
 
 class AttributionNetwork:
@@ -66,17 +57,17 @@ class AttributionNetwork:
         self.eoi = eoi if eoi is not None else EoiMatrix()
         self.links = links if links is not None else LinkConfig()
         self.authorities: dict[str, TaxAuthority] = {}
+        self._codes: list[str] = []  # sorted(authorities), kept by add_authority
         self.trace: list[TraceEntry] = []
         self.now = 0
         self._rng = random.Random(seed)
-        self._seq = 0
-        self._queue: list[tuple[int, int, str, str, str]] = []  # (at, seq, actor, kind, payload)
 
     def add_authority(self, code: str) -> TaxAuthority:
         if code in self.authorities:
             raise ValueError("jurisdiction %s already present" % code)
         authority = TaxAuthority(code, eoi=self.eoi)
         self.authorities[code] = authority
+        self._codes = sorted(self.authorities)
         return authority
 
     def _emit(self, tick: int, actor: str, kind: str, digest: str) -> None:
@@ -91,13 +82,9 @@ class AttributionNetwork:
             raise
         self._emit(self.now, code, "registered", _digest(proof.address.text))
 
-    def _post(self, deliver_at: int, actor: str, kind: str, payload: str) -> None:
-        heapq.heappush(self._queue, (deliver_at, self._seq, actor, kind, payload))
-        self._seq += 1
-
     def find_home(self, address_text: str) -> str | None:
         """Jurisdiction whose registry holds the address (globally unique)."""
-        for code in sorted(self.authorities):
+        for code in self._codes:
             if address_text in self.authorities[code].registry:
                 return code
         return None
@@ -108,46 +95,49 @@ class AttributionNetwork:
         self, origin_code: str, beneficiary_address: str, deadline_ticks: int
     ) -> QueryOutcome:
         """Broadcast a signed query; first affirmative before the deadline
-        wins (ties resolved to the lowest jurisdiction code)."""
+        wins (ties resolved to the lowest jurisdiction code).
+
+        Each authority the query reaches gets it at start + latency, in code
+        order on equal ticks; an affirmation counts if it reaches the origin
+        by the deadline. Deliveries after the deadline never happen.
+        """
         if origin_code not in self.authorities:
             raise AttributionError("origin jurisdiction %s not in simulation" % origin_code)
         start = self.now
         deadline = start + deadline_ticks
-        query_payload = "query|%s|%s" % (origin_code, beneficiary_address)
-        query_digest = _digest(query_payload)
-        self._emit(start, origin_code, "query_broadcast", query_digest)
-        for code in sorted(self.authorities):
+        query_digest = _digest("query|%s|%s" % (origin_code, beneficiary_address))
+        emit, draw = self.trace.append, self._rng.random
+        links = self.links
+        latency, default_latency = links.latency, links.default_latency
+        drop, default_drop = links.drop, links.default_drop
+        emit(TraceEntry(start, origin_code, "query_broadcast", query_digest))
+        deliveries: list[tuple[int, str]] = []
+        for code in self._codes:
             if code == origin_code:
                 continue
-            if self._rng.random() < self.links.drop_of(origin_code, code):
-                self._emit(start, origin_code, "query_dropped_to_" + code, query_digest)
-                continue
-            self._post(start + self.links.latency_of(origin_code, code), code, "query", query_payload)
+            if draw() < drop.get((origin_code, code), default_drop):
+                emit(TraceEntry(start, origin_code, "query_dropped_to_" + code, query_digest))
+            else:
+                at = start + latency.get((origin_code, code), default_latency)
+                deliveries.append((at, code))
+        deliveries.sort()  # by tick, then code: the order the broadcast sent them in
 
+        authorities, permits = self.authorities, self.eoi.permits
         responses: list[tuple[int, str]] = []
-        while self._queue and self._queue[0][0] <= deadline:
-            at, _, actor, kind, payload = heapq.heappop(self._queue)
-            self.now = max(self.now, at)
-            if kind == "query":
-                responder = self.authorities[actor]
-                if responder.knows_address(beneficiary_address) and self.eoi.permits(
-                    origin_code, actor
-                ):
-                    reply = "affirm|%s|%s" % (actor, beneficiary_address)
-                    reply_digest = _digest(reply)
-                    self._emit(at, actor, "affirm", reply_digest)
-                    if self._rng.random() < self.links.drop_of(actor, origin_code):
-                        self._emit(at, actor, "affirm_dropped", reply_digest)
-                        continue
-                    self._post(at + self.links.latency_of(actor, origin_code), origin_code,
-                               "response", reply)
-                else:
-                    self._emit(at, actor, "no_response", query_digest)
-            elif kind == "response":
-                code = payload.split("|")[1]
-                responses.append((at, code))
-        # Drop anything past the deadline without acting on it.
-        self._queue.clear()
+        for at, code in deliveries:
+            if at > deadline:
+                break
+            if authorities[code].knows_address(beneficiary_address) and permits(origin_code, code):
+                reply_digest = _digest("affirm|%s|%s" % (code, beneficiary_address))
+                emit(TraceEntry(at, code, "affirm", reply_digest))
+                if draw() < drop.get((code, origin_code), default_drop):
+                    emit(TraceEntry(at, code, "affirm_dropped", reply_digest))
+                    continue
+                arrival = at + latency.get((code, origin_code), default_latency)
+                if arrival <= deadline:
+                    responses.append((arrival, code))
+            else:
+                emit(TraceEntry(at, code, "no_response", query_digest))
         self.now = deadline
         if not responses:
             self._emit(deadline, origin_code, "unaffirmed", query_digest)
@@ -210,4 +200,4 @@ class AttributionNetwork:
         return withheld, event, travel
 
     def render_trace(self) -> str:
-        return "\n".join(entry.render() for entry in self.trace) + "\n"
+        return "\n".join(["%d %s %s %s" % entry for entry in self.trace]) + "\n"

@@ -45,10 +45,16 @@ def _write_manifest(out_dir: Path, command: str, inputs: list[Path], seed: int |
     )
 
 
-def _bad_input(path: Path, exc: LineError | OSError) -> int:
+# What reading and parsing an input file may raise: an unreadable file, bytes
+# that are not UTF-8, or a bad line.
+_INPUT_ERRORS = (LineError, OSError, UnicodeDecodeError)
+
+
+def _bad_input(path: Path, exc: Exception) -> int:
     """Print why an input file was refused; line 0 is a whole-file violation."""
-    if isinstance(exc, OSError):
-        print(str(exc), file=sys.stderr)
+    if not isinstance(exc, LineError):
+        print(str(exc) if isinstance(exc, OSError) else "%s: %s" % (path, exc),
+              file=sys.stderr)
         return EXIT_PARSE
     print("%s:%d: %s" % (path, exc.line_no, exc), file=sys.stderr)
     return EXIT_POLICY if exc.line_no == 0 else EXIT_PARSE
@@ -61,7 +67,7 @@ def cmd_report(args) -> int:
     policy_path = Path(config) if config else None
     try:
         decimals, records = parse_event_file(events_path.read_text())
-    except (LineError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         return _bad_input(events_path, exc)
     try:
         policy = parse_policy(policy_path.read_text() if policy_path else "")
@@ -104,7 +110,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     try:
         events_text, state_text = _SIM_RUNNERS[args.kind](scenario_path.read_text())
-    except (LineError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         return _bad_input(scenario_path, exc)
     out_dir.mkdir(parents=True, exist_ok=True)
     events_path = out_dir / "events.fisc"
@@ -126,7 +132,7 @@ def cmd_attrib(args) -> int:
     out_dir = Path(args.out)
     try:
         scenario = parse_attribution_scenario(scenario_path.read_text())
-    except (LineError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         return _bad_input(scenario_path, exc)
     if args.seed is not None:
         scenario.seed = args.seed

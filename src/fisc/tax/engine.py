@@ -259,8 +259,9 @@ class AvgTotal(AvgMoving):
     The constructor fixes each (tax year, asset) average: the cost carried
     in plus the cost added during the year, over the quantity carried in
     plus the quantity added. The carry-out is priced at that average, so
-    the years chain exactly. Timestamps need not rise with seq, so an asset
-    may only be disposed of in a year and carry a negative quantity out.
+    the years chain exactly. Timestamps need not rise with seq, so a year
+    may dispose of more than it carries in and acquires; that has no
+    average to price it and raises EngineError.
     """
 
     def __init__(self, records, policy, decimals):
@@ -279,10 +280,13 @@ class AvgTotal(AvgMoving):
                 flow[2] += record.quantity
         carry: dict[str, tuple[int, Fraction]] = {}  # asset -> (qty, cost)
         for year in sorted(flows):
-            for asset in flows[year].keys() | carry.keys():
+            for asset in sorted(flows[year].keys() | carry.keys()):  # one error on every run
                 added, added_cost, taken = flows[year].get(asset, (0, _ZERO, 0))
                 qty, cost = carry.get(asset, (0, _ZERO))
                 qty, cost, scale = qty + added, cost + added_cost, self.scale(asset)
+                if taken > qty:
+                    raise EngineError("tax year %d disposes of %d %s but carries in and "
+                                      "acquires only %d" % (year, taken, asset, qty))
                 avg = self.averages[year, asset] = cost / Fraction(qty, scale) if qty else _ZERO
                 carry[asset] = (qty - taken, Fraction(qty - taken, scale) * avg)
 

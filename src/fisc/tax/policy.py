@@ -108,7 +108,14 @@ def parse_policy(text: str) -> JurisdictionPolicy:
             check_range(key, values[key])
             if key.endswith("_withholding"):
                 rates_line = lines.line_no
+    return policy_at(rates_line, **values)
+
+
+def policy_at(rates_line: int, **values) -> JurisdictionPolicy:
+    """The policy of `values`, each already range-checked at its own line;
+    the withholding rates' order, the one check left, fails as a LineError
+    at `rates_line`, the line of the later rate."""
     try:
         return JurisdictionPolicy(**values)
-    except ValueError as exc:  # only the rates' order is left to check
+    except ValueError as exc:
         raise LineError(rates_line, str(exc)) from None

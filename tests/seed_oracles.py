@@ -8,20 +8,29 @@ routing (`ingest_event` with a method and an override, the AVG_TOTAL
 pre-pass) and the PVCT cost pool kept as a running sum: acquisitions add
 their cost, every disposal subtracts its basis. It imports no engine
 internals, only the result and report types, `tax_year_of` and
-`withholding_amount`. Its one correction, `_seed_moves`, makes every
-method see the same acquisitions and disposals. `seed_format_rational` is
-the original scale-by-ten decimal renderer, `seed_to_csv` the original
-ledger rendering, which judged every line only once the whole report was
-built, and `seed_parse_event_file` / `seed_serialize_event` the original
-event-line parser and writer. All are deliberately simple and slow; `fisc`
-must produce exactly what they do, errors included.
+`withholding_amount`. It has two corrections: `_seed_moves` makes every
+method see the same acquisitions and disposals, and the AVG_TOTAL
+pre-pass refuses a year that disposes of more than it carries in and
+acquires, where the original carried a negative quantity on.
+`seed_format_rational` is the original scale-by-ten decimal renderer,
+`seed_to_csv` the original ledger rendering, which judged every line only
+once the whole report was built, and `seed_parse_event_file` /
+`seed_serialize_event` the original event-line parser and writer.
+`SeedAttributionNetwork` answers each attribution query from the original
+heap event queue, deliveries and responses pushed with a sequence number
+and popped in (tick, seq) order. All are deliberately simple and slow;
+`fisc` must produce exactly what they do, errors included.
 """
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 from fractions import Fraction
 
 from fisc.amounts import parse_rational
+from fisc.attribution.protocol import AttributionError
+from fisc.attribution.sim import AttributionNetwork, LinkConfig, QueryOutcome
 from fisc.lineformat import LineError as EventParseError
 from fisc.tax import engine
 from fisc.tax.events import (
@@ -297,13 +306,17 @@ def _seed_avg_total_averages(
                                           + Fraction(record.quantity, scale) * basis_unit)
             elif moves == "disposes":
                 disp_qty[record.asset] = disp_qty.get(record.asset, 0) + record.quantity
-        for asset in set(acq_qty) | set(disp_qty) | set(carry_qty):
+        for asset in sorted(set(acq_qty) | set(disp_qty) | set(carry_qty)):
             scale = 10 ** store.decimals(asset)
             total_q = carry_qty.get(asset, 0) + acq_qty.get(asset, 0)
             total_c = carry_cost.get(asset, Fraction(0)) + acq_cost.get(asset, Fraction(0))
             avg = total_c / Fraction(total_q, scale) if total_q else Fraction(0)
             averages[(year, asset)] = avg
             remaining = total_q - disp_qty.get(asset, 0)
+            if remaining < 0:
+                raise engine.EngineError("tax year %d disposes of %d %s but carries in and "
+                                         "acquires only %d"
+                                         % (year, disp_qty[asset], asset, total_q))
             carry_qty[asset] = remaining
             carry_cost[asset] = Fraction(remaining, scale) * avg
     return averages
@@ -524,3 +537,81 @@ def seed_serialize_event(record: ChainEventRecord) -> str:
     for key in sorted(record.metadata):
         parts.append("meta.%s=%s" % (key, record.metadata[key]))
     return " ".join(parts)
+
+
+def _seed_digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def _seed_latency_of(links: LinkConfig, src: str, dst: str) -> int:
+    return links.latency.get((src, dst), links.default_latency)
+
+
+def _seed_drop_of(links: LinkConfig, src: str, dst: str) -> float:
+    return links.drop.get((src, dst), links.default_drop)
+
+
+class SeedAttributionNetwork(AttributionNetwork):
+    """The original query protocol: one heap of (tick, seq) deliveries."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._seq = 0
+        self._queue: list[tuple[int, int, str, str, str]] = []  # (at, seq, actor, kind, payload)
+
+    def _post(self, deliver_at: int, actor: str, kind: str, payload: str) -> None:
+        heapq.heappush(self._queue, (deliver_at, self._seq, actor, kind, payload))
+        self._seq += 1
+
+    def query_beneficiary_jurisdiction(
+        self, origin_code: str, beneficiary_address: str, deadline_ticks: int
+    ) -> QueryOutcome:
+        if origin_code not in self.authorities:
+            raise AttributionError("origin jurisdiction %s not in simulation" % origin_code)
+        start = self.now
+        deadline = start + deadline_ticks
+        query_payload = "query|%s|%s" % (origin_code, beneficiary_address)
+        query_digest = _seed_digest(query_payload)
+        self._emit(start, origin_code, "query_broadcast", query_digest)
+        for code in sorted(self.authorities):
+            if code == origin_code:
+                continue
+            if self._rng.random() < _seed_drop_of(self.links, origin_code, code):
+                self._emit(start, origin_code, "query_dropped_to_" + code, query_digest)
+                continue
+            self._post(start + _seed_latency_of(self.links, origin_code, code), code, "query",
+                       query_payload)
+
+        responses: list[tuple[int, str]] = []
+        while self._queue and self._queue[0][0] <= deadline:
+            at, _, actor, kind, payload = heapq.heappop(self._queue)
+            self.now = max(self.now, at)
+            if kind == "query":
+                responder = self.authorities[actor]
+                if responder.knows_address(beneficiary_address) and self.eoi.permits(
+                    origin_code, actor
+                ):
+                    reply = "affirm|%s|%s" % (actor, beneficiary_address)
+                    reply_digest = _seed_digest(reply)
+                    self._emit(at, actor, "affirm", reply_digest)
+                    if self._rng.random() < _seed_drop_of(self.links, actor, origin_code):
+                        self._emit(at, actor, "affirm_dropped", reply_digest)
+                        continue
+                    self._post(at + _seed_latency_of(self.links, actor, origin_code),
+                               origin_code, "response", reply)
+                else:
+                    self._emit(at, actor, "no_response", query_digest)
+            elif kind == "response":
+                code = payload.split("|")[1]
+                responses.append((at, code))
+        # Drop anything past the deadline without acting on it.
+        self._queue.clear()
+        self.now = deadline
+        if not responses:
+            self._emit(deadline, origin_code, "unaffirmed", query_digest)
+            return QueryOutcome(False)
+        arrival, winner = min(responses)
+        if len({code for at, code in responses if at == arrival}) > 1:
+            self._emit(arrival, origin_code, "anomaly_multiple_affirmations", query_digest)
+        self._emit(arrival, origin_code, "affirmed_" + winner, query_digest)
+        return QueryOutcome(True, winner)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
@@ -16,6 +17,7 @@ from fisc.attribution.protocol import (
     build_ownership_proof,
 )
 from fisc.attribution.scenario import (
+    drop_threshold,
     parse_attribution_scenario,
     run_attribution_scenario,
 )
@@ -365,3 +367,14 @@ class TestScenario:
         with pytest.raises(LineError) as err:
             parse_attribution_scenario("jurisdiction AT\nbogus x\n")
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("offset,dropped", [(-1, True), (0, False)], ids=["below", "at"])
+    def test_drop_threshold_decides_as_the_exact_probability(self, offset, dropped):
+        # random() returns k / 2**53. float(2/3) rounds down past the
+        # multiple just below 2/3, so it would deliver the one draw there
+        # that the exact probability drops.
+        probability = Fraction(2, 3)
+        k = math.ceil(probability * 2**53) + offset
+        assert (Fraction(k, 2**53) < probability) is dropped
+        assert (k / 2**53 < drop_threshold(probability)) is dropped
+        assert (k / 2**53 < float(probability)) is False

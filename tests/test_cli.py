@@ -410,7 +410,6 @@ class TestAttrib:
     @pytest.mark.parametrize(
         "line,message",
         [
-            ("withholding standard=1/2 elevated=1/10", "elevated withholding must be >= standard"),
             ("dsc DE T1 h9", "TIN T1 already has a certificate"),
             ("jurisdiction AT", "jurisdiction AT already present"),
         ],
@@ -438,6 +437,31 @@ class TestAttrib:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "lines,line_no",
+        [
+            ("withholding standard=1/2 elevated=1/10", 10),
+            ("withholding standard=1/2\n# rates\nwithholding elevated=1/10", 12),
+            ("withholding elevated=1/10\nwithholding standard=1/2\ntransfer wallet_ann x 1 8", 11),
+        ],
+        ids=["one-line", "elevated-last", "standard-last"],
+    )
+    def test_withholding_order_exit_2_at_last_rate_line(self, tmp_path, capsys, lines, line_no):
+        # As in a policy file, the rates are compared once the file is read.
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + lines + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert ("bad.scn:%d: elevated withholding must be >= standard" % line_no
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_withholding_rates_may_be_set_on_separate_lines(self, tmp_path):
+        scenario = write(tmp_path, "rates.scn",
+                         ATTRIB_SCENARIO + "withholding standard=1/2\nwithholding elevated=3/5\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert "affirmed 0.5" in (out / "withholding.txt").read_text()
+
+    @pytest.mark.parametrize(
         "line,code",
         [("eoi XX YY allow", "XX"), ("latency QQ DE 5", "QQ"), ("drop AT ZZ 1/2", "ZZ")],
     )
@@ -462,6 +486,17 @@ class TestAttrib:
         assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
         assert "originator needs a physical address" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["report"], ["simulate", "pool"], ["attrib"]],
+                         ids=["report", "simulate", "attrib"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "bin.in"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    out = tmp_path / "o"
+    assert main(command + [str(path), "--out", str(out)]) == EXIT_PARSE
+    assert "bin.in: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_attribution_unloaded():

@@ -413,6 +413,19 @@ class TestAverageTotal:
         assert [(l.seq, l.basis, l.term) for l in report.lines] == [
             (2, Fraction("718.75"), "long"), (5, Fraction("1581.25"), "long")]
 
+    def test_year_disposing_of_more_than_it_holds_is_refused(self):
+        # The sale is dated in 2020, a year before the purchase it follows:
+        # 2020 holds nothing, so it has no average to price the sale at.
+        records = [
+            ev(1, ts(2021), EventKind.PURCHASE, 10, 5, asset="X"),
+            ev(2, ts(2020), EventKind.SALE, 10, 12, asset="X"),
+        ]
+        fifo = compute_report(records, DEFAULT, AccountingMethod.FIFO, {"X": 0})
+        assert fifo.lines[0].basis == 50
+        with pytest.raises(EngineError, match="tax year 2020 disposes of 10 X but carries in "
+                                              "and acquires only 0"):
+            compute_report(records, DEFAULT, AccountingMethod.AVG_TOTAL, {"X": 0})
+
 
 class TestPeriodic:
     def test_rebase_at_year_boundary(self):
@@ -509,39 +522,53 @@ DISPOSING = {EventKind.SALE, EventKind.SWAP, EventKind.SPEND, EventKind.GIFT,
 
 @st.composite
 def liquidated_streams(draw):
-    """(policy, records, acquisition cost): a stream with LP events under
-    both policy values, deduction spends and gifts, prices of at least 1/8
-    and rising timestamps, that ends by selling every holding."""
+    """(policy, records, acquisition cost, overdrawn): a stream with LP
+    events under both policy values, deduction spends and gifts, prices of
+    at least 1/8 and timestamps that step back as well as forward, that
+    ends by selling every holding. `overdrawn` tells whether some calendar
+    year disposes of more of an asset than it carries in and acquires."""
     policy = JurisdictionPolicy(lp_events_are_disposals=draw(st.booleans()),
                                 gift_taxable=draw(st.booleans()))
     held = dict.fromkeys(DECIMALS, 0)
     records, cost, when = [], Fraction(0), ts(2019)
+    moved: dict[tuple[int, str], int] = {}  # (year, asset) -> net quantity moved in
     prices = st.fractions(Fraction(1, 8), 100, max_denominator=8)
+
+    def add(kind, qty, price, asset, meta, move):
+        records.append(ev(len(records) + 1, when, kind, qty, price, asset=asset, metadata=meta))
+        key = (datetime.fromtimestamp(when, tz=timezone.utc).year, asset)
+        moved[key] = moved.get(key, 0) + move
+
     for _ in range(draw(st.integers(1, 25))):
         kind = draw(st.sampled_from(STREAM_KINDS))
         asset, price = draw(st.sampled_from(sorted(DECIMALS))), draw(prices)
         moves = policy.lp_events_are_disposals or kind not in LP_KINDS
-        meta = {}
+        meta, move = {}, 0
         if kind is EventKind.SPEND and draw(st.booleans()):
             meta, qty = {"deduction": "1"}, draw(st.integers(1, 300))
         elif kind in DISPOSING:
             if not held[asset]:
                 continue
             qty = draw(st.integers(1, held[asset]))
-            held[asset] -= qty if moves else 0
+            move = -qty if moves else 0
         else:
             qty = draw(st.integers(1, 300))
             if moves:
-                held[asset] += qty
+                move = qty
                 cost += Fraction(qty, 10 ** DECIMALS[asset]) * price
-        when += draw(st.integers(0, 200)) * 86_400
-        records.append(ev(len(records) + 1, when, kind, qty, price, asset=asset, metadata=meta))
+        held[asset] += move
+        when += draw(st.integers(-200, 200)) * 86_400
+        add(kind, qty, price, asset, meta, move)
     for asset, qty in held.items():
         if qty:
             when += 86_400
-            records.append(ev(len(records) + 1, when, EventKind.SALE, qty, draw(prices),
-                              asset=asset))
-    return policy, records, cost
+            add(EventKind.SALE, qty, draw(prices), asset, {}, -qty)
+    carried = dict.fromkeys(DECIMALS, 0)
+    overdrawn = False
+    for (year, asset), move in sorted(moved.items()):
+        carried[asset] += move
+        overdrawn |= carried[asset] < 0
+    return policy, records, cost, overdrawn
 
 
 @pytest.mark.parametrize("method", [
@@ -551,6 +578,12 @@ def liquidated_streams(draw):
 @given(case=liquidated_streams())
 @settings(max_examples=60, deadline=None)
 def test_liquidation_disposes_of_exactly_the_cost_acquired(method, case):
-    policy, records, cost = case
+    """Every method conserves cost, even when timestamps run backwards;
+    avg_total instead refuses a stream with an overdrawn year."""
+    policy, records, cost, overdrawn = case
+    if method is AccountingMethod.AVG_TOTAL and overdrawn:
+        with pytest.raises(EngineError, match="disposes of"):
+            compute_report(records, policy, method, DECIMALS)
+        return
     report = compute_report(records, policy, method, DECIMALS)
     assert sum(l.basis for l in report.lines if l.term != "-") == cost
