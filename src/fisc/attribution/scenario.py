@@ -30,6 +30,23 @@ class AttributionScenario:
     policy: JurisdictionPolicy = field(default_factory=JurisdictionPolicy)
 
 
+# Each directive's token count after its name, and its form. A form that
+# ends in `key=value...` takes any number of fields after those tokens.
+_DIRECTIVES = {
+    "seed": (1, "seed <n>"),
+    "jurisdiction": (1, "jurisdiction <code>"),
+    "eoi": (3, "eoi <asker> <responder> allow|deny"),
+    "latency": (3, "latency <asker> <responder> <ticks>"),
+    "drop": (3, "drop <asker> <responder> <probability>"),
+    "dsc": (3, "dsc <jurisdiction> <tin> <holder-label>"),
+    "register": (3, "register <jurisdiction> <tin> <wallet-label>"),
+    "register_tampered": (3, "register_tampered <jurisdiction> <tin> <wallet-label>"),
+    "identity": (1, "identity <wallet-label> key=value..."),
+    "transfer": (4, "transfer <origin-label> <beneficiary> <base-units> <deadline>"),
+    "withholding": (0, "withholding key=value..."),
+}
+
+
 def parse_attribution_scenario(text: str) -> AttributionScenario:
     scenario = AttributionScenario()
     links: list[tuple[int, str, str]] = []  # (line, asker, responder) of link rows
@@ -38,6 +55,11 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
     with LineReader(text) as lines:
         for fields in lines:
             tag, args = fields[0], fields[1:]
+            if tag not in _DIRECTIVES:
+                raise ValueError("unknown directive %r" % tag)
+            count, form = _DIRECTIVES[tag]
+            if len(args) != count and not (len(args) > count and form.endswith("...")):
+                raise ValueError("usage: " + form)
             if tag in ("eoi", "latency", "drop"):
                 links.append((lines.line_no, *args[:2]))
             if tag == "seed":
@@ -61,12 +83,10 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
             elif tag == "dsc":
                 scenario.dscs.append((args[0], args[1], args[2]))
             elif tag in ("register", "register_tampered"):
-                # register <jurisdiction> <tin> <wallet-label>
                 scenario.registrations.append(
                     (args[0], args[1], args[2], tag == "register_tampered")
                 )
             elif tag == "identity":
-                # identity <wallet-label> name=<n> physical=<p>
                 kv = pairs(args[1:])
                 scenario.identities[args[0]] = PartyIdentity(
                     name=kv.get("name", ""),
@@ -77,21 +97,19 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                     birth_date_place=kv.get("birth"),
                 )
             elif tag == "transfer":
-                # transfer <origin-label> <beneficiary-label-or-addr:..> <base-units> <deadline>
+                # The beneficiary is a wallet label or addr:<address>.
                 amount, deadline = int(args[2]), int(args[3])
                 if amount < 0 or deadline < 0:
                     raise ValueError("transfer amount and deadline must be non-negative")
                 scenario.transfers.append((args[0], args[1], amount, deadline))
             elif tag == "withholding":
-                kv = pairs(args)
-                for level in ("standard", "elevated"):
-                    if level in kv:
-                        name = level + "_withholding"
-                        rates[name] = parse_rational(kv[level])
-                        check_range(name, rates[name])
+                for level, value in pairs(args).items():
+                    if level not in ("standard", "elevated"):
+                        raise ValueError("unknown withholding key %r" % level)
+                    name = level + "_withholding"
+                    rates[name] = parse_rational(value)
+                    check_range(name, rates[name])
                 rates_line = lines.line_no
-            else:
-                raise ValueError("unknown directive %r" % tag)
     if not scenario.jurisdictions:
         raise LineError(0, "scenario declares no jurisdictions")
     for line_no, *codes in links:

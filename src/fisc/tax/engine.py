@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from ..amounts import DigitLimit, format_rational
 from .events import DISPOSAL_KINDS, ChainEventRecord, EventKind
@@ -117,7 +119,7 @@ def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
         disposal = book.dispose(record)
         if record.kind is EventKind.GIFT and not policy.gift_taxable:
             # Exempt gift: lots leave the portfolio with no recognized gain.
-            disposal = replace(disposal, proceeds=disposal.basis)
+            disposal = disposal._replace(proceeds=disposal.basis)
         result.disposal = disposal
         attribution = record.metadata.get("attribution")
         if attribution and record.kind is not EventKind.LP_DEPOSIT:
@@ -296,8 +298,7 @@ class AvgTotal(AvgMoving):
                       self.averages[year, record.asset])
 
 
-@dataclass(frozen=True)
-class LedgerLine:
+class LedgerLine(NamedTuple):
     seq: int
     date: str
     kind: str
@@ -316,6 +317,24 @@ class YearTotals:
     long_term_gain: Fraction = Fraction(0)
     deductible_expenses: Fraction = Fraction(0)
     withholding_owed: Fraction = Fraction(0)
+
+
+class _ExactSum(dict):
+    """A running total kept as denominator -> sum of numerators: one int
+    addition per term, and one Fraction once every term is in."""
+
+    def add(self, value: Fraction) -> None:
+        den = value.denominator
+        self[den] = self.get(den, 0) + value.numerator
+
+    def total(self) -> Fraction:
+        """The terms over their least common denominator, reduced once: one
+        gcd per denominator, where each Fraction addition takes two."""
+        num, lcd = 0, 1
+        for den, part in self.items():
+            g = gcd(lcd, den)
+            num, lcd = num * (den // g) + part * (lcd // g), lcd // g * den
+        return Fraction(num, lcd)
 
 
 @dataclass
@@ -394,8 +413,9 @@ def compute_report(
     report = TaxReport(method)
     current_year: int | None = None
     last_seq: int | None = None
+    sums: dict[int, dict[str, _ExactSum]] = {}  # year -> YearTotals field -> its sum
     # Tax year, ledger date and year totals depend only on the UTC day.
-    days: dict[int, tuple[int, str, YearTotals]] = {}
+    days: dict[int, tuple[int, str, dict[str, _ExactSum]]] = {}
     limit = DigitLimit()
     room = limit.room
 
@@ -407,7 +427,9 @@ def compute_report(
         day = record.timestamp // 86_400
         if day not in days:
             year = tax_year_of(record.timestamp, policy)
-            days[day] = (year, record.date_str(), report.years.setdefault(year, YearTotals()))
+            if year not in sums:
+                sums[year] = {f.name: _ExactSum() for f in fields(YearTotals)}
+            days[day] = (year, record.date_str(), sums[year])
         year, date, totals = days[day]
         if current_year is None:
             current_year = year
@@ -420,18 +442,20 @@ def compute_report(
 
         income = result.income
         if income:
-            totals.ordinary_income += income
+            totals["ordinary_income"].add(income)
             line = LedgerLine(record.seq, date, record.kind.value, record.asset,
                               record.quantity, income, _ZERO, _ZERO, "-")
             if income.numerator.bit_length() + 3 * income.denominator.bit_length() > room:
                 _check_printable(line, limit)
             report.lines.append(line)
         if result.deduction:
-            totals.deductible_expenses += result.deduction
+            totals["deductible_expenses"].add(result.deduction)
         if result.withholding:
-            totals.withholding_owed += result.withholding
+            totals["withholding_owed"].add(result.withholding)
         if result.disposal is not None:
             _record_disposal(report, totals, record, date, result.disposal, policy, limit)
+    for year, totals in sums.items():
+        report.years[year] = YearTotals(**{name: s.total() for name, s in totals.items()})
     return report
 
 
@@ -448,7 +472,7 @@ def _check_printable(line: LedgerLine, limit: DigitLimit) -> None:
 
 def _record_disposal(
     report: TaxReport,
-    totals: YearTotals,
+    totals: dict[str, _ExactSum],
     record: ChainEventRecord,
     date: str,
     disposal: DisposalResult,
@@ -462,10 +486,7 @@ def _record_disposal(
         basis = part.basis
         gain = proceeds - basis
         term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
-        if term == "long":
-            totals.long_term_gain += gain
-        else:
-            totals.short_term_gain += gain
+        totals["long_term_gain" if term == "long" else "short_term_gain"].add(gain)
         line = LedgerLine(record.seq, date, record.kind.value, record.asset,
                           part.qty, proceeds, basis, gain, term)
         # One sum bounds all three values: with n and d the numerator and

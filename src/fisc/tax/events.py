@@ -7,10 +7,10 @@ units and prices exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..amounts import format_rational, parse_decimals, parse_rational
 from ..lineformat import LineReader, pairs
@@ -63,8 +63,7 @@ DISPOSAL_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class ChainEventRecord:
+class _EventFields(NamedTuple):
     seq: int
     timestamp: int  # unix seconds, UTC
     kind: EventKind
@@ -73,13 +72,24 @@ class ChainEventRecord:
     fmv_unit: Fraction  # reference-currency price per whole asset unit
     counterparty_address: str | None = None
     specid_lot: tuple[int, ...] | None = None
-    metadata: dict[str, str] = field(default_factory=dict, compare=False)
+    metadata: dict[str, str] | None = None
 
-    def __post_init__(self):
-        if self.quantity < 0:
+
+class ChainEventRecord(_EventFields):
+    """One event: an immutable tuple whose equality includes `metadata`,
+    which defaults to a fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, seq, timestamp, kind, asset, quantity, fmv_unit,
+                counterparty_address=None, specid_lot=None, metadata=None):
+        if quantity < 0:
             raise ValueError("quantity must be non-negative")
-        if self.quantity == 0 and self.kind is not EventKind.SELF_TRANSFER:
-            raise ValueError("quantity must be positive for %s" % self.kind.value)
+        if quantity == 0 and kind is not EventKind.SELF_TRANSFER:
+            raise ValueError("quantity must be positive for %s" % kind.value)
+        return tuple.__new__(cls, (seq, timestamp, kind, asset, quantity, fmv_unit,
+                                   counterparty_address, specid_lot,
+                                   {} if metadata is None else metadata))
 
     def date_str(self) -> str:
         return datetime.fromtimestamp(self.timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
@@ -137,9 +147,12 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
 
 
 def serialize_event(record: ChainEventRecord) -> str:
+    return _event_line(record, format_rational(record.fmv_unit))
+
+
+def _event_line(record: ChainEventRecord, fmv: str) -> str:
     line = "event seq=%d ts=%d kind=%s asset=%s qty=%d fmv=%s" % (
-        record.seq, record.timestamp, record.kind.value, record.asset, record.quantity,
-        format_rational(record.fmv_unit),
+        record.seq, record.timestamp, record.kind.value, record.asset, record.quantity, fmv,
     )
     if record.counterparty_address:
         line += " counterparty=%s" % record.counterparty_address
@@ -152,5 +165,8 @@ def serialize_event(record: ChainEventRecord) -> str:
 
 def serialize_event_file(decimals: dict[str, int], records: list[ChainEventRecord]) -> str:
     lines = ["asset %s %d" % (asset, d) for asset, d in sorted(decimals.items())]
-    lines.extend(serialize_event(r) for r in records)
+    prices: dict[Fraction, str] = {}  # each distinct price rendered once
+    for r in records:
+        fmv = prices.get(r.fmv_unit) or prices.setdefault(r.fmv_unit, format_rational(r.fmv_unit))
+        lines.append(_event_line(r, fmv))
     return "\n".join(lines) + "\n"

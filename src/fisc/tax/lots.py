@@ -21,6 +21,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class AccountingMethod(Enum):
@@ -57,16 +58,14 @@ class Lot:
             raise ValueError("unit basis must be non-negative")
 
 
-@dataclass(frozen=True)
-class LotConsumption:
+class LotConsumption(NamedTuple):
     lot_id: int
     qty: int
     basis: Fraction
     acquired_at: int
 
 
-@dataclass(frozen=True)
-class DisposalResult:
+class DisposalResult(NamedTuple):
     asset: str
     qty: int
     proceeds: Fraction

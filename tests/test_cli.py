@@ -408,6 +408,39 @@ class TestAttrib:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "line,form",
+        [
+            ("seed", "seed <n>"),
+            ("jurisdiction AT AT2", "jurisdiction <code>"),
+            ("eoi AT", "eoi <asker> <responder> allow|deny"),
+            ("latency AT DE 1 extra", "latency <asker> <responder> <ticks>"),
+            ("drop AT DE", "drop <asker> <responder> <probability>"),
+            ("dsc AT T1 bob extra", "dsc <jurisdiction> <tin> <holder-label>"),
+            ("register DE T1", "register <jurisdiction> <tin> <wallet-label>"),
+            ("register_tampered DE T1 w x",
+             "register_tampered <jurisdiction> <tin> <wallet-label>"),
+            ("identity", "identity <wallet-label> key=value..."),
+            ("transfer wallet_ann wallet_bob 100",
+             "transfer <origin-label> <beneficiary> <base-units> <deadline>"),
+        ],
+    )
+    def test_wrong_token_count_exit_2_with_form(self, tmp_path, capsys, line, form):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert "bad.scn:10: usage: " + form in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["withholding standrd=1/2",
+                                      "withholding standard=1/10 elevated=3/10 standrd=1/2"])
+    def test_unknown_withholding_key_exit_2_with_line(self, tmp_path, capsys, line):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + line + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert "bad.scn:10: unknown withholding key 'standrd'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line,message",
         [
             ("dsc DE T1 h9", "TIN T1 already has a certificate"),

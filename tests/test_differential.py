@@ -1,6 +1,6 @@
 """The indexed lot store, the per-method books, integer format_rational,
-the print check as lines are appended and the attribution query's sorted
-delivery list, against the seed versions.
+the print check as lines are appended, year totals summed per denominator
+and the attribution query's sorted delivery list, against the seed versions.
 
 `seed_oracles` holds the original implementations. Both sides get the same
 random operation sequences and must agree exactly, errors included.
@@ -184,6 +184,38 @@ def test_override_methods_match_seed_report(method, case):
     new = outcome(lambda: report_outputs(engine.compute_report(records, policy, method, DECIMALS)))
     old = outcome(lambda: report_outputs(seed_compute_report(records, policy, method, DECIMALS)))
     assert new == old
+
+
+# Prices over 21 primes: a year's totals hold many denominators, some of
+# them reached more than once.
+PRIMES = [p for p in range(11, 100) if all(p % d for d in range(2, 10))]
+PRIME_PRICES = st.builds(Fraction, st.integers(1, 10**6), st.sampled_from(PRIMES))
+
+
+@pytest.mark.parametrize("method", list(AccountingMethod))
+@given(case=report_cases(prices=PRIME_PRICES, faults=False))
+@settings(max_examples=40, deadline=None)
+def test_year_totals_over_many_denominators(method, case):
+    """Year totals, summed as integers per denominator, equal the seed
+    loop's running Fraction sums and plain sums of the ledger values."""
+    policy, records = case
+    for record in records:  # every field of YearTotals gets amounts
+        if record.kind in engine.DISPOSAL_KINDS:
+            record.metadata["attribution"] = "affirmed" if record.seq % 2 else "unresolved"
+    report = outcome(lambda: engine.compute_report(records, policy, method, DECIMALS))
+    seed = outcome(lambda: seed_compute_report(records, policy, method, DECIMALS))
+    if isinstance(report, tuple):  # a lot fault or an overdrawn avg_total year
+        assert report == seed
+        return
+    assert report.years == seed.years
+    assert report_outputs(report) == report_outputs(seed)
+    year_of = {record.seq: engine.tax_year_of(record.timestamp, policy) for record in records}
+    for year, totals in report.years.items():
+        lines = [line for line in report.lines if year_of[line.seq] == year]
+        assert totals.ordinary_income == sum(l.proceeds for l in lines if l.term == "-")
+        assert totals.short_term_gain == sum(l.gain for l in lines if l.term == "short")
+        assert totals.long_term_gain == sum(l.gain for l in lines if l.term == "long")
+        assert all(type(value) is Fraction for value in vars(totals).values())
 
 
 def seed_rendering(report: engine.TaxReport) -> tuple[str, str]:

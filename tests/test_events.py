@@ -1,4 +1,5 @@
-"""The event-line parser and writer, and the engine's per-day labels.
+"""The event-line parser and writer, the records as immutable tuples, and
+the engine's per-day labels.
 
 `seed_oracles` keeps the previous parser and writer. Both sides get the
 same random records and files, malformed ones included, and must agree
@@ -9,12 +10,14 @@ its years and dates must equal `tax_year_of` and `date_str()` per record.
 
 import string
 from datetime import date
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisc.lineformat import LineError
-from fisc.tax.engine import compute_report, tax_year_of
+from fisc.tax.engine import LedgerLine, compute_report, tax_year_of
 from fisc.tax.events import (
     ChainEventRecord,
     EventKind,
@@ -22,7 +25,7 @@ from fisc.tax.events import (
     serialize_event,
     serialize_event_file,
 )
-from fisc.tax.lots import AccountingMethod
+from fisc.tax.lots import AccountingMethod, DisposalResult, LotConsumption
 from fisc.tax.policy import JurisdictionPolicy
 from seed_oracles import seed_parse_event_file, seed_serialize_event
 
@@ -120,6 +123,46 @@ def test_malformed_line_same_error_as_seed(file, data):
     error = outcome(parse_event_file, text)
     assert error[0] == index + 1
     assert error == outcome(seed_parse_event_file, text)
+
+
+def test_records_cannot_be_assigned():
+    part = LotConsumption(1, 5, Fraction(2), 0)
+    records = [
+        ChainEventRecord(1, 0, EventKind.PURCHASE, "X", 5, Fraction(2)),
+        part,
+        DisposalResult("X", 5, Fraction(3), Fraction(2), (part,)),
+        LedgerLine(1, "1970-01-01", "sale", "X", 5, Fraction(3), Fraction(2), Fraction(1),
+                   "short"),
+    ]
+    for record in records:
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+
+@pytest.mark.parametrize("kind", list(EventKind), ids=lambda kind: kind.value)
+def test_quantity_checked_at_construction(kind):
+    with pytest.raises(ValueError, match="^quantity must be non-negative$"):
+        ChainEventRecord(1, 0, kind, "X", -1, Fraction(2))
+    if kind is EventKind.SELF_TRANSFER:  # a fee-only self transfer moves nothing
+        assert ChainEventRecord(1, 0, kind, "X", 0, Fraction(2)).quantity == 0
+    else:
+        with pytest.raises(ValueError, match="^quantity must be positive for %s$" % kind.value):
+            ChainEventRecord(seq=1, timestamp=0, kind=kind, asset="X", quantity=0,
+                             fmv_unit=Fraction(2))
+
+
+def test_equality_covers_metadata():
+    def spend(**meta):
+        return ChainEventRecord(1, 0, EventKind.SPEND, "X", 5, Fraction(2), metadata=meta)
+
+    # With meta.deduction a spend is a deduction, not a disposal: the records differ.
+    assert spend() != spend(deduction="1")
+    assert spend(deduction="1") == spend(deduction="1")
+    plain, other = (ChainEventRecord(1, 0, EventKind.SPEND, "X", 5, Fraction(2))
+                    for _ in range(2))
+    assert plain == other == spend()
+    assert plain.metadata == {} and plain.metadata is not other.metadata
 
 
 @given(
