@@ -77,10 +77,6 @@ class Amount:
     def is_negative(self) -> bool:
         return self.base_units < 0
 
-    def as_fraction(self) -> Fraction:
-        """Value in whole-asset units as an exact rational."""
-        return Fraction(self.base_units, 10**self.decimals)
-
     @classmethod
     def from_decimal_str(cls, text: str, decimals: int = BTC_DECIMALS) -> "Amount":
         """Parse a decimal string like '2.5' into base units, exactly."""

@@ -45,11 +45,16 @@ _DIRECTIVES = {
     "transfer": (4, "transfer <origin-label> <beneficiary> <base-units> <deadline>"),
     "withholding": (0, "withholding key=value..."),
 }
+_IDENTITY_KEYS = ("name", "physical", "national_id", "customer_id", "birth")
+# What a reference names, and how a reference to something undeclared reads.
+_UNKNOWN = {"jurisdiction": "jurisdiction %r is not declared",
+            "dsc": "no dsc line for %s %s",
+            "wallet": "wallet %r has no register line"}
 
 
 def parse_attribution_scenario(text: str) -> AttributionScenario:
     scenario = AttributionScenario()
-    links: list[tuple[int, str, str]] = []  # (line, asker, responder) of link rows
+    refs: list[tuple[int, str, object]] = []  # (line, what it names, name), checked at the end
     rates: dict[str, Fraction] = {}
     rates_line = 0
     with LineReader(text) as lines:
@@ -61,7 +66,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
             if len(args) != count and not (len(args) > count and form.endswith("...")):
                 raise ValueError("usage: " + form)
             if tag in ("eoi", "latency", "drop"):
-                links.append((lines.line_no, *args[:2]))
+                refs += [(lines.line_no, "jurisdiction", code) for code in args[:2]]
             if tag == "seed":
                 scenario.seed = int(args[0])
             elif tag == "jurisdiction":
@@ -82,12 +87,17 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 scenario.drops.append((args[0], args[1], probability))
             elif tag == "dsc":
                 scenario.dscs.append((args[0], args[1], args[2]))
+                refs.append((lines.line_no, "jurisdiction", args[0]))
             elif tag in ("register", "register_tampered"):
                 scenario.registrations.append(
                     (args[0], args[1], args[2], tag == "register_tampered")
                 )
+                refs.append((lines.line_no, "dsc", (args[0], args[1])))
             elif tag == "identity":
                 kv = pairs(args[1:])
+                for key in kv:
+                    if key not in _IDENTITY_KEYS:
+                        raise ValueError("unknown identity key %r" % key)
                 scenario.identities[args[0]] = PartyIdentity(
                     name=kv.get("name", ""),
                     account="",  # filled once the wallet address is derived
@@ -102,6 +112,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 if amount < 0 or deadline < 0:
                     raise ValueError("transfer amount and deadline must be non-negative")
                 scenario.transfers.append((args[0], args[1], amount, deadline))
+                refs.append((lines.line_no, "wallet", args[0]))
             elif tag == "withholding":
                 for level, value in pairs(args).items():
                     if level not in ("standard", "elevated"):
@@ -112,10 +123,12 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 rates_line = lines.line_no
     if not scenario.jurisdictions:
         raise LineError(0, "scenario declares no jurisdictions")
-    for line_no, *codes in links:
-        for code in codes:
-            if code not in scenario.jurisdictions:
-                raise LineError(line_no, "jurisdiction %r is not declared" % code)
+    declared = {"jurisdiction": set(scenario.jurisdictions),
+                "dsc": {(code, tin) for code, tin, _ in scenario.dscs},
+                "wallet": {label for _, _, label, _ in scenario.registrations}}
+    for line_no, what, name in refs:
+        if name not in declared[what]:
+            raise LineError(line_no, _UNKNOWN[what] % name)
     scenario.policy = policy_at(rates_line, **rates)
     return scenario
 
@@ -178,7 +191,10 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
 
     ledger_lines = ["index origin beneficiary attribution withheld"]
     for index, (origin_label, beneficiary_ref, amount, deadline) in enumerate(scenario.transfers):
-        origin = wallets[origin_label]
+        origin = wallets.get(origin_label)
+        if origin is None:  # its registration was rejected
+            raise AttributionError("transfer %d: origin wallet %s is not registered"
+                                   % (index, origin_label))
         if beneficiary_ref.startswith("addr:"):
             beneficiary = beneficiary_ref[5:]
         elif beneficiary_ref in wallets:

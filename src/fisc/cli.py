@@ -138,9 +138,6 @@ def cmd_attrib(args) -> int:
         scenario.seed = args.seed
     try:
         run = run_attribution_scenario(scenario)
-    except KeyError as exc:
-        print("%s: unknown reference %s" % (scenario_path, exc), file=sys.stderr)
-        return EXIT_POLICY
     except (AttributionError, TravelRuleError, ValueError) as exc:
         print("%s: %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY

@@ -1,4 +1,5 @@
-"""Event ingestion, the eight accounting methods and report assembly."""
+"""Event ingestion, the pooled-cost books, `BOOKS` (each method's book) and
+report assembly. The lot books are in `fisc.tax.lots`."""
 
 from __future__ import annotations
 
@@ -12,10 +13,15 @@ from ..amounts import DigitLimit, format_rational
 from .events import DISPOSAL_KINDS, ChainEventRecord, EventKind
 from .lots import (
     AccountingMethod,
+    Book,
     DisposalResult,
+    Hifo,
     InsufficientQuantity,
+    Lifo,
     LotConsumption,
     LotStore,
+    Periodic,
+    SpecId,
 )
 from .policy import HobbyMinerRule, JurisdictionPolicy, ReceiptTreatment
 
@@ -130,62 +136,7 @@ def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
     return result
 
 
-class Book:
-    """One accounting method's holdings. `acquire(record, unit_basis)` adds
-    the record's quantity at `unit_basis` per whole unit, `dispose(record)`
-    consumes and prices it, and `year_end(year)` runs as each tax year
-    closes. compute_report keeps `prices`, each asset's last FMV, current.
-    """
-
-    def __init__(self, records: list[ChainEventRecord], policy: JurisdictionPolicy,
-                 decimals: dict[str, int] | None):
-        self.decimals = dict(decimals or {})
-        self.prices: dict[str, Fraction] = {}
-
-    def scale(self, asset: str) -> int:
-        return 10 ** self.decimals.setdefault(asset, 8)
-
-    def year_end(self, year: int) -> None:
-        pass
-
-
-class Fifo(Book):
-    """Consume the open lots acquired first; subclasses change `order`."""
-
-    order = AccountingMethod.FIFO
-
-    def __init__(self, records, policy, decimals):
-        super().__init__(records, policy, decimals)
-        self.store = LotStore(self.decimals)
-
-    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
-        self.store.add_lot(record.asset, record.quantity, unit_basis, record.timestamp)
-
-    def dispose(self, record: ChainEventRecord) -> DisposalResult:
-        return self.store.dispose(record.asset, record.quantity, record.fmv_unit, self.order,
-                                  record.specid_lot)
-
-
-class Lifo(Fifo):
-    order = AccountingMethod.LIFO
-
-
-class Hifo(Fifo):
-    order = AccountingMethod.HIFO
-
-
-class SpecId(Fifo):
-    order = AccountingMethod.SPEC_ID  # the lots each disposal names, in order
-
-
-class Periodic(Fifo):
-    """FIFO lots revalued to each asset's last price as every year closes."""
-
-    def year_end(self, year: int) -> None:
-        self.store.rebase_all(self.prices)
-
-
-class Pvct(Fifo):
+class Pvct(LotStore):
     """Portfolio-value cost apportionment: one cost pool for the portfolio.
 
     A disposal's basis is the pool times the disposal's share of the
@@ -203,9 +154,8 @@ class Pvct(Fifo):
         self.cost += _value(record.quantity, self.scale(record.asset), unit_basis)
 
     def dispose(self, record: ChainEventRecord) -> DisposalResult:
-        store = self.store
-        value = sum(_value(store.total_qty(asset), self.scale(asset), self.prices[asset])
-                    for asset in store.all_assets())
+        value = sum(_value(self.total_qty(asset), self.scale(asset), self.prices[asset])
+                    for asset in self.all_assets())
         disposal = super().dispose(record)
         share = disposal.proceeds / value if value else _ZERO
         basis = self.cost * share
@@ -386,7 +336,7 @@ class TaxReport:
 
 
 BOOKS: dict[AccountingMethod, type[Book]] = {
-    AccountingMethod.FIFO: Fifo,
+    AccountingMethod.FIFO: LotStore,
     AccountingMethod.LIFO: Lifo,
     AccountingMethod.HIFO: Hifo,
     AccountingMethod.SPEC_ID: SpecId,

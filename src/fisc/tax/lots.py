@@ -1,18 +1,16 @@
-"""Cost-basis lots: the per-lot books of FIFO, LIFO, HIFO and SpecID.
+"""Cost-basis lot books: FIFO, LIFO, HIFO, SpecID and Periodic.
 
 All basis and gain arithmetic is exact (Fraction); quantities are integer
-base units. The accounting methods are the book classes of `fisc.tax.engine`.
+base units. Every accounting method is a `Book`; the pooled-cost books
+(moving and total average, PVCT) are in `fisc.tax.engine`.
 
-The books are indexed so that a disposal touches only the lots it
-consumes. Each asset keeps its open lots in a dict keyed by `lot_id`
-(exhausted lots are dropped) and a running open quantity. Each
-(asset, ordering) pair gets a heap the first time that ordering disposes
-of the asset: FIFO `(acquired_at, lot_id)`, LIFO `(-acquired_at, -lot_id)`,
-HIFO `(-unit_basis, lot_id)`. FIFO is keyed on `acquired_at`, not on
-insertion order, because timestamps need not rise with `seq`. Lots
-exhausted through another ordering leave a heap lazily when they reach its
-top, and `rebase_all`, which changes the HIFO key, drops an asset's heaps
-to be rebuilt on the next disposal.
+`LotStore` is the FIFO book, and each lot book takes its lots in one order.
+Each asset keeps its open lots in a dict keyed by `lot_id` (exhausted lots
+are dropped), a running open quantity and, from the asset's first disposal
+on, one heap of `key(lot) + (lot,)`, so a book that only acquires builds
+none. FIFO is keyed `(acquired_at, lot_id)`, not on insertion order,
+because timestamps need not rise with `seq`. SpecID takes the lots each
+disposal names instead.
 """
 
 from __future__ import annotations
@@ -21,7 +19,12 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+from .events import ChainEventRecord
+
+if TYPE_CHECKING:  # fisc.tax.policy imports AccountingMethod from here
+    from .policy import JurisdictionPolicy
 
 
 class AccountingMethod(Enum):
@@ -52,8 +55,8 @@ class Lot:
     acquired_at: int
 
     def __post_init__(self):
-        if self.remaining_qty < 0:
-            raise ValueError("lot quantity must be non-negative")
+        if self.remaining_qty <= 0:
+            raise ValueError("acquired quantity must be positive")
         if self.unit_basis.numerator < 0:  # the sign, without a slow Fraction comparison
             raise ValueError("unit basis must be non-negative")
 
@@ -77,27 +80,40 @@ class DisposalResult(NamedTuple):
         return self.proceeds - self.basis
 
 
-def _heap_entry(lot: Lot, method: AccountingMethod) -> tuple:
-    """Sort key plus the lot; `lot_id` makes every key unique."""
-    if method is AccountingMethod.LIFO:
-        return (-lot.acquired_at, -lot.lot_id, lot)
-    if method is AccountingMethod.HIFO:
-        return (-lot.unit_basis, lot.lot_id, lot)
-    return (lot.acquired_at, lot.lot_id, lot)  # FIFO
+class Book:
+    """One accounting method's holdings. `acquire(record, unit_basis)` adds
+    the record's quantity at `unit_basis` per whole unit, `dispose(record)`
+    consumes and prices it, and `year_end(year)` runs as each tax year
+    closes. compute_report keeps `prices`, each asset's last FMV, current.
+    """
+
+    def __init__(self, records: list[ChainEventRecord], policy: JurisdictionPolicy,
+                 decimals: dict[str, int] | None):
+        self.decimals = dict(decimals or {})
+        self.prices: dict[str, Fraction] = {}
+
+    def scale(self, asset: str) -> int:
+        return 10 ** self.decimals.setdefault(asset, 8)
+
+    def year_end(self, year: int) -> None:
+        pass
 
 
-class LotStore:
-    """Per-asset lot inventory with deterministic disposal ordering."""
+class LotStore(Book):
+    """FIFO: consume the open lots acquired first. Subclasses change `key`,
+    or the choice of lots itself."""
 
-    def __init__(self, decimals: dict[str, int] | None = None):
+    def __init__(self, records, policy, decimals):
+        super().__init__(records, policy, decimals)
         self._open: dict[str, dict[int, Lot]] = {}
         self._open_qty: dict[str, int] = {}
-        self._heaps: dict[str, dict[AccountingMethod, list[tuple]]] = {}
-        self._decimals: dict[str, int] = dict(decimals or {})
+        self._heaps: dict[str, list[tuple]] = {}
         self._next_id = 1
 
-    def decimals(self, asset: str) -> int:
-        return self._decimals.setdefault(asset, 8)
+    @staticmethod
+    def key(lot: Lot) -> tuple:
+        """Disposal order, lowest first; `lot_id` makes every key unique."""
+        return (lot.acquired_at, lot.lot_id)
 
     def lots(self, asset: str) -> list[Lot]:
         """Open lots of `asset` in acquisition-record (lot id) order."""
@@ -110,122 +126,116 @@ class LotStore:
         return self._open_qty.get(asset, 0)
 
     def total_basis(self, asset: str) -> Fraction:
-        scale = 10 ** self.decimals(asset)
+        scale = self.scale(asset)
         return sum(
             (Fraction(l.remaining_qty, scale) * l.unit_basis for l in self.lots(asset)),
             Fraction(0),
         )
 
-    def add_lot(
-        self,
-        asset: str,
-        qty: int,
-        unit_basis: Fraction,
-        acquired_at: int,
-    ) -> Lot:
+    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
+        self.add_lot(record.asset, record.quantity, unit_basis, record.timestamp)
+
+    def add_lot(self, asset: str, qty: int, unit_basis: Fraction, acquired_at: int) -> Lot:
         """Record an acquisition as a new lot."""
-        if qty <= 0:
-            raise ValueError("acquired quantity must be positive")
         lot = Lot(self._next_id, asset, qty, unit_basis, acquired_at)
         self._next_id += 1
         self._open.setdefault(asset, {})[lot.lot_id] = lot
         self._open_qty[asset] = self._open_qty.get(asset, 0) + qty
-        for method, heap in self._heaps.get(asset, {}).items():
-            heapq.heappush(heap, _heap_entry(lot, method))
+        heap = self._heaps.get(asset)
+        if heap is not None:
+            heapq.heappush(heap, self.key(lot) + (lot,))
         return lot
 
-    # --- disposal ---
-
-    def _heap(self, asset: str, method: AccountingMethod) -> list[tuple]:
-        heaps = self._heaps.setdefault(asset, {})
-        heap = heaps.get(method)
+    def _choose(self, record: ChainEventRecord) -> list[Lot]:
+        """The lots a disposal consumes, in order. Every lot it uses up
+        leaves the heap; one it takes only part of stays on top."""
+        heap = self._heaps.get(record.asset)
         if heap is None:
-            heap = [_heap_entry(lot, method) for lot in self._open[asset].values()]
+            heap = [self.key(lot) + (lot,) for lot in self._open[record.asset].values()]
             heapq.heapify(heap)
-            heaps[method] = heap
-        return heap
+            self._heaps[record.asset] = heap
+        chosen, rest = [], record.quantity
+        while rest > 0:
+            lot = heap[0][-1]
+            chosen.append(lot)
+            rest -= lot.remaining_qty
+            if rest >= 0:
+                heapq.heappop(heap)
+        return chosen
 
-    def _specid_order(
-        self, asset: str, qty: int, specid_lots: tuple[int, ...] | None
-    ) -> list[Lot]:
-        if not specid_lots:
-            raise LotError("SpecID disposal requires lot references")
-        if len(set(specid_lots)) != len(specid_lots):
-            raise LotError("SpecID references repeat a lot: %s" % (specid_lots,))
-        book = self._open.get(asset, {})
-        order = []
-        for lot_id in specid_lots:
-            lot = book.get(lot_id)
-            if lot is None:
-                raise LotError("SpecID lot %d not available for %s" % (lot_id, asset))
-            order.append(lot)
-        if sum(l.remaining_qty for l in order) < qty:
-            raise InsufficientQuantity("referenced lots cannot cover the disposal")
-        return order
-
-    def _take(self, lot: Lot, take: int, scale: int) -> LotConsumption:
-        lot.remaining_qty -= take
-        self._open_qty[lot.asset] -= take
-        if lot.remaining_qty == 0:
-            del self._open[lot.asset][lot.lot_id]
-        return LotConsumption(lot.lot_id, take, Fraction(take, scale) * lot.unit_basis,
-                              lot.acquired_at)
-
-    def dispose(
-        self,
-        asset: str,
-        qty: int,
-        unit_proceeds: Fraction,
-        method: AccountingMethod,
-        specid_lots: tuple[int, ...] | None = None,
-    ) -> DisposalResult:
-        """Consume `qty` base units in `method`'s order (FIFO, LIFO, HIFO,
-        or SPEC_ID following `specid_lots`) and return the priced disposal."""
-        if qty <= 0:
-            raise ValueError("disposal quantity must be positive")
+    def dispose(self, record: ChainEventRecord) -> DisposalResult:
+        """Consume the record's quantity in this book's order and price it."""
+        asset, qty = record.asset, record.quantity
         available = self.total_qty(asset)
         if qty > available:
-            raise InsufficientQuantity(
-                "disposing %d but only %d %s held" % (qty, available, asset)
-            )
-        scale = 10 ** self.decimals(asset)
+            raise InsufficientQuantity("disposing %d but only %d %s held"
+                                       % (qty, available, asset))
+        scale = self.scale(asset)
+        book = self._open[asset]
         remaining = qty
         parts: list[LotConsumption] = []
-        if method is AccountingMethod.SPEC_ID:
-            for lot in self._specid_order(asset, qty, specid_lots):
-                if remaining == 0:
-                    break
-                take = min(lot.remaining_qty, remaining)
-                parts.append(self._take(lot, take, scale))
-                remaining -= take
-        else:
-            heap = self._heap(asset, method)
-            while remaining:
-                lot = heap[0][-1]
-                if lot.remaining_qty == 0:  # exhausted through another ordering
-                    heapq.heappop(heap)
-                    continue
-                take = min(lot.remaining_qty, remaining)
-                parts.append(self._take(lot, take, scale))
-                remaining -= take
-                if lot.remaining_qty == 0:
-                    heapq.heappop(heap)
+        for lot in self._choose(record):
+            take = min(lot.remaining_qty, remaining)
+            lot.remaining_qty -= take
+            if lot.remaining_qty == 0:
+                del book[lot.lot_id]
+            parts.append(LotConsumption(lot.lot_id, take, Fraction(take, scale) * lot.unit_basis,
+                                        lot.acquired_at))
+            remaining -= take
+            if remaining == 0:
+                break
         # Quantity conservation: the parts add up to exactly the disposal.
         if remaining:
             raise LotError("disposal of %d %s left %d unconsumed" % (qty, asset, remaining))
-        proceeds = Fraction(qty, scale) * unit_proceeds
+        self._open_qty[asset] = available - qty
+        proceeds = Fraction(qty, scale) * record.fmv_unit
         basis = sum((p.basis for p in parts), Fraction(0))
         return DisposalResult(asset, qty, proceeds, basis, tuple(parts))
 
-    def rebase_all(self, prices: dict[str, Fraction]) -> None:
-        """Reset every open lot's unit basis to the given per-asset value
-        (Periodic: the year-end FMV).
 
-        Assets without a given price keep their existing basis.
-        """
+class Lifo(LotStore):
+    """Consume the open lots acquired last."""
+
+    @staticmethod
+    def key(lot: Lot) -> tuple:
+        return (-lot.acquired_at, -lot.lot_id)
+
+
+class Hifo(LotStore):
+    """Consume the open lots of highest unit basis first, lowest lot id on a tie."""
+
+    @staticmethod
+    def key(lot: Lot) -> tuple:
+        return (-lot.unit_basis, lot.lot_id)
+
+
+class SpecId(LotStore):
+    """Consume the open lots each disposal names, in the order named."""
+
+    def _choose(self, record: ChainEventRecord) -> list[Lot]:
+        refs, asset = record.specid_lot, record.asset
+        if not refs:
+            raise LotError("SpecID disposal requires lot references")
+        if len(set(refs)) != len(refs):
+            raise LotError("SpecID references repeat a lot: %s" % (refs,))
+        book = self._open[asset]
+        chosen = []
+        for lot_id in refs:
+            lot = book.get(lot_id)
+            if lot is None:
+                raise LotError("SpecID lot %d not available for %s" % (lot_id, asset))
+            chosen.append(lot)
+        if sum(l.remaining_qty for l in chosen) < record.quantity:
+            raise InsufficientQuantity("referenced lots cannot cover the disposal")
+        return chosen
+
+
+class Periodic(LotStore):
+    """FIFO lots revalued to each asset's last price as every year closes.
+    FIFO's key ignores the basis, so the heaps stay valid."""
+
+    def year_end(self, year: int) -> None:
         for asset, book in self._open.items():
-            if asset in prices and book:
+            if asset in self.prices:
                 for lot in book.values():
-                    lot.unit_basis = prices[asset]
-                self._heaps.pop(asset, None)
-
+                    lot.unit_basis = self.prices[asset]

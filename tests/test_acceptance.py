@@ -38,7 +38,7 @@ from fisc.defi.pool import LiquidityPool, divergence_loss
 from fisc.signatures import MockScheme
 from fisc.tax.engine import compute_report
 from fisc.tax.events import ChainEventRecord, EventKind
-from fisc.tax.lots import AccountingMethod, LotStore
+from fisc.tax.lots import AccountingMethod, Hifo
 from fisc.tax.policy import JurisdictionPolicy, ReceiptTreatment
 from fisc.utxo import (
     Overspend,
@@ -245,10 +245,11 @@ def test_09_cost_basis_oracles():
 
         # (b) HIFO single disposal hits the brute-force minimum gain.
         qty = rng.randrange(1, total_qty + 1)
-        store = LotStore({"BTC": 8})
+        store = Hifo([], JurisdictionPolicy(), {"BTC": 8})
         for i, (q, b) in enumerate(lots):
             store.add_lot("BTC", q, b, i)
-        result = store.dispose("BTC", qty, price, AccountingMethod.HIFO)
+        result = store.dispose(ChainEventRecord(len(lots) + 1, len(lots), EventKind.SALE, "BTC",
+                                                qty, price))
         ok &= result.gain == _min_gain_oracle(lots, qty, scale, price)
 
         # (c) conservation.

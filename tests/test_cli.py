@@ -441,6 +441,35 @@ class TestAttrib:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "lines,code,message",
+        [
+            ("dsc XX T1 alice", EXIT_PARSE, "bad.scn:10: jurisdiction 'XX' is not declared"),
+            ("register AT T9 w1", EXIT_PARSE, "bad.scn:10: no dsc line for AT T9"),
+            ("transfer wallet_nobody wallet_bob 1 8", EXIT_PARSE,
+             "bad.scn:10: wallet 'wallet_nobody' has no register line"),
+            # Only the run can tell that a tampered registration is rejected.
+            ("dsc AT T3 eve\nregister_tampered AT T3 wallet_eve\ntransfer wallet_eve x 1 8",
+             EXIT_POLICY, "bad.scn: transfer 1: origin wallet wallet_eve is not registered"),
+        ],
+        ids=["dsc-jurisdiction", "register-dsc", "transfer-origin", "rejected-origin"],
+    )
+    def test_unknown_reference_names_its_line_or_transfer(self, tmp_path, capsys, lines, code,
+                                                          message):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO + lines + "\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_identity_key_exit_2_with_line(self, tmp_path, capsys):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO
+                         + "identity wallet_ann name=Ann physical=Street1 custmer_id=C9\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert "bad.scn:10: unknown identity key 'custmer_id'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line,message",
         [
             ("dsc DE T1 h9", "TIN T1 already has a certificate"),

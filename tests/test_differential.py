@@ -1,4 +1,4 @@
-"""The indexed lot store, the per-method books, integer format_rational,
+"""The indexed lot books, the per-method reports, integer format_rational,
 the print check as lines are appended, year totals summed per denominator
 and the attribution query's sorted delivery list, against the seed versions.
 
@@ -20,7 +20,7 @@ from fisc.attribution.sim import AttributionNetwork, LinkConfig
 from fisc.signatures import DEFAULT_SCHEME
 from fisc.tax import engine
 from fisc.tax.events import ChainEventRecord, EventKind
-from fisc.tax.lots import AccountingMethod, LotError, LotStore
+from fisc.tax.lots import AccountingMethod, Hifo, Lifo, LotError, LotStore, Periodic, SpecId
 from fisc.tax.policy import JurisdictionPolicy
 from seed_oracles import (
     SeedAttributionNetwork,
@@ -33,8 +33,10 @@ from seed_oracles import (
 DECIMALS = {"A": 0, "B": 2}
 ASSETS = sorted(DECIMALS)
 PRICES = st.fractions(min_value=0, max_value=1000, max_denominator=12)
-ORDERS = (AccountingMethod.FIFO, AccountingMethod.LIFO, AccountingMethod.HIFO,
-          AccountingMethod.SPEC_ID)
+# Each lot book and the seed store ordering it follows. Periodic is the FIFO
+# book whose year end revalues its lots, as the seed store's rebase_all does.
+ORDERS = ((Periodic, AccountingMethod.FIFO), (Lifo, AccountingMethod.LIFO),
+          (Hifo, AccountingMethod.HIFO), (SpecId, AccountingMethod.SPEC_ID))
 
 
 def outcome(call):
@@ -66,9 +68,11 @@ def assert_same_books(new: LotStore, old: SeedLotStore) -> None:
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_lot_store_matches_seed_store(data):
-    new, old = LotStore(DECIMALS), SeedLotStore(DECIMALS)
+    book, method = data.draw(st.sampled_from(ORDERS))
+    new, old = book([], JurisdictionPolicy(), DECIMALS), SeedLotStore(DECIMALS)
+    ops = ("add",) * 3 + ("dispose",) * 3 + (("rebase",) if book is Periodic else ())
     for _ in range(data.draw(st.integers(1, 30))):
-        op = data.draw(st.sampled_from(("add",) * 3 + ("dispose",) * 3 + ("rebase",)))
+        op = data.draw(st.sampled_from(ops))
         asset = data.draw(st.sampled_from(ASSETS))
         if op == "add":
             # acquired_at is drawn independently of the order of additions,
@@ -77,14 +81,16 @@ def test_lot_store_matches_seed_store(data):
                     data.draw(st.integers(0, 30)))
             assert new.add_lot(*args) == old.add_lot(*args)
         elif op == "dispose":
-            method = data.draw(st.sampled_from(ORDERS))
             qty = data.draw(st.integers(1, old.total_qty(asset) + 5))
-            specid = draw_specid(data, old, asset) if method is AccountingMethod.SPEC_ID else None
-            args = (asset, qty, data.draw(PRICES), method, specid)
-            assert outcome(lambda: new.dispose(*args)) == outcome(lambda: old.dispose(*args))
+            specid = draw_specid(data, old, asset) if book is SpecId else None
+            price = data.draw(PRICES)
+            record = ChainEventRecord(1, 0, EventKind.SALE, asset, qty, price, specid_lot=specid)
+            assert (outcome(lambda: new.dispose(record))
+                    == outcome(lambda: old.dispose(asset, qty, price, method, specid)))
         else:
             prices = data.draw(st.dictionaries(st.sampled_from(ASSETS), PRICES))
-            new.rebase_all(prices)
+            new.prices = dict(prices)
+            new.year_end(0)
             old.rebase_all(prices)
         assert_same_books(new, old)
 

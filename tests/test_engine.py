@@ -9,7 +9,6 @@ from fisc.lineformat import LineError
 from fisc.tax import engine
 from fisc.tax.engine import (
     EngineError,
-    Fifo,
     PolicyViolation,
     SequenceError,
     compute_report,
@@ -23,7 +22,7 @@ from fisc.tax.events import (
     parse_event_file,
     serialize_event_file,
 )
-from fisc.tax.lots import AccountingMethod
+from fisc.tax.lots import AccountingMethod, LotStore
 from fisc.tax.policy import (
     HobbyMinerRule,
     JurisdictionPolicy,
@@ -124,34 +123,34 @@ class TestTaxYear:
 
 class TestIngestTreatments:
     def test_mining_business_income_at_fmv(self):
-        book = Fifo([], DEFAULT, {"BTC": 8})
+        book = LotStore([], DEFAULT, {"BTC": 8})
         result = ingest_event(
             ev(1, ts(2020), EventKind.MINING_REWARD, 2 * BTC, 10_000), DEFAULT, book
         )
         assert result.income == 20_000
-        assert book.store.total_basis("BTC") == 20_000
+        assert book.total_basis("BTC") == 20_000
 
     def test_hobby_exempt_keeps_cost_basis(self):
         policy = JurisdictionPolicy(
             mining_is_business=False, hobby_miner=HobbyMinerRule.EXEMPT_WITH_COST_BASIS
         )
-        book = Fifo([], DEFAULT, {"BTC": 8})
+        book = LotStore([], DEFAULT, {"BTC": 8})
         result = ingest_event(
             ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, book
         )
         assert result.income == 0
-        assert book.store.total_basis("BTC") == 10_000
+        assert book.total_basis("BTC") == 10_000
 
     def test_hobby_zero_basis(self):
         policy = JurisdictionPolicy(
             mining_is_business=False, hobby_miner=HobbyMinerRule.ZERO_BASIS_NO_DEDUCTION
         )
-        book = Fifo([], DEFAULT, {"BTC": 8})
+        book = LotStore([], DEFAULT, {"BTC": 8})
         result = ingest_event(
             ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, book
         )
         assert result.income == 0
-        assert book.store.total_basis("BTC") == 0
+        assert book.total_basis("BTC") == 0
 
     @pytest.mark.parametrize("kind", [EventKind.FORK_RECEIPT, EventKind.AIRDROP])
     def test_receipt_treatment_switch(self, kind):
@@ -161,32 +160,32 @@ class TestIngestTreatments:
             airdrop_treatment=ReceiptTreatment.ZERO_BASIS,
         )
         for policy, income, basis in ((fmv_policy, 400, 400), (zero_policy, 0, 0)):
-            book = Fifo([], DEFAULT, {"BCH": 8})
+            book = LotStore([], DEFAULT, {"BCH": 8})
             result = ingest_event(
                 ev(1, ts(2020), kind, 8 * BTC, 50, asset="BCH"), policy, book
             )
             assert result.income == income
-            assert book.store.total_basis("BCH") == basis
+            assert book.total_basis("BCH") == basis
 
     def test_self_transfer_is_a_noop(self):
-        book = Fifo([], DEFAULT, {"BTC": 8})
-        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        before = (book.store.total_qty("BTC"), book.store.total_basis("BTC"))
+        book = LotStore([], DEFAULT, {"BTC": 8})
+        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        before = (book.total_qty("BTC"), book.total_basis("BTC"))
         result = ingest_event(ev(2, ts(2021), EventKind.SELF_TRANSFER, BTC, 500), DEFAULT, book)
         assert result.income == 0 and result.disposal is None
-        assert (book.store.total_qty("BTC"), book.store.total_basis("BTC")) == before
+        assert (book.total_qty("BTC"), book.total_basis("BTC")) == before
 
     def test_gift_exempt_has_zero_gain(self):
         policy = JurisdictionPolicy(gift_taxable=False)
-        book = Fifo([], DEFAULT, {"BTC": 8})
-        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        book = LotStore([], DEFAULT, {"BTC": 8})
+        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
         result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), policy, book)
         assert result.disposal.gain == 0
-        assert book.store.total_qty("BTC") == 0
+        assert book.total_qty("BTC") == 0
 
     def test_gift_taxable_realizes_gain(self):
-        book = Fifo([], DEFAULT, {"BTC": 8})
-        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        book = LotStore([], DEFAULT, {"BTC": 8})
+        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
         result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), DEFAULT, book)
         assert result.disposal.gain == 800
 
@@ -195,10 +194,10 @@ class TestIngestTreatments:
             1, ts(2021), EventKind.SPEND, 10**18, 2000, asset="ETH",
             metadata={"deduction": "1", "slashing": "1"},
         )
-        blocked = ingest_event(record, DEFAULT, Fifo([], DEFAULT, {"ETH": 18}))
+        blocked = ingest_event(record, DEFAULT, LotStore([], DEFAULT, {"ETH": 18}))
         assert blocked.deduction == 0
         allowed = ingest_event(
-            record, JurisdictionPolicy(slashing_deductible=True), Fifo([], DEFAULT, {"ETH": 18})
+            record, JurisdictionPolicy(slashing_deductible=True), LotStore([], DEFAULT, {"ETH": 18})
         )
         assert allowed.deduction == 2000
 
@@ -207,23 +206,23 @@ class TestIngestTreatments:
             1, ts(2021), EventKind.SPEND, 10**18, 100, asset="ETH",
             metadata={"deduction": "1"},
         )
-        result = ingest_event(record, DEFAULT, Fifo([], DEFAULT, {"ETH": 18}))
+        result = ingest_event(record, DEFAULT, LotStore([], DEFAULT, {"ETH": 18}))
         assert result.deduction == 100
 
     def test_lp_events_default_to_transfers(self):
-        book = Fifo([], DEFAULT, {"BTC": 8})
-        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        book = LotStore([], DEFAULT, {"BTC": 8})
+        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
         result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), DEFAULT, book)
         assert result.disposal is None
-        assert book.store.total_qty("BTC") == BTC
+        assert book.total_qty("BTC") == BTC
 
     def test_lp_events_as_disposals_when_enabled(self):
         policy = JurisdictionPolicy(lp_events_are_disposals=True)
-        book = Fifo([], DEFAULT, {"BTC": 8})
-        book.store.add_lot("BTC", BTC, Fraction(100), ts(2020))
+        book = LotStore([], DEFAULT, {"BTC": 8})
+        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
         result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), policy, book)
         assert result.disposal.gain == 400
-        assert book.store.total_qty("BTC") == 0
+        assert book.total_qty("BTC") == 0
 
 
 class TestWithholding:

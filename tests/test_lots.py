@@ -9,102 +9,93 @@ from hypothesis import strategies as st
 from fisc.tax.engine import AvgMoving
 from fisc.tax.events import ChainEventRecord, EventKind
 from fisc.tax.lots import (
-    AccountingMethod,
+    Hifo,
     InsufficientQuantity,
+    Lifo,
     LotError,
     LotStore,
+    Periodic,
+    SpecId,
 )
 from fisc.tax.policy import JurisdictionPolicy
 
 BTC = 10**8
 
 
-def store_with_three_lots():
+def book_with_three_lots(book_class=LotStore):
     """1 BTC at 100, 1 at 300, 1 at 200, acquired in that order."""
-    store = LotStore({"BTC": 8})
-    store.add_lot("BTC", BTC, Fraction(100), 10)
-    store.add_lot("BTC", BTC, Fraction(300), 20)
-    store.add_lot("BTC", BTC, Fraction(200), 30)
-    return store
+    book = book_class([], JurisdictionPolicy(), {"BTC": 8})
+    book.add_lot("BTC", BTC, Fraction(100), 10)
+    book.add_lot("BTC", BTC, Fraction(300), 20)
+    book.add_lot("BTC", BTC, Fraction(200), 30)
+    return book
+
+
+def sale(qty, price=250, specid=None):
+    return ChainEventRecord(9, 90, EventKind.SALE, "BTC", qty, Fraction(price),
+                            specid_lot=specid)
 
 
 class TestOrderedMethods:
     def test_fifo_gain(self):
-        store = store_with_three_lots()
-        result = store.dispose("BTC", BTC, Fraction(250), AccountingMethod.FIFO)
+        result = book_with_three_lots(LotStore).dispose(sale(BTC))
         assert result.basis == 100 and result.gain == 150
 
     def test_lifo_gain(self):
-        store = store_with_three_lots()
-        result = store.dispose("BTC", BTC, Fraction(250), AccountingMethod.LIFO)
+        result = book_with_three_lots(Lifo).dispose(sale(BTC))
         assert result.basis == 200 and result.gain == 50
 
     def test_hifo_gain(self):
-        store = store_with_three_lots()
-        result = store.dispose("BTC", BTC, Fraction(250), AccountingMethod.HIFO)
+        result = book_with_three_lots(Hifo).dispose(sale(BTC))
         assert result.basis == 300 and result.gain == -50
 
+    def test_hifo_tie_goes_to_the_lowest_lot_id(self):
+        book = Hifo([], JurisdictionPolicy(), {"BTC": 8})
+        for acquired_at in (30, 10, 20):
+            book.add_lot("BTC", BTC, Fraction(100), acquired_at)
+        book.dispose(sale(BTC // 2))  # builds the heap
+        book.add_lot("BTC", BTC, Fraction(100), 0)
+        result = book.dispose(sale(2 * BTC))
+        assert [(p.lot_id, p.qty) for p in result.parts] == [(1, BTC // 2), (2, BTC),
+                                                             (3, BTC // 2)]
+
     def test_partial_lot_consumption(self):
-        store = store_with_three_lots()
-        result = store.dispose("BTC", BTC + BTC // 2, Fraction(250), AccountingMethod.FIFO)
+        book = book_with_three_lots()
+        result = book.dispose(sale(BTC + BTC // 2))
         assert result.basis == 100 + 150
         assert [p.lot_id for p in result.parts] == [1, 2]
-        assert store.total_qty("BTC") == BTC + BTC // 2
+        assert book.total_qty("BTC") == BTC + BTC // 2
 
     def test_overdraw_rejected(self):
-        store = store_with_three_lots()
+        book = book_with_three_lots()
         with pytest.raises(InsufficientQuantity):
-            store.dispose("BTC", 4 * BTC, Fraction(1), AccountingMethod.FIFO)
-
-
-    def test_mixed_orderings_share_one_book(self):
-        store = store_with_three_lots()
-        store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.FIFO)
-        # SpecID uses up lot 1 while FIFO's order still lists it first.
-        store.dispose(
-            "BTC", BTC // 2, Fraction(250), AccountingMethod.SPEC_ID, specid_lots=(1,)
-        )
-        result = store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.FIFO)
-        assert [(p.lot_id, p.qty) for p in result.parts] == [(2, BTC // 2)]
+            book.dispose(sale(4 * BTC, 1))
 
 
 class TestSpecId:
     def test_explicit_lot_choice(self):
-        store = store_with_three_lots()
-        result = store.dispose(
-            "BTC", BTC, Fraction(250), AccountingMethod.SPEC_ID, specid_lots=(3,)
-        )
+        result = book_with_three_lots(SpecId).dispose(sale(BTC, specid=(3,)))
         assert result.basis == 200
 
     def test_missing_reference_rejected(self):
-        store = store_with_three_lots()
         with pytest.raises(LotError):
-            store.dispose("BTC", BTC, Fraction(250), AccountingMethod.SPEC_ID)
+            book_with_three_lots(SpecId).dispose(sale(BTC))
 
     def test_unknown_lot_rejected(self):
-        store = store_with_three_lots()
         with pytest.raises(LotError):
-            store.dispose(
-                "BTC", BTC, Fraction(250), AccountingMethod.SPEC_ID, specid_lots=(99,)
-            )
+            book_with_three_lots(SpecId).dispose(sale(BTC, specid=(99,)))
 
     def test_repeated_lot_rejected(self):
         # Referencing lot 1 twice used to count its quantity twice: the
         # disposal passed the cover check and consumed only one lot's worth.
-        store = store_with_three_lots()
+        book = book_with_three_lots(SpecId)
         with pytest.raises(LotError):
-            store.dispose(
-                "BTC", BTC + BTC // 2, Fraction(250), AccountingMethod.SPEC_ID,
-                specid_lots=(1, 1),
-            )
-        assert store.total_qty("BTC") == 3 * BTC
+            book.dispose(sale(BTC + BTC // 2, specid=(1, 1)))
+        assert book.total_qty("BTC") == 3 * BTC
 
     def test_referenced_lots_too_small(self):
-        store = store_with_three_lots()
         with pytest.raises(InsufficientQuantity):
-            store.dispose(
-                "BTC", 2 * BTC, Fraction(250), AccountingMethod.SPEC_ID, specid_lots=(1,)
-            )
+            book_with_three_lots(SpecId).dispose(sale(2 * BTC, specid=(1,)))
 
 
 class TestAveragePooling:
@@ -130,23 +121,28 @@ class TestAveragePooling:
 
 
 class TestRebase:
-    def test_rebase_sets_unit_basis(self):
-        store = store_with_three_lots()
-        store.rebase_all({"BTC": Fraction(500)})
-        assert all(l.unit_basis == 500 for l in store.lots("BTC"))
+    """Periodic revalues its open lots to each asset's last price at year end."""
 
-    def test_hifo_after_rebase_follows_new_basis(self):
-        store = store_with_three_lots()
-        store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.HIFO)
-        store.rebase_all({"BTC": Fraction(500)})
-        # Every lot now has basis 500, so HIFO falls back to lot id order.
-        result = store.dispose("BTC", BTC // 2, Fraction(250), AccountingMethod.HIFO)
-        assert [p.lot_id for p in result.parts] == [1]
+    def test_rebase_sets_unit_basis(self):
+        book = book_with_three_lots(Periodic)
+        book.prices["BTC"] = Fraction(500)
+        book.year_end(2020)
+        assert all(l.unit_basis == 500 for l in book.lots("BTC"))
+
+    def test_fifo_order_survives_rebase(self):
+        book = book_with_three_lots(Periodic)
+        book.dispose(sale(BTC // 2))
+        book.prices["BTC"] = Fraction(500)
+        book.year_end(2020)
+        result = book.dispose(sale(BTC))
+        assert [(p.lot_id, p.qty) for p in result.parts] == [(1, BTC // 2), (2, BTC // 2)]
+        assert result.basis == 500
 
     def test_unknown_asset_untouched(self):
-        store = store_with_three_lots()
-        store.rebase_all({"ETH": Fraction(500)})
-        assert {l.unit_basis for l in store.lots("BTC")} == {100, 300, 200}
+        book = book_with_three_lots(Periodic)
+        book.prices["ETH"] = Fraction(500)
+        book.year_end(2020)
+        assert {l.unit_basis for l in book.lots("BTC")} == {100, 300, 200}
 
 
 def hifo_oracle(lots, qty):
@@ -189,10 +185,10 @@ class TestHifoOracle:
             ]
             total = sum(q for q, _ in lots)
             qty = rng.randrange(BTC, total + 1)
-            store = LotStore({"BTC": 8})
+            book = Hifo([], JurisdictionPolicy(), {"BTC": 8})
             for i, (q, b) in enumerate(lots):
-                store.add_lot("BTC", q, b, i)
-            result = store.dispose("BTC", qty, Fraction(1000), AccountingMethod.HIFO)
+                book.add_lot("BTC", q, b, i)
+            result = book.dispose(sale(qty, 1000))
             assert result.basis == hifo_oracle(lots, qty)
 
 
@@ -206,20 +202,18 @@ class TestConservation:
             min_size=1,
             max_size=6,
         ),
-        st.sampled_from(
-            [AccountingMethod.FIFO, AccountingMethod.LIFO, AccountingMethod.HIFO]
-        ),
+        st.sampled_from([LotStore, Lifo, Hifo]),
         st.randoms(use_true_random=False),
     )
     @settings(max_examples=60)
-    def test_basis_and_quantity_conserved(self, lots, method, rng):
-        store = LotStore({"BTC": 8})
+    def test_basis_and_quantity_conserved(self, lots, book_class, rng):
+        store = book_class([], JurisdictionPolicy(), {"BTC": 8})
         for i, (q, b) in enumerate(lots):
             store.add_lot("BTC", q, b, i)
         total_qty = store.total_qty("BTC")
         total_basis = store.total_basis("BTC")
         qty = rng.randrange(1, total_qty + 1)
-        result = store.dispose("BTC", qty, Fraction(100), method)
+        result = store.dispose(sale(qty, 100))
         assert result.qty == qty
         assert sum(p.qty for p in result.parts) == qty
         assert sum(p.basis for p in result.parts) == result.basis

@@ -4,46 +4,42 @@
 file and a policy whose tax year starts on 6 April. The event file has an
 event in year 999, negative timestamps just before the epoch, and
 `counterparty=`, `specid=` and `meta.` fields. `SHA256SUMS` lists the
-sha256 of every file the steps below write, in `sha256sum` format, so the
-same outputs can be checked from a shell: run the steps with
-`python -m fisc.cli` in a directory holding the inputs under `in/`, then
-`sha256sum -c tests/pipeline/SHA256SUMS` there.
+sha256 of every file the steps in `tests/pipeline/check.py` write, in
+`sha256sum` format. That script runs the steps and checks the digests with
+the standard library only, so the same outputs are checked here under every
+CPython 3.10+ installed with pyenv.
 """
 
-import shutil
-from hashlib import sha256
+import os
+import subprocess
 from pathlib import Path
 
-from fisc.cli import EXIT_OK, main
-from fisc.tax.lots import AccountingMethod
+import pytest
 
-PIPELINE = Path(__file__).with_name("pipeline")
-POLICY = ["--config", "in/policy.cfg"]
-STEPS = [
-    ["simulate", "chain", "in/chain.scn", "--out", "chain"],
-    ["report", "chain/events.fisc", *POLICY, "--out", "chain-report"],
-    ["simulate", "validators", "in/validators.scn", "--out", "validators"],
-    ["report", "validators/events.fisc", *POLICY, "--out", "validators-report"],
-    ["simulate", "pool", "in/pool.scn", "--out", "pool"],
-] + [
-    ["report", "in/events.fisc", "--method", m.value, *POLICY, "--out", "events-" + m.value]
-    for m in AccountingMethod
-]
+from pipeline.check import PIPELINE, pinned, run
+
+PYENV = Path.home() / ".pyenv" / "versions"
 
 
-def test_pinned_pipeline_outputs(tmp_path, monkeypatch):
-    shutil.copytree(PIPELINE, tmp_path / "in")
-    # Manifests record input paths as given, so run from a fixed layout.
-    monkeypatch.chdir(tmp_path)
-    for argv in STEPS:
-        assert main(argv) == EXIT_OK, argv
-    outputs = {
-        path.relative_to(tmp_path).as_posix(): sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
-        if path.is_file() and path.relative_to(tmp_path).parts[0] != "in"
-    }
-    pinned = {}
-    for line in (PIPELINE / "SHA256SUMS").read_text().splitlines():
-        digest, name = line.split()
-        pinned[name] = digest
-    assert outputs == pinned
+def test_pinned_pipeline_outputs(tmp_path):
+    assert run(tmp_path) == pinned()
+
+
+def pyenv_python(minor: str) -> Path | None:
+    """The newest `~/.pyenv` CPython `minor`.x that has a `python3`."""
+    found = sorted(PYENV.glob(minor + ".*/bin/python3"),
+                   key=lambda p: [int(n) for n in p.parts[-3].split(".")])
+    return found[-1] if found else None
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13"])
+def test_pinned_pipeline_outputs_under_each_cpython(minor):
+    python = pyenv_python(minor)
+    if python is None:
+        pytest.skip("no CPython %s under %s" % (minor, PYENV))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    result = subprocess.run([str(python), "-I", "-B", str(PIPELINE / "check.py")], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.endswith(": %d of %d pinned outputs match\n"
+                                  % (len(pinned()), len(pinned())))
