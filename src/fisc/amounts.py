@@ -1,7 +1,9 @@
 """Fixed-point asset amounts and exact rational helpers.
 
-All ledger arithmetic is integer base units (satoshi, wei, ...); rationals
-(Fraction) appear only for prices, rates and fee math, never floats.
+Quantities are integer base units (satoshi, wei, ...). Money is an int
+count of 10**-D currency units in a lot-book report whose prices all
+terminate (see `fisc.tax.lots.Book`; `format_units` prints it), else a
+Fraction, as rates and fee math are; never a float.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def eth(text: str) -> Amount:
     return Amount.from_decimal_str(text, ETH_DECIMALS)
 
 
-def _places(den: int) -> int | None:
+def decimal_places(den: int) -> int | None:
     """The smallest p with den dividing 10**p, or None if there is none."""
     # den divides a power of ten iff den = 2^a * 5^b; then p = max(a, b).
     a = (den & -den).bit_length() - 1
@@ -125,13 +127,25 @@ def format_rational(value: Fraction | int) -> str:
     num, den = frac.numerator, frac.denominator
     if den == 1:
         return str(num)
-    places = _places(den)
+    places = decimal_places(den)
     if places is None:
         return "%d/%d" % (num, den)
     digits = abs(num) * (10**places // den)
     sign = "-" if num < 0 else ""
     text = str(digits).rjust(places + 1, "0")
     return "%s%s.%s" % (sign, text[:-places], text[-places:])
+
+
+def format_units(units: int, places: int) -> str:
+    """format_rational(Fraction(units, 10**places)), read off the digits of
+    the int `units`: no Fraction and no gcd."""
+    try:
+        text = str(abs(units)).rjust(places + 1, "0")
+    except ValueError:  # more digits than format_rational converts: it decides
+        return format_rational(Fraction(units, 10**places))
+    whole, frac = text[:len(text) - places], text[len(text) - places:].rstrip("0")
+    sign = "-" if units < 0 else ""
+    return "%s%s.%s" % (sign, whole, frac) if frac else sign + whole
 
 
 class DigitLimit:
@@ -155,7 +169,7 @@ class DigitLimit:
         """Whether every int format_rational(value) converts is below 10**L,
         that is has at most L digits; converts nothing."""
         num, den = abs(value.numerator), value.denominator
-        places = _places(den)
+        places = decimal_places(den)
         if places is not None:  # printed as the digits of num * 10**p / den
             num, den = num * (10**places // den), 1
         return num < self._ceiling and den < self._ceiling

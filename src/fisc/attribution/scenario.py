@@ -94,6 +94,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 )
                 refs.append((lines.line_no, "dsc", (args[0], args[1])))
             elif tag == "identity":
+                refs.append((lines.line_no, "wallet", args[0]))
                 kv = pairs(args[1:])
                 for key in kv:
                     if key not in _IDENTITY_KEYS:

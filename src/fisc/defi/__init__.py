@@ -1,2 +1,1 @@
-from .pool import LiquidityPool, LpPosition, divergence_loss  # noqa: F401
-from .vault import Vault, liquidate_vault  # noqa: F401
+"""DeFi models: `pool` (a constant-product liquidity pool) and `vault`."""

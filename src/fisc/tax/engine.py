@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from ..amounts import DigitLimit, format_rational
+from ..amounts import DigitLimit, decimal_places, format_rational, format_units
 from .events import DISPOSAL_KINDS, ChainEventRecord, EventKind
 from .lots import (
     AccountingMethod,
@@ -47,11 +47,6 @@ COST_KINDS = {EventKind.PURCHASE, EventKind.ICO_ALLOCATION, EventKind.LP_WITHDRA
 _ZERO = Fraction(0)
 
 
-def _value(quantity: int, scale: int, unit_price: Fraction) -> Fraction:
-    """`quantity` base units at `unit_price` per whole unit, normalised once."""
-    return Fraction(quantity * unit_price.numerator, scale * unit_price.denominator)
-
-
 def tax_year_of(timestamp: int, policy: JurisdictionPolicy) -> int:
     """Label a moment with the calendar year its tax year started in."""
     stamp = datetime.fromtimestamp(timestamp, tz=timezone.utc)
@@ -62,11 +57,11 @@ def tax_year_of(timestamp: int, policy: JurisdictionPolicy) -> int:
 
 
 @dataclass
-class IngestResult:
-    income: Fraction = Fraction(0)
-    deduction: Fraction = Fraction(0)
+class IngestResult:  # amounts in the book's money, 0 when none
+    income: Fraction | int = 0
+    deduction: Fraction | int = 0
     disposal: DisposalResult | None = None
-    withholding: Fraction = Fraction(0)
+    withholding: Fraction | int = 0
 
 
 def withholding_amount(
@@ -112,14 +107,14 @@ def lot_move(record: ChainEventRecord,
 def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
                  book: Book) -> IngestResult:
     """Apply one event to `book`: add a lot and recognize its income,
-    dispose of lots, or record a deduction.
+    dispose of lots, or record a deduction, in the book's money.
 
     Callers must apply records in seq order; compute_report enforces it.
     """
     result = IngestResult()
     move, unit_basis, unit_income = lot_move(record, policy)
     if move > 0:
-        result.income = _value(record.quantity, book.scale(record.asset), unit_income)
+        result.income = book.value(record.quantity, record.asset, book.unit(unit_income))
         book.acquire(record, unit_basis)
     elif move < 0:
         disposal = book.dispose(record)
@@ -132,7 +127,7 @@ def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
             result.withholding = withholding_amount(disposal.proceeds, attribution, policy)
     elif "deduction" in record.metadata and (policy.slashing_deductible
                                              or "slashing" not in record.metadata):
-        result.deduction = _value(record.quantity, book.scale(record.asset), record.fmv_unit)
+        result.deduction = book.value(record.quantity, record.asset, book.unit(record.fmv_unit))
     return result
 
 
@@ -147,14 +142,15 @@ class Pvct(LotStore):
     operands, a product with a small one only gcds of the small factors.
     """
 
+    integral = False  # a basis is a share of the pool
     cost = _ZERO  # the pool; immutable, so each book rebinds its own
 
     def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
         super().acquire(record, unit_basis)
-        self.cost += _value(record.quantity, self.scale(record.asset), unit_basis)
+        self.cost += self.value(record.quantity, record.asset, unit_basis)
 
     def dispose(self, record: ChainEventRecord) -> DisposalResult:
-        value = sum(_value(self.total_qty(asset), self.scale(asset), self.prices[asset])
+        value = sum(self.value(self.total_qty(asset), asset, self.prices[asset])
                     for asset in self.all_assets())
         disposal = super().dispose(record)
         share = disposal.proceeds / value if value else _ZERO
@@ -171,12 +167,12 @@ class AvgMoving(Book):
     earliest acquisition date. A disposal takes its quantity's share of the
     pool's cost; a pool that runs empty restarts at its next acquisition."""
 
-    def __init__(self, records, policy, decimals):
-        super().__init__(records, policy, decimals)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.pools: dict[str, list] = {}  # asset -> [qty, cost, acquired_at]
 
     def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
-        cost = _value(record.quantity, self.scale(record.asset), unit_basis)
+        cost = self.value(record.quantity, record.asset, unit_basis)
         pool = self.pools.get(record.asset)
         if pool and pool[0]:
             pool[0] += record.quantity
@@ -193,7 +189,7 @@ class AvgMoving(Book):
             raise InsufficientQuantity("disposing %d but only %d %s held" % (qty, held, asset))
         basis = self._basis(record, pool)
         pool[0] = held - qty
-        proceeds = _value(qty, self.scale(asset), record.fmv_unit)
+        proceeds = self.value(qty, asset, record.fmv_unit)
         return DisposalResult(asset, qty, proceeds, basis,
                               (LotConsumption(0, qty, basis, pool[2]),))
 
@@ -216,8 +212,8 @@ class AvgTotal(AvgMoving):
     average to price it and raises EngineError.
     """
 
-    def __init__(self, records, policy, decimals):
-        super().__init__(records, policy, decimals)
+    def __init__(self, records, policy, *args):
+        super().__init__(records, policy, *args)
         self.policy = policy
         self.averages: dict[tuple[int, str], Fraction] = {}
         flows: dict[int, dict[str, list]] = {}  # year -> asset -> [added, its cost, taken]
@@ -227,7 +223,7 @@ class AvgTotal(AvgMoving):
                 record.asset, [0, _ZERO, 0])
             if move > 0:
                 flow[0] += record.quantity
-                flow[1] += _value(record.quantity, self.scale(record.asset), unit_basis)
+                flow[1] += self.value(record.quantity, record.asset, unit_basis)
             elif move < 0:
                 flow[2] += record.quantity
         carry: dict[str, tuple[int, Fraction]] = {}  # asset -> (qty, cost)
@@ -244,8 +240,7 @@ class AvgTotal(AvgMoving):
 
     def _basis(self, record: ChainEventRecord, pool: list) -> Fraction:
         year = tax_year_of(record.timestamp, self.policy)
-        return _value(record.quantity, self.scale(record.asset),
-                      self.averages[year, record.asset])
+        return self.value(record.quantity, record.asset, self.averages[year, record.asset])
 
 
 class LedgerLine(NamedTuple):
@@ -254,9 +249,9 @@ class LedgerLine(NamedTuple):
     kind: str
     asset: str
     qty: int
-    proceeds: Fraction
-    basis: Fraction
-    gain: Fraction
+    proceeds: Fraction | int  # in the book's money, see TaxReport
+    basis: Fraction | int
+    gain: Fraction | int
     term: str  # "short" | "long" | "-" for income lines
 
 
@@ -270,31 +265,40 @@ class YearTotals:
 
 
 class _ExactSum(dict):
-    """A running total kept as denominator -> sum of numerators: one int
-    addition per term, and one Fraction once every term is in."""
+    """A running total kept as denominator -> sum of numerators (an int's is
+    1): one int addition per term, one Fraction once all are in."""
 
-    def add(self, value: Fraction) -> None:
+    def add(self, value: Fraction | int) -> None:
         den = value.denominator
         self[den] = self.get(den, 0) + value.numerator
 
-    def total(self) -> Fraction:
-        """The terms over their least common denominator, reduced once: one
-        gcd per denominator, where each Fraction addition takes two."""
+    def total(self, one: int) -> Fraction:
+        """The terms over their least common denominator, over `one`, reduced
+        once: one gcd per denominator, where each Fraction addition takes two."""
         num, lcd = 0, 1
         for den, part in self.items():
             g = gcd(lcd, den)
             num, lcd = num * (den // g) + part * (lcd // g), lcd // g * den
-        return Fraction(num, lcd)
+        return Fraction(num, lcd * one)
 
 
 @dataclass
 class TaxReport:
     """compute_report appends only lines that to_csv can print; a year total
-    is judged once every line is in, by to_totals_json."""
+    is judged once every line is in, by to_totals_json. `ledger` is in the
+    book's money (see `Book`); `lines` and `years` are in currency units."""
 
     method: AccountingMethod
-    lines: list[LedgerLine] = field(default_factory=list)
+    ledger: list[LedgerLine] = field(default_factory=list)
     years: dict[int, YearTotals] = field(default_factory=dict)
+    places: int | None = None
+
+    @property
+    def lines(self) -> list[LedgerLine]:
+        if self.places is None:
+            return self.ledger
+        return [LedgerLine(*line[:5], *(Fraction(v, 10**self.places) for v in line[5:8]),
+                           line.term) for line in self.ledger]
 
     @property
     def total_gain(self) -> Fraction:
@@ -307,16 +311,14 @@ class TaxReport:
         return sum((y.ordinary_income for y in self.years.values()), Fraction(0))
 
     def to_csv(self) -> str:
+        places = self.places
+        fmt = format_rational if places is None else lambda units: format_units(units, places)
         rows = ["seq,date,kind,asset,qty,proceeds,basis,gain,term"]
-        for line in self.lines:
-            rows.append(
-                "%d,%s,%s,%s,%d,%s,%s,%s,%s"
-                % (
-                    line.seq, line.date, line.kind, line.asset, line.qty,
-                    format_rational(line.proceeds), format_rational(line.basis),
-                    format_rational(line.gain), line.term,
-                )
-            )
+        for seq, date, kind, asset, qty, proceeds, basis, gain, term in self.ledger:
+            # A zero, as an income line's basis and gain are, prints as 0 directly.
+            rows.append("%d,%s,%s,%s,%d,%s,%s,%s,%s" % (
+                seq, date, kind, asset, qty, fmt(proceeds) if proceeds else "0",
+                fmt(basis) if basis else "0", fmt(gain) if gain else "0", term))
         return "\n".join(rows) + "\n"
 
     def to_totals_json(self) -> str:
@@ -347,27 +349,41 @@ BOOKS: dict[AccountingMethod, type[Book]] = {
 }
 
 
+def _price_places(records: list[ChainEventRecord], policy: JurisdictionPolicy) -> int | None:
+    """The most decimal places of any price; None if one does not terminate
+    or a gift is exempt (its basis, split over its parts, need not)."""
+    if not policy.gift_taxable and any(r.kind is EventKind.GIFT for r in records):
+        return None
+    places = {decimal_places(den) for den in {r.fmv_unit.denominator for r in records}}
+    return None if None in places else max(places, default=0)
+
+
 def compute_report(
     records: list[ChainEventRecord],
     policy: JurisdictionPolicy,
     method: AccountingMethod,
     decimals: dict[str, int] | None = None,
 ) -> TaxReport:
-    """Deterministic per-year tax report over a seq-ordered single portfolio.
+    """Deterministic per-year tax report over a seq-ordered single portfolio,
+    in ints where `_price_places` allows, else in Fractions: the same text.
 
     Stops with EngineError at the first ledger line too long to print.
     """
     if method not in policy.allowed_methods:
         raise PolicyViolation("method %s not allowed by policy" % method.value)
-    book = BOOKS[method](records, policy, decimals)
-    report = TaxReport(method)
+    book_class = BOOKS[method]
+    book = book_class(records, policy, decimals,
+                      _price_places(records, policy) if book_class.integral else None)
+    report = TaxReport(method, places=book.places)
+    one, zero = (1, _ZERO) if book.places is None else (10**book.places, 0)
     current_year: int | None = None
     last_seq: int | None = None
     sums: dict[int, dict[str, _ExactSum]] = {}  # year -> YearTotals field -> its sum
     # Tax year, ledger date and year totals depend only on the UTC day.
     days: dict[int, tuple[int, str, dict[str, _ExactSum]]] = {}
     limit = DigitLimit()
-    room = limit.room
+    # The bounds read an int n as n/1, not n/one: take one's extra bits off the room.
+    room = limit.room - 3 * (one.bit_length() - 1)
 
     for record in records:
         if last_seq is not None and record.seq <= last_seq:
@@ -394,24 +410,26 @@ def compute_report(
         if income:
             totals["ordinary_income"].add(income)
             line = LedgerLine(record.seq, date, record.kind.value, record.asset,
-                              record.quantity, income, _ZERO, _ZERO, "-")
+                              record.quantity, income, zero, zero, "-")
             if income.numerator.bit_length() + 3 * income.denominator.bit_length() > room:
-                _check_printable(line, limit)
-            report.lines.append(line)
+                _check_printable(line, limit, one)
+            report.ledger.append(line)
         if result.deduction:
             totals["deductible_expenses"].add(result.deduction)
         if result.withholding:
             totals["withholding_owed"].add(result.withholding)
         if result.disposal is not None:
-            _record_disposal(report, totals, record, date, result.disposal, policy, limit)
+            _record_disposal(report, totals, record, date, result.disposal, policy, book,
+                             limit, room)
     for year, totals in sums.items():
-        report.years[year] = YearTotals(**{name: s.total() for name, s in totals.items()})
+        report.years[year] = YearTotals(**{name: s.total(one) for name, s in totals.items()})
     return report
 
 
-def _check_printable(line: LedgerLine, limit: DigitLimit) -> None:
-    """Raise EngineError if to_csv could not print `line`."""
-    for value in (line.proceeds, line.basis, line.gain):
+def _check_printable(line: LedgerLine, limit: DigitLimit, one: int) -> None:
+    """Raise EngineError if to_csv could not print `line`, whose amounts
+    count 1/`one` currency units."""
+    for value in (Fraction(amount, one) if one > 1 else amount for amount in line[5:8]):
         if not limit.fits(value):
             try:
                 format_rational(value)
@@ -427,12 +445,16 @@ def _record_disposal(
     date: str,
     disposal: DisposalResult,
     policy: JurisdictionPolicy,
+    book: Book,
     limit: DigitLimit,
+    room: int,
 ) -> None:
     cutoff = policy.long_term_days * 86_400
-    room = limit.room
+    # Proceeds per part: in ints, its quantity at the price; else its share.
+    unit = None if book.places is None else book.unit(record.fmv_unit)
     for part in disposal.parts:
-        proceeds = disposal.proceeds * Fraction(part.qty, disposal.qty)
+        proceeds = (disposal.proceeds * Fraction(part.qty, disposal.qty) if unit is None
+                    else book.value(part.qty, record.asset, unit))
         basis = part.basis
         gain = proceeds - basis
         term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
@@ -445,5 +467,5 @@ def _record_disposal(
         # numerator bits, so each value's n + 3d is at most the sum + 1.
         if (proceeds.numerator.bit_length() + basis.numerator.bit_length() + 4 * (
                 proceeds.denominator.bit_length() + basis.denominator.bit_length()) >= room):
-            _check_printable(line, limit)
-        report.lines.append(line)
+            _check_printable(line, limit, 10 ** (book.places or 0))
+        report.ledger.append(line)

@@ -1,8 +1,8 @@
 """Cost-basis lot books: FIFO, LIFO, HIFO, SpecID and Periodic.
 
-All basis and gain arithmetic is exact (Fraction); quantities are integer
-base units. Every accounting method is a `Book`; the pooled-cost books
-(moving and total average, PVCT) are in `fisc.tax.engine`.
+Quantities are integer base units; money is exact, as Fractions or as
+ints (see `Book`). Every accounting method is a `Book`; the pooled-cost
+books (moving and total average, PVCT) are in `fisc.tax.engine`.
 
 `LotStore` is the FIFO book, and each lot book takes its lots in one order.
 Each asset keeps its open lots in a dict keyed by `lot_id` (exhausted lots
@@ -51,7 +51,7 @@ class Lot:
     lot_id: int
     asset: str
     remaining_qty: int  # base units
-    unit_basis: Fraction  # reference currency per whole asset unit
+    unit_basis: Fraction | int  # a price per whole asset unit, see Book.unit
     acquired_at: int
 
     def __post_init__(self):
@@ -64,19 +64,19 @@ class Lot:
 class LotConsumption(NamedTuple):
     lot_id: int
     qty: int
-    basis: Fraction
+    basis: Fraction | int  # in the book's money, as are the amounts below
     acquired_at: int
 
 
 class DisposalResult(NamedTuple):
     asset: str
     qty: int
-    proceeds: Fraction
-    basis: Fraction
+    proceeds: Fraction | int
+    basis: Fraction | int
     parts: tuple[LotConsumption, ...]
 
     @property
-    def gain(self) -> Fraction:
+    def gain(self) -> Fraction | int:
         return self.proceeds - self.basis
 
 
@@ -85,15 +85,40 @@ class Book:
     the record's quantity at `unit_basis` per whole unit, `dispose(record)`
     consumes and prices it, and `year_end(year)` runs as each tax year
     closes. compute_report keeps `prices`, each asset's last FMV, current.
+
+    Money is Fractions of the currency unit (`places` None), or, given the
+    most decimal places P of any price, int counts of 10**-`places` of it,
+    `places` being the largest asset decimals plus P, and a price is itself
+    × 10**P. Only an `integral` book may count in ints.
     """
 
+    integral = False
+
     def __init__(self, records: list[ChainEventRecord], policy: JurisdictionPolicy,
-                 decimals: dict[str, int] | None):
+                 decimals: dict[str, int] | None, price_places: int | None = None):
         self.decimals = dict(decimals or {})
         self.prices: dict[str, Fraction] = {}
+        self.places: int | None = None
+        if price_places is not None:
+            self.decimals = dict.fromkeys({r.asset for r in records}, 8) | self.decimals
+            top = max(self.decimals.values(), default=0)
+            self.places, self._price_one = top + price_places, 10**price_places
+            self._factors = {asset: 10 ** (top - d) for asset, d in self.decimals.items()}
 
     def scale(self, asset: str) -> int:
         return 10 ** self.decimals.setdefault(asset, 8)
+
+    def unit(self, price: Fraction) -> Fraction | int:
+        """A price per whole unit in this book's money (exact: P places suffice)."""
+        if self.places is None:
+            return price
+        return price.numerator * (self._price_one // price.denominator)
+
+    def value(self, qty: int, asset: str, unit: Fraction | int) -> Fraction | int:
+        """`qty` base units of `asset` at `unit`, a `unit(price)`, normalised once."""
+        if self.places is None:
+            return Fraction(qty * unit.numerator, self.scale(asset) * unit.denominator)
+        return qty * unit * self._factors[asset]
 
     def year_end(self, year: int) -> None:
         pass
@@ -103,8 +128,10 @@ class LotStore(Book):
     """FIFO: consume the open lots acquired first. Subclasses change `key`,
     or the choice of lots itself."""
 
-    def __init__(self, records, policy, decimals):
-        super().__init__(records, policy, decimals)
+    integral = True  # a value is a quantity times a price
+
+    def __init__(self, records, policy, decimals, price_places=None):
+        super().__init__(records, policy, decimals, price_places)
         self._open: dict[str, dict[int, Lot]] = {}
         self._open_qty: dict[str, int] = {}
         self._heaps: dict[str, list[tuple]] = {}
@@ -126,14 +153,12 @@ class LotStore(Book):
         return self._open_qty.get(asset, 0)
 
     def total_basis(self, asset: str) -> Fraction:
-        scale = self.scale(asset)
-        return sum(
-            (Fraction(l.remaining_qty, scale) * l.unit_basis for l in self.lots(asset)),
-            Fraction(0),
-        )
+        """The cost of the open lots, in currency units."""
+        total = sum(self.value(l.remaining_qty, asset, l.unit_basis) for l in self.lots(asset))
+        return Fraction(total, 10 ** (self.places or 0))
 
     def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
-        self.add_lot(record.asset, record.quantity, unit_basis, record.timestamp)
+        self.add_lot(record.asset, record.quantity, self.unit(unit_basis), record.timestamp)
 
     def add_lot(self, asset: str, qty: int, unit_basis: Fraction, acquired_at: int) -> Lot:
         """Record an acquisition as a new lot."""
@@ -170,8 +195,7 @@ class LotStore(Book):
         if qty > available:
             raise InsufficientQuantity("disposing %d but only %d %s held"
                                        % (qty, available, asset))
-        scale = self.scale(asset)
-        book = self._open[asset]
+        book, value = self._open[asset], self.value
         remaining = qty
         parts: list[LotConsumption] = []
         for lot in self._choose(record):
@@ -179,7 +203,7 @@ class LotStore(Book):
             lot.remaining_qty -= take
             if lot.remaining_qty == 0:
                 del book[lot.lot_id]
-            parts.append(LotConsumption(lot.lot_id, take, Fraction(take, scale) * lot.unit_basis,
+            parts.append(LotConsumption(lot.lot_id, take, value(take, asset, lot.unit_basis),
                                         lot.acquired_at))
             remaining -= take
             if remaining == 0:
@@ -188,9 +212,8 @@ class LotStore(Book):
         if remaining:
             raise LotError("disposal of %d %s left %d unconsumed" % (qty, asset, remaining))
         self._open_qty[asset] = available - qty
-        proceeds = Fraction(qty, scale) * record.fmv_unit
-        basis = sum((p.basis for p in parts), Fraction(0))
-        return DisposalResult(asset, qty, proceeds, basis, tuple(parts))
+        proceeds = value(qty, asset, self.unit(record.fmv_unit))
+        return DisposalResult(asset, qty, proceeds, sum(p.basis for p in parts), tuple(parts))
 
 
 class Lifo(LotStore):
@@ -237,5 +260,6 @@ class Periodic(LotStore):
     def year_end(self, year: int) -> None:
         for asset, book in self._open.items():
             if asset in self.prices:
+                unit = self.unit(self.prices[asset])
                 for lot in book.values():
-                    lot.unit_basis = self.prices[asset]
+                    lot.unit_basis = unit

@@ -2,12 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fisc
+from fisc.amounts import format_rational, parse_rational
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
+from fisc.tax.engine import compute_report
+from fisc.tax.events import parse_event_file
+from fisc.tax.lots import AccountingMethod
+from fisc.tax.policy import JurisdictionPolicy
 
 EVENTS = """\
 asset BTC 8
@@ -234,6 +240,26 @@ class TestReport:
         assert "events.fisc: seq 7: exact value too long to print: Exceeds the limit" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("digits,code", [(3_000, EXIT_OK), (4_000, EXIT_POLICY)])
+    def test_long_value_at_a_decimal_price(self, tmp_path, capsys, digits, code):
+        # A quantity at a 400-digit price of 200 places, counted in ints of
+        # 10**-208: income of 3,400 digits prints, and of 4,400 does not.
+        price = "1" * 200 + "." + "3" * 200
+        line = "event seq=7 ts=0 kind=mining_reward asset=X qty=%s fmv=%s\n" % ("9" * digits, price)
+        events = write(tmp_path, "events.fisc", "asset X 8\n" + line)
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == code
+        if code == EXIT_OK:
+            decimals, records = parse_event_file(events.read_text())
+            report = compute_report(records, JurisdictionPolicy(), AccountingMethod.FIFO, decimals)
+            assert report.places == 208
+            income = format_rational(Fraction(int("9" * digits) * parse_rational(price), 10**8))
+            assert ",%s,0,0,-" % income in (out / "ledger.csv").read_text()
+            return
+        err = capsys.readouterr().err
+        assert "events.fisc: seq 7: exact value too long to print: Exceeds the limit" in err
+        assert not out.exists()
+
     def test_unprintable_total_exit_3(self, tmp_path, capsys):
         # 800 sales at 1/p for distinct 7-digit primes p: every ledger line
         # prints, but the year's gain has a denominator of about 5,600 digits.
@@ -447,11 +473,15 @@ class TestAttrib:
             ("register AT T9 w1", EXIT_PARSE, "bad.scn:10: no dsc line for AT T9"),
             ("transfer wallet_nobody wallet_bob 1 8", EXIT_PARSE,
              "bad.scn:10: wallet 'wallet_nobody' has no register line"),
+            # A misspelt label: wallet_ann is registered, wallet_anne is not.
+            ("identity wallet_anne name=Ann physical=Street1", EXIT_PARSE,
+             "bad.scn:10: wallet 'wallet_anne' has no register line"),
             # Only the run can tell that a tampered registration is rejected.
             ("dsc AT T3 eve\nregister_tampered AT T3 wallet_eve\ntransfer wallet_eve x 1 8",
              EXIT_POLICY, "bad.scn: transfer 1: origin wallet wallet_eve is not registered"),
         ],
-        ids=["dsc-jurisdiction", "register-dsc", "transfer-origin", "rejected-origin"],
+        ids=["dsc-jurisdiction", "register-dsc", "transfer-origin", "identity-wallet",
+             "rejected-origin"],
     )
     def test_unknown_reference_names_its_line_or_transfer(self, tmp_path, capsys, lines, code,
                                                           message):
@@ -460,6 +490,18 @@ class TestAttrib:
         assert main(["attrib", str(scenario), "--out", str(out)]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_identity_of_a_rejected_registration_goes_unused(self, tmp_path):
+        """Only the run can tell that a registration is rejected; its wallet
+        then has no address, so its identity line changes nothing."""
+        rejected = "dsc AT T3 eve\nregister_tampered AT T3 wallet_eve\n"
+        runs = []
+        for extra in ("", "identity wallet_eve name=Eve physical=Street3\n"):
+            out = tmp_path / ("o%d" % len(runs))
+            scenario = write(tmp_path, "s%d.scn" % len(runs), ATTRIB_SCENARIO + rejected + extra)
+            assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_OK
+            runs.append([(out / name).read_bytes() for name in ("trace.txt", "withholding.txt")])
+        assert runs[0] == runs[1]
 
     def test_unknown_identity_key_exit_2_with_line(self, tmp_path, capsys):
         scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO
@@ -561,13 +603,23 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_cli_import_leaves_attribution_unloaded():
+def loaded_by_cli_import(part: str) -> str:
+    """The modules naming `part` that `import fisc.cli` loads, in a fresh process."""
     src = str(Path(fisc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, fisc.cli; print(sorted(m for m in sys.modules if 'attribution' in m))"
+    probe = "import sys, fisc.cli; print(sorted(m for m in sys.modules if %r in m))" % part
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_attribution_unloaded():
+    assert loaded_by_cli_import("attribution") == "[]"
+
+
+def test_cli_import_leaves_vault_unloaded():
+    """No subcommand uses the vault, so no CLI process loads it."""
+    assert loaded_by_cli_import("fisc.defi.vault") == "[]"
 
 
 def test_version_flag(capsys):

@@ -1,11 +1,13 @@
-"""The indexed lot books, the per-method reports, integer format_rational,
-the print check as lines are appended, year totals summed per denominator
-and the attribution query's sorted delivery list, against the seed versions.
+"""The indexed lot books, the per-method reports in both money domains,
+integer format_rational and format_units, the print check as lines are
+appended, year totals summed per denominator and the attribution query's
+sorted delivery list, against the seed versions.
 
 `seed_oracles` holds the original implementations. Both sides get the same
 random operation sequences and must agree exactly, errors included.
 """
 
+from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
@@ -14,14 +16,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fisc.amounts import DigitLimit, format_rational, parse_rational
+from fisc.amounts import DigitLimit, format_rational, format_units, parse_rational
 from fisc.attribution.protocol import build_ownership_proof
 from fisc.attribution.sim import AttributionNetwork, LinkConfig
 from fisc.signatures import DEFAULT_SCHEME
 from fisc.tax import engine
 from fisc.tax.events import ChainEventRecord, EventKind
 from fisc.tax.lots import AccountingMethod, Hifo, Lifo, LotError, LotStore, Periodic, SpecId
-from fisc.tax.policy import JurisdictionPolicy
+from fisc.tax.policy import HobbyMinerRule, JurisdictionPolicy, ReceiptTreatment
 from seed_oracles import (
     SeedAttributionNetwork,
     SeedLotStore,
@@ -105,8 +107,9 @@ FMVS = st.fractions(1, 500, max_denominator=8)
 
 
 @st.composite
-def report_cases(draw, prices=FMVS, faults=True):
-    """A policy and a stream over both assets that the policy can replay.
+def report_cases(draw, prices=FMVS, faults=True, decimals=DECIMALS, kinds=KINDS):
+    """A policy and a stream over the assets of `decimals` that the policy
+    can replay, of events whose kinds are drawn from `kinds`.
 
     Disposal kinds may carry `meta.deduction` (with or without
     `meta.slashing`) and then dispose of nothing; LP events dispose and
@@ -121,11 +124,11 @@ def report_cases(draw, prices=FMVS, faults=True):
         slashing_deductible=draw(st.booleans()),
     )
     records = []
-    lots = {asset: [] for asset in ASSETS}  # [lot id, remaining] as SpecID consumes them
+    lots = {asset: [] for asset in decimals}  # [lot id, remaining] as SpecID consumes them
     next_lot = 1
     for seq in range(1, draw(st.integers(1, 30)) + 1):
-        kind = draw(st.sampled_from(KINDS))
-        asset = draw(st.sampled_from(ASSETS))
+        kind = draw(st.sampled_from(kinds))
+        asset = draw(st.sampled_from(sorted(decimals)))
         moves = policy.lp_events_are_disposals or kind not in (EventKind.LP_DEPOSIT,
                                                                EventKind.LP_WITHDRAWAL)
         held = sum(remaining for _, remaining in lots[asset])
@@ -222,6 +225,88 @@ def test_year_totals_over_many_denominators(method, case):
         assert totals.short_term_gain == sum(l.gain for l in lines if l.term == "short")
         assert totals.long_term_gain == sum(l.gain for l in lines if l.term == "long")
         assert all(type(value) is Fraction for value in vars(totals).values())
+
+
+# Prices of 0 to 6 decimal places, over assets of 0 to 18 decimals.
+DECIMAL_PRICES = st.builds(lambda n, places: Fraction(n, 10**places),
+                           st.integers(0, 10**9), st.integers(0, 6))
+WIDE_DECIMALS = {"A": 0, "B": 2, "E": 18}
+# Receipts that may have a zero basis, and gifts, taxable or exempt.
+RECEIPT_KINDS = KINDS + (EventKind.AIRDROP, EventKind.FORK_RECEIPT, EventKind.GIFT)
+LOT_METHODS = {AccountingMethod.FIFO, AccountingMethod.LIFO, AccountingMethod.HIFO,
+               AccountingMethod.SPEC_ID, AccountingMethod.PERIODIC}
+
+
+@st.composite
+def decimal_cases(draw):
+    """report_cases at decimal prices, with zero-basis receipt and hobby
+    mining switches, a withholding rate of 1/3 that does not terminate,
+    and `meta.attribution` on disposals; now and then one price is 1/3."""
+    policy, records = draw(report_cases(prices=DECIMAL_PRICES, faults=False,
+                                        decimals=WIDE_DECIMALS, kinds=RECEIPT_KINDS))
+    policy = replace(
+        policy, standard_withholding=Fraction(1, 3), elevated_withholding=Fraction(1, 2),
+        airdrop_treatment=draw(st.sampled_from(ReceiptTreatment)),
+        fork_treatment=draw(st.sampled_from(ReceiptTreatment)),
+        mining_is_business=draw(st.booleans()), hobby_miner=draw(st.sampled_from(HobbyMinerRule)))
+    for record in records:
+        if record.kind in engine.DISPOSAL_KINDS and draw(st.booleans()):
+            record.metadata["attribution"] = draw(st.sampled_from(("affirmed", "unresolved")))
+    if records and draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(records) - 1))
+        records[at] = ChainEventRecord(*records[at][:5], Fraction(1, 3), *records[at][6:])
+    return policy, records
+
+
+@pytest.mark.parametrize("method", list(AccountingMethod))
+@given(case=decimal_cases())
+@settings(max_examples=100, deadline=None)
+def test_integer_money_matches_fraction_oracle(method, case):
+    """A lot book whose prices all terminate, with no exempt gift, counts
+    in ints of 10**-D; every other report in Fractions. Either way the
+    CSV, totals JSON, lines and year totals equal the Fraction oracle's."""
+    policy, records = case
+    report = outcome(lambda: engine.compute_report(records, policy, method, WIDE_DECIMALS))
+    seed = outcome(lambda: seed_compute_report(records, policy, method, WIDE_DECIMALS))
+    if isinstance(report, tuple):  # an overdrawn avg_total year
+        assert report == seed
+        return
+    assert (report.to_csv(), report.to_totals_json()) == seed_rendering(seed)
+    assert report.lines == seed.lines and report.years == seed.years
+    exempt_gift = not policy.gift_taxable and any(r.kind is EventKind.GIFT for r in records)
+    thirds = any(r.fmv_unit == Fraction(1, 3) for r in records)
+    integral = method in LOT_METHODS and not exempt_gift and not thirds
+    assert (report.places is not None) == integral
+    if integral:
+        assert all(type(amount) is int for line in report.ledger for amount in line[5:8])
+
+
+@given(st.integers(-10**40, 10**40), st.integers(0, 40))
+@example(0, 0)
+@example(0, 5)
+@example(-5, 1)
+@example(1500, 3)
+@example(-10**20, 20)
+@example(123, 0)
+def test_format_units_matches_format_rational(units, places):
+    assert format_units(units, places) == format_rational(Fraction(units, 10**places))
+
+
+@pytest.mark.parametrize("units,places", [
+    ((10**640 - 1) * 10**100, 100), (10**740, 100), (10**700 + 1, 100), (-(10**650), 20),
+    (7 * 10**700, 0)])
+def test_format_units_decides_the_digit_limit_as_format_rational(low_digit_limit, units,
+                                                                 places):
+    """Past the digit limit as an int, a count of 10**-places can still
+    print once its trailing zeros are gone; format_rational decides."""
+    def text(call):
+        try:
+            return call()
+        except ValueError as exc:
+            return str(exc)
+
+    assert text(lambda: format_units(units, places)) == text(
+        lambda: format_rational(Fraction(units, 10**places)))
 
 
 def seed_rendering(report: engine.TaxReport) -> tuple[str, str]:
