@@ -27,22 +27,32 @@ EXIT_PARSE = 2
 EXIT_POLICY = 3
 
 
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_outputs(out: str, command: str, inputs: list[Path], outputs: dict[str, str],
+                   seed: int | None = None) -> int:
+    """Write each `outputs` text to directory `out` under its name, then
+    `manifest.json` with the sha256 of every input and output file. Each text
+    is popped as it is written: the manifest reads the files back, so one copy
+    is held at a time."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = list(outputs)
+    for name in names:
+        (out_dir / name).write_text(outputs.pop(name))
 
+    def digest(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
-def _write_manifest(out_dir: Path, command: str, inputs: list[Path], seed: int | None,
-                    outputs: list[Path]) -> None:
     manifest = {
         "command": command,
         "engine_version": __version__,
-        "inputs": {str(p): _file_digest(p) for p in inputs},
+        "inputs": {str(p): digest(p) for p in inputs},
         "seed": seed,
-        "outputs": {str(p.name): _file_digest(p) for p in outputs},
+        "outputs": {name: digest(out_dir / name) for name in names},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
+    return EXIT_OK
 
 
 # What reading and parsing an input file may raise: an unreadable file, bytes
@@ -62,7 +72,6 @@ def _bad_input(path: Path, exc: Exception) -> int:
 
 def cmd_report(args) -> int:
     events_path = Path(args.events)
-    out_dir = Path(args.out)
     config = args.config or os.environ.get("FISC_CONFIG")
     policy_path = Path(config) if config else None
     try:
@@ -80,22 +89,15 @@ def cmd_report(args) -> int:
         method = AccountingMethod(args.method)
         report = compute_report(records, policy, method, decimals)
         # Rendered before --out exists: a value too long to print leaves nothing.
-        ledger, totals = report.to_csv(), report.to_totals_json()
+        outputs = {"ledger.csv": report.to_csv(), "totals.json": report.to_totals_json()}
     except PolicyViolation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_POLICY
     except (EngineError, LotError, ValueError) as exc:
         print("%s: %s" % (events_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ledger_path = out_dir / "ledger.csv"
-    totals_path = out_dir / "totals.json"
-    ledger_path.write_text(ledger)
-    totals_path.write_text(totals)
-    del ledger, totals  # the manifest reads both files back: hold one copy at a time
     inputs = [events_path] + ([policy_path] if policy_path else [])
-    _write_manifest(out_dir, "report", inputs, args.seed, [ledger_path, totals_path])
-    return EXIT_OK
+    return _write_outputs(args.out, "report", inputs, outputs)
 
 
 _SIM_RUNNERS = {
@@ -107,19 +109,12 @@ _SIM_RUNNERS = {
 
 def cmd_simulate(args) -> int:
     scenario_path = Path(args.scenario)
-    out_dir = Path(args.out)
     try:
-        events_text, state_text = _SIM_RUNNERS[args.kind](scenario_path.read_text())
+        outputs = dict(zip(("events.fisc", "state.txt"),
+                           _SIM_RUNNERS[args.kind](scenario_path.read_text())))
     except _INPUT_ERRORS as exc:
         return _bad_input(scenario_path, exc)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    events_path = out_dir / "events.fisc"
-    state_path = out_dir / "state.txt"
-    events_path.write_text(events_text)
-    state_path.write_text(state_text)
-    _write_manifest(out_dir, "simulate " + args.kind, [scenario_path], args.seed,
-                    [events_path, state_path])
-    return EXIT_OK
+    return _write_outputs(args.out, "simulate " + args.kind, [scenario_path], outputs)
 
 
 def cmd_attrib(args) -> int:
@@ -129,7 +124,6 @@ def cmd_attrib(args) -> int:
     from .attribution.travelrule import TravelRuleError
 
     scenario_path = Path(args.scenario)
-    out_dir = Path(args.out)
     try:
         scenario = parse_attribution_scenario(scenario_path.read_text())
     except _INPUT_ERRORS as exc:
@@ -141,14 +135,8 @@ def cmd_attrib(args) -> int:
     except (AttributionError, TravelRuleError, ValueError) as exc:
         print("%s: %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.txt"
-    ledger_path = out_dir / "withholding.txt"
-    trace_path.write_text(run.trace)
-    ledger_path.write_text(run.ledger)
-    _write_manifest(out_dir, "attrib", [scenario_path], scenario.seed,
-                    [trace_path, ledger_path])
-    return EXIT_OK
+    return _write_outputs(args.out, "attrib", [scenario_path],
+                          {"trace.txt": run.trace, "withholding.txt": run.ledger}, scenario.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,12 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="policy/config file (fallback: $FISC_CONFIG)")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", required=True, help="output directory")
 
     p_report = sub.add_parser("report", parents=[common], help="compute a tax report")
     p_report.add_argument("events", help="event file")
+    p_report.add_argument("--config", help="policy file (fallback: $FISC_CONFIG)")
     p_report.add_argument("--method", default="fifo",
                           choices=[m.value for m in AccountingMethod])
     p_report.set_defaults(func=cmd_report)
@@ -175,6 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_attrib = sub.add_parser("attrib", parents=[common],
                               help="run an attribution-protocol scenario")
     p_attrib.add_argument("scenario")
+    p_attrib.add_argument("--seed", type=int, default=None,
+                          help="override the scenario's seed line")
     p_attrib.set_defaults(func=cmd_attrib)
     return parser
 

@@ -1,1 +1,1 @@
-"""DeFi models: `pool` (a constant-product liquidity pool) and `vault`."""
+"""DeFi models: `pool`, a constant-product liquidity pool."""

@@ -79,9 +79,10 @@ def withholding_amount(
 
 
 def lot_move(record: ChainEventRecord,
-             policy: JurisdictionPolicy) -> tuple[int, Fraction, Fraction]:
+             policy: JurisdictionPolicy) -> tuple[int, Fraction, bool]:
     """How an event moves lots: (1 if it adds a lot, -1 if it consumes lots,
-    0 if neither; per-unit basis of the added lot; per-unit income).
+    0 if neither; per-unit basis of the added lot; whether that basis, the
+    FMV, is also recognized as income).
 
     ingest_event and the total-average pre-pass both classify events here,
     so every method sees the same acquisitions and disposals. Under
@@ -91,17 +92,23 @@ def lot_move(record: ChainEventRecord,
     kind, fmv = record.kind, record.fmv_unit
     lp_transfer = kind in LP_KINDS and not policy.lp_events_are_disposals
     if "deduction" in record.metadata or kind is EventKind.SELF_TRANSFER or lp_transfer:
-        return 0, _ZERO, _ZERO
+        return 0, _ZERO, False
     if kind in DISPOSAL_KINDS or kind is EventKind.LP_DEPOSIT:
-        return -1, _ZERO, _ZERO
+        return -1, _ZERO, False
     hobby = None if policy.mining_is_business or kind not in MINING_KINDS else policy.hobby_miner
     receipt = (policy.fork_treatment if kind is EventKind.FORK_RECEIPT
                else policy.airdrop_treatment if kind is EventKind.AIRDROP else None)
     if kind in COST_KINDS or hobby is HobbyMinerRule.EXEMPT_WITH_COST_BASIS:
-        return 1, fmv, _ZERO
+        return 1, fmv, False
     if hobby is HobbyMinerRule.ZERO_BASIS_NO_DEDUCTION or receipt is ReceiptTreatment.ZERO_BASIS:
-        return 1, _ZERO, _ZERO
-    return 1, fmv, fmv  # income at FMV, basis at FMV
+        return 1, _ZERO, False
+    return 1, fmv, True  # income at FMV, basis at FMV
+
+
+def exempt_gift(record: ChainEventRecord, policy: JurisdictionPolicy) -> bool:
+    """A gift the policy does not tax: each lot part leaves the portfolio at
+    its own basis, so no part recognizes a gain."""
+    return record.kind is EventKind.GIFT and not policy.gift_taxable
 
 
 def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
@@ -112,14 +119,15 @@ def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
     Callers must apply records in seq order; compute_report enforces it.
     """
     result = IngestResult()
-    move, unit_basis, unit_income = lot_move(record, policy)
+    move, unit_basis, income = lot_move(record, policy)
     if move > 0:
-        result.income = book.value(record.quantity, record.asset, book.unit(unit_income))
-        book.acquire(record, unit_basis)
+        unit = book.unit(unit_basis)
+        if income:
+            result.income = book.value(record.quantity, record.asset, unit)
+        book.acquire(record, unit)
     elif move < 0:
         disposal = book.dispose(record)
-        if record.kind is EventKind.GIFT and not policy.gift_taxable:
-            # Exempt gift: lots leave the portfolio with no recognized gain.
+        if exempt_gift(record, policy):
             disposal = disposal._replace(proceeds=disposal.basis)
         result.disposal = disposal
         attribution = record.metadata.get("attribution")
@@ -145,9 +153,9 @@ class Pvct(LotStore):
     integral = False  # a basis is a share of the pool
     cost = _ZERO  # the pool; immutable, so each book rebinds its own
 
-    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
-        super().acquire(record, unit_basis)
-        self.cost += self.value(record.quantity, record.asset, unit_basis)
+    def acquire(self, record: ChainEventRecord, unit: Fraction) -> None:
+        super().acquire(record, unit)
+        self.cost += self.value(record.quantity, record.asset, unit)
 
     def dispose(self, record: ChainEventRecord) -> DisposalResult:
         value = sum(self.value(self.total_qty(asset), asset, self.prices[asset])
@@ -171,8 +179,8 @@ class AvgMoving(Book):
         super().__init__(*args)
         self.pools: dict[str, list] = {}  # asset -> [qty, cost, acquired_at]
 
-    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
-        cost = self.value(record.quantity, record.asset, unit_basis)
+    def acquire(self, record: ChainEventRecord, unit: Fraction) -> None:
+        cost = self.value(record.quantity, record.asset, unit)
         pool = self.pools.get(record.asset)
         if pool and pool[0]:
             pool[0] += record.quantity
@@ -349,11 +357,8 @@ BOOKS: dict[AccountingMethod, type[Book]] = {
 }
 
 
-def _price_places(records: list[ChainEventRecord], policy: JurisdictionPolicy) -> int | None:
-    """The most decimal places of any price; None if one does not terminate
-    or a gift is exempt (its basis, split over its parts, need not)."""
-    if not policy.gift_taxable and any(r.kind is EventKind.GIFT for r in records):
-        return None
+def _price_places(records: list[ChainEventRecord]) -> int | None:
+    """The most decimal places of any price; None if one does not terminate."""
     places = {decimal_places(den) for den in {r.fmv_unit.denominator for r in records}}
     return None if None in places else max(places, default=0)
 
@@ -373,7 +378,7 @@ def compute_report(
         raise PolicyViolation("method %s not allowed by policy" % method.value)
     book_class = BOOKS[method]
     book = book_class(records, policy, decimals,
-                      _price_places(records, policy) if book_class.integral else None)
+                      _price_places(records) if book_class.integral else None)
     report = TaxReport(method, places=book.places)
     one, zero = (1, _ZERO) if book.places is None else (10**book.places, 0)
     current_year: int | None = None
@@ -450,12 +455,11 @@ def _record_disposal(
     room: int,
 ) -> None:
     cutoff = policy.long_term_days * 86_400
-    # Proceeds per part: in ints, its quantity at the price; else its share.
-    unit = None if book.places is None else book.unit(record.fmv_unit)
+    # Proceeds per part: its own basis for an exempt gift, else its quantity at the price.
+    unit = None if exempt_gift(record, policy) else book.unit(record.fmv_unit)
     for part in disposal.parts:
-        proceeds = (disposal.proceeds * Fraction(part.qty, disposal.qty) if unit is None
-                    else book.value(part.qty, record.asset, unit))
         basis = part.basis
+        proceeds = basis if unit is None else book.value(part.qty, record.asset, unit)
         gain = proceeds - basis
         term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
         totals["long_term_gain" if term == "long" else "short_term_gain"].add(gain)

@@ -81,10 +81,11 @@ class DisposalResult(NamedTuple):
 
 
 class Book:
-    """One accounting method's holdings. `acquire(record, unit_basis)` adds
-    the record's quantity at `unit_basis` per whole unit, `dispose(record)`
-    consumes and prices it, and `year_end(year)` runs as each tax year
-    closes. compute_report keeps `prices`, each asset's last FMV, current.
+    """One accounting method's holdings. `acquire(record, unit)` adds the
+    record's quantity at `unit`, a basis per whole unit in this book's money
+    (a `unit(price)`), `dispose(record)` consumes and prices it, and
+    `year_end(year)` runs as each tax year closes. compute_report keeps
+    `prices`, each asset's last FMV, current.
 
     Money is Fractions of the currency unit (`places` None), or, given the
     most decimal places P of any price, int counts of 10**-`places` of it,
@@ -157,8 +158,8 @@ class LotStore(Book):
         total = sum(self.value(l.remaining_qty, asset, l.unit_basis) for l in self.lots(asset))
         return Fraction(total, 10 ** (self.places or 0))
 
-    def acquire(self, record: ChainEventRecord, unit_basis: Fraction) -> None:
-        self.add_lot(record.asset, record.quantity, self.unit(unit_basis), record.timestamp)
+    def acquire(self, record: ChainEventRecord, unit: Fraction | int) -> None:
+        self.add_lot(record.asset, record.quantity, unit, record.timestamp)
 
     def add_lot(self, asset: str, qty: int, unit_basis: Fraction, acquired_at: int) -> Lot:
         """Record an acquisition as a new lot."""

@@ -8,10 +8,12 @@ routing (`ingest_event` with a method and an override, the AVG_TOTAL
 pre-pass) and the PVCT cost pool kept as a running sum: acquisitions add
 their cost, every disposal subtracts its basis. It imports no engine
 internals, only the result and report types, `tax_year_of` and
-`withholding_amount`. It has two corrections: `_seed_moves` makes every
-method see the same acquisitions and disposals, and the AVG_TOTAL
-pre-pass refuses a year that disposes of more than it carries in and
-acquires, where the original carried a negative quantity on.
+`withholding_amount`. It has three corrections: `_seed_moves` makes every
+method see the same acquisitions and disposals, the AVG_TOTAL pre-pass
+refuses a year that disposes of more than it carries in and acquires,
+where the original carried a negative quantity on, and each part of an
+exempt gift leaves at its own basis, where the original split the gift's
+total basis over its parts by quantity.
 `seed_format_rational` is the original scale-by-ten decimal renderer,
 `seed_to_csv` the original ledger rendering, which judged every line only
 once the whole report was built, and `seed_parse_event_file` /
@@ -324,8 +326,10 @@ def _seed_avg_total_averages(
 
 def _seed_record_disposal(report, totals, record, date, disposal, policy) -> None:
     cutoff = policy.long_term_days * 86_400
+    exempt_gift = record.kind is EventKind.GIFT and not policy.gift_taxable
     for part in disposal.parts:
-        part_proceeds = disposal.proceeds * Fraction(part.qty, disposal.qty)
+        part_proceeds = (part.basis if exempt_gift
+                         else disposal.proceeds * Fraction(part.qty, disposal.qty))
         gain = part_proceeds - part.basis
         term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
         if term == "long":

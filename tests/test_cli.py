@@ -73,6 +73,7 @@ class TestReport:
         assert totals["years"]["2021"]["long_term_gain"] == "300"
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"ledger.csv", "totals.json"}
+        assert manifest["seed"] is None
 
     def test_rerun_is_byte_identical(self, tmp_path):
         events = write(tmp_path, "events.fisc", EVENTS)
@@ -287,6 +288,9 @@ class TestSimulate:
         assert "product 1600" in state
         events = (out / "events.fisc").read_text()
         assert "kind=swap" in events and "kind=purchase" in events
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {"events.fisc", "state.txt"}
+        assert manifest["seed"] is None
 
     def test_chain_halving_boundary(self, tmp_path):
         scenario = write(tmp_path, "chain.scn", CHAIN_SCENARIO)
@@ -592,6 +596,23 @@ class TestAttrib:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [(["report"], ["--seed", "1"]), (["simulate", "pool"], ["--seed", "1"]),
+     (["simulate", "pool"], ["--config", "policy.cfg"]), (["attrib"], ["--config", "policy.cfg"])],
+    ids=["report-seed", "simulate-seed", "simulate-config", "attrib-config"],
+)
+def test_option_the_subcommand_does_not_read_exit_2(tmp_path, capsys, command, option):
+    """--config is report's only, --seed attrib's only; elsewhere they are refused."""
+    path = write(tmp_path, "in.txt", "")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        main(command + [str(path), *option, "--out", str(out)])
+    assert err.value.code == EXIT_PARSE
+    assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["report"], ["simulate", "pool"], ["attrib"]],
                          ids=["report", "simulate", "attrib"])
 def test_non_utf8_input_exit_2(tmp_path, capsys, command):
@@ -615,11 +636,6 @@ def loaded_by_cli_import(part: str) -> str:
 
 def test_cli_import_leaves_attribution_unloaded():
     assert loaded_by_cli_import("attribution") == "[]"
-
-
-def test_cli_import_leaves_vault_unloaded():
-    """No subcommand uses the vault, so no CLI process loads it."""
-    assert loaded_by_cli_import("fisc.defi.vault") == "[]"
 
 
 def test_version_flag(capsys):

@@ -183,6 +183,31 @@ class TestIngestTreatments:
         assert result.disposal.gain == 0
         assert book.total_qty("BTC") == 0
 
+    @pytest.mark.parametrize("method", ["fifo", "hifo", "avg_moving", "pvct"])
+    def test_exempt_gift_of_two_lots_shifts_no_gain_between_terms(self, method):
+        # A long-term lot at 10 and a short-term one at 100, given away at 55:
+        # each part leaves at its own basis, not at a share of the total.
+        records = [ev(1, ts(2019), EventKind.PURCHASE, BTC, 10),
+                   ev(2, ts(2021), EventKind.PURCHASE, BTC, 100),
+                   ev(3, ts(2021, 9), EventKind.GIFT, 2 * BTC, 55)]
+        report = compute_report(records, JurisdictionPolicy(gift_taxable=False),
+                                AccountingMethod(method), {"BTC": 8})
+        gift = [line for line in report.lines if line.kind == "gift"]
+        assert sum(line.qty for line in gift) == 2 * BTC
+        assert all(line.gain == 0 and line.proceeds == line.basis for line in gift)
+        assert sum(line.basis for line in gift) == 110
+        assert all(value == 0 for totals in report.years.values() for value in vars(totals).values())
+
+    def test_vault_liquidation_parses_and_disposes(self):
+        decimals, records = parse_event_file(
+            "asset ETH 18\n"
+            "event seq=1 ts=2021-01-01T00:00:00Z kind=purchase asset=ETH qty=%d fmv=1000\n"
+            "event seq=2 ts=2021-03-01T00:00:00Z kind=vault_liquidation asset=ETH qty=%d fmv=800\n"
+            % (10**18, 10**18))
+        report = compute_report(records, DEFAULT, AccountingMethod.FIFO, decimals)
+        assert [line[2:] for line in report.lines] == [
+            ("vault_liquidation", "ETH", 10**18, 800, 1000, -200, "short")]
+
     def test_gift_taxable_realizes_gain(self):
         book = LotStore([], DEFAULT, {"BTC": 8})
         book.add_lot("BTC", BTC, Fraction(100), ts(2020))
