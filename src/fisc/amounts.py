@@ -17,7 +17,6 @@ BTC_DECIMALS = 8
 ETH_DECIMALS = 18
 
 SATOSHI_PER_BTC = 10**BTC_DECIMALS
-WEI_PER_ETH = 10**ETH_DECIMALS
 # ERC-20 `decimals` is a uint8, so this covers every real token.
 MAX_DECIMALS = 255
 
@@ -81,9 +80,9 @@ class Amount:
 
     @classmethod
     def from_decimal_str(cls, text: str, decimals: int = BTC_DECIMALS) -> "Amount":
-        """Parse a decimal string like '2.5' into base units, exactly."""
-        frac = Fraction(text)
-        units = frac * 10**decimals
+        """Parse a decimal string like '2.5' (or a/b) into base units, exactly;
+        a value finer than one base unit is refused, not truncated."""
+        units = parse_rational(text) * 10**decimals
         if units.denominator != 1:
             raise ValueError("%r is not representable with %d decimals" % (text, decimals))
         return cls(int(units), decimals)

@@ -1,9 +1,1 @@
-from .protocol import (  # noqa: F401
-    DigitalSignatureCertificate,
-    EoiMatrix,
-    OwnershipProof,
-    TaxAuthority,
-    build_ownership_proof,
-)
-from .sim import AttributionNetwork, QueryOutcome  # noqa: F401
-from .travelrule import TravelRuleRecord, build_travel_rule_record  # noqa: F401
+"""The attribution protocol: authorities, ownership proofs, queries and the travel rule."""

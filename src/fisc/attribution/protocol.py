@@ -77,7 +77,6 @@ class EoiMatrix:
 class TaxAuthority:
     jurisdiction_code: str
     scheme: SignatureScheme = field(default_factory=lambda: DEFAULT_SCHEME)
-    eoi: EoiMatrix = field(default_factory=EoiMatrix)
 
     def __post_init__(self):
         self._private, self.public_key = self.scheme.keypair(
@@ -139,10 +138,10 @@ def build_ownership_proof(
     tin: str,
     wallet_seed: bytes,
     holder_private: bytes,
-    challenge: bytes = b"prove-ownership",
     scheme: SignatureScheme = DEFAULT_SCHEME,
 ) -> OwnershipProof:
     """Construct a well-formed dual-signed proof for tests and scenarios."""
+    challenge = b"prove-ownership"
     wallet_private, wallet_pub = scheme.keypair(wallet_seed)
     address = address_from_pubkey(wallet_pub, Scheme.BASE58CHECK_P2PKH)
     wallet_sig = scheme.sign(wallet_private, challenge)

@@ -48,13 +48,8 @@ class LinkConfig:
 class AttributionNetwork:
     """Authorities joined by a latency/drop-configured broadcast bus."""
 
-    def __init__(
-        self,
-        eoi: EoiMatrix | None = None,
-        links: LinkConfig | None = None,
-        seed: int = 0,
-    ):
-        self.eoi = eoi if eoi is not None else EoiMatrix()
+    def __init__(self, links: LinkConfig | None = None, seed: int = 0):
+        self.eoi = EoiMatrix()
         self.links = links if links is not None else LinkConfig()
         self.authorities: dict[str, TaxAuthority] = {}
         self._codes: list[str] = []  # sorted(authorities), kept by add_authority
@@ -65,7 +60,7 @@ class AttributionNetwork:
     def add_authority(self, code: str) -> TaxAuthority:
         if code in self.authorities:
             raise ValueError("jurisdiction %s already present" % code)
-        authority = TaxAuthority(code, eoi=self.eoi)
+        authority = TaxAuthority(code)
         self.authorities[code] = authority
         self._codes = sorted(self.authorities)
         return authority
@@ -156,14 +151,12 @@ class AttributionNetwork:
         beneficiary_address: str,
         amount_base_units: int,
         policy: JurisdictionPolicy,
-        asset: str = "BTC",
-        decimals: int = 8,
-        unit_price: Fraction = Fraction(1),
         deadline_ticks: int = 8,
         seq: int = 1,
         identities: dict[str, PartyIdentity] | None = None,
     ) -> tuple[Fraction, ChainEventRecord, TravelRuleRecord | None]:
-        """Resolve the counterparty, compute withholding, emit the event.
+        """Resolve the counterparty, compute withholding, emit the event: a
+        BTC spend at a unit price of 1.
 
         The origin wallet must be attributable (registered somewhere);
         a travel-rule record is built only when both endpoints resolve.
@@ -177,15 +170,15 @@ class AttributionNetwork:
             origin_home, beneficiary_address, deadline_ticks
         )
         attribution = "affirmed" if outcome.affirmed else "unaffirmed"
-        proceeds = Fraction(amount_base_units, 10**decimals) * unit_price
+        proceeds = Fraction(amount_base_units, 10**8)
         withheld = withholding_amount(proceeds, attribution, policy)
         event = ChainEventRecord(
             seq=seq,
             timestamp=self.now,
             kind=EventKind.SPEND if amount_base_units else EventKind.SELF_TRANSFER,
-            asset=asset,
+            asset="BTC",
             quantity=amount_base_units,
-            fmv_unit=unit_price,
+            fmv_unit=Fraction(1),
             counterparty_address=beneficiary_address,
             metadata={"attribution": attribution},
         )

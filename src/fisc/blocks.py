@@ -61,9 +61,6 @@ class BlockHeader:
             + (self.nonce & 0xFFFFFFFF).to_bytes(4, "little")
         )
 
-    def block_id(self) -> bytes:
-        return dsha256(self.serialize())
-
 
 def compute_merkle_root(tx_ids: list[bytes]) -> bytes:
     """Pairwise double-SHA256 tree; odd levels duplicate the last node."""

@@ -127,7 +127,6 @@ def pool_share_valid(header: BlockHeader, network_target: int, k: Fraction | int
 
 class ValidatorStatus(Enum):
     ACTIVE = "active"
-    EXITING = "exiting"
     SLASHED = "slashed"
 
 
@@ -148,11 +147,6 @@ class Validator:
 
 @dataclass(frozen=True)
 class PosParams:
-    slot_seconds: int = 12
-    slots_per_epoch: int = 32
-    sync_committee_size: int = 512
-    sync_committee_period_epochs: int = 256
-    subnets: int = 128
     inactivity_leak_epochs: int = 4
     issuance_coefficient: Fraction = Fraction(1)
     return_coefficient: Fraction = Fraction(1)

@@ -7,16 +7,14 @@ favors the pool so the product invariant never decreases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-STANDARD_FEE_TIERS = (Fraction(5, 10_000), Fraction(3, 1_000), Fraction(1, 100))
 
 EQUAL_VALUE_TOLERANCE = Fraction(1, 1000)
 
 
-class PoolError(Exception):
-    pass
+class PoolError(ValueError):
+    """A pool operation refused; a ValueError, so an input line reports it."""
 
 
 class DustOutput(PoolError):
@@ -29,7 +27,6 @@ class LpPosition:
     lp_units: int
     x_in: int
     y_in: int
-    timestamp: int = 0
 
 
 @dataclass
@@ -83,22 +80,6 @@ class LiquidityPool:
             self.reserve_x -= out
         return out
 
-    def quote_swap(self, amount_in: int, x_to_y: bool = True) -> int:
-        """Swap output without mutating the pool."""
-        snapshot = LiquidityPool(self.reserve_x, self.reserve_y, self.fee_rate, self.total_lp_units)
-        return snapshot.swap_exact_in(amount_in, x_to_y)
-
-    def quote_slippage(self, amount_in: int, x_to_y: bool = True) -> Fraction:
-        """Effective-vs-marginal price deviation, always <= 0."""
-        if amount_in <= 0:
-            raise PoolError("quote input must be positive")
-        out = self.quote_swap(amount_in, x_to_y)
-        reserve_in = self.reserve_x if x_to_y else self.reserve_y
-        reserve_out = self.reserve_y if x_to_y else self.reserve_x
-        effective = Fraction(out, amount_in)
-        marginal = Fraction(reserve_out, reserve_in)
-        return effective / marginal - 1
-
     # --- liquidity ---
 
     def add_liquidity(
@@ -108,15 +89,13 @@ class LiquidityPool:
         y_in: int,
         price_x: Fraction,
         price_y: Fraction,
-        timestamp: int = 0,
-        tolerance: Fraction = EQUAL_VALUE_TOLERANCE,
     ) -> LpPosition:
         """Mint LP units for an equal-value two-sided deposit (V2 rule)."""
         if x_in <= 0 or y_in <= 0:
             raise PoolError("deposits must be positive on both sides")
         value_x = x_in * price_x
         value_y = y_in * price_y
-        if abs(value_x - value_y) > tolerance * max(value_x, value_y):
+        if abs(value_x - value_y) > EQUAL_VALUE_TOLERANCE * max(value_x, value_y):
             raise PoolError(
                 "deposit values differ beyond tolerance: %s vs %s" % (value_x, value_y)
             )
@@ -134,7 +113,7 @@ class LiquidityPool:
         self.reserve_x += x_in
         self.reserve_y += y_in
         self.total_lp_units += minted
-        return LpPosition(owner, minted, x_in, y_in, timestamp)
+        return LpPosition(owner, minted, x_in, y_in)
 
     def remove_liquidity(self, position: LpPosition) -> tuple[int, int]:
         """Burn a position for its pro-rata share of current reserves.

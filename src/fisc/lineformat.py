@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .defi.pool import PoolError
-
 # Raised while a line is handled, these become a LineError at that line.
-_LINE_FAULTS = (KeyError, ValueError, IndexError, ZeroDivisionError, PoolError)
+_LINE_FAULTS = (KeyError, ValueError, IndexError, ZeroDivisionError)
 _EQUALS, _ONCE = repeat("="), repeat(1)
 
 

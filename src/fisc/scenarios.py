@@ -53,10 +53,9 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 asset_x = kv.get("asset_x", "X")
                 asset_y = kv.get("asset_y", "Y")
-                scale = 10**decimals
                 pool = LiquidityPool(
-                    int(parse_rational(kv["reserve_x"]) * scale),
-                    int(parse_rational(kv["reserve_y"]) * scale),
+                    Amount.from_decimal_str(kv["reserve_x"], decimals).base_units,
+                    Amount.from_decimal_str(kv["reserve_y"], decimals).base_units,
                     parse_rational(kv.get("fee", "3/1000")),
                 )
             elif pool is None:
@@ -69,9 +68,9 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
             elif tag == "deposit":
                 position = pool.add_liquidity(
                     kv["owner"],
-                    int(parse_rational(kv["x"]) * scale),
-                    int(parse_rational(kv["y"]) * scale),
-                    price_x, price_y, timestamp,
+                    Amount.from_decimal_str(kv["x"], decimals).base_units,
+                    Amount.from_decimal_str(kv["y"], decimals).base_units,
+                    price_x, price_y,
                 )
                 positions[kv["owner"]] = position
                 emit(EventKind.LP_DEPOSIT, asset_x, position.x_in, price_x, owner=kv["owner"])
@@ -81,7 +80,7 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
                 if direction not in ("x2y", "y2x"):
                     raise ValueError("dir must be x2y or y2x, got %r" % direction)
                 x_to_y = direction == "x2y"
-                amount_in = int(parse_rational(kv["in"]) * scale)
+                amount_in = Amount.from_decimal_str(kv["in"], decimals).base_units
                 out = pool.swap_exact_in(amount_in, x_to_y)
                 sold = asset_x if x_to_y else asset_y
                 bought = asset_y if x_to_y else asset_x
@@ -126,9 +125,7 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
             if tag == "schedule":
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 schedule = RewardSchedule(
-                    initial_subsidy=Amount(
-                        int(parse_rational(kv.get("initial", "50")) * 10**decimals), decimals
-                    ),
+                    initial_subsidy=Amount.from_decimal_str(kv.get("initial", "50"), decimals),
                     halving_interval_blocks=int(kv.get("interval", "210000")),
                 )
             elif tag == "retarget":
@@ -177,8 +174,8 @@ def run_validator_scenario(text: str) -> tuple[str, str]:
             tag = fields[0]
             if tag == "validator":
                 vid, kv = fields[1], pairs(fields[2:])
-                stake_eth = parse_rational(kv.get("stake", "32"))
-                validators[vid] = Validator(vid, Amount(int(stake_eth * 10**18), 18))
+                stake = Amount.from_decimal_str(kv.get("stake", "32"), 18)
+                validators[vid] = Validator(vid, stake)
             elif tag == "price":
                 price = parse_rational(pairs(fields[1:])["fmv"])
             elif tag == "duty":

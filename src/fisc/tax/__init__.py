@@ -1,4 +1,1 @@
-from .events import ChainEventRecord, EventKind  # noqa: F401
-from .lots import AccountingMethod, Lot, LotStore  # noqa: F401
-from .policy import JurisdictionPolicy  # noqa: F401
-from .engine import compute_report, ingest_event, withholding_amount  # noqa: F401
+"""Tax events, lot books, jurisdiction policies and the report engine."""

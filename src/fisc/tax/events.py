@@ -92,23 +92,35 @@ class ChainEventRecord(_EventFields):
                                    {} if metadata is None else metadata))
 
     def date_str(self) -> str:
-        return datetime.fromtimestamp(self.timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
+        # Four-digit years: strftime("%Y") may print year 1 as "1".
+        return datetime.fromtimestamp(self.timestamp, tz=timezone.utc).date().isoformat()
+
+
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the ends of datetime's range.
+MIN_TIMESTAMP, MAX_TIMESTAMP = -62_135_596_800, 253_402_300_799
 
 
 def _parse_timestamp(text: str) -> int:
     if text.isdigit() or (text.startswith("-") and text[1:].isdigit()):
-        return int(text)
-    stamp = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return int(stamp.timestamp())
+        stamp = int(text)
+    else:
+        moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if moment.tzinfo is None:
+            moment = moment.replace(tzinfo=timezone.utc)
+        stamp = int(moment.timestamp())
+    if not MIN_TIMESTAMP <= stamp <= MAX_TIMESTAMP:
+        raise ValueError("timestamp %s is outside the years 1 to 9999 UTC" % text)
+    return stamp
 
 
 class _Prices(dict):
-    """Price text -> Fraction, parsed once per distinct text in a file."""
+    """Price text -> Fraction >= 0, parsed once per distinct text in a file."""
 
     def __missing__(self, text: str) -> Fraction:
-        value = self[text] = parse_rational(text)
+        value = parse_rational(text)
+        if value < 0:
+            raise ValueError("fmv must be non-negative, got %s" % text)
+        self[text] = value
         return value
 
 
@@ -123,6 +135,8 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
             if tag == "asset":
                 if len(fields) != 3:
                     raise ValueError("asset lines are 'asset <id> <decimals>'")
+                if "," in fields[1] or '"' in fields[1]:
+                    raise ValueError("asset id %s holds ',' or '\"'" % fields[1])
                 decimals[fields[1]] = parse_decimals(fields[2])
                 continue
             if tag != "event":

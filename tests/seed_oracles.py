@@ -17,7 +17,12 @@ total basis over its parts by quantity.
 `seed_format_rational` is the original scale-by-ten decimal renderer,
 `seed_to_csv` the original ledger rendering, which judged every line only
 once the whole report was built, and `seed_parse_event_file` /
-`seed_serialize_event` the original event-line parser and writer.
+`seed_serialize_event` the original event-line parser and writer. The
+parser has three corrections: it refuses an asset id holding ',' or '"',
+which would add a ledger column, a negative `fmv`, and a timestamp outside
+the years 1 to 9999 (the range check of the shared `_parse_timestamp`),
+where the original accepted all three and the report then wrote the
+first two and failed on the third.
 `SeedAttributionNetwork` answers each attribution query from the original
 heap event queue, deliveries and responses pushed with a sequence number
 and popped in (tick, seq) order. All are deliberately simple and slow;
@@ -480,6 +485,8 @@ def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRec
         if tag == "asset":
             if len(fields) != 3:
                 raise EventParseError(line_no, "asset lines are 'asset <id> <decimals>'")
+            if "," in fields[1] or '"' in fields[1]:
+                raise EventParseError(line_no, "asset id %s holds ',' or '\"'" % fields[1])
             try:
                 decimals[fields[1]] = int(fields[2])
             except ValueError:
@@ -508,7 +515,7 @@ def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRec
                 kind=kind,
                 asset=asset,
                 quantity=int(kv["qty"]),
-                fmv_unit=parse_rational(kv["fmv"]),
+                fmv_unit=_seed_price(kv["fmv"]),
                 counterparty_address=kv.get("counterparty"),
                 specid_lot=tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None,
                 metadata=meta,
@@ -521,6 +528,13 @@ def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRec
             raise EventParseError(line_no, str(exc))
         records.append(record)
     return decimals, records
+
+
+def _seed_price(text: str) -> Fraction:
+    price = parse_rational(text)
+    if price < 0:
+        raise ValueError("fmv must be non-negative, got %s" % text)
+    return price
 
 
 def seed_serialize_event(record: ChainEventRecord) -> str:

@@ -225,6 +225,50 @@ class TestReport:
         assert "events.fisc:1: %s" % message in capsys.readouterr().err
         assert not out.exists()
 
+    # Each fault is on the last line of its file.
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("asset BTC 8\nevent seq=1 ts=100000000000000000000 kind=airdrop asset=BTC qty=1 fmv=1",
+             "timestamp 100000000000000000000 is outside the years 1 to 9999 UTC"),
+            ("asset BTC 8\nevent seq=1 ts=-100000000000 kind=airdrop asset=BTC qty=1 fmv=1",
+             "timestamp -100000000000 is outside the years 1 to 9999 UTC"),
+            ("asset BTC 8\nevent seq=1 ts=-62135596801 kind=airdrop asset=BTC qty=1 fmv=1",
+             "timestamp -62135596801 is outside the years 1 to 9999 UTC"),
+            ("asset BTC 8\nevent seq=1 ts=253402300800 kind=airdrop asset=BTC qty=1 fmv=1",
+             "timestamp 253402300800 is outside the years 1 to 9999 UTC"),
+            ("asset BTC 8\nevent seq=1 ts=0001-01-01T00:00:00+01:00 kind=airdrop asset=BTC qty=1"
+             " fmv=1", "timestamp 0001-01-01T00:00:00+01:00 is outside the years 1 to 9999 UTC"),
+            (EVENTS.replace("fmv=400", "fmv=-5"), "fmv must be non-negative, got -5"),
+            ("asset BTC 8\nevent seq=1 ts=0 kind=purchase asset=BTC qty=1 fmv=-3",
+             "fmv must be non-negative, got -3"),
+            ("asset a,b 0", "asset id a,b holds ',' or '\"'"),
+            ('asset a"b 0', "asset id a\"b holds ',' or '\"'"),
+        ],
+        ids=["ts-huge", "ts-ancient", "ts-before-year-1", "ts-after-year-9999",
+             "iso-before-year-1", "negative-sale-price", "negative-purchase-price",
+             "asset-comma", "asset-quote"],
+    )
+    def test_event_file_boundary_exit_2_with_line(self, tmp_path, capsys, text, message):
+        events = write(tmp_path, "events.fisc", text.rstrip("\n") + "\n")
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_PARSE
+        line_no = text.rstrip("\n").count("\n") + 1
+        assert "events.fisc:%d: %s" % (line_no, message) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "ts,date",
+        [("-62135596800", "0001-01-01"), ("0001-01-01T01:00:00+01:00", "0001-01-01"),
+         ("-30636403200", "0999-03-04"), ("253402300799", "9999-12-31")],
+    )
+    def test_dates_print_four_digit_years(self, tmp_path, ts, date):
+        events = write(tmp_path, "events.fisc",
+                       "asset X 0\nevent seq=1 ts=%s kind=mining_reward asset=X qty=1 fmv=1\n" % ts)
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        assert (out / "ledger.csv").read_text().splitlines()[1].split(",")[1] == date
+
     def test_asset_decimals_255_accepted(self, tmp_path):
         events = write(tmp_path, "events.fisc", "asset X 255\n"
                        "event seq=1 ts=0 kind=purchase asset=X qty=%d fmv=3\n" % 10**255)
@@ -359,6 +403,14 @@ class TestSimulate:
              "decimals must be at most 255"),
             ("chain", "schedule decimals=256", "decimals must be at most 255"),
             ("chain", "schedule decimals=-1", "decimals must be non-negative"),
+            # Amounts finer than one base unit are refused, not truncated.
+            ("pool", "pool reserve_x=0.000000015 reserve_y=1",
+             "'0.000000015' is not representable with 8 decimals"),
+            ("pool", "deposit owner=a x=1.5 y=1.5", "'1.5' is not representable with 0 decimals"),
+            ("pool", "swap in=5/2", "'5/2' is not representable with 0 decimals"),
+            ("chain", "schedule initial=0.000000015",
+             "'0.000000015' is not representable with 8 decimals"),
+            ("validators", "validator v3 stake=1/3", "'1/3' is not representable with 18 decimals"),
         ],
     )
     def test_replay_fault_exit_2_with_line(self, tmp_path, capsys, kind, line, message):
@@ -624,18 +676,26 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def loaded_by_cli_import(part: str) -> str:
-    """The modules naming `part` that `import fisc.cli` loads, in a fresh process."""
+def loaded_by_import(part: str, module: str = "fisc.cli") -> str:
+    """The modules naming `part` that `import <module>` loads, in a fresh process."""
     src = str(Path(fisc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, fisc.cli; print(sorted(m for m in sys.modules if %r in m))" % part
+    probe = "import sys, %s; print(sorted(m for m in sys.modules if %r in m))" % (module, part)
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     return result.stdout.strip()
 
 
 def test_cli_import_leaves_attribution_unloaded():
-    assert loaded_by_cli_import("attribution") == "[]"
+    assert loaded_by_import("attribution") == "[]"
+
+
+def test_line_reader_imports_no_other_fisc_module():
+    assert loaded_by_import("fisc", "fisc.lineformat") == "['fisc', 'fisc.lineformat']"
+
+
+def test_event_parser_leaves_the_engine_unloaded():
+    assert loaded_by_import("fisc.tax", "fisc.tax.events") == "['fisc.tax', 'fisc.tax.events']"
 
 
 def test_version_flag(capsys):

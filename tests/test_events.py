@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from fisc.lineformat import LineError
 from fisc.tax.engine import LedgerLine, compute_report, tax_year_of
 from fisc.tax.events import (
+    MAX_TIMESTAMP,
+    MIN_TIMESTAMP,
     ChainEventRecord,
     EventKind,
     parse_event_file,
@@ -47,11 +49,11 @@ def event_files(draw):
         low = 0 if kind is EventKind.SELF_TRANSFER else 1
         records.append(ChainEventRecord(
             seq=seq,
-            timestamp=draw(st.integers(-10**11, 10**11)),
+            timestamp=draw(st.integers(MIN_TIMESTAMP, MAX_TIMESTAMP)),
             kind=kind,
             asset=draw(st.sampled_from(sorted(decimals))),
             quantity=draw(st.integers(low, 10**24)),
-            fmv_unit=draw(st.fractions(min_value=-10**6, max_value=10**9)),
+            fmv_unit=draw(st.fractions(min_value=0, max_value=10**9)),
             counterparty_address=draw(st.none() | TOKEN),
             specid_lot=draw(st.none() | st.lists(st.integers(0, 10**6), min_size=1,
                                                  max_size=4).map(tuple)),

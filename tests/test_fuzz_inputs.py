@@ -1,18 +1,19 @@
 """Generated input files driven through `fisc.cli.main`.
 
 Each strategy builds lines from one format's own tags and keys: the pool,
-chain and validators scenarios of `simulate`, `attrib` scenarios and
-`report --config` policies. Most lines are well formed; junk tokens, fields
-without '=', missing fields, '1/0' and negative numbers are mixed in. Every
-run must exit 0, 2 or 3 with no exception escaping, leave no output
-directory after a nonzero exit, and write byte-identical files when rerun
-after exit 0.
+chain and validators scenarios of `simulate`, `attrib` scenarios,
+`report --config` policies and `report` event files. Most lines are well
+formed; junk tokens, fields without '=', missing fields, '1/0' and
+negative numbers are mixed in. Every run must exit 0, 2 or 3 with no
+exception escaping, leave no output directory after a nonzero exit, and
+write byte-identical files when rerun after exit 0.
 
 Bounds: numbers lie in [-2,000, 2,000], so heights and `mine` ranges stay
 within 2,000 blocks. `decimals` lie in [-2, 18] or [253, 258], or are 4,400:
 both sides of each end of the accepted range [0, 255], and a value whose
 outputs would pass the int->str digit limit if it were accepted. Two
 pinned examples pass that limit with an accepted 4,296-digit amount.
+Event timestamps lie on both sides of each end of the years 1 to 9999.
 """
 
 import tempfile
@@ -21,7 +22,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fisc.amounts import parse_rational
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
+from fisc.tax.events import EventKind
+from fisc.tax.lots import AccountingMethod
 
 
 def mostly(good, bad, one_in: int = 10):
@@ -197,8 +201,9 @@ FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 
-def check_cli(text: str, command: list[str], trailing: list[str] = ()) -> None:
-    """Run `fisc <command> <file holding text> <trailing> --out ...` twice."""
+def check_cli(text: str, command: list[str], trailing: list[str] = ()) -> dict[str, bytes]:
+    """Run `fisc <command> <file holding text> <trailing> --out ...` twice;
+    the files written, or none after a nonzero exit."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         path = root / "input"
@@ -209,12 +214,13 @@ def check_cli(text: str, command: list[str], trailing: list[str] = ()) -> None:
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_POLICY)
         if code != EXIT_OK:
             assert not first.exists()
-            return
+            return {}
         assert main(argv + ["--out", str(second)]) == EXIT_OK
         files = sorted(p.name for p in first.iterdir())
         assert files == sorted(p.name for p in second.iterdir())
         for name in files:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        return {name: (first / name).read_bytes() for name in files}
 
 
 @given(POOL)
@@ -252,3 +258,61 @@ def test_policies(text):
         events = Path(tmp) / "events.fisc"
         events.write_text(EVENTS)
         check_cli(text, ["report", str(events), "--config"])
+
+
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, one second either side of
+# each, and further out, in both forms.
+TIMESTAMP = mostly(
+    st.integers(0, 2_000).map(str),
+    st.sampled_from(["-62135596801", "-62135596800", "253402300799", "253402300800",
+                     "-100000000000", "100000000000000000000", "0001-01-01T00:00:00Z",
+                     "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59Z",
+                     "9999-12-31T23:59:59-01:00"]),
+    one_in=8,
+)
+PRICE = mostly(
+    st.one_of(NATURAL, st.builds("{}/{}".format, st.integers(0, 2_000), st.integers(1, 50))),
+    st.one_of(st.integers(-2_000, -1).map(str), st.just("-3/4"), JUNK),
+)
+ASSET_IDS = mostly(st.sampled_from(["BTC", "X"]), st.sampled_from(["a,b", 'q"t']))
+
+
+@st.composite
+def event_file(draw):
+    """Asset lines, usually an opening purchase, then up to eight events."""
+    assets = draw(st.lists(ASSET_IDS, min_size=1, max_size=3, unique=True))
+    lines = ["asset %s %d" % (asset, draw(st.integers(0, 8))) for asset in assets]
+    if draw(st.integers(1, 5)) > 1:
+        lines.append("event seq=0 ts=0 kind=purchase asset=%s qty=1000000 fmv=1" % assets[0])
+    for seq in range(1, draw(st.integers(0, 8)) + 1):
+        lines.append("event seq=%d ts=%s kind=%s asset=%s qty=%d fmv=%s" % (
+            seq, draw(TIMESTAMP), draw(st.sampled_from(list(EventKind))).value,
+            draw(st.sampled_from(assets)), draw(st.integers(1, 1_000)), draw(PRICE)))
+    return "\n".join(lines)
+
+
+EVENT_METHODS = st.sampled_from([method.value for method in AccountingMethod])
+
+
+@given(event_file(), EVENT_METHODS)
+@example("asset BTC 8\nevent seq=1 ts=100000000000000000000 kind=airdrop asset=BTC qty=1 fmv=1",
+         "fifo")
+@example("asset BTC 8\nevent seq=1 ts=-100000000000 kind=airdrop asset=BTC qty=1 fmv=1", "fifo")
+@example("asset X 0\nevent seq=1 ts=-62135596800 kind=mining_reward asset=X qty=1 fmv=1", "fifo")
+@example("asset X 0\nevent seq=1 ts=0 kind=mining_reward asset=X qty=2 fmv=1\n"
+         "event seq=2 ts=1 kind=sale asset=X qty=1 fmv=-5", "fifo")
+@example("asset a,b 0\nevent seq=1 ts=0 kind=mining_reward asset=a,b qty=2 fmv=1\n"
+         "event seq=2 ts=0 kind=sale asset=a,b qty=1 fmv=2", "hifo")
+@FUZZ
+def test_event_files(text, method):
+    """A ledger written has 9 fields a row, YYYY-MM-DD dates and proceeds >= 0."""
+    files = check_cli(text, ["report"], ["--method", method])
+    if not files:
+        return
+    header, *rows = files["ledger.csv"].decode().splitlines()
+    assert header == "seq,date,kind,asset,qty,proceeds,basis,gain,term"
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == 9, row
+        assert len(fields[1]) == 10, row
+        assert parse_rational(fields[5]) >= 0, row

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisc.defi.pool import (
-    STANDARD_FEE_TIERS,
     DustOutput,
     LiquidityPool,
     LpPosition,
@@ -36,12 +35,7 @@ class TestSwap:
         expected = math.floor(
             Fraction(pool.reserve_y) - Fraction(k) / (Fraction(pool.reserve_x) + effective)
         )
-        assert pool.quote_swap(amount_in, x_to_y=True) == expected == 79443180
-
-    def test_quote_does_not_mutate(self):
-        pool = fresh_pool()
-        pool.quote_swap(10)
-        assert (pool.reserve_x, pool.reserve_y) == (40, 40)
+        assert pool.swap_exact_in(amount_in, x_to_y=True) == expected == 79443180
 
     def test_dust_output_rejected(self):
         pool = LiquidityPool(10**12, 10, Fraction(0))
@@ -56,7 +50,8 @@ class TestSwap:
         st.integers(min_value=1000, max_value=10**12),
         st.integers(min_value=1000, max_value=10**12),
         st.integers(min_value=1, max_value=10**9),
-        st.sampled_from([Fraction(0)] + list(STANDARD_FEE_TIERS)),
+        # No fee and the 0.05%, 0.3% and 1% tiers.
+        st.sampled_from([Fraction(0), Fraction(5, 10_000), Fraction(3, 1_000), Fraction(1, 100)]),
         st.booleans(),
     )
     @settings(max_examples=80)
@@ -85,15 +80,6 @@ class TestSwap:
         except DustOutput:
             return
         assert back <= amount_in
-
-    def test_slippage_monotone_in_size(self):
-        pool = LiquidityPool(10**10, 10**10, Fraction(3, 1000))
-        previous = Fraction(0)
-        for amount_in in (10**4, 10**6, 10**8, 10**9):
-            slip = pool.quote_slippage(amount_in)
-            assert slip <= 0
-            assert slip <= previous
-            previous = slip
 
 
 class TestLiquidity:
