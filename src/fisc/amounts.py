@@ -9,8 +9,8 @@ Fraction, as rates and fee math are; never a float.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # Common decimal conventions.
 BTC_DECIMALS = 8
@@ -34,23 +34,28 @@ def parse_decimals(text: str) -> int:
     return decimals
 
 
-@dataclass(frozen=True, order=True)
-class Amount:
-    """A quantity of one asset in integer base units.
+class _AmountFields(NamedTuple):
+    base_units: int
+    decimals: int = BTC_DECIMALS
+
+
+class Amount(_AmountFields):
+    """A quantity of one asset in integer base units: an immutable tuple,
+    ordered by base units, then decimals.
 
     Negative values are permitted (signed accounting deltas, e.g. a net
     builder fee); positivity is enforced where the ledger requires it
     (UTXO values, lot quantities).
     """
 
-    base_units: int
-    decimals: int = BTC_DECIMALS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.base_units, int):
+    def __new__(cls, base_units, decimals=BTC_DECIMALS):
+        if not isinstance(base_units, int):
             raise TypeError("base_units must be an integer")
-        if self.decimals < 0:
+        if decimals < 0:
             raise ValueError("decimals must be non-negative")
+        return tuple.__new__(cls, (base_units, decimals))
 
     def _check(self, other: "Amount") -> None:
         if not isinstance(other, Amount):

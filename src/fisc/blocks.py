@@ -1,8 +1,9 @@
-"""Block headers, merkle roots, proof-of-work and template assembly."""
+"""Block headers, merkle roots, proof-of-work, pool shares and template assembly."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .addresses import dsha256
 
@@ -82,6 +83,18 @@ def pow_hash_value(header: BlockHeader) -> int:
     return int.from_bytes(dsha256(header.serialize()), "big")
 
 
+def pool_share_valid(header: BlockHeader, network_target: int, k: Fraction | int) -> bool:
+    """Share check against the relaxed k x target bound.
+
+    k = 1 coincides with full proof-of-work; every full solution is a
+    valid share for any k >= 1.
+    """
+    if Fraction(k) < 1:
+        raise ValueError("share multiplier must be >= 1")
+    bound = Fraction(network_target) * Fraction(k)
+    return Fraction(pow_hash_value(header)) < bound
+
+
 def verify_pow(header: BlockHeader) -> bool:
     """Check the hash against the target the header carries: its nBits
     decoded, as Bitcoin Core's CheckProofOfWork does, not `header.target`,
@@ -129,6 +142,4 @@ def build_block_template(
 
 
 def _ratio_key(fee: int, weight: int):
-    from fractions import Fraction
-
     return -Fraction(fee, weight)

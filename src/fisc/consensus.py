@@ -1,7 +1,7 @@
 """Closed-form mining and staking economics.
 
-Subsidy schedule, difficulty retargeting, miner expectation, pool shares,
-issuance scaling, attestation scoring, penalties/slashing, and MEV block
+Subsidy schedule, difficulty retargeting, miner expectation, issuance
+scaling, attestation scoring, penalties/slashing, and MEV block
 accounting.
 """
 
@@ -13,7 +13,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .amounts import SATOSHI_PER_BTC, Amount
-from .blocks import BlockHeader, pow_hash_value
 
 
 @dataclass(frozen=True)
@@ -108,18 +107,6 @@ def collision_time_years(hash_rate_per_second: int) -> float:
     if hash_rate_per_second <= 0:
         raise ValueError("hash rate must be positive")
     return 2**128 / (hash_rate_per_second * SECONDS_PER_YEAR)
-
-
-def pool_share_valid(header: BlockHeader, network_target: int, k: Fraction | int) -> bool:
-    """Share check against the relaxed k x target bound.
-
-    k = 1 coincides with full proof-of-work; every full solution is a
-    valid share for any k >= 1.
-    """
-    if Fraction(k) < 1:
-        raise ValueError("share multiplier must be >= 1")
-    bound = Fraction(network_target) * Fraction(k)
-    return Fraction(pow_hash_value(header)) < bound
 
 
 # --- proof of stake ---

@@ -4,7 +4,13 @@ Each runner parses a small line-based scenario file, replays it through
 the relevant engine, and returns the text of an event file the tax engine
 ingests and of the final state. Replay and rendering run inside the
 LineReader block, so a fault there, such as a value past CPython's int->str
-digit limit, is a LineError at line 0.
+digit limit, is a LineError at line 0. An asset id, price or timestamp the
+event parser would refuse is refused at its scenario line by the parser's
+own checks, so `report` reads every event file `simulate` writes.
+
+Each runner imports its engine itself (`fisc.defi.pool` or
+`fisc.consensus`): every `fisc` command is a new process that compiles
+what it imports, and `report` and the other runners need none of them.
 """
 
 from __future__ import annotations
@@ -12,20 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .amounts import Amount, parse_decimals, parse_rational
-from .consensus import (
-    DutyEvent,
-    PosParams,
-    RetargetRule,
-    RewardSchedule,
-    SlashedValidatorError,
-    Validator,
-    ValidatorStatus,
-    apply_penalty_or_slash,
-    block_subsidy,
-)
-from .defi.pool import LiquidityPool, LpPosition
 from .lineformat import LineError, LineReader, pairs
-from .tax.events import ChainEventRecord, EventKind, serialize_event_file
+from .tax.events import (
+    ChainEventRecord,
+    EventKind,
+    check_asset_id,
+    check_timestamp,
+    parse_fmv,
+    serialize_event_file,
+)
 
 
 # --- pool ---
@@ -33,6 +34,8 @@ from .tax.events import ChainEventRecord, EventKind, serialize_event_file
 
 def run_pool_scenario(text: str) -> tuple[str, str]:
     """Replay swaps and LP operations against one constant-product pool."""
+    from .defi.pool import LiquidityPool, LpPosition
+
     pool: LiquidityPool | None = None
     decimals = 8
     asset_x, asset_y = "X", "Y"
@@ -51,8 +54,8 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
             tag, kv = fields[0], pairs(fields[1:])
             if tag == "pool":
                 decimals = parse_decimals(kv.get("decimals", "8"))
-                asset_x = kv.get("asset_x", "X")
-                asset_y = kv.get("asset_y", "Y")
+                asset_x = check_asset_id(kv.get("asset_x", "X"))
+                asset_y = check_asset_id(kv.get("asset_y", "Y"))
                 pool = LiquidityPool(
                     Amount.from_decimal_str(kv["reserve_x"], decimals).base_units,
                     Amount.from_decimal_str(kv["reserve_y"], decimals).base_units,
@@ -61,10 +64,10 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
             elif pool is None:
                 raise ValueError("pool must be declared first")
             elif tag == "price":
-                price_x = parse_rational(kv.get("x", "1"))
-                price_y = parse_rational(kv.get("y", "1"))
+                price_x = parse_fmv(kv.get("x", "1"))
+                price_y = parse_fmv(kv.get("y", "1"))
             elif tag == "time":
-                timestamp = int(kv["at"])
+                timestamp = check_timestamp(int(kv["at"]))
             elif tag == "deposit":
                 position = pool.add_liquidity(
                     kv["owner"],
@@ -113,11 +116,16 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
     """Replay block heights through the subsidy schedule as mining income.
 
     A height past the last halving earns no subsidy and so no income event.
+    Height h is stamped h times the retarget interval, so each `mine` and
+    `retarget` line checks the stamp of the highest height mined so far.
     """
+    from .consensus import RetargetRule, RewardSchedule, block_subsidy
+
     schedule = RewardSchedule()
     rule = RetargetRule()
     price = Fraction(0)
     heights: list[int] = []
+    top = 0  # the highest height mined
     asset = "BTC"
     with LineReader(text) as lines:
         for fields in lines:
@@ -133,15 +141,19 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
                     window_blocks=int(kv.get("window", "2016")),
                     target_block_interval=int(kv.get("interval", "600")),
                 )
+                check_timestamp(top * rule.target_block_interval)
             elif tag == "price":
-                price = parse_rational(kv["fmv"])
+                price = parse_fmv(kv["fmv"])
             elif tag == "asset":
-                asset = kv["id"]
+                asset = check_asset_id(kv["id"])
             elif tag == "mine":
                 start, end = int(kv["start"]), int(kv["end"])
                 if start < 0:
                     raise ValueError("height must be non-negative")
                 heights.extend(range(start, end + 1))
+                if start <= end and end > top:
+                    top = end
+                    check_timestamp(top * rule.target_block_interval)
             else:
                 raise ValueError("unknown directive %r" % tag)
         decimals = schedule.initial_subsidy.decimals
@@ -165,6 +177,15 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
 
 def run_validator_scenario(text: str) -> tuple[str, str]:
     """Replay duty/penalty streams over a validator set."""
+    from .consensus import (
+        DutyEvent,
+        PosParams,
+        SlashedValidatorError,
+        Validator,
+        ValidatorStatus,
+        apply_penalty_or_slash,
+    )
+
     params = PosParams()
     price = Fraction(0)
     validators: dict[str, Validator] = {}
@@ -177,7 +198,7 @@ def run_validator_scenario(text: str) -> tuple[str, str]:
                 stake = Amount.from_decimal_str(kv.get("stake", "32"), 18)
                 validators[vid] = Validator(vid, stake)
             elif tag == "price":
-                price = parse_rational(pairs(fields[1:])["fmv"])
+                price = parse_fmv(pairs(fields[1:])["fmv"])
             elif tag == "duty":
                 duty_log.append((fields[1], DutyEvent(fields[2])))
             else:

@@ -3,10 +3,10 @@ report assembly. The lot books are in `fisc.tax.lots`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from ..amounts import DigitLimit, decimal_places, format_rational, format_units
@@ -56,8 +56,10 @@ def tax_year_of(timestamp: int, policy: JurisdictionPolicy) -> int:
     return stamp.year - 1
 
 
-@dataclass
-class IngestResult:  # amounts in the book's money, 0 when none
+class IngestResult:
+    """One event's effect: amounts in the book's money, each 0 and
+    `disposal` None unless ingest_event sets it."""
+
     income: Fraction | int = 0
     deduction: Fraction | int = 0
     disposal: DisposalResult | None = None
@@ -263,13 +265,20 @@ class LedgerLine(NamedTuple):
     term: str  # "short" | "long" | "-" for income lines
 
 
-@dataclass
-class YearTotals:
-    ordinary_income: Fraction = Fraction(0)
-    short_term_gain: Fraction = Fraction(0)
-    long_term_gain: Fraction = Fraction(0)
-    deductible_expenses: Fraction = Fraction(0)
-    withholding_owed: Fraction = Fraction(0)
+YEAR_FIELDS = ("ordinary_income", "short_term_gain", "long_term_gain", "deductible_expenses",
+               "withholding_owed")
+
+
+class YearTotals(SimpleNamespace):
+    """One tax year's totals in currency units, the YEAR_FIELDS: equal when
+    all are, and `vars()` lists them."""
+
+    def __init__(self, ordinary_income: Fraction = _ZERO, short_term_gain: Fraction = _ZERO,
+                 long_term_gain: Fraction = _ZERO, deductible_expenses: Fraction = _ZERO,
+                 withholding_owed: Fraction = _ZERO):
+        super().__init__(ordinary_income=ordinary_income, short_term_gain=short_term_gain,
+                         long_term_gain=long_term_gain, deductible_expenses=deductible_expenses,
+                         withholding_owed=withholding_owed)
 
 
 class _ExactSum(dict):
@@ -290,16 +299,17 @@ class _ExactSum(dict):
         return Fraction(num, lcd * one)
 
 
-@dataclass
 class TaxReport:
     """compute_report appends only lines that to_csv can print; a year total
     is judged once every line is in, by to_totals_json. `ledger` is in the
     book's money (see `Book`); `lines` and `years` are in currency units."""
 
-    method: AccountingMethod
-    ledger: list[LedgerLine] = field(default_factory=list)
-    years: dict[int, YearTotals] = field(default_factory=dict)
-    places: int | None = None
+    def __init__(self, method: AccountingMethod, ledger: list[LedgerLine] | None = None,
+                 years: dict[int, YearTotals] | None = None, places: int | None = None):
+        self.method = method
+        self.ledger = [] if ledger is None else ledger
+        self.years = {} if years is None else years
+        self.places = places
 
     @property
     def lines(self) -> list[LedgerLine]:
@@ -399,7 +409,7 @@ def compute_report(
         if day not in days:
             year = tax_year_of(record.timestamp, policy)
             if year not in sums:
-                sums[year] = {f.name: _ExactSum() for f in fields(YearTotals)}
+                sums[year] = {name: _ExactSum() for name in YEAR_FIELDS}
             days[day] = (year, record.date_str(), sums[year])
         year, date, totals = days[day]
         if current_year is None:
@@ -410,11 +420,12 @@ def compute_report(
 
         book.prices[record.asset] = record.fmv_unit
         result = ingest_event(record, policy, book)
+        kind = record.kind._value_  # a plain attribute; Enum's `value` is a Python property
 
         income = result.income
         if income:
             totals["ordinary_income"].add(income)
-            line = LedgerLine(record.seq, date, record.kind.value, record.asset,
+            line = LedgerLine(record.seq, date, kind, record.asset,
                               record.quantity, income, zero, zero, "-")
             if income.numerator.bit_length() + 3 * income.denominator.bit_length() > room:
                 _check_printable(line, limit, one)
@@ -424,7 +435,7 @@ def compute_report(
         if result.withholding:
             totals["withholding_owed"].add(result.withholding)
         if result.disposal is not None:
-            _record_disposal(report, totals, record, date, result.disposal, policy, book,
+            _record_disposal(report, totals, record, kind, date, result.disposal, policy, book,
                              limit, room)
     for year, totals in sums.items():
         report.years[year] = YearTotals(**{name: s.total(one) for name, s in totals.items()})
@@ -447,6 +458,7 @@ def _record_disposal(
     report: TaxReport,
     totals: dict[str, _ExactSum],
     record: ChainEventRecord,
+    kind: str,
     date: str,
     disposal: DisposalResult,
     policy: JurisdictionPolicy,
@@ -463,7 +475,7 @@ def _record_disposal(
         gain = proceeds - basis
         term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
         totals["long_term_gain" if term == "long" else "short_term_gain"].add(gain)
-        line = LedgerLine(record.seq, date, record.kind.value, record.asset,
+        line = LedgerLine(record.seq, date, kind, record.asset,
                           part.qty, proceeds, basis, gain, term)
         # One sum bounds all three values: with n and d the numerator and
         # denominator bit lengths of proceeds (p) and basis (b), the gain

@@ -100,6 +100,15 @@ class ChainEventRecord(_EventFields):
 MIN_TIMESTAMP, MAX_TIMESTAMP = -62_135_596_800, 253_402_300_799
 
 
+def check_timestamp(stamp: int, text: str | None = None) -> int:
+    """`stamp`, if it lies in the years 1 to 9999 UTC; else a ValueError
+    naming `text`, the stamp as written, by default the number."""
+    if not MIN_TIMESTAMP <= stamp <= MAX_TIMESTAMP:
+        raise ValueError("timestamp %s is outside the years 1 to 9999 UTC"
+                         % (stamp if text is None else text))
+    return stamp
+
+
 def _parse_timestamp(text: str) -> int:
     if text.isdigit() or (text.startswith("-") and text[1:].isdigit()):
         stamp = int(text)
@@ -108,19 +117,29 @@ def _parse_timestamp(text: str) -> int:
         if moment.tzinfo is None:
             moment = moment.replace(tzinfo=timezone.utc)
         stamp = int(moment.timestamp())
-    if not MIN_TIMESTAMP <= stamp <= MAX_TIMESTAMP:
-        raise ValueError("timestamp %s is outside the years 1 to 9999 UTC" % text)
-    return stamp
+    return check_timestamp(stamp, text)
+
+
+def check_asset_id(asset: str) -> str:
+    """`asset`, if it holds neither ',' nor '"', which would split a ledger row."""
+    if "," in asset or '"' in asset:
+        raise ValueError("asset id %s holds ',' or '\"'" % asset)
+    return asset
+
+
+def parse_fmv(text: str) -> Fraction:
+    """A price per whole unit: an exact rational >= 0."""
+    value = parse_rational(text)
+    if value < 0:
+        raise ValueError("fmv must be non-negative, got %s" % text)
+    return value
 
 
 class _Prices(dict):
-    """Price text -> Fraction >= 0, parsed once per distinct text in a file."""
+    """Price text -> parse_fmv(text), parsed once per distinct text in a file."""
 
     def __missing__(self, text: str) -> Fraction:
-        value = parse_rational(text)
-        if value < 0:
-            raise ValueError("fmv must be non-negative, got %s" % text)
-        self[text] = value
+        value = self[text] = parse_fmv(text)
         return value
 
 
@@ -135,9 +154,7 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
             if tag == "asset":
                 if len(fields) != 3:
                     raise ValueError("asset lines are 'asset <id> <decimals>'")
-                if "," in fields[1] or '"' in fields[1]:
-                    raise ValueError("asset id %s holds ',' or '\"'" % fields[1])
-                decimals[fields[1]] = parse_decimals(fields[2])
+                decimals[check_asset_id(fields[1])] = parse_decimals(fields[2])
                 continue
             if tag != "event":
                 raise ValueError("unknown line tag %r" % tag)

@@ -16,7 +16,6 @@ disposal names instead.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -46,19 +45,30 @@ class InsufficientQuantity(LotError):
     pass
 
 
-@dataclass(slots=True)
 class Lot:
-    lot_id: int
-    asset: str
-    remaining_qty: int  # base units
-    unit_basis: Fraction | int  # a price per whole asset unit, see Book.unit
-    acquired_at: int
+    """An open lot. A book lowers `remaining_qty` (base units) as disposals
+    consume it; `unit_basis` is a price per whole asset unit, see Book.unit.
+    Lots are equal when their fields are."""
 
-    def __post_init__(self):
-        if self.remaining_qty <= 0:
+    __slots__ = ("lot_id", "asset", "remaining_qty", "unit_basis", "acquired_at")
+
+    def __init__(self, lot_id: int, asset: str, remaining_qty: int,
+                 unit_basis: Fraction | int, acquired_at: int):
+        if remaining_qty <= 0:
             raise ValueError("acquired quantity must be positive")
-        if self.unit_basis.numerator < 0:  # the sign, without a slow Fraction comparison
+        if unit_basis.numerator < 0:  # the sign, without a slow Fraction comparison
             raise ValueError("unit basis must be non-negative")
+        self.lot_id, self.asset, self.remaining_qty = lot_id, asset, remaining_qty
+        self.unit_basis, self.acquired_at = unit_basis, acquired_at
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Lot and self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "Lot(%s)" % ", ".join("%s=%r" % pair for pair in zip(self.__slots__, self._values()))
 
 
 class LotConsumption(NamedTuple):

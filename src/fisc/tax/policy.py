@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..amounts import parse_rational
 from ..lineformat import LineError, LineReader, pair
@@ -51,8 +51,7 @@ def check_range(name: str, value: object) -> None:
         raise ValueError(message.format(value))
 
 
-@dataclass(frozen=True)
-class JurisdictionPolicy:
+class _PolicyFields(NamedTuple):
     fork_treatment: ReceiptTreatment = ReceiptTreatment.FMV_INCOME
     airdrop_treatment: ReceiptTreatment = ReceiptTreatment.FMV_INCOME
     hobby_miner: HobbyMinerRule = HobbyMinerRule.NONE
@@ -66,11 +65,20 @@ class JurisdictionPolicy:
     gift_taxable: bool = True
     lp_events_are_disposals: bool = False
 
-    def __post_init__(self):
+
+class JurisdictionPolicy(_PolicyFields):
+    """A jurisdiction's switches: an immutable tuple whose fields are each
+    checked at construction. `_replace` builds a policy unchecked."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in _RANGES:
             check_range(name, getattr(self, name))
         if self.elevated_withholding < self.standard_withholding:
             raise ValueError("elevated withholding must be >= standard")
+        return self
 
 
 def _month_day(value: str) -> tuple[int, int]:

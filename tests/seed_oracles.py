@@ -20,9 +20,10 @@ once the whole report was built, and `seed_parse_event_file` /
 `seed_serialize_event` the original event-line parser and writer. The
 parser has three corrections: it refuses an asset id holding ',' or '"',
 which would add a ledger column, a negative `fmv`, and a timestamp outside
-the years 1 to 9999 (the range check of the shared `_parse_timestamp`),
-where the original accepted all three and the report then wrote the
-first two and failed on the third.
+the years 1 to 9999, where the original accepted all three and the report
+then wrote the first two and failed on the third. Its timestamp parser,
+`seed_timestamp`, is its own: integers, and ISO 8601 texts in whole seconds
+read with a regular expression and `calendar.timegm`, not `datetime`.
 `SeedAttributionNetwork` answers each attribution query from the original
 heap event queue, deliveries and responses pushed with a sequence number
 and popped in (tick, seq) order. All are deliberately simple and slow;
@@ -31,8 +32,10 @@ and popped in (tick, seq) order. All are deliberately simple and slow;
 
 from __future__ import annotations
 
+import calendar
 import hashlib
 import heapq
+import re
 from fractions import Fraction
 
 from fisc.amounts import parse_rational
@@ -45,7 +48,6 @@ from fisc.tax.events import (
     DISPOSAL_KINDS,
     ChainEventRecord,
     EventKind,
-    _parse_timestamp,
 )
 from fisc.tax.lots import (
     AccountingMethod,
@@ -511,7 +513,7 @@ def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRec
                 raise EventParseError(line_no, "asset %r not declared" % asset)
             record = ChainEventRecord(
                 seq=int(kv["seq"]),
-                timestamp=_parse_timestamp(kv["ts"]),
+                timestamp=seed_timestamp(kv["ts"]),
                 kind=kind,
                 asset=asset,
                 quantity=int(kv["qty"]),
@@ -528,6 +530,29 @@ def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRec
             raise EventParseError(line_no, str(exc))
         records.append(record)
     return decimals, records
+
+
+_ISO = re.compile(r"(\d{4})-(\d\d)-(\d\d)(?:T(\d\d):(\d\d):(\d\d)(Z|([+-])(\d\d):(\d\d))?)?")
+# The first second of the year 1 and the last of the year 9999, UTC.
+_FIRST, _LAST = calendar.timegm((1, 1, 1, 0, 0, 0)), calendar.timegm((9999, 12, 31, 23, 59, 59))
+
+
+def seed_timestamp(text: str) -> int:
+    """Unix seconds of an integer, or of `YYYY-MM-DD[THH:MM:SS[Z|+HH:MM|-HH:MM]]`
+    (no offset: UTC); outside the years 1 to 9999 UTC, a ValueError."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        stamp = int(text)
+    else:
+        iso = _ISO.fullmatch(text)
+        if iso is None:
+            raise ValueError("not a timestamp: %r" % text)
+        stamp = calendar.timegm(tuple(int(part or 0) for part in iso.groups()[:6]))
+        sign, hours, minutes = iso.groups()[7:]
+        if sign:
+            stamp -= int(sign + "1") * (int(hours) * 3600 + int(minutes) * 60)
+    if not _FIRST <= stamp <= _LAST:
+        raise ValueError("timestamp %s is outside the years 1 to 9999 UTC" % text)
+    return stamp
 
 
 def _seed_price(text: str) -> Fraction:

@@ -411,6 +411,22 @@ class TestSimulate:
             ("chain", "schedule initial=0.000000015",
              "'0.000000015' is not representable with 8 decimals"),
             ("validators", "validator v3 stake=1/3", "'1/3' is not representable with 18 decimals"),
+            # What the event parser refuses, refused at its scenario line.
+            ("chain", "asset id=a,b", "asset id a,b holds ',' or '\"'"),
+            ("chain", 'asset id=a"b', "asset id a\"b holds ',' or '\"'"),
+            ("pool", "pool reserve_x=40 reserve_y=40 asset_x=a,b", "asset id a,b holds ','"),
+            ("pool", 'pool reserve_x=40 reserve_y=40 asset_y=a"b', "asset id a\"b holds ','"),
+            ("chain", "price fmv=-1", "fmv must be non-negative, got -1"),
+            ("validators", "price fmv=-2000", "fmv must be non-negative, got -2000"),
+            ("pool", "price x=-1 y=1", "fmv must be non-negative, got -1"),
+            ("pool", "price x=1 y=-1/2", "fmv must be non-negative, got -1/2"),
+            # Heights 209999 and 210000 at 10**11 seconds a block are past the year 9999.
+            ("chain", "retarget interval=100000000000",
+             "timestamp 21000000000000000 is outside the years 1 to 9999 UTC"),
+            ("pool", "time at=253402300800",
+             "timestamp 253402300800 is outside the years 1 to 9999 UTC"),
+            ("pool", "time at=-62135596801",
+             "timestamp -62135596801 is outside the years 1 to 9999 UTC"),
         ],
     )
     def test_replay_fault_exit_2_with_line(self, tmp_path, capsys, kind, line, message):
@@ -436,6 +452,20 @@ class TestSimulate:
         assert main(["simulate", "pool", str(scenario), "--out", str(out)]) == EXIT_PARSE
         assert "bad.scn:4: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_chain_timestamps_end_in_the_year_9999(self, tmp_path, capsys):
+        # Height h is stamped h * 600: 422337167 is the last height before
+        # 10000-01-01. Halving every 10**9 blocks, both heights earn a subsidy.
+        text = "schedule interval=1000000000\nmine start=422337167 end=%d\n"
+        scenario = write(tmp_path, "chain.scn", text % 422337167)
+        out = tmp_path / "out"
+        assert main(["simulate", "chain", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert "ts=253402300200 " in (out / "events.fisc").read_text()
+        assert main(["report", str(out / "events.fisc"), "--out", str(tmp_path / "r")]) == EXIT_OK
+        scenario = write(tmp_path, "late.scn", text % 422337168)
+        assert main(["simulate", "chain", str(scenario), "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "late.scn:2: timestamp 253402300800 is outside" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_heights_past_the_last_halving_earn_no_event(self, tmp_path):
         # 50 BTC halves to zero satoshi after 33 eras.
@@ -676,18 +706,34 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def loaded_by_import(part: str, module: str = "fisc.cli") -> str:
-    """The modules naming `part` that `import <module>` loads, in a fresh process."""
+def loaded_by_import(part: str | tuple[str, ...], module: str = "fisc.cli") -> str:
+    """The modules naming `part`, or any of several parts, that `import
+    <module>` loads, in a fresh process run without `site`, so that no
+    installed `.pth` file adds modules."""
     src = str(Path(fisc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, %s; print(sorted(m for m in sys.modules if %r in m))" % (module, part)
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    parts = (part,) if isinstance(part, str) else part
+    probe = ("import sys, %s; print(sorted(m for m in sys.modules if any(p in m for p in %r)))"
+             % (module, parts))
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     return result.stdout.strip()
 
 
 def test_cli_import_leaves_attribution_unloaded():
     assert loaded_by_import("attribution") == "[]"
+
+
+def test_cli_import_loads_no_simulation_engine_or_dataclasses():
+    """Each process compiles what it imports: `report` loads neither the
+    runners' engines nor `dataclasses`; each runner imports its own."""
+    assert loaded_by_import(("fisc.consensus", "fisc.blocks", "fisc.addresses",
+                             "fisc.ripemd160", "fisc.defi.pool", "fisc.attribution",
+                             "dataclasses")) == "[]"
+
+
+def test_consensus_import_leaves_blocks_unloaded():
+    assert loaded_by_import("fisc.blocks", "fisc.consensus") == "[]"
 
 
 def test_line_reader_imports_no_other_fisc_module():

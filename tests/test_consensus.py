@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisc.amounts import Amount, btc, eth
-from fisc.blocks import BlockHeader, pow_hash_value
+from fisc.blocks import BlockHeader, pool_share_valid, pow_hash_value
 from fisc.consensus import (
     AttestationVote,
     DutyEvent,
@@ -26,7 +26,6 @@ from fisc.consensus import (
     inactivity_leak_active,
     mev_net_builder_fee,
     mining_expectation,
-    pool_share_valid,
     pos_issuance_and_return,
     retarget_difficulty,
     total_issuance,

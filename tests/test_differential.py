@@ -1,13 +1,13 @@
 """The indexed lot books, the per-method reports in both money domains,
 integer format_rational and format_units, the print check as lines are
-appended, year totals summed per denominator and the attribution query's
-sorted delivery list, against the seed versions.
+appended, year totals summed per denominator, the attribution query's
+sorted delivery list and the event parser's timestamps, against the seed
+versions.
 
 `seed_oracles` holds the original implementations. Both sides get the same
 random operation sequences and must agree exactly, errors included.
 """
 
-from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from fisc.amounts import DigitLimit, format_rational, format_units, parse_rational
 from fisc.attribution.protocol import build_ownership_proof
 from fisc.attribution.sim import AttributionNetwork, LinkConfig
+from fisc.lineformat import LineError
 from fisc.signatures import DEFAULT_SCHEME
 from fisc.tax import engine
-from fisc.tax.events import ChainEventRecord, EventKind
+from fisc.tax.events import ChainEventRecord, EventKind, parse_event_file
 from fisc.tax.lots import AccountingMethod, Hifo, Lifo, LotError, LotStore, Periodic, SpecId
 from fisc.tax.policy import HobbyMinerRule, JurisdictionPolicy, ReceiptTreatment
 from seed_oracles import (
@@ -29,6 +30,7 @@ from seed_oracles import (
     SeedLotStore,
     seed_compute_report,
     seed_format_rational,
+    seed_parse_event_file,
     seed_to_csv,
 )
 
@@ -244,8 +246,8 @@ def decimal_cases(draw):
     and `meta.attribution` on disposals; now and then one price is 1/3."""
     policy, records = draw(report_cases(prices=DECIMAL_PRICES, faults=False,
                                         decimals=WIDE_DECIMALS, kinds=RECEIPT_KINDS))
-    policy = replace(
-        policy, standard_withholding=Fraction(1, 3), elevated_withholding=Fraction(1, 2),
+    policy = policy._replace(
+        standard_withholding=Fraction(1, 3), elevated_withholding=Fraction(1, 2),
         airdrop_treatment=draw(st.sampled_from(ReceiptTreatment)),
         fork_treatment=draw(st.sampled_from(ReceiptTreatment)),
         mining_is_business=draw(st.booleans()), hobby_miner=draw(st.sampled_from(HobbyMinerRule)))
@@ -465,3 +467,33 @@ def test_query_matches_seed_event_queue(case):
         assert new.now == old.now
     assert new.trace == old.trace
     assert new._rng.getstate() == old._rng.getstate()
+
+
+# Event-file timestamps: integers near and past both ends of the years 1 to
+# 9999, and ISO 8601 texts in whole seconds, naive (UTC), `Z` or with an
+# offset, which can carry a moment past either end.
+INT_STAMPS = st.integers(-2, 2).flatmap(lambda step: st.sampled_from(
+    (-62_135_596_800 + step, 253_402_300_799 + step))) | st.integers(-10**12, 10**12)
+ISO_STAMPS = st.builds(
+    lambda moment, zone: "%04d-%02d-%02dT%02d:%02d:%02d%s" % (
+        moment.year, moment.month, moment.day, moment.hour, moment.minute, moment.second, zone),
+    st.datetimes(),
+    st.sampled_from(("", "Z")) | st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"),
+                                           st.integers(0, 23), st.integers(0, 59)))
+
+
+@given(st.one_of(INT_STAMPS.map(str), ISO_STAMPS))
+@example("9999-12-31T23:59:59-01:00")  # 10000-01-01T00:59:59Z
+@example("0001-01-01T00:00:00+01:00")
+@example("2020-06-01T12:00:00+05:30")
+@settings(max_examples=300, deadline=None)
+def test_timestamps_parse_like_seed(ts):
+    text = "asset X 0\nevent seq=1 ts=%s kind=purchase asset=X qty=1 fmv=1\n" % ts
+
+    def parsed(parse):
+        try:
+            return parse(text)[1][0].timestamp
+        except LineError as exc:
+            return exc.line_no, str(exc)
+
+    assert parsed(parse_event_file) == parsed(seed_parse_event_file)
