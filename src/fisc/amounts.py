@@ -8,6 +8,7 @@ Fraction, as rates and fee math are; never a float.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -87,10 +88,11 @@ class Amount(_AmountFields):
     def from_decimal_str(cls, text: str, decimals: int = BTC_DECIMALS) -> "Amount":
         """Parse a decimal string like '2.5' (or a/b) into base units, exactly;
         a value finer than one base unit is refused, not truncated."""
-        units = parse_rational(text) * 10**decimals
-        if units.denominator != 1:
+        value = parse_rational(text)
+        units, rest = divmod(value.numerator * 10**decimals, value.denominator)
+        if rest:
             raise ValueError("%r is not representable with %d decimals" % (text, decimals))
-        return cls(int(units), decimals)
+        return cls(units, decimals)
 
     def __str__(self) -> str:
         sign = "-" if self.base_units < 0 else ""
@@ -179,8 +181,19 @@ class DigitLimit:
         return num < self._ceiling and den < self._ceiling
 
 
+# The exponent of a decimal text, as Fraction's own parser reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; also accepts plain decimals and a/b."""
+    """Inverse of format_rational; also accepts plain decimals and a/b. An
+    exponent larger in magnitude than CPython's int->str digit limit is
+    refused: Fraction would build 10**exponent, hours of work past 10**9."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and abs(int(exponent[1])) > limit:
+            raise ValueError("exponent of %s exceeds %d in magnitude" % (text, limit))
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -31,28 +31,33 @@ def _write_outputs(out: str, command: str, inputs: list[Path], outputs: dict[str
                    seed: int | None = None) -> int:
     """Write each `outputs` text to directory `out` under its name, then
     `manifest.json` with the sha256 of every input and output file. Each text
-    is popped as it is written: the manifest reads the files back, so one copy
-    is held at a time."""
+    is popped as it is written, so one copy is held at a time. An `out` that
+    cannot be made or written exits 2 with one line."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = list(outputs)
-    for name in names:
-        (out_dir / name).write_text(outputs.pop(name))
-
-    def digest(path: Path) -> str:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
-    manifest = {
-        "command": command,
-        "engine_version": __version__,
-        "inputs": {str(p): digest(p) for p in inputs},
-        "seed": seed,
-        "outputs": {name: digest(out_dir / name) for name in names},
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        digests = {name: _write(out_dir / name, outputs.pop(name)) for name in list(outputs)}
+        manifest = {
+            "command": command,
+            "engine_version": __version__,
+            "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
+            "seed": seed,
+            "outputs": digests,
+        }
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+    except OSError as exc:
+        print("%s: %s" % (exc.filename or out, exc.strerror or exc), file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
+
+
+def _write(path: Path, text: str) -> str:
+    """Write `text` to `path` as UTF-8, encoded once; the sha256 of those bytes."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # What reading and parsing an input file may raise: an unreadable file, bytes

@@ -8,7 +8,7 @@ accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -199,27 +199,24 @@ def apply_penalty_or_slash(
     """
     if v.status is not ValidatorStatus.ACTIVE:
         raise SlashedValidatorError("validator %s is not active" % v.id)
-    stake = v.stake.base_units
     if event is DutyEvent.MISSED_HEAD:
         return v
-    if event is DutyEvent.MISSED_SOURCE:
-        cut = (Fraction(stake) * params.missed_source_penalty).__floor__()
-        return replace(v, stake=Amount(stake - cut, v.stake.decimals))
-    if event is DutyEvent.MISSED_TARGET:
-        cut = (Fraction(stake) * params.missed_target_penalty).__floor__()
-        return replace(v, stake=Amount(stake - cut, v.stake.decimals))
-    if event is DutyEvent.MISSED_SYNC:
-        cut = (Fraction(stake) * params.sync_duty_reward).__floor__()
-        return replace(v, stake=Amount(stake - cut, v.stake.decimals))
-    if event in (DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE):
-        cut = (Fraction(stake) * params.slash_fraction).__floor__()
-        return replace(
-            v,
-            stake=Amount(stake - cut, v.stake.decimals),
-            status=ValidatorStatus.SLASHED,
-            effective=False,
-        )
-    raise ValueError("unknown duty event %r" % event)
+    slashed = event in (DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE)
+    if slashed:
+        rate = params.slash_fraction
+    elif event is DutyEvent.MISSED_SOURCE:
+        rate = params.missed_source_penalty
+    elif event is DutyEvent.MISSED_TARGET:
+        rate = params.missed_target_penalty
+    elif event is DutyEvent.MISSED_SYNC:
+        rate = params.sync_duty_reward
+    else:
+        raise ValueError("unknown duty event %r" % event)
+    stake, decimals = v.stake
+    stake -= stake * rate.numerator // rate.denominator
+    if slashed:
+        return Validator(v.id, Amount(stake, decimals), False, ValidatorStatus.SLASHED)
+    return Validator(v.id, Amount(stake, decimals), v.effective, v.status)
 
 
 def inactivity_leak_active(epochs_since_finality: int, params: PosParams = PosParams()) -> bool:

@@ -57,9 +57,9 @@ class LiquidityPool:
     def swap_exact_in(self, amount_in: int, x_to_y: bool = True) -> int:
         """Swap a fixed input for the other asset; returns the output.
 
-        out = reserve_out - K / (reserve_in + in*(1-fee)), rounded down.
-        The full input (fee included) lands in the reserves, so K never
-        decreases and strictly grows whenever the fee is nonzero.
+        out = floor(R_out - K/(R_in + in*(1-fee))) = net*R_out // (R_in*q + net)
+        for fee = p/q and net = in*(q-p). The full input (fee included) lands in
+        the reserves, so K never decreases and strictly grows whenever the fee is nonzero.
         """
         if amount_in <= 0:
             raise PoolError("swap input must be positive")
@@ -67,9 +67,9 @@ class LiquidityPool:
             raise PoolError("pool is not live")
         reserve_in = self.reserve_x if x_to_y else self.reserve_y
         reserve_out = self.reserve_y if x_to_y else self.reserve_x
-        effective_in = Fraction(amount_in) * (1 - self.fee_rate)
-        out_exact = Fraction(reserve_out) - Fraction(self.k) / (reserve_in + effective_in)
-        out = math.floor(out_exact)
+        q = self.fee_rate.denominator
+        net = amount_in * (q - self.fee_rate.numerator)
+        out = net * reserve_out // (reserve_in * q + net)
         if out <= 0:
             raise DustOutput("output rounds to zero")
         if x_to_y:

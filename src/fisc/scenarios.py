@@ -124,7 +124,7 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
     schedule = RewardSchedule()
     rule = RetargetRule()
     price = Fraction(0)
-    heights: list[int] = []
+    mined: list[tuple[int, int]] = []
     top = 0  # the highest height mined
     asset = "BTC"
     with LineReader(text) as lines:
@@ -150,7 +150,7 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
                 start, end = int(kv["start"]), int(kv["end"])
                 if start < 0:
                     raise ValueError("height must be non-negative")
-                heights.extend(range(start, end + 1))
+                mined.append((start, end))
                 if start <= end and end > top:
                     top = end
                     check_timestamp(top * rule.target_block_interval)
@@ -159,16 +159,17 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
         decimals = schedule.initial_subsidy.decimals
         events = []
         state_lines = []
-        for seq, height in enumerate(heights, start=1):
-            subsidy = block_subsidy(height, schedule)
-            if subsidy.base_units:
-                events.append(
-                    ChainEventRecord(
+        seq = 0
+        for start, end in mined:
+            for height in range(start, end + 1):
+                if height == start or not height % schedule.halving_interval_blocks:
+                    subsidy = block_subsidy(height, schedule).base_units
+                seq += 1
+                if subsidy:
+                    events.append(ChainEventRecord(
                         seq, height * rule.target_block_interval, EventKind.MINING_REWARD,
-                        asset, subsidy.base_units, price, metadata={"height": str(height)},
-                    )
-                )
-            state_lines.append("height %d subsidy %d" % (height, subsidy.base_units))
+                        asset, subsidy, price, metadata={"height": str(height)}))
+                state_lines.append("height %d subsidy %d" % (height, subsidy))
         return serialize_event_file({asset: decimals}, events), "\n".join(state_lines) + "\n"
 
 

@@ -183,7 +183,7 @@ def serialize_event(record: ChainEventRecord) -> str:
 
 def _event_line(record: ChainEventRecord, fmv: str) -> str:
     line = "event seq=%d ts=%d kind=%s asset=%s qty=%d fmv=%s" % (
-        record.seq, record.timestamp, record.kind.value, record.asset, record.quantity, fmv,
+        record.seq, record.timestamp, record.kind._value_, record.asset, record.quantity, fmv,
     )
     if record.counterparty_address:
         line += " counterparty=%s" % record.counterparty_address
@@ -196,8 +196,9 @@ def _event_line(record: ChainEventRecord, fmv: str) -> str:
 
 def serialize_event_file(decimals: dict[str, int], records: list[ChainEventRecord]) -> str:
     lines = ["asset %s %d" % (asset, d) for asset, d in sorted(decimals.items())]
-    prices: dict[Fraction, str] = {}  # each distinct price rendered once
+    prices: dict[tuple[int, int], str] = {}  # each price rendered once; ints hash fast
     for r in records:
-        fmv = prices.get(r.fmv_unit) or prices.setdefault(r.fmv_unit, format_rational(r.fmv_unit))
+        key = r.fmv_unit.numerator, r.fmv_unit.denominator
+        fmv = prices.get(key) or prices.setdefault(key, format_rational(r.fmv_unit))
         lines.append(_event_line(r, fmv))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 import fisc
 from fisc.amounts import format_rational, parse_rational
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
+from fisc.scenarios import run_chain_scenario, run_pool_scenario, run_validator_scenario
 from fisc.tax.engine import compute_report
 from fisc.tax.events import parse_event_file
 from fisc.tax.lots import AccountingMethod
@@ -53,6 +56,26 @@ register DE T1 wallet_bob
 register AT T2 wallet_ann
 transfer wallet_ann wallet_bob 100000000 8
 """
+
+
+DUTIES = ["missed_source", "missed_target", "missed_sync", "missed_head"]
+
+
+@contextlib.contextmanager
+def counting_fractions():
+    """Count the Fractions constructed inside the block, in a one-item list."""
+    count = [0]
+    saved = vars(Fraction)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return saved.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        yield count
+    finally:
+        Fraction.__new__ = saved
 
 
 def write(tmp_path, name, text):
@@ -256,6 +279,30 @@ class TestReport:
         line_no = text.rstrip("\n").count("\n") + 1
         assert "events.fisc:%d: %s" % (line_no, message) in capsys.readouterr().err
         assert not out.exists()
+
+    # Fraction would build 10**exponent: 1e10000000 takes seconds, 1e1000000000 hours.
+    @pytest.mark.parametrize("fmv", ["1e4301", "1E-4301", "2.5e+10000000"])
+    def test_price_exponent_past_the_digit_limit_exit_2(self, tmp_path, capsys, fmv):
+        if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            pytest.skip("this Python has no int->str digit limit")
+        limit = sys.get_int_max_str_digits()
+        events = write(tmp_path, "events.fisc",
+                       "asset BTC 8\nevent seq=1 ts=0 kind=purchase asset=BTC qty=1 fmv=%s\n" % fmv)
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_PARSE
+        assert time.perf_counter() - started < 1
+        err = capsys.readouterr().err
+        assert "events.fisc:2: exponent of %s exceeds %d in magnitude" % (fmv, limit) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmv,income", [("1e3", "0.00001"), ("1e4300", "1" + "0" * 4292)])
+    def test_price_exponent_within_the_digit_limit(self, tmp_path, fmv, income):
+        events = write(tmp_path, "events.fisc", "asset BTC 8\n"
+                       "event seq=1 ts=0 kind=mining_reward asset=BTC qty=1 fmv=%s\n" % fmv)
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        assert ",%s,0,0,-" % income in (out / "ledger.csv").read_text()
 
     @pytest.mark.parametrize(
         "ts,date",
@@ -476,6 +523,30 @@ class TestSimulate:
             "height 32 subsidy 1\nheight 33 subsidy 0\nheight 34 subsidy 0\n"
         )
         assert (out / "events.fisc").read_text().count("kind=mining_reward") == 1
+
+    # Scenarios of n swaps, duties or heights, and the Fractions each may
+    # build per item: a swap parses its in=; duties and heights count in ints.
+    REPLAYS = {
+        "pool": (run_pool_scenario, 1, lambda n: "pool reserve_x=100000 reserve_y=200000\n"
+                 "price x=2 y=1\n" + "swap in=1.5 dir=x2y\nswap in=3 dir=y2x\n" * (n // 2)),
+        "validators": (run_validator_scenario, 0, lambda n: "price fmv=2000.25\n"
+                       + "".join("validator v%d stake=32\n" % i for i in range(10))
+                       + "duty v9 double_vote\n"
+                       + "".join("duty v%d %s\n" % (i % 10, DUTIES[i % 4]) for i in range(n))),
+        "chain": (run_chain_scenario, 0, lambda n: "schedule interval=300\nprice fmv=30000.5\n"
+                  "mine start=0 end=%d\n" % (n - 1)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REPLAYS))
+    def test_replay_builds_no_fraction_per_item(self, kind):
+        runner, allowed, scenario = self.REPLAYS[kind]
+        counts = []
+        for n in (100, 1_000):
+            text = scenario(n)
+            with counting_fractions() as count:
+                runner(text)
+            counts.append(count[0])
+        assert counts[1] - counts[0] <= allowed * 900, counts
 
 
 class TestAttrib:
@@ -704,6 +775,24 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command):
     assert main(command + [str(path), "--out", str(out)]) == EXIT_PARSE
     assert "bin.in: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize(
+    "command,name,text",
+    [(["report"], "events.fisc", EVENTS), (["simulate", "pool"], "pool.scn", POOL_SCENARIO),
+     (["attrib"], "mesh.scn", ATTRIB_SCENARIO)],
+    ids=["report", "simulate", "attrib"],
+)
+def test_unusable_out_exit_2(tmp_path, capsys, command, name, text, under):
+    """An --out that cannot be made or written is named on one line, exit 2."""
+    path = write(tmp_path, name, text)
+    blocker = write(tmp_path, "afile", "kept\n")
+    out = blocker / "sub" if under else blocker
+    assert main(command + [str(path), "--out", str(out)]) == EXIT_PARSE
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr().err == "%s: %s\n" % (out, reason)
+    assert blocker.read_text() == "kept\n"
 
 
 def loaded_by_import(part: str | tuple[str, ...], module: str = "fisc.cli") -> str:

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisc.amounts import Amount, btc, eth
 from fisc.blocks import BlockHeader, pool_share_valid, pow_hash_value
+from fisc.scenarios import run_chain_scenario
+from fisc.tax.events import parse_event_file
 from fisc.consensus import (
     AttestationVote,
     DutyEvent,
@@ -66,6 +68,33 @@ class TestSubsidy:
     def test_negative_height_rejected(self):
         with pytest.raises(ValueError):
             block_subsidy(-1)
+
+    @given(
+        st.integers(min_value=0, max_value=100),
+        st.integers(min_value=1, max_value=6),
+        # Up to 8 eras of 1 to 6 blocks: ranges cross halvings, run past the
+        # last era, overlap, and are reversed (start > end mines nothing).
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=5),
+    )
+    @settings(max_examples=150)
+    # 13 units last 4 eras of 3 blocks; the ranges overlap, one is reversed.
+    @example(initial=13, interval=3, ranges=[(2, 20), (5, 4), (10, 14)])
+    def test_chain_replay_matches_block_subsidy_per_height(self, initial, interval, ranges):
+        """Asked once per era, the chain runner still gives each height
+        block_subsidy(height), and an income event when that is nonzero."""
+        text = "schedule initial=%d interval=%d decimals=0\nprice fmv=3/7\n" % (initial, interval)
+        text += "".join("mine start=%d end=%d\n" % r for r in ranges)
+        events, state = run_chain_scenario(text)
+        schedule = RewardSchedule(Amount(initial, 0), interval)
+        heights = [h for start, end in ranges for h in range(start, end + 1)]
+        subsidies = [block_subsidy(h, schedule).base_units for h in heights]
+        lines = ["height %d subsidy %d" % hs for hs in zip(heights, subsidies)]
+        assert state == "\n".join(lines) + "\n"
+        _, records = parse_event_file(events)
+        assert [(r.seq, r.timestamp, r.quantity, r.metadata) for r in records] == [
+            (seq, h * 600, subsidy, {"height": str(h)})
+            for seq, (h, subsidy) in enumerate(zip(heights, subsidies), start=1) if subsidy
+        ]
 
 
 class TestRetarget:
@@ -254,6 +283,31 @@ class TestPenalties:
         assert not after.effective
         assert after.stake.base_units == 32 * 10**18 - 10**18
 
+    @given(
+        st.integers(min_value=0, max_value=10**40),
+        st.sampled_from([DutyEvent.MISSED_SOURCE, DutyEvent.MISSED_TARGET, DutyEvent.MISSED_SYNC,
+                         DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE]),
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+                 min_size=4, max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_integer_cut_matches_rational_oracle(self, stake, event, rates, effective):
+        """The cut stake * num // den equals floor(Fraction(stake) * rate),
+        the expression it replaced, for each penalised duty kind."""
+        params = PosParams(missed_source_penalty=rates[0], missed_target_penalty=rates[1],
+                           sync_duty_reward=rates[2], slash_fraction=rates[3])
+        rate = {DutyEvent.MISSED_SOURCE: rates[0], DutyEvent.MISSED_TARGET: rates[1],
+                DutyEvent.MISSED_SYNC: rates[2]}.get(event, rates[3])
+        slashed = event in (DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE)
+        before = Validator("v", Amount(stake, 18), effective)
+        after = apply_penalty_or_slash(before, event, params)
+        assert after == Validator(
+            "v", Amount(stake - math.floor(Fraction(stake) * rate), 18),
+            effective and not slashed,
+            ValidatorStatus.SLASHED if slashed else ValidatorStatus.ACTIVE,
+        )
+
     def test_slashed_validator_is_done(self):
         v = Validator("v1", status=ValidatorStatus.SLASHED)
         with pytest.raises(SlashedValidatorError):
@@ -264,6 +318,35 @@ class TestPenalties:
         assert inactivity_leak_active(5)
         with pytest.raises(ValueError):
             inactivity_leak_active(-1)
+
+
+class TestDecimalAmounts:
+    @given(
+        st.integers(min_value=-10**30, max_value=10**30),
+        st.integers(min_value=1, max_value=10**12),
+        st.integers(min_value=0, max_value=30),
+        st.sampled_from(["ratio", "decimal", "exponent"]),
+    )
+    @settings(max_examples=300)
+    def test_from_decimal_str_matches_rational_oracle(self, num, den, decimals, form):
+        """Integer scaling equals the Fraction product it replaced, and a
+        value finer than one base unit is refused, as a/b, as a decimal and
+        with an exponent."""
+        if form == "ratio":
+            text = "%d/%d" % (num, den)
+        else:  # num / 10**places, which is finer than a base unit when places > decimals
+            places = den % 40
+            digits = str(abs(num)).rjust(places + 1, "0")
+            cut = len(digits) - places
+            text = "-" * (num < 0) + digits[:cut] + "." + digits[cut:]
+            if form == "exponent":
+                text = text.replace(".", "") + "e-%d" % places
+        units = Fraction(text) * 10**decimals
+        if units.denominator != 1:
+            with pytest.raises(ValueError, match="not representable with %d decimals" % decimals):
+                Amount.from_decimal_str(text, decimals)
+        else:
+            assert Amount.from_decimal_str(text, decimals) == Amount(int(units), decimals)
 
 
 class TestMev:

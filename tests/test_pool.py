@@ -67,6 +67,31 @@ class TestSwap:
             assert pool.k > before
 
     @given(
+        st.integers(min_value=1, max_value=10**30),
+        st.integers(min_value=1, max_value=10**30),
+        st.integers(min_value=1, max_value=10**30),
+        st.sampled_from([Fraction(0), Fraction(5, 10_000), Fraction(3, 1_000), Fraction(1, 100)]),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_integer_swap_matches_rational_oracle(self, x, y, amount_in, fee, x_to_y):
+        """The integer swap gives floor(R_out - K / (R_in + in*(1-fee))), the
+        Fraction expression it replaced, and refuses exactly when that is 0."""
+        reserve_in, reserve_out = (x, y) if x_to_y else (y, x)
+        expected = math.floor(
+            Fraction(reserve_out) - Fraction(x * y) / (reserve_in + Fraction(amount_in) * (1 - fee))
+        )
+        pool = LiquidityPool(x, y, fee)
+        if expected <= 0:
+            with pytest.raises(DustOutput):
+                pool.swap_exact_in(amount_in, x_to_y)
+            assert (pool.reserve_x, pool.reserve_y) == (x, y)
+            return
+        assert pool.swap_exact_in(amount_in, x_to_y) == expected
+        after = (reserve_in + amount_in, reserve_out - expected)
+        assert (pool.reserve_x, pool.reserve_y) == (after if x_to_y else after[::-1])
+
+    @given(
         st.integers(min_value=10**6, max_value=10**12),
         st.integers(min_value=10**6, max_value=10**12),
         st.integers(min_value=100, max_value=10**6),
