@@ -1,8 +1,8 @@
 """Deterministic simulation of the attribution protocol.
 
 A single logical timeline: every delivery tick of a query is known when it
-is broadcast, so each query walks one list sorted by (tick, code);
-identical scenarios and seeds replay the exact trace.
+is broadcast, so each query walks its origin's schedule, sorted once by
+(latency, code); identical scenarios and seeds replay the exact trace.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from ..tax.events import ChainEventRecord, EventKind
 from ..tax.policy import JurisdictionPolicy
@@ -26,19 +25,17 @@ class QueryOutcome:
     jurisdiction: str | None = None
 
 
-class TraceEntry(NamedTuple):
-    tick: int
-    actor: str
-    kind: str
-    digest: str
-
-
 def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass
 class LinkConfig:
+    """Per-(sender, receiver) latency in ticks and drop threshold.
+
+    A network reads its links at an origin's first query and keeps what it
+    read; to change them, rebind `AttributionNetwork.links`."""
+
     latency: dict[tuple[str, str], int] = field(default_factory=dict)
     drop: dict[tuple[str, str], float] = field(default_factory=dict)
     default_latency: int = 1
@@ -50,23 +47,31 @@ class AttributionNetwork:
 
     def __init__(self, links: LinkConfig | None = None, seed: int = 0):
         self.eoi = EoiMatrix()
-        self.links = links if links is not None else LinkConfig()
         self.authorities: dict[str, TaxAuthority] = {}
         self._codes: list[str] = []  # sorted(authorities), kept by add_authority
-        self.trace: list[TraceEntry] = []
+        self.links = links if links is not None else LinkConfig()
+        self.trace: list[str] = []  # rendered lines: tick actor kind digest
         self.now = 0
         self._rng = random.Random(seed)
+
+    @property
+    def links(self) -> LinkConfig:
+        return self._links
+
+    @links.setter
+    def links(self, links: LinkConfig) -> None:
+        self._links, self._plans = links, {}
 
     def add_authority(self, code: str) -> TaxAuthority:
         if code in self.authorities:
             raise ValueError("jurisdiction %s already present" % code)
         authority = TaxAuthority(code)
         self.authorities[code] = authority
-        self._codes = sorted(self.authorities)
+        self._codes, self._plans = sorted(self.authorities), {}
         return authority
 
     def _emit(self, tick: int, actor: str, kind: str, digest: str) -> None:
-        self.trace.append(TraceEntry(tick, actor, kind, digest))
+        self.trace.append(f"{tick} {actor} {kind} {digest}")
 
     def register(self, code: str, proof: OwnershipProof) -> None:
         """Register a proof with `code`'s authority and trace the outcome."""
@@ -98,41 +103,36 @@ class AttributionNetwork:
         """
         if origin_code not in self.authorities:
             raise AttributionError("origin jurisdiction %s not in simulation" % origin_code)
+        others, droppable, schedule = self._plans.get(origin_code) or self._plan(origin_code)
         start = self.now
         deadline = start + deadline_ticks
         query_digest = _digest("query|%s|%s" % (origin_code, beneficiary_address))
         emit, draw = self.trace.append, self._rng.random
-        links = self.links
-        latency, default_latency = links.latency, links.default_latency
-        drop, default_drop = links.drop, links.default_drop
-        emit(TraceEntry(start, origin_code, "query_broadcast", query_digest))
-        deliveries: list[tuple[int, str]] = []
-        for code in self._codes:
-            if code == origin_code:
-                continue
-            if draw() < drop.get((origin_code, code), default_drop):
-                emit(TraceEntry(start, origin_code, "query_dropped_to_" + code, query_digest))
-            else:
-                at = start + latency.get((origin_code, code), default_latency)
-                deliveries.append((at, code))
-        deliveries.sort()  # by tick, then code: the order the broadcast sent them in
+        emit(f"{start} {origin_code} query_broadcast {query_digest}")
+        draws = [draw() for _ in others]
+        dropped = [code for index, code, threshold in droppable if draws[index] < threshold]
+        for code in dropped:
+            emit(f"{start} {origin_code} query_dropped_to_{code} {query_digest}")
+        authorities = self.authorities
+        holders = [code for code in others if beneficiary_address in authorities[code].registry]
 
-        authorities, permits = self.authorities, self.eoi.permits
         responses: list[tuple[int, str]] = []
-        for at, code in deliveries:
-            if at > deadline:
+        for latency, code, no_response, reply_drop, reply_latency in schedule:
+            if latency > deadline_ticks:
                 break
-            if authorities[code].knows_address(beneficiary_address) and permits(origin_code, code):
+            if code in dropped:
+                continue
+            at = start + latency
+            if (code in holders and authorities[code].knows_address(beneficiary_address)
+                    and self.eoi.permits(origin_code, code)):
                 reply_digest = _digest("affirm|%s|%s" % (code, beneficiary_address))
-                emit(TraceEntry(at, code, "affirm", reply_digest))
-                if draw() < drop.get((code, origin_code), default_drop):
-                    emit(TraceEntry(at, code, "affirm_dropped", reply_digest))
-                    continue
-                arrival = at + latency.get((code, origin_code), default_latency)
-                if arrival <= deadline:
-                    responses.append((arrival, code))
+                emit(f"{at} {code} affirm {reply_digest}")
+                if draw() < reply_drop:
+                    emit(f"{at} {code} affirm_dropped {reply_digest}")
+                elif at + reply_latency <= deadline:
+                    responses.append((at + reply_latency, code))
             else:
-                emit(TraceEntry(at, code, "no_response", query_digest))
+                emit(f"{at}{no_response}{query_digest}")
         self.now = deadline
         if not responses:
             self._emit(deadline, origin_code, "unaffirmed", query_digest)
@@ -142,6 +142,23 @@ class AttributionNetwork:
             self._emit(arrival, origin_code, "anomaly_multiple_affirmations", query_digest)
         self._emit(arrival, origin_code, "affirmed_" + winner, query_digest)
         return QueryOutcome(True, winner)
+
+    def _plan(self, origin: str) -> tuple:
+        """Build and keep `origin`'s broadcast plan: the other codes in code
+        order; those a query may be dropped to, as (index, code, threshold);
+        and the deliveries sorted by (latency, code), each with its
+        no_response text and the reply's drop threshold and latency."""
+        links = self.links
+        latency, default_latency = links.latency, links.default_latency
+        drop, default_drop = links.drop, links.default_drop
+        others = [code for code in self._codes if code != origin]
+        droppable = [(index, code, threshold) for index, code in enumerate(others)
+                     if (threshold := drop.get((origin, code), default_drop)) > 0]
+        schedule = sorted((latency.get((origin, code), default_latency), code,
+                           " %s no_response " % code, drop.get((code, origin), default_drop),
+                           latency.get((code, origin), default_latency)) for code in others)
+        plan = self._plans[origin] = (others, droppable, schedule)
+        return plan
 
     # --- originating a transfer ---
 
@@ -193,4 +210,4 @@ class AttributionNetwork:
         return withheld, event, travel
 
     def render_trace(self) -> str:
-        return "\n".join(["%d %s %s %s" % entry for entry in self.trace]) + "\n"
+        return "\n".join(self.trace) + "\n"

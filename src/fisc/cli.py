@@ -27,12 +27,20 @@ EXIT_PARSE = 2
 EXIT_POLICY = 3
 
 
-def _write_outputs(out: str, command: str, inputs: list[Path], outputs: dict[str, str],
+def _read(path: Path, digests: dict[str, str]) -> str:
+    """The text of `path`, read once: the sha256 of the bytes parsed goes in
+    `digests` under the path, and the bytes are freed before parsing starts."""
+    data = path.read_bytes()
+    digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return data.decode()
+
+
+def _write_outputs(out: str, command: str, inputs: dict[str, str], outputs: dict[str, str],
                    seed: int | None = None) -> int:
     """Write each `outputs` text to directory `out` under its name, then
-    `manifest.json` with the sha256 of every input and output file. Each text
-    is popped as it is written, so one copy is held at a time. An `out` that
-    cannot be made or written exits 2 with one line."""
+    `manifest.json` with the sha256 of every output file and the `inputs`
+    digests. Each text is popped as it is written, so one copy is held at a
+    time. An `out` that cannot be made or written exits 2 with one line."""
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -40,7 +48,7 @@ def _write_outputs(out: str, command: str, inputs: list[Path], outputs: dict[str
         manifest = {
             "command": command,
             "engine_version": __version__,
-            "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
+            "inputs": inputs,
             "seed": seed,
             "outputs": digests,
         }
@@ -79,12 +87,13 @@ def cmd_report(args) -> int:
     events_path = Path(args.events)
     config = args.config or os.environ.get("FISC_CONFIG")
     policy_path = Path(config) if config else None
+    inputs: dict[str, str] = {}
     try:
-        decimals, records = parse_event_file(events_path.read_text())
+        decimals, records = parse_event_file(_read(events_path, inputs))
     except _INPUT_ERRORS as exc:
         return _bad_input(events_path, exc)
     try:
-        policy = parse_policy(policy_path.read_text() if policy_path else "")
+        policy = parse_policy(_read(policy_path, inputs) if policy_path else "")
     except LineError as exc:
         return _bad_input(policy_path, exc)
     except (ValueError, OSError) as exc:
@@ -101,7 +110,6 @@ def cmd_report(args) -> int:
     except (EngineError, LotError, ValueError) as exc:
         print("%s: %s" % (events_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    inputs = [events_path] + ([policy_path] if policy_path else [])
     return _write_outputs(args.out, "report", inputs, outputs)
 
 
@@ -114,12 +122,13 @@ _SIM_RUNNERS = {
 
 def cmd_simulate(args) -> int:
     scenario_path = Path(args.scenario)
+    inputs: dict[str, str] = {}
     try:
         outputs = dict(zip(("events.fisc", "state.txt"),
-                           _SIM_RUNNERS[args.kind](scenario_path.read_text())))
+                           _SIM_RUNNERS[args.kind](_read(scenario_path, inputs))))
     except _INPUT_ERRORS as exc:
         return _bad_input(scenario_path, exc)
-    return _write_outputs(args.out, "simulate " + args.kind, [scenario_path], outputs)
+    return _write_outputs(args.out, "simulate " + args.kind, inputs, outputs)
 
 
 def cmd_attrib(args) -> int:
@@ -129,8 +138,9 @@ def cmd_attrib(args) -> int:
     from .attribution.travelrule import TravelRuleError
 
     scenario_path = Path(args.scenario)
+    inputs: dict[str, str] = {}
     try:
-        scenario = parse_attribution_scenario(scenario_path.read_text())
+        scenario = parse_attribution_scenario(_read(scenario_path, inputs))
     except _INPUT_ERRORS as exc:
         return _bad_input(scenario_path, exc)
     if args.seed is not None:
@@ -140,7 +150,7 @@ def cmd_attrib(args) -> int:
     except (AttributionError, TravelRuleError, ValueError) as exc:
         print("%s: %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    return _write_outputs(args.out, "attrib", [scenario_path],
+    return _write_outputs(args.out, "attrib", inputs,
                           {"trace.txt": run.trace, "withholding.txt": run.ledger}, scenario.seed)
 
 

@@ -185,6 +185,9 @@ class DutyEvent(Enum):
     DOUBLE_VOTE = "double_vote"
 
 
+DUTY_BY_TEXT = {duty.value: duty for duty in DutyEvent}  # without Enum.__call__
+
+
 class SlashedValidatorError(Exception):
     pass
 

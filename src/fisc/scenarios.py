@@ -179,6 +179,7 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
 def run_validator_scenario(text: str) -> tuple[str, str]:
     """Replay duty/penalty streams over a validator set."""
     from .consensus import (
+        DUTY_BY_TEXT,
         DutyEvent,
         PosParams,
         SlashedValidatorError,
@@ -201,7 +202,7 @@ def run_validator_scenario(text: str) -> tuple[str, str]:
             elif tag == "price":
                 price = parse_fmv(pairs(fields[1:])["fmv"])
             elif tag == "duty":
-                duty_log.append((fields[1], DutyEvent(fields[2])))
+                duty_log.append((fields[1], DUTY_BY_TEXT.get(fields[2]) or DutyEvent(fields[2])))
             else:
                 raise ValueError("unknown directive %r" % tag)
         events = []

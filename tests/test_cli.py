@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,35 @@ class TestReport:
         out = tmp_path / "out"
         assert main(["report", str(events), "--out", str(out)]) == EXIT_PARSE
         assert ":2:" in capsys.readouterr().err
+
+    def test_manifest_digests_the_bytes_parsed(self, tmp_path, monkeypatch):
+        # The events file is rewritten while the report is computed: the
+        # manifest must describe the bytes that were parsed, not the new ones.
+        events = write(tmp_path, "events.fisc", EVENTS)
+        parsed = events.read_bytes()
+
+        def rewrite_then_compute(*args):
+            events.write_text(EVENTS + "# rewritten\n")
+            return compute_report(*args)
+
+        monkeypatch.setattr("fisc.cli.compute_report", rewrite_then_compute)
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(events): hashlib.sha256(parsed).hexdigest()}
+
+    def test_crlf_event_file_reads_as_lf(self, tmp_path):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        events = tmp_path / "events.fisc"
+        events.write_bytes(EVENTS.encode())
+        assert main(["report", str(events), "--out", str(lf)]) == EXIT_OK
+        crlf_bytes = EVENTS.replace("\n", "\r\n").encode()
+        events.write_bytes(crlf_bytes)
+        assert main(["report", str(events), "--out", str(crlf)]) == EXIT_OK
+        for name in ("ledger.csv", "totals.json"):
+            assert (crlf / name).read_bytes() == (lf / name).read_bytes()
+        manifest = json.loads((crlf / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(events): hashlib.sha256(crlf_bytes).hexdigest()}
 
     def test_trailing_comment_on_event_line(self, tmp_path):
         events = write(tmp_path, "events.fisc", EVENTS.replace("fmv=400", "fmv=400 # sold"))
@@ -465,6 +495,7 @@ class TestSimulate:
             ("pool", 'pool reserve_x=40 reserve_y=40 asset_y=a"b', "asset id a\"b holds ','"),
             ("chain", "price fmv=-1", "fmv must be non-negative, got -1"),
             ("validators", "price fmv=-2000", "fmv must be non-negative, got -2000"),
+            ("validators", "duty v1 missed_nothing", "'missed_nothing' is not a valid DutyEvent"),
             ("pool", "price x=-1 y=1", "fmv must be non-negative, got -1"),
             ("pool", "price x=1 y=-1/2", "fmv must be non-negative, got -1/2"),
             # Heights 209999 and 210000 at 10**11 seconds a block are past the year 9999.

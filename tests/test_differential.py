@@ -1,7 +1,7 @@
 """The indexed lot books, the per-method reports in both money domains,
 integer format_rational and format_units, the print check as lines are
 appended, year totals summed per denominator, the attribution query's
-sorted delivery list and the event parser's timestamps, against the seed
+cached broadcast plans and the event parser's timestamps, against the seed
 versions.
 
 `seed_oracles` holds the original implementations. Both sides get the same
@@ -403,6 +403,7 @@ def test_digit_limit_decides_as_format_rational(low_digit_limit, num, negative, 
 
 
 CODES = ("AT", "BE", "CH", "DE", "ES", "FR")
+JOINING = ("BG", "DK")  # authorities that join a mesh between its queries
 WALLETS = ("w0", "w1", "w2", "unregistered")
 DROPS = (0.0, 1 / 3, 0.5, 1.0)
 
@@ -416,24 +417,48 @@ def ownership(code: str, wallet: str):
     return holder_public, build_ownership_proof(tin, b"wallet|" + wallet.encode(), holder_private)
 
 
+def link_configs(codes):
+    """LinkConfig arguments over `codes`, with latencies of 0 to 4 ticks so
+    that many deliveries share a tick."""
+    pairs = st.sampled_from([(a, b) for a in codes for b in codes if a != b])
+    return st.fixed_dictionaries(dict(
+        latency=st.dictionaries(pairs, st.integers(0, 4)),
+        drop=st.dictionaries(pairs, st.sampled_from(DROPS)),
+        default_latency=st.integers(0, 4),
+        default_drop=st.sampled_from(DROPS[:3]),  # below 1: some messages get through
+    ))
+
+
 @st.composite
 def mesh_cases(draw):
-    """A mesh of 2 to 6 jurisdictions whose latencies of 0 to 4 ticks make
-    many deliveries share a tick, with drops, EOI rows and wallets held in
-    up to two jurisdictions, and the queries to send through it."""
+    """A mesh of 2 to 6 jurisdictions with drops, EOI rows and wallets held
+    in up to two jurisdictions, and the steps to run on it: queries, and
+    between them changes to the mesh. A change rebinds the links, adds an
+    authority, or registers a wallet straight with an authority."""
     codes = CODES[: draw(st.integers(2, 6))]
-    pairs = st.sampled_from([(a, b) for a in codes for b in codes if a != b])
-    links = dict(
-        latency=draw(st.dictionaries(pairs, st.integers(0, 4))),
-        drop=draw(st.dictionaries(pairs, st.sampled_from(DROPS))),
-        default_latency=draw(st.integers(0, 4)),
-        default_drop=draw(st.sampled_from(DROPS[:3])),  # below 1: some messages get through
-    )
+    every = codes + JOINING
+    pairs = st.sampled_from([(a, b) for a in every for b in every if a != b])
+    links = draw(link_configs(every))
     homes = {wallet: draw(st.lists(st.sampled_from(codes), max_size=2, unique=True))
              for wallet in WALLETS[:-1]}
-    queries = draw(st.lists(st.tuples(st.sampled_from(codes), st.sampled_from(WALLETS),
-                                      st.integers(0, 6)), min_size=1, max_size=8))
-    return (draw(st.integers(0, 2**32)), codes, links, draw(st.sets(pairs)), homes, queries)
+    present, owned = list(codes), {(code, w) for w, homes_of in homes.items() for code in homes_of}
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("query", "query", "links", "add", "own")))
+        if kind == "links":
+            steps.append(("links", draw(link_configs(every))))
+        elif kind == "add" and len(present) < len(every):
+            present.append(JOINING[len(present) - len(codes)])
+            steps.append(("add", present[-1]))
+        elif kind == "own" and len(owned) < len(present) * 3:
+            code, wallet = draw(st.sampled_from(
+                [(c, w) for c in present for w in WALLETS[:-1] if (c, w) not in owned]))
+            owned.add((code, wallet))
+            steps.append(("own", code, wallet))
+        else:
+            steps.append(("query", draw(st.sampled_from(present)),
+                          draw(st.sampled_from(WALLETS)), draw(st.integers(0, 6))))
+    return (draw(st.integers(0, 2**32)), codes, links, draw(st.sets(pairs)), homes, steps)
 
 
 def build_mesh(cls, seed, codes, links, eoi, homes):
@@ -454,17 +479,48 @@ def address_of(wallet: str) -> str:
     return ownership(CODES[0], wallet)[1].address.text
 
 
+def run_step(network, step):
+    """Run one mesh step; a query returns its outcome and the clock after it."""
+    kind, *args = step
+    if kind == "query":
+        origin, wallet, deadline = args
+        outcome = network.query_beneficiary_jurisdiction(origin, address_of(wallet), deadline)
+        return outcome, network.now
+    if kind == "links":
+        network.links = LinkConfig(**args[0])
+    elif kind == "add":
+        network.add_authority(args[0])
+    else:  # past AttributionNetwork.register: the network sees only the registry
+        holder_public, proof = ownership(*args)
+        authority = network.authorities[args[0]]
+        authority.issue_dsc(proof.tin, holder_public)
+        authority.register_ownership(proof)
+    return None
+
+
+NO_LINKS = dict(latency={}, drop={}, default_latency=1, default_drop=0.0)
+
+
 @given(case=mesh_cases())
 @settings(max_examples=300, deadline=None)
+# Every link lossy by default, across link rebinding and a joining authority.
+@example(case=(7, CODES[:4], dict(NO_LINKS, default_drop=0.5), {("AT", "DE")},
+               {"w0": ["DE"], "w1": ["BE"], "w2": []},
+               [("query", "AT", "w0", 3), ("add", "BG"), ("query", "AT", "w1", 6),
+                ("links", dict(NO_LINKS, default_drop=1 / 3, latency={("AT", "BG"): 0})),
+                ("query", "BG", "w0", 2), ("query", "AT", "w2", 6)]))
+# w0 held in BE and CH, both affirming on the same tick; then in DK as well.
+@example(case=(1, CODES[:3], NO_LINKS, {("AT", "BE"), ("AT", "CH"), ("AT", "DK")},
+               {"w0": ["BE", "CH"], "w1": [], "w2": []},
+               [("query", "AT", "w0", 4), ("add", "BG"), ("add", "DK"), ("own", "DK", "w0"),
+                ("links", dict(NO_LINKS, latency={("AT", "DK"): 0, ("DK", "AT"): 0})),
+                ("query", "AT", "w0", 4)]))
 def test_query_matches_seed_event_queue(case):
-    seed, codes, links, eoi, homes, queries = case
+    seed, codes, links, eoi, homes, steps = case
     new = build_mesh(AttributionNetwork, seed, codes, links, eoi, homes)
     old = build_mesh(SeedAttributionNetwork, seed, codes, links, eoi, homes)
-    for origin, wallet, deadline in queries:
-        address = address_of(wallet)
-        assert (new.query_beneficiary_jurisdiction(origin, address, deadline)
-                == old.query_beneficiary_jurisdiction(origin, address, deadline))
-        assert new.now == old.now
+    for step in steps:
+        assert run_step(new, step) == run_step(old, step)
     assert new.trace == old.trace
     assert new._rng.getstate() == old._rng.getstate()
 
