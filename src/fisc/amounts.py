@@ -72,9 +72,6 @@ class Amount(_AmountFields):
         self._check(other)
         return Amount(self.base_units - other.base_units, self.decimals)
 
-    def __neg__(self) -> "Amount":
-        return Amount(-self.base_units, self.decimals)
-
     def scale(self, factor: Fraction | int) -> "Amount":
         """Multiply by an exact factor, rounding down to the base unit."""
         scaled = Fraction(self.base_units) * Fraction(factor)
@@ -93,14 +90,6 @@ class Amount(_AmountFields):
         if rest:
             raise ValueError("%r is not representable with %d decimals" % (text, decimals))
         return cls(units, decimals)
-
-    def __str__(self) -> str:
-        sign = "-" if self.base_units < 0 else ""
-        mag = abs(self.base_units)
-        whole, frac = divmod(mag, 10**self.decimals)
-        if frac == 0:
-            return "%s%d" % (sign, whole)
-        return "%s%d.%s" % (sign, whole, str(frac).rjust(self.decimals, "0").rstrip("0"))
 
 
 def btc(text: str) -> Amount:

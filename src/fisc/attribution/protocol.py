@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..addresses import Address, Scheme, address_from_pubkey
-from ..signatures import DEFAULT_SCHEME, SignatureScheme
+from ..signatures import DEFAULT_SCHEME
 
 
 class AttributionError(Exception):
@@ -76,10 +76,9 @@ class EoiMatrix:
 @dataclass
 class TaxAuthority:
     jurisdiction_code: str
-    scheme: SignatureScheme = field(default_factory=lambda: DEFAULT_SCHEME)
 
     def __post_init__(self):
-        self._private, self.public_key = self.scheme.keypair(
+        self._private, self.public_key = DEFAULT_SCHEME.keypair(
             b"authority|" + self.jurisdiction_code.encode()
         )
         self._certificates: dict[str, DigitalSignatureCertificate] = {}
@@ -91,13 +90,10 @@ class TaxAuthority:
         if tin in self._certificates:
             raise DuplicateTin("TIN %s already has a certificate" % tin)
         cert = DigitalSignatureCertificate(tin, holder_pubkey, self.jurisdiction_code, b"")
-        signature = self.scheme.sign(self._private, cert.signed_payload())
+        signature = DEFAULT_SCHEME.sign(self._private, cert.signed_payload())
         cert = DigitalSignatureCertificate(tin, holder_pubkey, self.jurisdiction_code, signature)
         self._certificates[tin] = cert
         return cert
-
-    def verify_dsc(self, cert: DigitalSignatureCertificate) -> bool:
-        return self.scheme.verify(self.public_key, cert.signed_payload(), cert.issuer_signature)
 
     # --- ownership registration ---
 
@@ -110,9 +106,9 @@ class TaxAuthority:
         derived = address_from_pubkey(proof.wallet_pubkey, Scheme.BASE58CHECK_P2PKH)
         if derived.text != proof.address.text:
             raise ProofRejected("address does not match the wallet public key")
-        if not self.scheme.verify(proof.wallet_pubkey, proof.challenge, proof.wallet_signature):
+        if not DEFAULT_SCHEME.verify(proof.wallet_pubkey, proof.challenge, proof.wallet_signature):
             raise ProofRejected("wallet signature invalid")
-        if not self.scheme.verify(cert.holder_pubkey, proof.dsc_payload(), proof.dsc_signature):
+        if not DEFAULT_SCHEME.verify(cert.holder_pubkey, proof.dsc_payload(), proof.dsc_signature):
             raise ProofRejected("certificate-holder signature invalid")
         existing = self.registry.get(proof.address.text)
         if existing is not None and existing.tin != proof.tin:
@@ -129,22 +125,17 @@ class TaxAuthority:
         cert = self._certificates.get(proof.tin)
         if cert is None:
             return False
-        return self.scheme.verify(
+        return DEFAULT_SCHEME.verify(
             proof.wallet_pubkey, proof.challenge, proof.wallet_signature
-        ) and self.scheme.verify(cert.holder_pubkey, proof.dsc_payload(), proof.dsc_signature)
+        ) and DEFAULT_SCHEME.verify(cert.holder_pubkey, proof.dsc_payload(), proof.dsc_signature)
 
 
-def build_ownership_proof(
-    tin: str,
-    wallet_seed: bytes,
-    holder_private: bytes,
-    scheme: SignatureScheme = DEFAULT_SCHEME,
-) -> OwnershipProof:
+def build_ownership_proof(tin: str, wallet_seed: bytes, holder_private: bytes) -> OwnershipProof:
     """Construct a well-formed dual-signed proof for tests and scenarios."""
     challenge = b"prove-ownership"
-    wallet_private, wallet_pub = scheme.keypair(wallet_seed)
+    wallet_private, wallet_pub = DEFAULT_SCHEME.keypair(wallet_seed)
     address = address_from_pubkey(wallet_pub, Scheme.BASE58CHECK_P2PKH)
-    wallet_sig = scheme.sign(wallet_private, challenge)
+    wallet_sig = DEFAULT_SCHEME.sign(wallet_private, challenge)
     proof = OwnershipProof(tin, address, challenge, wallet_pub, wallet_sig, b"")
-    dsc_sig = scheme.sign(holder_private, proof.dsc_payload())
+    dsc_sig = DEFAULT_SCHEME.sign(holder_private, proof.dsc_payload())
     return OwnershipProof(tin, address, challenge, wallet_pub, wallet_sig, dsc_sig)

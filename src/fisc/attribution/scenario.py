@@ -161,10 +161,9 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
         if verdict == "allow":
             network.eoi.allow(asker, responder)
 
-    scheme = DEFAULT_SCHEME
     holder_keys: dict[tuple[str, str], bytes] = {}
     for jurisdiction, tin, holder_label in scenario.dscs:
-        private, public = scheme.keypair(b"holder|" + holder_label.encode())
+        private, public = DEFAULT_SCHEME.keypair(b"holder|" + holder_label.encode())
         network.authorities[jurisdiction].issue_dsc(tin, public)
         holder_keys[(jurisdiction, tin)] = private
 
@@ -172,9 +171,7 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
     rejections: list[str] = []
     for jurisdiction, tin, wallet_label, tampered in scenario.registrations:
         seed = b"wallet|" + wallet_label.encode()
-        proof = build_ownership_proof(
-            tin, seed, holder_keys[(jurisdiction, tin)], scheme=scheme
-        )
+        proof = build_ownership_proof(tin, seed, holder_keys[(jurisdiction, tin)])
         if tampered:
             bad_sig = bytes([proof.wallet_signature[0] ^ 1]) + proof.wallet_signature[1:]
             proof = replace(proof, wallet_signature=bad_sig)
@@ -202,7 +199,7 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
             beneficiary = wallets[beneficiary_ref]
         else:
             # Unregistered label: derive its would-be address.
-            _, pub = scheme.keypair(b"wallet|" + beneficiary_ref.encode())
+            _, pub = DEFAULT_SCHEME.keypair(b"wallet|" + beneficiary_ref.encode())
             beneficiary = address_from_pubkey(pub, AddrScheme.BASE58CHECK_P2PKH).text
         withheld, event, _ = network.originate_transfer(
             origin, beneficiary, amount, scenario.policy,

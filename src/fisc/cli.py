@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -85,8 +84,7 @@ def _bad_input(path: Path, exc: Exception) -> int:
 
 def cmd_report(args) -> int:
     events_path = Path(args.events)
-    config = args.config or os.environ.get("FISC_CONFIG")
-    policy_path = Path(config) if config else None
+    policy_path = Path(args.config) if args.config else None
     inputs: dict[str, str] = {}
     try:
         decimals, records = parse_event_file(_read(events_path, inputs))
@@ -164,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", parents=[common], help="compute a tax report")
     p_report.add_argument("events", help="event file")
-    p_report.add_argument("--config", help="policy file (fallback: $FISC_CONFIG)")
+    p_report.add_argument("--config", help="policy file")
     p_report.add_argument("--method", default="fifo",
                           choices=[m.value for m in AccountingMethod])
     p_report.set_defaults(func=cmd_report)

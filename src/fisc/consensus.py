@@ -1,8 +1,7 @@
 """Closed-form mining and staking economics.
 
-Subsidy schedule, difficulty retargeting, miner expectation, issuance
-scaling, attestation scoring, penalties/slashing, and MEV block
-accounting.
+Subsidy schedule, block interval, miner expectation, issuance scaling,
+attestation scoring, penalties/slashing, and MEV block accounting.
 """
 
 from __future__ import annotations
@@ -55,32 +54,10 @@ def total_issuance(schedule: RewardSchedule = RewardSchedule()) -> Amount:
 class RetargetRule:
     window_blocks: int = 2016
     target_block_interval: int = 600
-    clamp_factor: Fraction = Fraction(4)
 
     def __post_init__(self):
         if self.window_blocks <= 0 or self.target_block_interval <= 0:
             raise ValueError("window and interval must be positive")
-        if self.clamp_factor < 1:
-            raise ValueError("clamp factor must be >= 1")
-
-    @property
-    def expected_timespan(self) -> int:
-        return self.window_blocks * self.target_block_interval
-
-
-def retarget_difficulty(
-    old_target: int, actual_timespan_seconds: int, rule: RetargetRule = RetargetRule()
-) -> int:
-    """Scale the target by actual/expected time, clamped to the rule's factor.
-
-    A lower target means higher difficulty: fast blocks shrink the target.
-    """
-    if actual_timespan_seconds <= 0:
-        raise ValueError("timespan must be positive")
-    ratio = Fraction(actual_timespan_seconds, rule.expected_timespan)
-    ratio = min(max(ratio, 1 / rule.clamp_factor), rule.clamp_factor)
-    scaled = Fraction(old_target) * ratio
-    return scaled.numerator // scaled.denominator
 
 
 def mining_expectation(
@@ -134,7 +111,6 @@ class Validator:
 
 @dataclass(frozen=True)
 class PosParams:
-    inactivity_leak_epochs: int = 4
     issuance_coefficient: Fraction = Fraction(1)
     return_coefficient: Fraction = Fraction(1)
     missed_source_penalty: Fraction = Fraction(1, 100_000)
@@ -220,13 +196,6 @@ def apply_penalty_or_slash(
     if slashed:
         return Validator(v.id, Amount(stake, decimals), False, ValidatorStatus.SLASHED)
     return Validator(v.id, Amount(stake, decimals), v.effective, v.status)
-
-
-def inactivity_leak_active(epochs_since_finality: int, params: PosParams = PosParams()) -> bool:
-    """The leak starts strictly after the configured epoch count."""
-    if epochs_since_finality < 0:
-        raise ValueError("epoch count must be non-negative")
-    return epochs_since_finality > params.inactivity_leak_epochs
 
 
 @dataclass(frozen=True)

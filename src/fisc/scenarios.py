@@ -56,11 +56,15 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 asset_x = check_asset_id(kv.get("asset_x", "X"))
                 asset_y = check_asset_id(kv.get("asset_y", "Y"))
+                declared = pool
                 pool = LiquidityPool(
                     Amount.from_decimal_str(kv["reserve_x"], decimals).base_units,
                     Amount.from_decimal_str(kv["reserve_y"], decimals).base_units,
                     parse_rational(kv.get("fee", "3/1000")),
                 )
+                # The event file declares one asset pair, so one pool per scenario.
+                if declared is not None:
+                    raise ValueError("the pool is already declared")
             elif pool is None:
                 raise ValueError("pool must be declared first")
             elif tag == "price":
@@ -69,15 +73,18 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
             elif tag == "time":
                 timestamp = check_timestamp(int(kv["at"]))
             elif tag == "deposit":
+                owner = kv["owner"]
                 position = pool.add_liquidity(
-                    kv["owner"],
+                    owner,
                     Amount.from_decimal_str(kv["x"], decimals).base_units,
                     Amount.from_decimal_str(kv["y"], decimals).base_units,
                     price_x, price_y,
                 )
-                positions[kv["owner"]] = position
-                emit(EventKind.LP_DEPOSIT, asset_x, position.x_in, price_x, owner=kv["owner"])
-                emit(EventKind.LP_DEPOSIT, asset_y, position.y_in, price_y, owner=kv["owner"])
+                if owner in positions:  # a repeat deposit adds to the owner's units
+                    position.lp_units += positions[owner].lp_units
+                positions[owner] = position
+                emit(EventKind.LP_DEPOSIT, asset_x, position.x_in, price_x, owner=owner)
+                emit(EventKind.LP_DEPOSIT, asset_y, position.y_in, price_y, owner=owner)
             elif tag == "swap":
                 direction = kv.get("dir", "x2y")
                 if direction not in ("x2y", "y2x"):
@@ -197,8 +204,9 @@ def run_validator_scenario(text: str) -> tuple[str, str]:
             tag = fields[0]
             if tag == "validator":
                 vid, kv = fields[1], pairs(fields[2:])
-                stake = Amount.from_decimal_str(kv.get("stake", "32"), 18)
-                validators[vid] = Validator(vid, stake)
+                validator = Validator(vid, Amount.from_decimal_str(kv.get("stake", "32"), 18))
+                if validators.setdefault(vid, validator) is not validator:
+                    raise ValueError("validator %s is already declared" % vid)
             elif tag == "price":
                 price = parse_fmv(pairs(fields[1:])["fmv"])
             elif tag == "duty":

@@ -1,26 +1,12 @@
-"""Pluggable signature checking.
+"""Signature checking.
 
-The default scheme is a deterministic hash-based mock so scenario traces
-replay byte-for-byte; an ECDSA/secp256k1 backing can be swapped in via the
-same interface when the `cryptography` package is available.
+The scheme is a deterministic hash-based mock, so scenario traces replay
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol
-
-
-class SignatureScheme(Protocol):
-    def keypair(self, seed: bytes) -> tuple[bytes, bytes]:
-        """Derive (private_key, public_key) deterministically from seed."""
-        ...
-
-    def sign(self, private_key: bytes, message: bytes) -> bytes:
-        ...
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        ...
 
 
 class MockScheme:
@@ -45,44 +31,6 @@ class MockScheme:
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         return signature == hashlib.sha256(public_key + message + self._TAG).digest()
-
-
-class EcdsaScheme:
-    """ECDSA over secp256k1 via the cryptography package (optional backing)."""
-
-    def __init__(self):
-        from cryptography.hazmat.primitives.asymmetric import ec  # noqa: F401
-
-    def keypair(self, seed: bytes) -> tuple[bytes, bytes]:
-        from cryptography.hazmat.primitives import serialization
-        from cryptography.hazmat.primitives.asymmetric import ec
-
-        scalar = int.from_bytes(hashlib.sha256(b"ecdsa" + seed).digest(), "big") or 1
-        key = ec.derive_private_key(scalar, ec.SECP256K1())
-        private = key.private_numbers().private_value.to_bytes(32, "big")
-        public = key.public_key().public_bytes(
-            serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint
-        )
-        return private, public
-
-    def sign(self, private_key: bytes, message: bytes) -> bytes:
-        from cryptography.hazmat.primitives import hashes
-        from cryptography.hazmat.primitives.asymmetric import ec
-
-        key = ec.derive_private_key(int.from_bytes(private_key, "big"), ec.SECP256K1())
-        return key.sign(message, ec.ECDSA(hashes.SHA256()))
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        from cryptography.exceptions import InvalidSignature
-        from cryptography.hazmat.primitives import hashes
-        from cryptography.hazmat.primitives.asymmetric import ec
-
-        try:
-            pub = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), public_key)
-            pub.verify(signature, message, ec.ECDSA(hashes.SHA256()))
-        except (InvalidSignature, ValueError):
-            return False
-        return True
 
 
 DEFAULT_SCHEME = MockScheme()

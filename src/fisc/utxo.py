@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .addresses import Address, Scheme, address_from_pubkey
 from .amounts import Amount
-from .signatures import DEFAULT_SCHEME, SignatureScheme
+from .signatures import DEFAULT_SCHEME
 
 
 class UtxoError(Exception):
@@ -67,11 +67,6 @@ class UtxoTransaction:
         if self.weight_units <= 0:
             raise ValueError("weight must be positive")
 
-    def txid(self) -> bytes:
-        from .addresses import dsha256
-
-        return dsha256(self.sighash())
-
     def sighash(self) -> bytes:
         """Canonical byte form signed by every input."""
         parts = []
@@ -100,27 +95,13 @@ class UtxoSet:
     def get(self, outpoint: Outpoint) -> Utxo | None:
         return self._by_outpoint.get(outpoint)
 
-    def remove(self, outpoint: Outpoint) -> None:
-        del self._by_outpoint[outpoint]
 
-    def __len__(self):
-        return len(self._by_outpoint)
-
-    def __contains__(self, outpoint: Outpoint) -> bool:
-        return outpoint in self._by_outpoint
-
-
-def validate_utxo_tx(
-    tx: UtxoTransaction,
-    utxo_set: UtxoSet,
-    scheme: SignatureScheme = DEFAULT_SCHEME,
-    check_signatures: bool = True,
-) -> Amount:
+def validate_utxo_tx(tx: UtxoTransaction, utxo_set: UtxoSet) -> Amount:
     """Validate a spend against the set and return the miner fee.
 
     fee = sum(inputs) - sum(outputs), exactly, in base units; a negative
     output is a UtxoError, and the Amount sums raise ValueError on mixed
-    decimals. The set is not mutated; apply_spend consumes the inputs.
+    decimals. The set is not mutated.
     """
     if any(amount.is_negative for _, amount in tx.outputs):
         raise UtxoError("outputs must be non-negative")
@@ -138,23 +119,13 @@ def validate_utxo_tx(
         derived = address_from_pubkey(txin.pubkey, Scheme.BASE58CHECK_P2PKH)
         if derived.text != utxo.owner.text:
             raise OwnerMismatch("signer key does not hash to %s" % utxo.owner.text)
-        if check_signatures and not scheme.verify(txin.pubkey, message, txin.signature):
+        if not DEFAULT_SCHEME.verify(txin.pubkey, message, txin.signature):
             raise BadSignature("invalid signature for outpoint %r" % (txin.outpoint,))
         total_in += utxo.value
     total_out = sum((amount for _, amount in tx.outputs), Amount(0, decimals))
     if total_out > total_in:
         raise Overspend("outputs %d exceed inputs %d" % (total_out.base_units, total_in.base_units))
     return total_in - total_out
-
-
-def apply_spend(tx: UtxoTransaction, utxo_set: UtxoSet) -> None:
-    """Consume a validated transaction: remove inputs, insert outputs."""
-    for txin in tx.inputs:
-        utxo_set.remove(txin.outpoint)
-    txid = tx.txid()
-    for index, (addr, amount) in enumerate(tx.outputs):
-        if amount.base_units > 0:
-            utxo_set.add(Utxo((txid, index), addr, amount))
 
 
 @dataclass(frozen=True)

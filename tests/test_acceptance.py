@@ -303,7 +303,7 @@ def test_12_attribution_protocol():
     def register(net, code, tin, seed):
         holder_private, holder_public = SCHEME.keypair(b"h|" + tin.encode())
         net.authorities[code].issue_dsc(tin, holder_public)
-        proof = build_ownership_proof(tin, seed, holder_private, scheme=SCHEME)
+        proof = build_ownership_proof(tin, seed, holder_private)
         net.authorities[code].register_ownership(proof)
         return proof.address.text, holder_private
 
@@ -326,7 +326,7 @@ def test_12_attribution_protocol():
     net = network()
     holder_private, holder_public = SCHEME.keypair(b"h|T")
     net.authorities["AT"].issue_dsc("T", holder_public)
-    proof = build_ownership_proof("T", b"we", holder_private, scheme=SCHEME)
+    proof = build_ownership_proof("T", b"we", holder_private)
     bad = type(proof)(
         proof.tin, proof.address, proof.challenge, proof.wallet_pubkey,
         b"\x00" * len(proof.wallet_signature), proof.dsc_signature,

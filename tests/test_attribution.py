@@ -8,7 +8,6 @@ import pytest
 from fisc.attribution.protocol import (
     AddressConflict,
     AttributionError,
-    DigitalSignatureCertificate,
     DuplicateTin,
     EoiMatrix,
     ProofRejected,
@@ -42,23 +41,8 @@ def holder_key(label=b"holder"):
 
 
 class TestCertificates:
-    def test_issue_and_verify(self):
-        authority = TaxAuthority("DE", SCHEME)
-        _, public = holder_key()
-        cert = authority.issue_dsc("DE-TIN-1", public)
-        assert authority.verify_dsc(cert)
-
-    def test_tampered_cert_rejected(self):
-        authority = TaxAuthority("DE", SCHEME)
-        _, public = holder_key()
-        cert = authority.issue_dsc("DE-TIN-1", public)
-        forged = DigitalSignatureCertificate(
-            "DE-TIN-2", cert.holder_pubkey, cert.issuer, cert.issuer_signature
-        )
-        assert not authority.verify_dsc(forged)
-
     def test_duplicate_tin_rejected(self):
-        authority = TaxAuthority("DE", SCHEME)
+        authority = TaxAuthority("DE")
         _, public = holder_key()
         authority.issue_dsc("DE-TIN-1", public)
         with pytest.raises(DuplicateTin):
@@ -67,22 +51,22 @@ class TestCertificates:
 
 class TestRegistration:
     def setup_method(self):
-        self.authority = TaxAuthority("DE", SCHEME)
+        self.authority = TaxAuthority("DE")
         self.holder_private, holder_public = holder_key()
         self.authority.issue_dsc("T1", holder_public)
 
     def test_valid_proof_accepted(self):
-        proof = build_ownership_proof("T1", b"w1", self.holder_private, scheme=SCHEME)
+        proof = build_ownership_proof("T1", b"w1", self.holder_private)
         self.authority.register_ownership(proof)
         assert self.authority.knows_address(proof.address.text)
 
     def test_unknown_tin(self):
-        proof = build_ownership_proof("T9", b"w1", self.holder_private, scheme=SCHEME)
+        proof = build_ownership_proof("T9", b"w1", self.holder_private)
         with pytest.raises(UnknownTin):
             self.authority.register_ownership(proof)
 
     def test_tampered_wallet_signature(self):
-        proof = build_ownership_proof("T1", b"w1", self.holder_private, scheme=SCHEME)
+        proof = build_ownership_proof("T1", b"w1", self.holder_private)
         bad = type(proof)(
             proof.tin, proof.address, proof.challenge, proof.wallet_pubkey,
             b"\x00" * len(proof.wallet_signature), proof.dsc_signature,
@@ -92,21 +76,21 @@ class TestRegistration:
 
     def test_wrong_holder_signature(self):
         mallory_private, _ = holder_key(b"mallory")
-        proof = build_ownership_proof("T1", b"w1", mallory_private, scheme=SCHEME)
+        proof = build_ownership_proof("T1", b"w1", mallory_private)
         with pytest.raises(ProofRejected):
             self.authority.register_ownership(proof)
 
     def test_one_address_one_tin(self):
         other_private, other_public = holder_key(b"other")
         self.authority.issue_dsc("T2", other_public)
-        first = build_ownership_proof("T1", b"w1", self.holder_private, scheme=SCHEME)
+        first = build_ownership_proof("T1", b"w1", self.holder_private)
         self.authority.register_ownership(first)
-        second = build_ownership_proof("T2", b"w1", other_private, scheme=SCHEME)
+        second = build_ownership_proof("T2", b"w1", other_private)
         with pytest.raises(AddressConflict):
             self.authority.register_ownership(second)
 
     def test_rebinding_same_tin_is_fine(self):
-        proof = build_ownership_proof("T1", b"w1", self.holder_private, scheme=SCHEME)
+        proof = build_ownership_proof("T1", b"w1", self.holder_private)
         self.authority.register_ownership(proof)
         self.authority.register_ownership(proof)
 
@@ -138,7 +122,7 @@ def register_wallet(network, code, tin, wallet_seed):
     authority = network.authorities[code]
     holder_private, holder_public = SCHEME.keypair(b"h|" + tin.encode())
     authority.issue_dsc(tin, holder_public)
-    proof = build_ownership_proof(tin, wallet_seed, holder_private, scheme=SCHEME)
+    proof = build_ownership_proof(tin, wallet_seed, holder_private)
     authority.register_ownership(proof)
     return proof.address.text
 
@@ -200,7 +184,7 @@ class TestQueries:
         network = build_network()
         holder_private, holder_public = SCHEME.keypair(b"h|FR-1")
         network.authorities["FR"].issue_dsc("FR-1", holder_public)
-        proof = build_ownership_proof("FR-1", b"wa", holder_private, scheme=SCHEME)
+        proof = build_ownership_proof("FR-1", b"wa", holder_private)
         network.register("FR", proof)
         with pytest.raises(UnknownTin):
             network.register("DE", proof)

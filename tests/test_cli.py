@@ -185,14 +185,15 @@ class TestReport:
         assert code == EXIT_POLICY
         assert not out.exists()
 
-    def test_config_env_fallback(self, tmp_path, monkeypatch):
+    def test_config_comes_only_from_argv(self, tmp_path, monkeypatch):
+        # A policy in the environment would change a run its argv does not show.
         events = write(tmp_path, "events.fisc", EVENTS)
         policy = write(tmp_path, "policy.conf", "allowed_methods = lifo\n")
         monkeypatch.setenv("FISC_CONFIG", str(policy))
         out = tmp_path / "out"
-        # FIFO now violates the env-provided policy.
-        assert main(["report", str(events), "--out", str(out)]) == EXIT_POLICY
-        assert main(["report", str(events), "--method", "lifo", "--out", str(out)]) == EXIT_OK
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["inputs"]) == [str(events)]
 
     def test_policy_zero_denominator_exit_2(self, tmp_path, capsys):
         events = write(tmp_path, "events.fisc", EVENTS)
@@ -505,6 +506,10 @@ class TestSimulate:
              "timestamp 253402300800 is outside the years 1 to 9999 UTC"),
             ("pool", "time at=-62135596801",
              "timestamp -62135596801 is outside the years 1 to 9999 UTC"),
+            # The event file declares one asset pair and each validator once.
+            ("pool", "pool reserve_x=1 reserve_y=1 asset_x=AAA asset_y=BBB decimals=6",
+             "the pool is already declared"),
+            ("validators", "validator v1 stake=64", "validator v1 is already declared"),
         ],
     )
     def test_replay_fault_exit_2_with_line(self, tmp_path, capsys, kind, line, message):
@@ -516,6 +521,19 @@ class TestSimulate:
         line_no = base.count("\n") + 1
         assert "bad.scn:%d: %s" % (line_no, message) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeat_deposit_adds_to_the_owner_position(self, tmp_path):
+        scenario = write(tmp_path, "pool.scn",
+                         "pool reserve_x=0 reserve_y=0 asset_x=WBTC asset_y=USDC\n"
+                         "price x=2 y=1\n" + "deposit owner=a x=1 y=2\n" * 2
+                         + "withdraw owner=a\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "pool", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert (out / "state.txt").read_text() == (
+            "reserve_x 0\nreserve_y 0\nproduct 0\ntotal_lp_units 0\n")
+        _, records = parse_event_file((out / "events.fisc").read_text())
+        assert {r.asset: r.quantity for r in records if r.kind.value == "lp_withdrawal"} == {
+            "WBTC": 2 * 10**8, "USDC": 4 * 10**8}
 
     def test_withdraw_unknown_owner_names_the_owner(self, tmp_path, capsys):
         scenario = write(tmp_path, "bad.scn", POOL_SCENARIO + "withdraw owner=nobody\n")

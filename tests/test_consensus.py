@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisc.amounts import Amount, btc, eth
-from fisc.blocks import BlockHeader, pool_share_valid, pow_hash_value
 from fisc.scenarios import run_chain_scenario
 from fisc.tax.events import parse_event_file
 from fisc.consensus import (
@@ -15,7 +14,6 @@ from fisc.consensus import (
     DutyEvent,
     MevBlockAccounting,
     PosParams,
-    RetargetRule,
     RewardSchedule,
     SlashedValidatorError,
     Validator,
@@ -25,11 +23,9 @@ from fisc.consensus import (
     block_subsidy,
     collision_time_years,
     era_count,
-    inactivity_leak_active,
     mev_net_builder_fee,
     mining_expectation,
     pos_issuance_and_return,
-    retarget_difficulty,
     total_issuance,
 )
 
@@ -97,35 +93,6 @@ class TestSubsidy:
         ]
 
 
-class TestRetarget:
-    def test_on_schedule_is_identity(self):
-        rule = RetargetRule()
-        assert retarget_difficulty(10**60, rule.expected_timespan, rule) == 10**60
-
-    def test_fast_blocks_shrink_target(self):
-        rule = RetargetRule()
-        new = retarget_difficulty(10**60, rule.expected_timespan // 2, rule)
-        assert new == 10**60 // 2
-
-    def test_clamped_at_factor_four(self):
-        rule = RetargetRule()
-        assert retarget_difficulty(10**60, rule.expected_timespan * 100, rule) == 4 * 10**60
-        assert retarget_difficulty(10**60, 1, rule) == 10**60 // 4
-
-    @given(st.integers(min_value=1, max_value=10**7))
-    @settings(max_examples=50)
-    def test_homogeneous_in_old_target(self, timespan):
-        rule = RetargetRule()
-        # Doubling the old target doubles the result up to truncation.
-        one = retarget_difficulty(10**30, timespan, rule)
-        two = retarget_difficulty(2 * 10**30, timespan, rule)
-        assert abs(two - 2 * one) <= 1
-
-    def test_nonpositive_timespan_rejected(self):
-        with pytest.raises(ValueError):
-            retarget_difficulty(10**60, 0)
-
-
 class TestExpectation:
     def test_small_miner_worked_example(self):
         # A 0.001% hash share waits 100000 blocks, about 99.2 weeks.
@@ -157,43 +124,6 @@ class TestCollision:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError):
             collision_time_years(0)
-
-
-class TestPoolShares:
-    def make_header(self, nonce):
-        return BlockHeader(2, b"\x01" * 32, b"\x02" * 32, 1_700_000_000, 2**240, nonce)
-
-    def test_k_one_matches_full_pow(self):
-        for nonce in range(200):
-            header = self.make_header(nonce)
-            full = pow_hash_value(header) < 2**240
-            assert pool_share_valid(header, 2**240, 1) == full
-
-    def test_every_solution_is_a_share(self):
-        # Any header meeting the network target passes for k >= 1.
-        for nonce in range(2000):
-            header = self.make_header(nonce)
-            if pow_hash_value(header) < 2**240:
-                assert pool_share_valid(header, 2**240, 1600)
-
-    def test_brute_force_count_matches(self):
-        # Independent count of qualifying nonces at the relaxed bound.
-        k = 1600
-        bound = 2**240 * k
-        expected = sum(
-            1 for nonce in range(3000) if pow_hash_value(self.make_header(nonce)) < bound
-        )
-        got = sum(
-            1
-            for nonce in range(3000)
-            if pool_share_valid(self.make_header(nonce), 2**240, k)
-        )
-        assert got == expected
-        assert got > 0
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            pool_share_valid(self.make_header(0), 2**240, Fraction(1, 2))
 
 
 class TestPosIssuance:
@@ -312,13 +242,6 @@ class TestPenalties:
         v = Validator("v1", status=ValidatorStatus.SLASHED)
         with pytest.raises(SlashedValidatorError):
             apply_penalty_or_slash(v, DutyEvent.MISSED_SOURCE)
-
-    def test_inactivity_leak_strictly_after_four(self):
-        assert not inactivity_leak_active(4)
-        assert inactivity_leak_active(5)
-        with pytest.raises(ValueError):
-            inactivity_leak_active(-1)
-
 
 class TestDecimalAmounts:
     @given(

@@ -16,7 +16,6 @@ from fisc.utxo import (
     UtxoError,
     UtxoTransaction,
     apply_hard_fork,
-    apply_spend,
     validate_utxo_tx,
 )
 
@@ -101,8 +100,8 @@ class TestValidation:
             validate_utxo_tx(tx, utxo_set)
 
     def test_negative_output_rejected(self, alice_utxos):
-        # 1.2 in, 10 and -8.8 out: the sums balance, but apply_spend would
-        # keep only the positive output and leave 10 where 1.2 was.
+        # 1.2 in, 10 and -8.8 out: the sums balance, but the payee would
+        # hold 10 where 1.2 was.
         priv, pub, addr, utxo_set = alice_utxos
         _, _, bob = make_wallet(b"bob")
         tx = signed_tx([((b"\x01" * 32, 0), pub)], [(bob, btc("10")), (addr, btc("-8.8"))],
@@ -127,22 +126,6 @@ class TestValidation:
         from fisc.utxo import BadSignature
 
         with pytest.raises(BadSignature):
-            validate_utxo_tx(tx, utxo_set)
-
-
-class TestApply:
-    def test_conservation_and_no_double_spend(self, alice_utxos):
-        priv, pub, addr, utxo_set = alice_utxos
-        _, _, bob = make_wallet(b"bob")
-        tx = signed_tx(
-            [((b"\x01" * 32, 0), pub)], [(bob, btc("1.0")), (addr, btc("0.15"))],
-            {pub: priv},
-        )
-        fee = validate_utxo_tx(tx, utxo_set)
-        total_before = btc("1.2").base_units
-        assert fee.base_units + btc("1.0").base_units + btc("0.15").base_units == total_before
-        apply_spend(tx, utxo_set)
-        with pytest.raises(UnknownOutpoint):
             validate_utxo_tx(tx, utxo_set)
 
 
