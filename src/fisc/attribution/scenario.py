@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -136,9 +137,12 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
 
 @dataclass
 class ScenarioRun:
-    trace: str
     ledger: str
     rejections: list[str]
+
+
+# Trace lines held before they are rendered and passed on.
+TRACE_CHUNK = 4096
 
 
 def drop_threshold(probability: Fraction) -> float:
@@ -148,8 +152,12 @@ def drop_threshold(probability: Fraction) -> float:
     return math.ceil(probability * 2**53) / 2**53
 
 
-def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
-    """Execute a scenario deterministically and render its outputs."""
+def run_attribution_scenario(scenario: AttributionScenario,
+                             write_trace: Callable[[str], None]) -> ScenarioRun:
+    """Execute a scenario deterministically and render its outputs. The
+    trace goes to `write_trace` in rendered chunks as the run goes: after
+    each transfer once TRACE_CHUNK lines are held, and the rest at the end.
+    Joined, the chunks are the whole trace's `render_trace()`."""
     network = AttributionNetwork(seed=scenario.seed)
     network.links = LinkConfig(
         latency={(a, b): t for a, b, t in scenario.latencies},
@@ -187,6 +195,7 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
         if address:
             identities[address] = replace(identity, account=address)
 
+    trace, chunks = network.trace, 0
     ledger_lines = ["index origin beneficiary attribution withheld"]
     for index, (origin_label, beneficiary_ref, amount, deadline) in enumerate(scenario.transfers):
         origin = wallets.get(origin_label)
@@ -212,4 +221,10 @@ def run_attribution_scenario(scenario: AttributionScenario) -> ScenarioRun:
                 event.metadata["attribution"], format_rational(withheld),
             )
         )
-    return ScenarioRun(network.render_trace(), "\n".join(ledger_lines) + "\n", rejections)
+        if len(trace) >= TRACE_CHUNK:
+            write_trace(network.render_trace())
+            trace.clear()
+            chunks += 1
+    if trace or not chunks:  # an empty trace renders as one "\n"
+        write_trace(network.render_trace())
+    return ScenarioRun("\n".join(ledger_lines) + "\n", rejections)

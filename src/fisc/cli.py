@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,37 +35,86 @@ def _read(path: Path, digests: dict[str, str]) -> str:
     return data.decode()
 
 
-def _write_outputs(out: str, command: str, inputs: dict[str, str], outputs: dict[str, str],
+class _Staged:
+    """The output files of one run, written into a staging directory beside
+    `out` and moved into `out` at commit, so that a failed run leaves `out`
+    as it was. The staging directory is named after `out` and this process,
+    and sits in the nearest existing directory above `out`: `out`'s missing
+    parents are made only at commit."""
+
+    def __init__(self, out: Path):
+        self.out = out
+        base = next((parent for parent in out.parents if parent.exists()), out.parent)
+        self.dir = base / (".%s.%d.tmp" % (out.name, os.getpid()))
+        self.files: dict[str, tuple] = {}  # name -> (open file, sha256 of the bytes written)
+
+    def write(self, name: str, text: str) -> None:
+        """Append `text`, encoded once, to output `name`; its first write creates it."""
+        if name not in self.files:
+            self.files[name] = (open(self.dir / name, "wb"), hashlib.sha256())
+        file, digest = self.files[name]
+        data = text.encode()
+        file.write(data)
+        digest.update(data)
+
+    def commit(self, manifest: dict) -> None:
+        """Move every output into `out`, then `manifest.json` with `manifest`
+        and the outputs' digests. A stale manifest goes first, so `out` never
+        holds one that does not describe its files."""
+        manifest["outputs"] = {}
+        for name, (file, digest) in self.files.items():
+            file.close()
+            manifest["outputs"][name] = digest.hexdigest()
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (self.dir / "manifest.json").write_text(text)
+        self.out.mkdir(parents=True, exist_ok=True)
+        (self.out / "manifest.json").unlink(missing_ok=True)
+        for name in [*self.files, "manifest.json"]:
+            os.replace(self.dir / name, self.out / name)
+
+    def discard(self) -> None:
+        """Remove the staging directory and whatever is still in it."""
+        for file, _ in self.files.values():
+            try:
+                file.close()
+            except OSError:  # a buffer that cannot be flushed; the file goes anyway
+                pass
+        for path in self.dir.iterdir():
+            path.unlink()
+        self.dir.rmdir()
+
+
+def _write_outputs(out: str, command: str, inputs: dict[str, str], produce,
                    seed: int | None = None) -> int:
-    """Write each `outputs` text to directory `out` under its name, then
-    `manifest.json` with the sha256 of every output file and the `inputs`
-    digests. Each text is popped as it is written, so one copy is held at a
-    time. An `out` that cannot be made or written exits 2 with one line."""
-    out_dir = Path(out)
+    """Run `produce(write)`, which writes each output with `write(name, text)`,
+    into a staging directory beside `out`; then make `out` and its missing
+    parents, move the outputs into it and write `manifest.json` last, with the
+    sha256 of every output's bytes and the `inputs` digests. On any failure
+    the staging directory is removed and `out` is left as it was. An `out`
+    that cannot be made or written exits 2 with one line; anything else
+    `produce` raises propagates."""
+    staged = _Staged(Path(out))
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        digests = {name: _write(out_dir / name, outputs.pop(name)) for name in list(outputs)}
-        manifest = {
-            "command": command,
-            "engine_version": __version__,
-            "inputs": inputs,
-            "seed": seed,
-            "outputs": digests,
-        }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        staged.dir.mkdir()
+        try:
+            produce(staged.write)
+            staged.commit({"command": command, "engine_version": __version__,
+                           "inputs": inputs, "seed": seed})
+        finally:
+            staged.discard()
     except OSError as exc:
-        print("%s: %s" % (exc.filename or out, exc.strerror or exc), file=sys.stderr)
+        print("%s: %s" % (out, exc.strerror or exc), file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK
 
 
-def _write(path: Path, text: str) -> str:
-    """Write `text` to `path` as UTF-8, encoded once; the sha256 of those bytes."""
-    data = text.encode()
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+def _texts(outputs: dict[str, str]):
+    """A `produce` that writes each text of `outputs` under its name, popping
+    it as it goes, so that one copy is held at a time."""
+    def produce(write) -> None:
+        for name in list(outputs):
+            write(name, outputs.pop(name))
+    return produce
 
 
 # What reading and parsing an input file may raise: an unreadable file, bytes
@@ -100,7 +150,8 @@ def cmd_report(args) -> int:
     try:
         method = AccountingMethod(args.method)
         report = compute_report(records, policy, method, decimals)
-        # Rendered before --out exists: a value too long to print leaves nothing.
+        # Rendered before any output is written: a value too long to print
+        # leaves nothing.
         outputs = {"ledger.csv": report.to_csv(), "totals.json": report.to_totals_json()}
     except PolicyViolation as exc:
         print(str(exc), file=sys.stderr)
@@ -108,7 +159,7 @@ def cmd_report(args) -> int:
     except (EngineError, LotError, ValueError) as exc:
         print("%s: %s" % (events_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    return _write_outputs(args.out, "report", inputs, outputs)
+    return _write_outputs(args.out, "report", inputs, _texts(outputs))
 
 
 _SIM_RUNNERS = {
@@ -126,7 +177,7 @@ def cmd_simulate(args) -> int:
                            _SIM_RUNNERS[args.kind](_read(scenario_path, inputs))))
     except _INPUT_ERRORS as exc:
         return _bad_input(scenario_path, exc)
-    return _write_outputs(args.out, "simulate " + args.kind, inputs, outputs)
+    return _write_outputs(args.out, "simulate " + args.kind, inputs, _texts(outputs))
 
 
 def cmd_attrib(args) -> int:
@@ -143,13 +194,16 @@ def cmd_attrib(args) -> int:
         return _bad_input(scenario_path, exc)
     if args.seed is not None:
         scenario.seed = args.seed
+
+    def produce(write) -> None:
+        run = run_attribution_scenario(scenario, lambda text: write("trace.txt", text))
+        write("withholding.txt", run.ledger)
+
     try:
-        run = run_attribution_scenario(scenario)
+        return _write_outputs(args.out, "attrib", inputs, produce, scenario.seed)
     except (AttributionError, TravelRuleError, ValueError) as exc:
         print("%s: %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    return _write_outputs(args.out, "attrib", inputs,
-                          {"trace.txt": run.trace, "withholding.txt": run.ledger}, scenario.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,8 +41,14 @@ class LiquidityPool:
     def __post_init__(self):
         if self.reserve_x < 0 or self.reserve_y < 0:
             raise ValueError("reserves must be non-negative")
+        if (self.reserve_x == 0) != (self.reserve_y == 0):
+            raise PoolError("reserves must both be zero or both be positive")
         if not 0 <= self.fee_rate < 1:
             raise ValueError("fee rate must be in [0, 1)")
+        if self.live and self.total_lp_units == 0:
+            # Declared reserves are backed by units no position holds, so a
+            # deposit mints only its own share, as every later deposit does.
+            self.total_lp_units = math.isqrt(self.k)
 
     @property
     def k(self) -> int:

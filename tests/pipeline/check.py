@@ -7,7 +7,9 @@ from a source checkout, with nothing installed:
 
 The steps run through `fisc.cli.main` in a temporary directory that holds
 this directory's inputs under `in/`. The script prints each output whose
-digest differs, is missing or is not pinned, and exits 1 if there is one.
+digest differs, is missing or is not pinned, and each directory that is
+neither `in/` nor a step's --out (a staging directory left behind), and
+exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ def written(root: Path) -> dict[str, str]:
     }
 
 
+def stray_directories(root: Path) -> list[str]:
+    """Each directory under `root` that is neither `in/` nor a step's --out,
+    such as a staging directory a step left behind."""
+    outs = {argv[argv.index("--out") + 1] for argv in STEPS}
+    found = (path.relative_to(root) for path in root.rglob("*") if path.is_dir())
+    return sorted(rel.as_posix() + "/" for rel in found
+                  if rel.parts[0] != "in" and rel.as_posix() not in outs)
+
+
 def run(root: Path) -> dict[str, str]:
     """Copy the inputs to `root/in`, run STEPS in `root` and return `written(root)`.
     Manifests record input paths as given, so the steps run from that layout."""
@@ -73,16 +84,19 @@ def run(root: Path) -> dict[str, str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run(Path(tmp))
+        strays = stray_directories(Path(tmp))
     expected = pinned()
     bad = sorted(name for name in outputs.keys() | expected.keys()
                  if outputs.get(name) != expected.get(name))
     for name in bad:
         print("%s: %s" % (name, "not pinned" if name not in expected
                           else "missing" if name not in outputs else "digest differs"))
+    for name in strays:
+        print("%s: not an output directory" % name)
     matched = sum(outputs.get(name) == digest for name, digest in expected.items())
     print("Python %s: %d of %d pinned outputs match"
           % (sys.version.split()[0], matched, len(expected)))
-    return 1 if bad else 0
+    return 1 if bad or strays else 0
 
 
 if __name__ == "__main__":

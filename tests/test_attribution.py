@@ -316,27 +316,33 @@ withholding standard=1/10 elevated=3/10
 """
 
 
+def run_scenario(text: str):
+    """The scenario's run and its whole trace, joined from the chunks it wrote."""
+    chunks: list[str] = []
+    run = run_attribution_scenario(parse_attribution_scenario(text), chunks.append)
+    return run, "".join(chunks)
+
+
 class TestScenario:
     def test_end_to_end(self):
-        run = run_attribution_scenario(parse_attribution_scenario(SCENARIO))
+        run, _ = run_scenario(SCENARIO)
         lines = run.ledger.strip().splitlines()
         assert lines[1].split()[3:] == ["affirmed", "0.1"]
         assert lines[2].split()[3:] == ["unaffirmed", "0.15"]
         assert len(run.rejections) == 1 and "wallet signature invalid" in run.rejections[0]
 
     def test_deterministic_outputs(self):
-        first = run_attribution_scenario(parse_attribution_scenario(SCENARIO))
-        second = run_attribution_scenario(parse_attribution_scenario(SCENARIO))
-        assert first.trace == second.trace
+        first, first_trace = run_scenario(SCENARIO)
+        second, second_trace = run_scenario(SCENARIO)
+        assert first_trace == second_trace
         assert first.ledger == second.ledger
 
     def test_pinned_outputs(self):
         # The scenario reaches every trace kind. Its digests pin every byte
         # of both outputs, so a reordered trace or a digest taken over the
         # wrong payload fails here, where a rerun comparison would pass.
-        scenario = parse_attribution_scenario(PINNED_SCENARIO.read_text())
-        run = run_attribution_scenario(scenario)
-        assert sha256(run.trace.encode()).hexdigest() == (
+        run, trace = run_scenario(PINNED_SCENARIO.read_text())
+        assert sha256(trace.encode()).hexdigest() == (
             "b922238142057c91f1ba8b009cc34eaf80afc7b0312d600a600acc9024cf6b3f"
         )
         assert sha256(run.ledger.encode()).hexdigest() == (

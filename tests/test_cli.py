@@ -1,16 +1,19 @@
 import contextlib
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fisc
+import fisc.cli
 from fisc.amounts import format_rational, parse_rational
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
 from fisc.scenarios import run_chain_scenario, run_pool_scenario, run_validator_scenario
@@ -62,6 +65,30 @@ transfer wallet_ann wallet_bob 100000000 8
 DUTIES = ["missed_source", "missed_target", "missed_sync", "missed_head"]
 
 
+def mesh_scenario(codes: int, wallets: int, transfers: int) -> str:
+    """Jurisdictions that all ask one another, so each transfer adds about
+    `codes` trace lines. Some links deny, lag or drop, and one transfer in
+    six pays an unregistered address."""
+    names = ["J%02d" % i for i in range(codes)]
+    lines = ["seed 5"] + ["jurisdiction " + code for code in names]
+    for i, asker in enumerate(names):
+        for j, responder in enumerate(names):
+            if i != j:
+                lines.append("eoi %s %s %s" % (asker, responder,
+                                               "deny" if (i + j) % 5 == 0 else "allow"))
+                if i * j % 7 == 1:
+                    lines.append("latency %s %s %d" % (asker, responder, 2 + (i + j) % 4))
+                if i * j % 11 == 2:
+                    lines.append("drop %s %s 1/%d" % (asker, responder, 3 + j % 4))
+    for w in range(wallets):
+        home = names[w * 5 % codes]
+        lines += ["dsc %s T%d h%d" % (home, w, w), "register %s T%d w%d" % (home, w, w)]
+    lines += ["transfer w%d %s%d %d %d" % (t % wallets, "w" if t % 6 else "u",
+                                           (t * 7 + 3) % wallets, 1000 + t, 3 + t % 6)
+              for t in range(transfers)]
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def counting_fractions():
     """Count the Fractions constructed inside the block, in a one-item list."""
@@ -101,12 +128,14 @@ class TestReport:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         events = write(tmp_path, "events.fisc", EVENTS)
-        out = tmp_path / "out"
+        out = tmp_path / "runs" / "out"
         main(["report", str(events), "--out", str(out)])
         first = {p.name: p.read_bytes() for p in out.iterdir()}
+        write(out, "notes.txt", "kept\n")  # not an output: the rerun keeps it
         main(["report", str(events), "--out", str(out)])
         second = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert first == second
+        assert second == dict(first, **{"notes.txt": b"kept\n"})
+        assert os.listdir(out.parent) == ["out"]
 
     def test_empty_event_file(self, tmp_path):
         events = write(tmp_path, "events.fisc", "asset BTC 8\n")
@@ -535,6 +564,26 @@ class TestSimulate:
         assert {r.asset: r.quantity for r in records if r.kind.value == "lp_withdrawal"} == {
             "WBTC": 2 * 10**8, "USDC": 4 * 10**8}
 
+    def test_declared_reserves_stay_with_the_pool(self, tmp_path):
+        # The declared reserves are not the first depositor's to withdraw.
+        scenario = write(tmp_path, "pool.scn",
+                         "pool reserve_x=10 reserve_y=20 asset_x=WBTC asset_y=USDC\n"
+                         "price x=2 y=1\ndeposit owner=a x=1 y=2\nwithdraw owner=a\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "pool", str(scenario), "--out", str(out)]) == EXIT_OK
+        _, records = parse_event_file((out / "events.fisc").read_text())
+        withdrawn = {r.asset: r.quantity for r in records if r.kind.value == "lp_withdrawal"}
+        assert withdrawn["WBTC"] <= 1 * 10**8 and withdrawn["USDC"] <= 2 * 10**8
+
+    @pytest.mark.parametrize("reserves", ["reserve_x=0 reserve_y=5", "reserve_x=5 reserve_y=0"])
+    def test_one_sided_pool_exit_2_with_line(self, tmp_path, capsys, reserves):
+        scenario = write(tmp_path, "bad.scn", "# one reserve\npool %s\n" % reserves)
+        out = tmp_path / "o"
+        assert main(["simulate", "pool", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        assert ("bad.scn:2: reserves must both be zero or both be positive"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_withdraw_unknown_owner_names_the_owner(self, tmp_path, capsys):
         scenario = write(tmp_path, "bad.scn", POOL_SCENARIO + "withdraw owner=nobody\n")
         code = main(["simulate", "pool", str(scenario), "--out", str(tmp_path / "o")])
@@ -797,6 +846,94 @@ class TestAttrib:
         assert "originator needs a physical address" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_streams_across_chunk_boundaries(self, tmp_path):
+        """A trace of over 50k lines, many times the chunk size, has the bytes
+        it had when the whole trace was rendered at once, and the run holds
+        far less than the whole trace in memory."""
+        import fisc.attribution.scenario  # noqa: F401  # loaded before tracing
+
+        scenario = write(tmp_path, "mesh.scn", mesh_scenario(24, 48, 2000))
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trace = (out / "trace.txt").read_bytes()
+        assert trace.count(b"\n") == 51_356
+        assert hashlib.sha256(trace).hexdigest() == (
+            "64389145ae8682421c7e63bd7b6d5b28f4c7aeee00ed9bf7ca5b5638f5301400")
+        assert hashlib.sha256((out / "withholding.txt").read_bytes()).hexdigest() == (
+            "b86588ae739df0d03fb68f748f8e580a74be4b6b2191a95e88d6778e4a1d63a0")
+        assert peak < 2 * len(trace), (peak, len(trace))
+
+    def test_empty_trace_is_one_newline(self, tmp_path):
+        scenario = write(tmp_path, "quiet.scn", "jurisdiction AT\n")
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert (out / "trace.txt").read_bytes() == b"\n"
+        assert (out / "withholding.txt").read_text() == (
+            "index origin beneficiary attribution withheld\n")
+
+
+class TestOutputContract:
+    """Outputs are staged beside --out and moved in at the end, manifest
+    last: a run that fails leaves --out as it was and no staging directory."""
+
+    def test_late_attrib_failure_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        # The last transfer's origin was refused at registration: the run
+        # fails after thousands of trace lines have gone to the staged file.
+        scenario = write(tmp_path, "late.scn", mesh_scenario(24, 48, 400)
+                         + "dsc J00 TX hx\nregister_tampered J00 TX wx\ntransfer wx w1 5 5\n")
+        written = []
+        staged_write = fisc.cli._Staged.write
+
+        def spy(self, name, text):
+            written.append(name)
+            staged_write(self, name, text)
+
+        monkeypatch.setattr(fisc.cli._Staged, "write", spy)
+        out = tmp_path / "runs" / "o"  # nor the parent the run would have made
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
+        assert "transfer 400: origin wallet wx is not registered" in capsys.readouterr().err
+        assert written.count("trace.txt") >= 2
+        assert os.listdir(tmp_path) == ["late.scn"]
+
+    @pytest.mark.parametrize(
+        "command,name,text,failing",
+        [(["report"], "events.fisc", EVENTS, "totals.json"),
+         (["simulate", "pool"], "pool.scn", POOL_SCENARIO, "state.txt"),
+         (["attrib"], "mesh.scn", ATTRIB_SCENARIO, "withholding.txt")],
+        ids=["report", "simulate", "attrib"],
+    )
+    def test_write_failure_leaves_nothing(self, tmp_path, capsys, monkeypatch, command, name,
+                                          text, failing):
+        """A disk that fills up at one output: its writes fail, and so does
+        the flush when it is closed."""
+        path = write(tmp_path, name, text)
+
+        class FullDisk:
+            def __init__(self, file):
+                self.file = file
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                self.file.close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def staged_open(path, mode):
+            file = open(path, mode)
+            return FullDisk(file) if Path(path).name == failing else file
+
+        monkeypatch.setattr(fisc.cli, "open", staged_open, raising=False)
+        out = tmp_path / "o"
+        assert main(command + [str(path), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "%s: No space left on device\n" % out
+        assert os.listdir(tmp_path) == [name]
+
 
 @pytest.mark.parametrize(
     "command,option",
@@ -842,6 +979,7 @@ def test_unusable_out_exit_2(tmp_path, capsys, command, name, text, under):
     reason = "Not a directory" if under else "File exists"
     assert capsys.readouterr().err == "%s: %s\n" % (out, reason)
     assert blocker.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == sorted([name, "afile"])
 
 
 def loaded_by_import(part: str | tuple[str, ...], module: str = "fisc.cli") -> str:
