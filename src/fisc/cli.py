@@ -36,17 +36,30 @@ def _read(path: Path, digests: dict[str, str]) -> str:
 
 
 class _Staged:
-    """The output files of one run, written into a staging directory beside
-    `out` and moved into `out` at commit, so that a failed run leaves `out`
-    as it was. The staging directory is named after `out` and this process,
-    and sits in the nearest existing directory above `out`: `out`'s missing
-    parents are made only at commit."""
+    """The output files of one run, written into a staging directory and
+    moved into `out` at commit, so that a run that fails before commit leaves
+    `out` as it was. The staging directory is named after `out` and this
+    process. It sits inside `out` when `out` is already a directory, so that
+    the moves never cross a filesystem, as they would for a mount point or a
+    symlink to another device; otherwise it sits in the nearest existing
+    directory above `out`, and `out`'s missing parents are made at commit."""
 
     def __init__(self, out: Path):
         self.out = out
-        base = next((parent for parent in out.parents if parent.exists()), out.parent)
+        base = out if out.is_dir() else next(
+            (parent for parent in out.parents if parent.exists()), out.parent)
         self.dir = base / (".%s.%d.tmp" % (out.name, os.getpid()))
         self.files: dict[str, tuple] = {}  # name -> (open file, sha256 of the bytes written)
+
+    def make(self) -> None:
+        """Create the staging directory. One of this name is left by a killed
+        run whose pid this process has reused, so it cannot belong to a live
+        run: it is emptied and made anew."""
+        try:
+            self.dir.mkdir()
+        except FileExistsError:
+            self.remove()
+            self.dir.mkdir()
 
     def write(self, name: str, text: str) -> None:
         """Append `text`, encoded once, to output `name`; its first write creates it."""
@@ -59,8 +72,9 @@ class _Staged:
 
     def commit(self, manifest: dict) -> None:
         """Move every output into `out`, then `manifest.json` with `manifest`
-        and the outputs' digests. A stale manifest goes first, so `out` never
-        holds one that does not describe its files."""
+        and the outputs' digests. A stale manifest is moved out of `out`
+        first, so `out` never holds one that does not describe its files: a
+        move that fails after it leaves `out` without a manifest."""
         manifest["outputs"] = {}
         for name, (file, digest) in self.files.items():
             file.close()
@@ -68,17 +82,25 @@ class _Staged:
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         (self.dir / "manifest.json").write_text(text)
         self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / "manifest.json").unlink(missing_ok=True)
+        try:
+            os.replace(self.out / "manifest.json", self.dir / "manifest.old")
+        except FileNotFoundError:
+            pass
         for name in [*self.files, "manifest.json"]:
             os.replace(self.dir / name, self.out / name)
 
     def discard(self) -> None:
-        """Remove the staging directory and whatever is still in it."""
+        """Close the outputs and remove the staging directory with whatever
+        is still in it."""
         for file, _ in self.files.values():
             try:
                 file.close()
             except OSError:  # a buffer that cannot be flushed; the file goes anyway
                 pass
+        self.remove()
+
+    def remove(self) -> None:
+        """Remove the staging directory and the files in it."""
         for path in self.dir.iterdir():
             path.unlink()
         self.dir.rmdir()
@@ -87,15 +109,17 @@ class _Staged:
 def _write_outputs(out: str, command: str, inputs: dict[str, str], produce,
                    seed: int | None = None) -> int:
     """Run `produce(write)`, which writes each output with `write(name, text)`,
-    into a staging directory beside `out`; then make `out` and its missing
-    parents, move the outputs into it and write `manifest.json` last, with the
-    sha256 of every output's bytes and the `inputs` digests. On any failure
-    the staging directory is removed and `out` is left as it was. An `out`
+    into a staging directory; then make `out` and its missing parents, move
+    the outputs into it and write `manifest.json` last, with the sha256 of
+    every output's bytes and the `inputs` digests. A failure before the moves
+    removes the staging directory and leaves `out` as it was; a move that
+    fails once the stale manifest is out leaves `out` without one, so it
+    reads as partial. An `out`
     that cannot be made or written exits 2 with one line; anything else
     `produce` raises propagates."""
     staged = _Staged(Path(out))
     try:
-        staged.dir.mkdir()
+        staged.make()
         try:
             produce(staged.write)
             staged.commit({"command": command, "engine_version": __version__,

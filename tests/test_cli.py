@@ -934,6 +934,66 @@ class TestOutputContract:
         assert capsys.readouterr().err == "%s: No space left on device\n" % out
         assert os.listdir(tmp_path) == [name]
 
+    def test_rerun_stages_inside_out(self, tmp_path, monkeypatch):
+        """An existing --out, such as a mount point or a symlink to another
+        filesystem, holds the staging directory, so no move crosses devices."""
+        events = write(tmp_path, "events.fisc", EVENTS)
+        out = tmp_path / "o"
+        out.mkdir()
+        sources = []
+        replace = os.replace
+
+        def spy(src, dst):
+            replace(src, dst)
+            sources.append(Path(src).parent)
+
+        monkeypatch.setattr(os, "replace", spy)
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        assert set(sources) == {out / (".o.%d.tmp" % os.getpid())}
+        assert sorted(os.listdir(out)) == ["ledger.csv", "manifest.json", "totals.json"]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first-move", "later-move"])
+    def test_failed_commit(self, tmp_path, capsys, monkeypatch, failing):
+        """A move that fails before any output lands keeps the earlier run
+        whole; one that fails later leaves --out without a manifest."""
+        events = write(tmp_path, "events.fisc", EVENTS)
+        out = tmp_path / "o"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+        replace = os.replace
+
+        def cross_device(src, dst):
+            calls.append(dst)
+            if len(calls) > failing:
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", cross_device)
+        assert main(["report", str(events), "--method", "lifo", "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "%s: Invalid cross-device link\n" % out
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        if failing == 0:
+            assert after == earlier
+        else:
+            assert after == {name: data for name, data in earlier.items()
+                             if name != "manifest.json"}
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new-out", "existing-out"])
+    def test_staging_left_by_a_run_with_this_pid_is_replaced(self, tmp_path, exists):
+        """A killed run's staging directory whose pid this process reuses,
+        as PID 1 in a container does every time, does not block the run."""
+        events = write(tmp_path, "events.fisc", EVENTS)
+        out = tmp_path / "o"
+        if exists:
+            out.mkdir()
+        stale = (out if exists else tmp_path) / (".o.%d.tmp" % os.getpid())
+        stale.mkdir()
+        write(stale, "ledger.csv", "half written")
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path)) == ["events.fisc", "o"]
+        assert sorted(os.listdir(out)) == ["ledger.csv", "manifest.json", "totals.json"]
+
 
 @pytest.mark.parametrize(
     "command,option",
