@@ -14,7 +14,7 @@ from ..signatures import DEFAULT_SCHEME
 from ..tax.policy import JurisdictionPolicy, check_range, policy_at
 from .protocol import AttributionError, build_ownership_proof
 from .sim import AttributionNetwork, LinkConfig
-from .travelrule import PartyIdentity
+from .travelrule import PartyIdentity, check_travel_rule
 
 
 @dataclass
@@ -102,7 +102,6 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                         raise ValueError("unknown identity key %r" % key)
                 scenario.identities[args[0]] = PartyIdentity(
                     name=kv.get("name", ""),
-                    account="",  # filled once the wallet address is derived
                     physical_address=kv.get("physical"),
                     national_id=kv.get("national_id"),
                     customer_id=kv.get("customer_id"),
@@ -135,12 +134,6 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
     return scenario
 
 
-@dataclass
-class ScenarioRun:
-    ledger: str
-    rejections: list[str]
-
-
 # Trace lines held before they are rendered and passed on.
 TRACE_CHUNK = 4096
 
@@ -153,11 +146,13 @@ def drop_threshold(probability: Fraction) -> float:
 
 
 def run_attribution_scenario(scenario: AttributionScenario,
-                             write_trace: Callable[[str], None]) -> ScenarioRun:
-    """Execute a scenario deterministically and render its outputs. The
-    trace goes to `write_trace` in rendered chunks as the run goes: after
-    each transfer once TRACE_CHUNK lines are held, and the rest at the end.
-    Joined, the chunks are the whole trace's `render_trace()`."""
+                             write_trace: Callable[[str], None]) -> str:
+    """Execute a scenario deterministically and return its withholding
+    ledger. The trace goes to `write_trace` in rendered chunks as the run
+    goes: after each transfer once TRACE_CHUNK lines are held, and the rest
+    at the end. Joined, the chunks are the whole trace's `render_trace()`.
+    An affirmed transfer between two identified wallets must pass the
+    travel rule, or the run raises TravelRuleError."""
     network = AttributionNetwork(seed=scenario.seed)
     network.links = LinkConfig(
         latency={(a, b): t for a, b, t in scenario.latencies},
@@ -176,7 +171,6 @@ def run_attribution_scenario(scenario: AttributionScenario,
         holder_keys[(jurisdiction, tin)] = private
 
     wallets: dict[str, str] = {}  # label -> registered address
-    rejections: list[str] = []
     for jurisdiction, tin, wallet_label, tampered in scenario.registrations:
         seed = b"wallet|" + wallet_label.encode()
         proof = build_ownership_proof(tin, seed, holder_keys[(jurisdiction, tin)])
@@ -185,15 +179,12 @@ def run_attribution_scenario(scenario: AttributionScenario,
             proof = replace(proof, wallet_signature=bad_sig)
         try:
             network.register(jurisdiction, proof)
-            wallets[wallet_label] = proof.address.text
-        except AttributionError as exc:
-            rejections.append("%s %s: %s" % (jurisdiction, wallet_label, exc))
-
-    identities: dict[str, PartyIdentity] = {}
-    for label, identity in scenario.identities.items():
-        address = wallets.get(label)
-        if address:
-            identities[address] = replace(identity, account=address)
+        except AttributionError:  # traced as registration_rejected
+            continue
+        wallets[wallet_label] = proof.address.text
+    # By address; a wallet whose registration was rejected has none.
+    identities = {wallets[label]: identity for label, identity in scenario.identities.items()
+                  if label in wallets}
 
     trace, chunks = network.trace, 0
     ledger_lines = ["index origin beneficiary attribution withheld"]
@@ -210,21 +201,16 @@ def run_attribution_scenario(scenario: AttributionScenario,
             # Unregistered label: derive its would-be address.
             _, pub = DEFAULT_SCHEME.keypair(b"wallet|" + beneficiary_ref.encode())
             beneficiary = address_from_pubkey(pub, AddrScheme.BASE58CHECK_P2PKH).text
-        withheld, event, _ = network.originate_transfer(
-            origin, beneficiary, amount, scenario.policy,
-            deadline_ticks=deadline, seq=index + 1, identities=identities,
-        )
-        ledger_lines.append(
-            "%d %s %s %s %s"
-            % (
-                index, origin, beneficiary,
-                event.metadata["attribution"], format_rational(withheld),
-            )
-        )
+        attribution, withheld = network.originate_transfer(
+            origin, beneficiary, amount, scenario.policy, deadline_ticks=deadline)
+        if attribution == "affirmed" and origin in identities and beneficiary in identities:
+            check_travel_rule(identities[origin], identities[beneficiary])
+        ledger_lines.append("%d %s %s %s %s" % (index, origin, beneficiary, attribution,
+                                                format_rational(withheld)))
         if len(trace) >= TRACE_CHUNK:
             write_trace(network.render_trace())
             trace.clear()
             chunks += 1
     if trace or not chunks:  # an empty trace renders as one "\n"
         write_trace(network.render_trace())
-    return ScenarioRun("\n".join(ledger_lines) + "\n", rejections)
+    return "\n".join(ledger_lines) + "\n"

@@ -12,11 +12,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..tax.events import ChainEventRecord, EventKind
 from ..tax.policy import JurisdictionPolicy
 from ..tax.engine import withholding_amount
 from .protocol import AttributionError, EoiMatrix, OwnershipProof, TaxAuthority
-from .travelrule import PartyIdentity, TravelRuleRecord, build_travel_rule_record
 
 
 @dataclass(frozen=True)
@@ -169,15 +167,11 @@ class AttributionNetwork:
         amount_base_units: int,
         policy: JurisdictionPolicy,
         deadline_ticks: int = 8,
-        seq: int = 1,
-        identities: dict[str, PartyIdentity] | None = None,
-    ) -> tuple[Fraction, ChainEventRecord, TravelRuleRecord | None]:
-        """Resolve the counterparty, compute withholding, emit the event: a
-        BTC spend at a unit price of 1.
-
-        The origin wallet must be attributable (registered somewhere);
-        a travel-rule record is built only when both endpoints resolve.
-        """
+    ) -> tuple[str, Fraction]:
+        """Resolve the counterparty of a BTC transfer and compute its
+        withholding: the attribution, "affirmed" or "unaffirmed", and the
+        amount withheld. The origin wallet must be attributable (registered
+        somewhere)."""
         if amount_base_units < 0:
             raise ValueError("amount must be non-negative")
         origin_home = self.find_home(origin_address)
@@ -187,27 +181,10 @@ class AttributionNetwork:
             origin_home, beneficiary_address, deadline_ticks
         )
         attribution = "affirmed" if outcome.affirmed else "unaffirmed"
-        proceeds = Fraction(amount_base_units, 10**8)
-        withheld = withholding_amount(proceeds, attribution, policy)
-        event = ChainEventRecord(
-            seq=seq,
-            timestamp=self.now,
-            kind=EventKind.SPEND if amount_base_units else EventKind.SELF_TRANSFER,
-            asset="BTC",
-            quantity=amount_base_units,
-            fmv_unit=Fraction(1),
-            counterparty_address=beneficiary_address,
-            metadata={"attribution": attribution},
-        )
-        travel = None
-        if outcome.affirmed and identities:
-            origin_id = identities.get(origin_address)
-            beneficiary_id = identities.get(beneficiary_address)
-            if origin_id and beneficiary_id:
-                travel = build_travel_rule_record(origin_id, beneficiary_id)
+        withheld = withholding_amount(Fraction(amount_base_units, 10**8), attribution, policy)
         self._emit(self.now, origin_home, "withholding_" + attribution,
                    _digest("withhold|%s|%s" % (origin_address, withheld)))
-        return withheld, event, travel
+        return attribution, withheld
 
     def render_trace(self) -> str:
         return "\n".join(self.trace) + "\n"

@@ -1,10 +1,8 @@
-"""Travel-rule payloads: the five mandated originator/beneficiary fields."""
+"""The travel rule: the mandated originator and beneficiary fields of a transfer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ..addresses import classify_address
 
 
 class TravelRuleError(Exception):
@@ -13,50 +11,25 @@ class TravelRuleError(Exception):
 
 @dataclass(frozen=True)
 class PartyIdentity:
+    """A wallet holder's identity; the wallet's registered address is its account."""
+
     name: str
-    account: str  # wallet address
     physical_address: str | None = None
     national_id: str | None = None
     customer_id: str | None = None
     birth_date_place: str | None = None
 
-    def physical_identifier(self) -> str | None:
-        """Any one of the allowed physical identifiers satisfies the rule."""
-        return (
-            self.physical_address
-            or self.national_id
-            or self.customer_id
-            or self.birth_date_place
-        )
 
-
-@dataclass(frozen=True)
-class TravelRuleRecord:
-    originator_name: str
-    originator_account: str
-    originator_physical_id: str
-    beneficiary_name: str
-    beneficiary_account: str
-
-
-def build_travel_rule_record(
-    originator: PartyIdentity, beneficiary: PartyIdentity
-) -> TravelRuleRecord:
-    """Assemble a record; rejects any missing mandated component."""
+def check_travel_rule(originator: PartyIdentity, beneficiary: PartyIdentity) -> None:
+    """Raise TravelRuleError at the first mandated field missing: each
+    party's name, and one of the originator's physical identifiers."""
     if not originator.name:
         raise TravelRuleError("originator name is mandatory")
-    if not originator.account or classify_address(originator.account) is None:
-        raise TravelRuleError("originator account must be a valid wallet address")
-    physical = originator.physical_identifier()
-    if not physical:
+    if not (originator.physical_address or originator.national_id
+            or originator.customer_id or originator.birth_date_place):
         raise TravelRuleError(
             "originator needs a physical address, national id, customer id, "
             "or date and place of birth"
         )
     if not beneficiary.name:
         raise TravelRuleError("beneficiary name is mandatory")
-    if not beneficiary.account or classify_address(beneficiary.account) is None:
-        raise TravelRuleError("beneficiary account must be a valid wallet address")
-    return TravelRuleRecord(
-        originator.name, originator.account, physical, beneficiary.name, beneficiary.account
-    )

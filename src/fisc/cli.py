@@ -166,11 +166,8 @@ def cmd_report(args) -> int:
         return _bad_input(events_path, exc)
     try:
         policy = parse_policy(_read(policy_path, inputs) if policy_path else "")
-    except LineError as exc:
+    except _INPUT_ERRORS as exc:
         return _bad_input(policy_path, exc)
-    except (ValueError, OSError) as exc:
-        print("%s: %s" % (policy_path, exc), file=sys.stderr)
-        return EXIT_PARSE
     try:
         method = AccountingMethod(args.method)
         report = compute_report(records, policy, method, decimals)
@@ -220,8 +217,8 @@ def cmd_attrib(args) -> int:
         scenario.seed = args.seed
 
     def produce(write) -> None:
-        run = run_attribution_scenario(scenario, lambda text: write("trace.txt", text))
-        write("withholding.txt", run.ledger)
+        ledger = run_attribution_scenario(scenario, lambda text: write("trace.txt", text))
+        write("withholding.txt", ledger)
 
     try:
         return _write_outputs(args.out, "attrib", inputs, produce, scenario.seed)

@@ -67,7 +67,7 @@ class IngestResult:
 
 
 def withholding_amount(
-    proceeds: Fraction, attribution_result: str, policy: JurisdictionPolicy
+    proceeds: Fraction | int, attribution_result: str, policy: JurisdictionPolicy
 ) -> Fraction:
     """Tax retained at source: standard when affirmed, elevated otherwise."""
     if proceeds < 0:
@@ -77,7 +77,7 @@ def withholding_amount(
         if attribution_result == "affirmed"
         else policy.elevated_withholding
     )
-    return Fraction(proceeds) * rate
+    return proceeds * rate
 
 
 def lot_move(record: ChainEventRecord,

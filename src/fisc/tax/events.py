@@ -177,28 +177,20 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
     return decimals, records
 
 
-def serialize_event(record: ChainEventRecord) -> str:
-    return _event_line(record, format_rational(record.fmv_unit))
-
-
-def _event_line(record: ChainEventRecord, fmv: str) -> str:
-    line = "event seq=%d ts=%d kind=%s asset=%s qty=%d fmv=%s" % (
-        record.seq, record.timestamp, record.kind._value_, record.asset, record.quantity, fmv,
-    )
-    if record.counterparty_address:
-        line += " counterparty=%s" % record.counterparty_address
-    if record.specid_lot:
-        line += " specid=" + ",".join(map(str, record.specid_lot))
-    for key in sorted(record.metadata):
-        line += " meta.%s=%s" % (key, record.metadata[key])
-    return line
-
-
 def serialize_event_file(decimals: dict[str, int], records: list[ChainEventRecord]) -> str:
     lines = ["asset %s %d" % (asset, d) for asset, d in sorted(decimals.items())]
     prices: dict[tuple[int, int], str] = {}  # each price rendered once; ints hash fast
     for r in records:
         key = r.fmv_unit.numerator, r.fmv_unit.denominator
-        fmv = prices.get(key) or prices.setdefault(key, format_rational(r.fmv_unit))
-        lines.append(_event_line(r, fmv))
+        line = "event seq=%d ts=%d kind=%s asset=%s qty=%d fmv=%s" % (
+            r.seq, r.timestamp, r.kind._value_, r.asset, r.quantity,
+            prices.get(key) or prices.setdefault(key, format_rational(r.fmv_unit)),
+        )
+        if r.counterparty_address:
+            line += " counterparty=%s" % r.counterparty_address
+        if r.specid_lot:
+            line += " specid=" + ",".join(map(str, r.specid_lot))
+        for name in sorted(r.metadata):
+            line += " meta.%s=%s" % (name, r.metadata[name])
+        lines.append(line)
     return "\n".join(lines) + "\n"

@@ -312,15 +312,15 @@ def test_12_attribution_protocol():
     net.eoi.allow("DE", "FR")
     origin, _ = register(net, "DE", "D1", b"wo")
     beneficiary, _ = register(net, "FR", "F1", b"wb")
-    withheld, event, _ = net.originate_transfer(origin, beneficiary, 10**8, policy)
-    allow_ok = event.metadata["attribution"] == "affirmed" and withheld == Fraction(1, 10)
+    attribution, withheld = net.originate_transfer(origin, beneficiary, 10**8, policy)
+    allow_ok = attribution == "affirmed" and withheld == Fraction(1, 10)
 
     # registered + deny => unaffirmed at the elevated rate
     net = network()
     origin, _ = register(net, "DE", "D1", b"wo")
     beneficiary, _ = register(net, "FR", "F1", b"wb")
-    withheld, event, _ = net.originate_transfer(origin, beneficiary, 10**8, policy)
-    deny_ok = event.metadata["attribution"] == "unaffirmed" and withheld == Fraction(3, 10)
+    attribution, withheld = net.originate_transfer(origin, beneficiary, 10**8, policy)
+    deny_ok = attribution == "unaffirmed" and withheld == Fraction(3, 10)
 
     # tampered proof rejected at registration
     net = network()

@@ -21,11 +21,7 @@ from fisc.attribution.scenario import (
     run_attribution_scenario,
 )
 from fisc.attribution.sim import AttributionNetwork, LinkConfig
-from fisc.attribution.travelrule import (
-    PartyIdentity,
-    TravelRuleError,
-    build_travel_rule_record,
-)
+from fisc.attribution.travelrule import PartyIdentity, TravelRuleError, check_travel_rule
 from fisc.lineformat import LineError
 from fisc.signatures import MockScheme
 from fisc.tax.policy import JurisdictionPolicy
@@ -215,19 +211,19 @@ class TestTransfers:
         network.eoi.allow("DE", "FR")
         origin = register_wallet(network, "DE", "DE-1", b"wo")
         beneficiary = register_wallet(network, "FR", "FR-1", b"wb")
-        withheld, event, _ = network.originate_transfer(
+        attribution, withheld = network.originate_transfer(
             origin, beneficiary, 10**8, POLICY
         )
-        assert event.metadata["attribution"] == "affirmed"
+        assert attribution == "affirmed"
         assert withheld == Fraction(1, 10)
 
     def test_unaffirmed_elevated_withholding(self):
         network = build_network()
         origin = register_wallet(network, "DE", "DE-1", b"wo")
-        withheld, event, _ = network.originate_transfer(
+        attribution, withheld = network.originate_transfer(
             origin, "1BoatSLRHtKNngkdXEeobR76b53LETtpyT", 10**8, POLICY
         )
-        assert event.metadata["attribution"] == "unaffirmed"
+        assert attribution == "unaffirmed"
         assert withheld == Fraction(3, 10)
 
     def test_unregistered_origin_rejected(self):
@@ -239,65 +235,28 @@ class TestTransfers:
                 1, POLICY,
             )
 
-    def test_travel_rule_built_only_when_affirmed_with_identities(self):
-        network = build_network()
-        network.eoi.allow("DE", "FR")
-        origin = register_wallet(network, "DE", "DE-1", b"wo")
-        beneficiary = register_wallet(network, "FR", "FR-1", b"wb")
-        identities = {
-            origin: PartyIdentity("Alice", origin, physical_address="1 Main St"),
-            beneficiary: PartyIdentity("Bob", beneficiary, customer_id="C-9"),
-        }
-        _, _, travel = network.originate_transfer(
-            origin, beneficiary, 10**8, POLICY, identities=identities
-        )
-        assert travel is not None
-        assert travel.originator_physical_id == "1 Main St"
-        _, _, none_travel = network.originate_transfer(
-            origin, beneficiary, 10**8, POLICY
-        )
-        assert none_travel is None
-
 
 class TestTravelRule:
-    def good_parties(self):
-        addr = "1BoatSLRHtKNngkdXEeobR76b53LETtpyT"
-        return (
-            PartyIdentity("Alice", addr, physical_address="1 Main St"),
-            PartyIdentity("Bob", addr),
-        )
+    ALICE = PartyIdentity("Alice", physical_address="1 Main St")
+    BOB = PartyIdentity("Bob")
 
     def test_five_components_present(self):
-        originator, beneficiary = self.good_parties()
-        record = build_travel_rule_record(originator, beneficiary)
-        assert record.originator_name == "Alice"
-        assert record.beneficiary_name == "Bob"
-        assert record.originator_physical_id == "1 Main St"
-        assert record.originator_account and record.beneficiary_account
+        # Both names and a physical identifier; each account is the
+        # wallet's registered address.
+        check_travel_rule(self.ALICE, self.BOB)
 
     def test_birth_date_alone_suffices(self):
-        addr = "1BoatSLRHtKNngkdXEeobR76b53LETtpyT"
-        originator = PartyIdentity("Alice", addr, birth_date_place="1980-01-01 Vienna")
-        record = build_travel_rule_record(originator, PartyIdentity("Bob", addr))
-        assert record.originator_physical_id == "1980-01-01 Vienna"
+        check_travel_rule(PartyIdentity("Alice", birth_date_place="1980-01-01 Vienna"), self.BOB)
 
     def test_missing_name_rejected(self):
-        originator, beneficiary = self.good_parties()
-        with pytest.raises(TravelRuleError):
-            build_travel_rule_record(PartyIdentity("", originator.account,
-                                                   physical_address="x"), beneficiary)
+        with pytest.raises(TravelRuleError, match="originator name is mandatory"):
+            check_travel_rule(PartyIdentity("", physical_address="x"), self.BOB)
+        with pytest.raises(TravelRuleError, match="beneficiary name is mandatory"):
+            check_travel_rule(self.ALICE, PartyIdentity(""))
 
     def test_missing_physical_identifier_rejected(self):
-        addr = "1BoatSLRHtKNngkdXEeobR76b53LETtpyT"
-        with pytest.raises(TravelRuleError):
-            build_travel_rule_record(PartyIdentity("Alice", addr), PartyIdentity("Bob", addr))
-
-    def test_invalid_account_rejected(self):
-        _, beneficiary = self.good_parties()
-        with pytest.raises(TravelRuleError):
-            build_travel_rule_record(
-                PartyIdentity("Alice", "not an address", physical_address="x"), beneficiary
-            )
+        with pytest.raises(TravelRuleError, match="originator needs a physical address"):
+            check_travel_rule(PartyIdentity("Alice"), self.BOB)
 
 
 SCENARIO = """
@@ -317,37 +276,53 @@ withholding standard=1/10 elevated=3/10
 
 
 def run_scenario(text: str):
-    """The scenario's run and its whole trace, joined from the chunks it wrote."""
+    """The scenario's withholding ledger and its whole trace, joined from
+    the chunks it wrote."""
     chunks: list[str] = []
-    run = run_attribution_scenario(parse_attribution_scenario(text), chunks.append)
-    return run, "".join(chunks)
+    ledger = run_attribution_scenario(parse_attribution_scenario(text), chunks.append)
+    return ledger, "".join(chunks)
 
 
 class TestScenario:
     def test_end_to_end(self):
-        run, _ = run_scenario(SCENARIO)
-        lines = run.ledger.strip().splitlines()
+        ledger, trace = run_scenario(SCENARIO)
+        lines = ledger.strip().splitlines()
         assert lines[1].split()[3:] == ["affirmed", "0.1"]
         assert lines[2].split()[3:] == ["unaffirmed", "0.15"]
-        assert len(run.rejections) == 1 and "wallet signature invalid" in run.rejections[0]
+        # The tampered registration is traced once, with its reason's digest.
+        rejected = sha256(b"wallet signature invalid").hexdigest()[:12]
+        assert [line for line in trace.splitlines() if "registration_rejected" in line] == [
+            "0 DE registration_rejected " + rejected]
 
     def test_deterministic_outputs(self):
         first, first_trace = run_scenario(SCENARIO)
         second, second_trace = run_scenario(SCENARIO)
         assert first_trace == second_trace
-        assert first.ledger == second.ledger
+        assert first == second
 
     def test_pinned_outputs(self):
         # The scenario reaches every trace kind. Its digests pin every byte
         # of both outputs, so a reordered trace or a digest taken over the
         # wrong payload fails here, where a rerun comparison would pass.
-        run, trace = run_scenario(PINNED_SCENARIO.read_text())
+        ledger, trace = run_scenario(PINNED_SCENARIO.read_text())
         assert sha256(trace.encode()).hexdigest() == (
             "b922238142057c91f1ba8b009cc34eaf80afc7b0312d600a600acc9024cf6b3f"
         )
-        assert sha256(run.ledger.encode()).hexdigest() == (
+        assert sha256(ledger.encode()).hexdigest() == (
             "b5342c08cecabd954abf90b4cdf7d708b793d2f12183c32f96377960a564e332"
         )
+
+    def test_travel_rule_checked_only_when_affirmed_with_identities(self):
+        """Ann has no physical identifier, so her affirmed transfer to an
+        identified Bob breaks the travel rule. With Bob unidentified, or
+        with the transfer unaffirmed, nothing is checked and the identity
+        lines change no output."""
+        ann, bob = "identity wallet_ann name=Ann\n", "identity wallet_bob name=Bob\n"
+        with pytest.raises(TravelRuleError, match="originator needs a physical address"):
+            run_scenario(SCENARIO + ann + bob)
+        denied = SCENARIO.replace("eoi AT DE allow", "eoi AT DE deny")
+        for plain, identified in [(SCENARIO, SCENARIO + ann), (denied, denied + ann + bob)]:
+            assert run_scenario(identified) == run_scenario(plain)
 
     def test_missing_jurisdiction_rejected(self):
         with pytest.raises(LineError):

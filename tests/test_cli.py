@@ -90,20 +90,21 @@ def mesh_scenario(codes: int, wallets: int, transfers: int) -> str:
 
 
 @contextlib.contextmanager
-def counting_fractions():
-    """Count the Fractions constructed inside the block, in a one-item list."""
+def counting(kind=Fraction):
+    """Count the instances of `kind` constructed inside the block, in a
+    one-item list; `kind` defines its own `__new__`."""
     count = [0]
-    saved = vars(Fraction)["__new__"]
+    saved = vars(kind)["__new__"]
 
     def counted(cls, *args, **kwargs):
         count[0] += 1
         return saved.__func__(cls, *args, **kwargs)
 
-    Fraction.__new__ = counted
+    kind.__new__ = counted
     try:
         yield count
     finally:
-        Fraction.__new__ = saved
+        kind.__new__ = saved
 
 
 def write(tmp_path, name, text):
@@ -294,6 +295,20 @@ class TestReport:
     def test_missing_file(self, tmp_path):
         code = main(["report", str(tmp_path / "nope.fisc"), "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+    def test_unreadable_config_exit_2_names_it_once(self, tmp_path, capsys, directory):
+        events = write(tmp_path, "events.fisc", EVENTS)
+        config = tmp_path / "nope.cfg"
+        if directory:
+            config.mkdir()
+        number = errno.EISDIR if directory else errno.ENOENT
+        out = tmp_path / "o"
+        code = main(["report", str(events), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "[Errno %d] %s: %r\n" % (
+            number, os.strerror(number), str(config))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "decimals,message",
@@ -641,7 +656,7 @@ class TestSimulate:
         counts = []
         for n in (100, 1_000):
             text = scenario(n)
-            with counting_fractions() as count:
+            with counting() as count:
                 runner(text)
             counts.append(count[0])
         assert counts[1] - counts[0] <= allowed * 900, counts
@@ -845,6 +860,44 @@ class TestAttrib:
         assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
         assert "originator needs a physical address" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_travel_rule_needs_the_beneficiary_name(self, tmp_path, capsys):
+        scenario = write(tmp_path, "bad.scn", ATTRIB_SCENARIO.replace("transfer", (
+            "identity wallet_ann name=Ann physical=Street1\n"
+            "identity wallet_bob customer_id=C2\ntransfer")))
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_POLICY
+        assert capsys.readouterr().err == "%s: beneficiary name is mandatory\n" % scenario
+        assert not out.exists()
+
+    def test_travel_rule_skips_an_unaffirmed_transfer(self, tmp_path):
+        """The identified pair that breaks the travel rule, on a denied link:
+        the transfer is unaffirmed, so its identity lines change no byte."""
+        denied = ATTRIB_SCENARIO.replace("eoi AT DE allow", "eoi AT DE deny")
+        runs = []
+        for text in (denied, denied.replace(
+                "transfer", "identity wallet_ann name=Ann\nidentity wallet_bob name=Bob\ntransfer")):
+            out = tmp_path / ("o%d" % len(runs))
+            scenario = write(tmp_path, "s%d.scn" % len(runs), text)
+            assert main(["attrib", str(scenario), "--out", str(out)]) == EXIT_OK
+            runs.append([(out / name).read_bytes() for name in ("trace.txt", "withholding.txt")])
+        assert runs[0] == runs[1]
+        assert b"unaffirmed 0.3" in runs[0][1]
+
+    def test_transfer_builds_no_event_and_two_fractions(self):
+        """A transfer computes only what the run writes: no event record,
+        and no more Fractions than its proceeds and their withholding."""
+        from fisc.attribution.scenario import parse_attribution_scenario, run_attribution_scenario
+        from fisc.tax.events import ChainEventRecord
+
+        counts = []
+        for transfers in (200, 2_000):
+            text = mesh_scenario(8, 16, transfers)
+            with counting() as fractions, counting(ChainEventRecord) as events:
+                run_attribution_scenario(parse_attribution_scenario(text), lambda chunk: None)
+            assert events[0] == 0
+            counts.append(fractions[0])
+        assert counts[1] - counts[0] <= 2 * 1_800, counts
 
     def test_trace_streams_across_chunk_boundaries(self, tmp_path):
         """A trace of over 50k lines, many times the chunk size, has the bytes

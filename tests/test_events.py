@@ -24,7 +24,6 @@ from fisc.tax.events import (
     ChainEventRecord,
     EventKind,
     parse_event_file,
-    serialize_event,
     serialize_event_file,
 )
 from fisc.tax.lots import AccountingMethod, DisposalResult, LotConsumption
@@ -66,9 +65,8 @@ def event_files(draw):
 @settings(max_examples=150, deadline=None)
 def test_serialize_parse_round_trip(file):
     decimals, records = file
-    for record in records:
-        assert serialize_event(record) == seed_serialize_event(record)
     text = serialize_event_file(decimals, records)
+    assert text.splitlines()[len(decimals):] == list(map(seed_serialize_event, records))
     parsed_decimals, parsed = parse_event_file(text)
     assert parsed_decimals == decimals
     assert parsed == records

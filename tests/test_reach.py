@@ -25,7 +25,6 @@ KEPT = {
     "fisc/ripemd160.py::_compress": "part of ripemd160_pure",
     "fisc/ripemd160.py::ripemd160_pure":
         "the only RIPEMD-160 where hashlib's OpenSSL 3 has no legacy provider",
-    "fisc/tax/events.py::serialize_event": "bench/run.py writes event lines with it",
     "fisc/tax/lots.py::Lot._values": "what Lot.__eq__ compares",
     "fisc/tax/lots.py::Lot.__eq__": "the differential tests compare lots with the seed oracle's",
     "fisc/tax/lots.py::Lot.__repr__": "names the lots a failed differential test compared",
