@@ -8,9 +8,11 @@ reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -42,7 +44,12 @@ class _Staged:
     process. It sits inside `out` when `out` is already a directory, so that
     the moves never cross a filesystem, as they would for a mount point or a
     symlink to another device; otherwise it sits in the nearest existing
-    directory above `out`, and `out`'s missing parents are made at commit."""
+    directory above `out`, and `out`'s missing parents are made at commit.
+
+    The run holds an exclusive flock on the file `lock` in its staging
+    directory until the directory is removed, so a staging directory of
+    `out` whose lock is free was left by a run that died, and the next run
+    removes it."""
 
     def __init__(self, out: Path):
         self.out = out
@@ -50,16 +57,33 @@ class _Staged:
             (parent for parent in out.parents if parent.exists()), out.parent)
         self.dir = base / (".%s.%d.tmp" % (out.name, os.getpid()))
         self.files: dict[str, tuple] = {}  # name -> (open file, sha256 of the bytes written)
+        self.lock = None
 
     def make(self) -> None:
-        """Create the staging directory. One of this name is left by a killed
-        run whose pid this process has reused, so it cannot belong to a live
-        run: it is emptied and made anew."""
-        try:
-            self.dir.mkdir()
-        except FileExistsError:
-            self.remove()
-            self.dir.mkdir()
+        """Create the staging directory and lock it, then remove every other
+        staging directory of `out`, in `out` or beside it, whose lock it can
+        take. The directory is made and locked under a private name, `.new`
+        for `.tmp`, and renamed into place, so no run ever sees a live run's
+        directory unlocked. A directory of either name with this pid was left
+        by a killed run whose pid this process has reused: it goes first."""
+        private = self.dir.with_suffix(".new")
+        for path in (private, self.dir):
+            if path.is_dir():
+                _remove(path)
+        private.mkdir()
+        self.lock = open(private / "lock", "wb")
+        fcntl.flock(self.lock, fcntl.LOCK_EX)
+        os.rename(private, self.dir)
+        name = re.compile(r"\.%s\.\d+\.tmp" % re.escape(self.out.name))
+        for base in {self.dir.parent, self.out.parent}:
+            for entry in os.listdir(base) if base.is_dir() else ():
+                if name.fullmatch(entry) and entry != self.dir.name:
+                    try:
+                        with open(base / entry / "lock", "rb") as lock:
+                            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                            _remove(base / entry)
+                    except OSError:  # no lock file, a live run's lock, or removed by another run
+                        pass
 
     def write(self, name: str, text: str) -> None:
         """Append `text`, encoded once, to output `name`; its first write creates it."""
@@ -91,19 +115,26 @@ class _Staged:
 
     def discard(self) -> None:
         """Close the outputs and remove the staging directory with whatever
-        is still in it."""
+        is still in it, then release the lock."""
         for file, _ in self.files.values():
             try:
                 file.close()
             except OSError:  # a buffer that cannot be flushed; the file goes anyway
                 pass
-        self.remove()
+        try:
+            for path in (self.dir, self.dir.with_suffix(".new")):
+                if path.is_dir():
+                    _remove(path)
+        finally:
+            if self.lock is not None:
+                self.lock.close()
 
-    def remove(self) -> None:
-        """Remove the staging directory and the files in it."""
-        for path in self.dir.iterdir():
-            path.unlink()
-        self.dir.rmdir()
+
+def _remove(path: Path) -> None:
+    """Remove a staging directory and the files in it."""
+    for file in path.iterdir():
+        file.unlink()
+    path.rmdir()
 
 
 def _write_outputs(out: str, command: str, inputs: dict[str, str], produce,
@@ -119,8 +150,8 @@ def _write_outputs(out: str, command: str, inputs: dict[str, str], produce,
     `produce` raises propagates."""
     staged = _Staged(Path(out))
     try:
-        staged.make()
         try:
+            staged.make()
             produce(staged.write)
             staged.commit({"command": command, "engine_version": __version__,
                            "inputs": inputs, "seed": seed})
@@ -193,12 +224,14 @@ _SIM_RUNNERS = {
 def cmd_simulate(args) -> int:
     scenario_path = Path(args.scenario)
     inputs: dict[str, str] = {}
+    runner = _SIM_RUNNERS[args.kind]
     try:
-        outputs = dict(zip(("events.fisc", "state.txt"),
-                           _SIM_RUNNERS[args.kind](_read(scenario_path, inputs))))
+        text = _read(scenario_path, inputs)
+        # The runner writes its outputs into the staging directory as it replays.
+        return _write_outputs(args.out, "simulate " + args.kind, inputs,
+                              lambda write: runner(text, write))
     except _INPUT_ERRORS as exc:
         return _bad_input(scenario_path, exc)
-    return _write_outputs(args.out, "simulate " + args.kind, inputs, _texts(outputs))
 
 
 def cmd_attrib(args) -> int:

@@ -1,12 +1,14 @@
 """Replay scenarios for the simulate subcommands.
 
 Each runner parses a small line-based scenario file, replays it through
-the relevant engine, and returns the text of an event file the tax engine
-ingests and of the final state. Replay and rendering run inside the
-LineReader block, so a fault there, such as a value past CPython's int->str
-digit limit, is a LineError at line 0. An asset id, price or timestamp the
-event parser would refuse is refused at its scenario line by the parser's
-own checks, so `report` reads every event file `simulate` writes.
+the relevant engine, and writes an event file the tax engine ingests and
+the final state with `write(name, text)`, in chunks of CHUNK_LINES lines
+rendered as it replays, so a run holds little more than its parsed
+scenario. A fault in the replay is a LineError at its line, or at line 0
+once all are read, as is a value past CPython's int->str digit limit. An
+asset id, price or timestamp the event parser would refuse is refused at
+its scenario line by the parser's own checks, so `report` reads every
+event file `simulate` writes.
 
 Each runner imports its engine itself (`fisc.defi.pool` or
 `fisc.consensus`): every `fisc` command is a new process that compiles
@@ -20,7 +22,6 @@ from fractions import Fraction
 from .amounts import Amount, parse_decimals, parse_rational
 from .lineformat import LineError, LineReader, pairs
 from .tax.events import (
-    ChainEventRecord,
     EventKind,
     check_asset_id,
     check_timestamp,
@@ -28,11 +29,43 @@ from .tax.events import (
     serialize_event_file,
 )
 
+CHUNK_LINES = 4096
+
+
+class _Events:
+    """The event file of a run: rows of ChainEventRecord's fields, numbered
+    from 1, that serialize_event_file renders every CHUNK_LINES rows, with
+    the asset lines in the first chunk."""
+
+    def __init__(self, write, decimals: dict[str, int]):
+        self.write, self.decimals, self.rows, self.prices = write, decimals, [], {}
+        self.seq = 0
+
+    def add(self, stamp: int, kind: EventKind, asset: str, qty: int, fmv: Fraction,
+            metadata: dict[str, str]) -> None:
+        if qty <= 0:  # what ChainEventRecord refuses
+            raise ValueError("quantity must be positive for %s" % kind.value if qty == 0
+                             else "quantity must be non-negative")
+        self.seq += 1
+        self.rows.append((self.seq, stamp, kind, asset, qty, fmv, None, None, metadata))
+        if len(self.rows) == CHUNK_LINES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the rows held, perhaps none."""
+        try:
+            text = serialize_event_file(self.decimals, self.rows, self.prices)
+        except ValueError as exc:  # past the int->str digit limit
+            raise LineError(0, str(exc)) from exc
+        self.write("events.fisc", text)
+        self.decimals = {}
+        self.rows.clear()
+
 
 # --- pool ---
 
 
-def run_pool_scenario(text: str) -> tuple[str, str]:
+def run_pool_scenario(text: str, write) -> None:
     """Replay swaps and LP operations against one constant-product pool."""
     from .defi.pool import LiquidityPool, LpPosition
 
@@ -41,13 +74,11 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
     asset_x, asset_y = "X", "Y"
     price_x, price_y = Fraction(1), Fraction(1)
     positions: dict[str, LpPosition] = {}
-    events: list[ChainEventRecord] = []
+    events: _Events | None = None
     timestamp = 0
 
     def emit(kind: EventKind, asset: str, qty: int, fmv: Fraction, **meta: str):
-        events.append(
-            ChainEventRecord(len(events) + 1, timestamp, kind, asset, qty, fmv, metadata=meta)
-        )
+        events.add(timestamp, kind, asset, qty, fmv, meta)
 
     with LineReader(text) as lines:
         for fields in lines:
@@ -65,6 +96,7 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
                 # The event file declares one asset pair, so one pool per scenario.
                 if declared is not None:
                     raise ValueError("the pool is already declared")
+                events = _Events(write, {asset_x: decimals, asset_y: decimals})
             elif pool is None:
                 raise ValueError("pool must be declared first")
             elif tag == "price":
@@ -109,17 +141,15 @@ def run_pool_scenario(text: str) -> tuple[str, str]:
                 raise ValueError("unknown directive %r" % tag)
         if pool is None:
             raise LineError(0, "scenario declares no pool")
-        state = (
-            "reserve_x %d\nreserve_y %d\nproduct %d\ntotal_lp_units %d\n"
-            % (pool.reserve_x, pool.reserve_y, pool.k, pool.total_lp_units)
-        )
-        return serialize_event_file({asset_x: decimals, asset_y: decimals}, events), state
+        events.flush()
+        write("state.txt", "reserve_x %d\nreserve_y %d\nproduct %d\ntotal_lp_units %d\n"
+              % (pool.reserve_x, pool.reserve_y, pool.k, pool.total_lp_units))
 
 
 # --- chain ---
 
 
-def run_chain_scenario(text: str) -> tuple[str, str]:
+def run_chain_scenario(text: str, write) -> None:
     """Replay block heights through the subsidy schedule as mining income.
 
     A height past the last halving earns no subsidy and so no income event.
@@ -163,27 +193,34 @@ def run_chain_scenario(text: str) -> tuple[str, str]:
                     check_timestamp(top * rule.target_block_interval)
             else:
                 raise ValueError("unknown directive %r" % tag)
-        decimals = schedule.initial_subsidy.decimals
-        events = []
-        state_lines = []
+        events = _Events(write, {asset: schedule.initial_subsidy.decimals})
+        rows, kind, spacing = events.rows, EventKind.MINING_REWARD, rule.target_block_interval
+        state: list[str] = []
         seq = 0
         for start, end in mined:
             for height in range(start, end + 1):
                 if height == start or not height % schedule.halving_interval_blocks:
                     subsidy = block_subsidy(height, schedule).base_units
+                    form = "height %%d subsidy %d\n" % subsidy  # one per era
                 seq += 1
+                # The schedule refuses a negative subsidy, so this quantity is positive.
                 if subsidy:
-                    events.append(ChainEventRecord(
-                        seq, height * rule.target_block_interval, EventKind.MINING_REWARD,
-                        asset, subsidy, price, metadata={"height": str(height)}))
-                state_lines.append("height %d subsidy %d" % (height, subsidy))
-        return serialize_event_file({asset: decimals}, events), "\n".join(state_lines) + "\n"
+                    rows.append((seq, height * spacing, kind, asset, subsidy, price, None, None,
+                                 {"height": str(height)}))
+                state.append(form % height)
+                if len(state) == CHUNK_LINES:
+                    events.flush()
+                    write("state.txt", "".join(state))
+                    state.clear()
+        events.flush()
+        # A replay of no height writes one blank line, as it always has.
+        write("state.txt", "".join(state) if seq else "\n")
 
 
 # --- validators ---
 
 
-def run_validator_scenario(text: str) -> tuple[str, str]:
+def run_validator_scenario(text: str, write) -> None:
     """Replay duty/penalty streams over a validator set."""
     from .consensus import (
         DUTY_BY_TEXT,
@@ -213,8 +250,7 @@ def run_validator_scenario(text: str) -> tuple[str, str]:
                 duty_log.append((fields[1], DUTY_BY_TEXT.get(fields[2]) or DutyEvent(fields[2])))
             else:
                 raise ValueError("unknown directive %r" % tag)
-        events = []
-        seq = 0
+        events = _Events(write, {"ETH": 18})
         for index, (vid, duty) in enumerate(duty_log):
             if vid not in validators:
                 raise LineError(0, "duty for unknown validator %s" % vid)
@@ -226,17 +262,13 @@ def run_validator_scenario(text: str) -> tuple[str, str]:
             validators[vid] = after
             loss = before.stake.base_units - after.stake.base_units
             if loss:
-                seq += 1
                 meta = {"validator": vid, "deduction": "1"}
                 if after.status is ValidatorStatus.SLASHED:
                     meta["slashing"] = "1"
-                events.append(
-                    ChainEventRecord(
-                        seq, index, EventKind.SPEND, "ETH", loss, price, metadata=meta
-                    )
-                )
+                events.add(index, EventKind.SPEND, "ETH", loss, price, meta)
+        events.flush()
         state_lines = [
             "%s stake=%d status=%s" % (vid, v.stake.base_units, v.status.value)
             for vid, v in sorted(validators.items())
         ]
-        return serialize_event_file({"ETH": 18}, events), "\n".join(state_lines) + "\n"
+        write("state.txt", "\n".join(state_lines) + "\n")

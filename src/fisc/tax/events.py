@@ -177,20 +177,30 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
     return decimals, records
 
 
-def serialize_event_file(decimals: dict[str, int], records: list[ChainEventRecord]) -> str:
+def serialize_event_file(decimals: dict[str, int], records, prices: dict | None = None) -> str:
+    """The text of an event file: an `asset` line per entry of `decimals`,
+    then an `event` line per record, a ChainEventRecord or a plain tuple of
+    its fields. A file written in chunks is this text of each chunk, with
+    `decimals` given to the first and one `prices` dict to all of them, so
+    that each distinct price is rendered once."""
     lines = ["asset %s %d" % (asset, d) for asset, d in sorted(decimals.items())]
-    prices: dict[tuple[int, int], str] = {}  # each price rendered once; ints hash fast
-    for r in records:
-        key = r.fmv_unit.numerator, r.fmv_unit.denominator
-        line = "event seq=%d ts=%d kind=%s asset=%s qty=%d fmv=%s" % (
-            r.seq, r.timestamp, r.kind._value_, r.asset, r.quantity,
-            prices.get(key) or prices.setdefault(key, format_rational(r.fmv_unit)),
-        )
-        if r.counterparty_address:
-            line += " counterparty=%s" % r.counterparty_address
-        if r.specid_lot:
-            line += " specid=" + ",".join(map(str, r.specid_lot))
-        for name in sorted(r.metadata):
-            line += " meta.%s=%s" % (name, r.metadata[name])
+    if prices is None:
+        prices = {}  # (numerator, denominator) -> text; ints hash fast
+    form = kind0 = asset0 = fmv0 = None
+    for seq, stamp, kind, asset, qty, fmv, counterparty, specid, metadata in records:
+        # The constant part of a line, joined once per run of one kind, asset and price.
+        if kind is not kind0 or fmv is not fmv0 or asset != asset0:
+            kind0, asset0, fmv0 = kind, asset, fmv
+            key = fmv.numerator, fmv.denominator
+            form = "event seq=%%d ts=%%d kind=%s asset=%s qty=%%d fmv=%s" % (
+                kind._value_, asset.replace("%", "%%"),
+                prices.get(key) or prices.setdefault(key, format_rational(fmv)))
+        line = form % (seq, stamp, qty)
+        if counterparty:
+            line += " counterparty=%s" % counterparty
+        if specid:
+            line += " specid=" + ",".join(map(str, specid))
+        for name in sorted(metadata):
+            line += " meta.%s=%s" % (name, metadata[name])
         lines.append(line)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import fcntl
 import hashlib
 import json
 import os
@@ -14,11 +15,16 @@ import pytest
 
 import fisc
 import fisc.cli
-from fisc.amounts import format_rational, parse_rational
+from fisc.amounts import Amount, format_rational, parse_rational
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
-from fisc.scenarios import run_chain_scenario, run_pool_scenario, run_validator_scenario
+from fisc.scenarios import (
+    CHUNK_LINES,
+    run_chain_scenario,
+    run_pool_scenario,
+    run_validator_scenario,
+)
 from fisc.tax.engine import compute_report
-from fisc.tax.events import parse_event_file
+from fisc.tax.events import ChainEventRecord, parse_event_file, serialize_event_file
 from fisc.tax.lots import AccountingMethod
 from fisc.tax.policy import JurisdictionPolicy
 
@@ -111,6 +117,13 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def replay(runner, text: str) -> dict[str, list[str]]:
+    """The chunks a scenario runner writes, by output name."""
+    chunks: dict[str, list[str]] = {}
+    runner(text, lambda name, chunk: chunks.setdefault(name, []).append(chunk))
+    return chunks
 
 
 class TestReport:
@@ -495,8 +508,11 @@ class TestSimulate:
             ("chain", "schedule initial=%s\nmine start=0 end=0\n" % ("9" * 4_296)),
             ("pool", "pool reserve_x=%s reserve_y=100\n" % ("9" * 4_296)),
             ("validators", "validator v1 stake=%s\n" % ("9" * 4_296)),
+            # Rendered with the first chunk, while the swaps are still read.
+            ("pool", "pool reserve_x=0 reserve_y=0\ndeposit owner=a x=1e4299 y=1e4299\n"
+             + "swap in=1\n" * 2_100),
         ],
-        ids=["chain", "pool", "validators"],
+        ids=["chain", "pool", "validators", "pool-mid-stream"],
     )
     def test_unprintable_output_exit_3(self, tmp_path, capsys, kind, text):
         scenario = write(tmp_path, "big.scn", text)
@@ -652,14 +668,93 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kind", sorted(REPLAYS))
     def test_replay_builds_no_fraction_per_item(self, kind):
+        """Nor any event record: each line is rendered from plain values."""
         runner, allowed, scenario = self.REPLAYS[kind]
         counts = []
         for n in (100, 1_000):
             text = scenario(n)
-            with counting() as count:
-                runner(text)
+            with counting() as count, counting(ChainEventRecord) as events:
+                runner(text, lambda name, chunk: None)
+            assert events[0] == 0
             counts.append(count[0])
         assert counts[1] - counts[0] <= allowed * 900, counts
+
+    @pytest.mark.parametrize("kind", sorted(REPLAYS))
+    def test_event_file_streams_across_chunk_boundaries(self, kind):
+        """Over 12,288 events, three chunks and more: the event file is what
+        serialize_event_file makes of the records parsed from it, and every
+        chunk but the last holds CHUNK_LINES events."""
+        runner, _, scenario = self.REPLAYS[kind]
+        text = {"chain": "schedule interval=100000\nmine start=0 end=12999\n",
+                "pool": scenario(13_000), "validators": scenario(18_000)}[kind]
+        chunks = replay(runner, text)
+        events = "".join(chunks["events.fisc"])
+        assert serialize_event_file(*parse_event_file(events)) == events
+        counts = [chunk.count("\nevent ") + chunk.startswith("event ")
+                  for chunk in chunks["events.fisc"]]
+        assert len(counts) >= 4 and set(counts[:-1]) == {CHUNK_LINES}, counts
+
+    def test_chain_replay_memory_is_bounded(self):
+        """The chain runner holds one chunk, not every height: ten times the
+        blocks, written to a hashing sink, peak within 1.5 times the memory."""
+        peaks = []
+        for blocks in (20_000, 200_000):
+            text = "schedule interval=50000\nprice fmv=30000.5\nmine start=0 end=%d\n" % (
+                blocks - 1)
+            digest = hashlib.sha256()
+            tracemalloc.start()
+            try:
+                run_chain_scenario(text, lambda name, chunk: digest.update(chunk.encode()))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize(
+        "kind,tail,code,message",
+        [("pool", "swap in=1 dir=bad\n", EXIT_PARSE, ":%d: dir must be x2y or y2x, got 'bad'"),
+         ("validators", "duty v99 missed_source\n", EXIT_POLICY,
+          ":0: duty for unknown validator v99")],
+        ids=["pool-bad-swap", "validators-unknown-duty"],
+    )
+    def test_fault_after_a_chunk_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                      kind, tail, code, message):
+        scenario = self.REPLAYS[kind][2]
+        text = scenario(9_000) + tail  # two chunks or more before the fault
+        out = tmp_path / "o"
+        good = write(tmp_path, "good.scn", scenario(10))
+        assert main(["simulate", kind, str(good), "--out", str(out)]) == EXIT_OK
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        written = []
+        staged_write = fisc.cli._Staged.write
+
+        def spy(self, name, chunk):
+            written.append(name)
+            staged_write(self, name, chunk)
+
+        monkeypatch.setattr(fisc.cli._Staged, "write", spy)
+        bad = write(tmp_path, "bad.scn", text)
+        assert main(["simulate", kind, str(bad), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == "%s%s\n" % (bad, message.replace("%d", str(text.count("\n")))), err
+        assert written and set(written) == {"events.fisc"}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+        assert sorted(os.listdir(tmp_path)) == ["bad.scn", "good.scn", "o"]
+
+    def test_validator_stake_gain_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A penalty that raised a stake would be a negative quantity, which
+        no event may carry: the run stops as the event parser would."""
+        import fisc.consensus
+
+        def reward(v, duty, params):
+            return fisc.consensus.Validator(v.id, Amount(v.stake.base_units + 1, 18))
+
+        monkeypatch.setattr(fisc.consensus, "apply_penalty_or_slash", reward)
+        scenario = write(tmp_path, "v.scn", VALIDATOR_SCENARIO)
+        out = tmp_path / "o"
+        assert main(["simulate", "validators", str(scenario), "--out", str(out)]) == EXIT_POLICY
+        assert capsys.readouterr().err == "%s:0: quantity must be non-negative\n" % scenario
+        assert os.listdir(tmp_path) == ["v.scn"]
 
 
 class TestAttrib:
@@ -888,7 +983,6 @@ class TestAttrib:
         """A transfer computes only what the run writes: no event record,
         and no more Fractions than its proceeds and their withholding."""
         from fisc.attribution.scenario import parse_attribution_scenario, run_attribution_scenario
-        from fisc.tax.events import ChainEventRecord
 
         counts = []
         for transfers in (200, 2_000):
@@ -1046,6 +1140,70 @@ class TestOutputContract:
         assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
         assert sorted(os.listdir(tmp_path)) == ["events.fisc", "o"]
         assert sorted(os.listdir(out)) == ["ledger.csv", "manifest.json", "totals.json"]
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new-out", "existing-out"])
+    def test_killed_run_staging_is_removed_by_the_next_run(self, tmp_path, exists):
+        """A run killed mid-stream leaves its staging directory, partly
+        written, and its lock free: the next run into --out removes it."""
+        small = write(tmp_path, "small.scn", CHAIN_SCENARIO)
+        out = tmp_path / "o"
+        if exists:
+            assert main(["simulate", "chain", str(small), "--out", str(out)]) == EXIT_OK
+        big = write(tmp_path, "big.scn", "schedule interval=1000000\nmine start=0 end=5000000\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(fisc.__file__).parents[1]))
+        child = subprocess.Popen([sys.executable, "-m", "fisc.cli", "simulate", "chain", str(big),
+                                  "--out", str(out)], env=env, stderr=subprocess.DEVNULL)
+        staging = (out if exists else tmp_path) / (".o.%d.tmp" % child.pid)
+        try:
+            deadline = time.monotonic() + 60
+            while not (staging / "events.fisc").exists():  # a chunk is out
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.wait()
+        assert (staging / "lock").exists()
+        assert main(["simulate", "chain", str(small), "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path)) == ["big.scn", "o", "small.scn"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted([*manifest["outputs"], "manifest.json"])
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_staging_directory_is_locked_before_it_appears(self, tmp_path, monkeypatch):
+        """It is made and locked under a private name, then renamed into
+        place, so no run finds a live run's `.tmp` directory unlocked."""
+        events = write(tmp_path, "events.fisc", EVENTS)
+        renames = []
+        rename = os.rename
+
+        def spy(src, dst):
+            with open(Path(src) / "lock", "rb") as lock, pytest.raises(BlockingIOError):
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            renames.append((Path(src).name, Path(dst).name))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", spy)
+        assert main(["report", str(events), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert renames == [(".o.%d.new" % os.getpid(), ".o.%d.tmp" % os.getpid())]
+
+    def test_live_run_staging_is_kept(self, tmp_path):
+        """A staging directory whose lock is held belongs to a live run, and
+        one without a lock file is not known to be dead: both stay. Once the
+        lock is free, a run into another --out still leaves it alone."""
+        events = write(tmp_path, "events.fisc", EVENTS)
+        live, unknown = tmp_path / ".o.1.tmp", tmp_path / ".o.2.tmp"
+        for path in (live, unknown):
+            path.mkdir()
+            write(path, "ledger.csv", "half written")
+        with open(live / "lock", "wb") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            assert main(["report", str(events), "--out", str(tmp_path / "o")]) == EXIT_OK
+            assert sorted(os.listdir(tmp_path)) == [".o.1.tmp", ".o.2.tmp", "events.fisc", "o"]
+        assert main(["report", str(events), "--out", str(tmp_path / "o2")]) == EXIT_OK
+        assert live.is_dir()
+        assert main(["report", str(events), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path)) == [".o.2.tmp", "events.fisc", "o", "o2"]
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,13 @@ class TestSubsidy:
         block_subsidy(height), and an income event when that is nonzero."""
         text = "schedule initial=%d interval=%d decimals=0\nprice fmv=3/7\n" % (initial, interval)
         text += "".join("mine start=%d end=%d\n" % r for r in ranges)
-        events, state = run_chain_scenario(text)
+        outputs = {"events.fisc": "", "state.txt": ""}
+
+        def write(name, chunk):
+            outputs[name] += chunk
+
+        run_chain_scenario(text, write)
+        events, state = outputs["events.fisc"], outputs["state.txt"]
         schedule = RewardSchedule(Amount(initial, 0), interval)
         heights = [h for start, end in ranges for h in range(start, end + 1)]
         subsidies = [block_subsidy(h, schedule).base_units for h in heights]
