@@ -84,9 +84,15 @@ class Amount(_AmountFields):
     @classmethod
     def from_decimal_str(cls, text: str, decimals: int = BTC_DECIMALS) -> "Amount":
         """Parse a decimal string like '2.5' (or a/b) into base units, exactly;
-        a value finer than one base unit is refused, not truncated."""
-        value = parse_rational(text)
-        units, rest = divmod(value.numerator * 10**decimals, value.denominator)
+        a value finer than one base unit is refused, not truncated. Plain
+        `digits[.digits]` is read off its digits, as Fraction reads them."""
+        whole, dot, fraction = text.partition(".")
+        if whole.isdigit() and (fraction.isdigit() or not dot) and text.isascii():
+            num, den = int(whole) * 10 ** len(fraction) + int(fraction or 0), 10 ** len(fraction)
+        else:
+            value = parse_rational(text)
+            num, den = value.numerator, value.denominator
+        units, rest = divmod(num * 10**decimals, den)
         if rest:
             raise ValueError("%r is not representable with %d decimals" % (text, decimals))
         return cls(units, decimals)

@@ -2,29 +2,39 @@
 
 Subsidy schedule, block interval, miner expectation, issuance scaling,
 attestation scoring, penalties/slashing, and MEV block accounting.
+
+The value types are immutable tuples (`NamedTuple`s), each checked as it
+is built, and the penalty rule works on an `int` stake, so that a
+`simulate` process, which imports this module, loads no `dataclasses`
+and its validators replay builds no object per duty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .amounts import SATOSHI_PER_BTC, Amount
 
 
-@dataclass(frozen=True)
-class RewardSchedule:
+class _ScheduleFields(NamedTuple):
     initial_subsidy: Amount = Amount(50 * SATOSHI_PER_BTC)
     halving_interval_blocks: int = 210_000
     supply_cap: Amount = Amount(21_000_000 * SATOSHI_PER_BTC)
 
-    def __post_init__(self):
-        if self.halving_interval_blocks <= 0:
+
+class RewardSchedule(_ScheduleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        schedule = super().__new__(cls, *args, **kwargs)
+        if schedule.halving_interval_blocks <= 0:
             raise ValueError("halving interval must be positive")
-        if self.initial_subsidy.is_negative:
+        if schedule.initial_subsidy.is_negative:
             raise ValueError("initial subsidy must be non-negative")
+        return schedule
 
 
 def block_subsidy(height: int, schedule: RewardSchedule = RewardSchedule()) -> Amount:
@@ -50,14 +60,19 @@ def total_issuance(schedule: RewardSchedule = RewardSchedule()) -> Amount:
     return Amount(total, schedule.initial_subsidy.decimals)
 
 
-@dataclass(frozen=True)
-class RetargetRule:
+class _RetargetFields(NamedTuple):
     window_blocks: int = 2016
     target_block_interval: int = 600
 
-    def __post_init__(self):
-        if self.window_blocks <= 0 or self.target_block_interval <= 0:
+
+class RetargetRule(_RetargetFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rule = super().__new__(cls, *args, **kwargs)
+        if rule.window_blocks <= 0 or rule.target_block_interval <= 0:
             raise ValueError("window and interval must be positive")
+        return rule
 
 
 def mining_expectation(
@@ -89,28 +104,7 @@ def collision_time_years(hash_rate_per_second: int) -> float:
 # --- proof of stake ---
 
 
-class ValidatorStatus(Enum):
-    ACTIVE = "active"
-    SLASHED = "slashed"
-
-
-ETH_STAKE_WEI = 32 * 10**18
-
-
-@dataclass(frozen=True)
-class Validator:
-    id: str
-    stake: Amount = Amount(ETH_STAKE_WEI, 18)
-    effective: bool = True
-    status: ValidatorStatus = ValidatorStatus.ACTIVE
-
-    def __post_init__(self):
-        if self.stake.is_negative:
-            raise ValueError("stake must be non-negative")
-
-
-@dataclass(frozen=True)
-class PosParams:
+class PosParams(NamedTuple):
     issuance_coefficient: Fraction = Fraction(1)
     return_coefficient: Fraction = Fraction(1)
     missed_source_penalty: Fraction = Fraction(1, 100_000)
@@ -164,23 +158,19 @@ class DutyEvent(Enum):
 DUTY_BY_TEXT = {duty.value: duty for duty in DutyEvent}  # without Enum.__call__
 
 
-class SlashedValidatorError(Exception):
-    pass
-
-
-def apply_penalty_or_slash(
-    v: Validator, event: DutyEvent, params: PosParams = PosParams()
-) -> Validator:
-    """Deduct the configured penalty, or slash and eject for equivocation.
+def penalty_or_slash(
+    stake: int, event: DutyEvent, params: PosParams = PosParams()
+) -> tuple[int, bool]:
+    """(stake left, whether the event slashes) for an active validator's
+    duty event: the configured penalty is deducted, and equivocation
+    slashes, which ejects the validator from every later duty.
 
     Missed head votes carry no penalty; a missed sync duty forfeits
     exactly the reward it would have earned.
     """
-    if v.status is not ValidatorStatus.ACTIVE:
-        raise SlashedValidatorError("validator %s is not active" % v.id)
     if event is DutyEvent.MISSED_HEAD:
-        return v
-    slashed = event in (DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE)
+        return stake, False
+    slashed = event is DutyEvent.DOUBLE_PROPOSAL or event is DutyEvent.DOUBLE_VOTE
     if slashed:
         rate = params.slash_fraction
     elif event is DutyEvent.MISSED_SOURCE:
@@ -191,23 +181,24 @@ def apply_penalty_or_slash(
         rate = params.sync_duty_reward
     else:
         raise ValueError("unknown duty event %r" % event)
-    stake, decimals = v.stake
-    stake -= stake * rate.numerator // rate.denominator
-    if slashed:
-        return Validator(v.id, Amount(stake, decimals), False, ValidatorStatus.SLASHED)
-    return Validator(v.id, Amount(stake, decimals), v.effective, v.status)
+    return stake - stake * rate.numerator // rate.denominator, slashed
 
 
-@dataclass(frozen=True)
-class AttestationVote:
+class _VoteFields(NamedTuple):
     correct_source: bool
     correct_target: bool
     correct_head: bool
     delay_slots: int
 
-    def __post_init__(self):
-        if self.delay_slots < 1:
+
+class AttestationVote(_VoteFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        vote = super().__new__(cls, *args, **kwargs)
+        if vote.delay_slots < 1:
             raise ValueError("inclusion delay is at least one slot")
+        return vote
 
 
 def attestation_score(vote: AttestationVote) -> frozenset[str]:
@@ -234,8 +225,7 @@ def attestation_score(vote: AttestationVote) -> frozenset[str]:
 # --- MEV accounting ---
 
 
-@dataclass(frozen=True)
-class MevBlockAccounting:
+class MevBlockAccounting(NamedTuple):
     block_reward_to_builder: Amount
     searcher_payments: tuple[Amount, ...] = ()
     proposer_payout: Amount = Amount(0, 18)

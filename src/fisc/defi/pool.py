@@ -1,13 +1,14 @@
 """Constant-product pool mechanics and LP position accounting.
 
 Reserves are integer base units; swap and withdrawal rounding always
-favors the pool so the product invariant never decreases.
+favors the pool so the product invariant never decreases. The pool and
+its positions are plain `__slots__` classes, so a `simulate pool`
+process loads no `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 EQUAL_VALUE_TOLERANCE = Fraction(1, 1000)
@@ -21,24 +22,22 @@ class DustOutput(PoolError):
     pass
 
 
-@dataclass
 class LpPosition:
-    owner: str
-    lp_units: int
-    x_in: int
-    y_in: int
+    __slots__ = ("owner", "lp_units", "x_in", "y_in")
+
+    def __init__(self, owner: str, lp_units: int, x_in: int, y_in: int):
+        self.owner, self.lp_units, self.x_in, self.y_in = owner, lp_units, x_in, y_in
 
 
-@dataclass
 class LiquidityPool:
     """x*y=K pair. reserve_x / reserve_y are base units of the two assets."""
 
-    reserve_x: int = 0
-    reserve_y: int = 0
-    fee_rate: Fraction = Fraction(3, 1_000)
-    total_lp_units: int = 0
+    __slots__ = ("reserve_x", "reserve_y", "fee_rate", "total_lp_units")
 
-    def __post_init__(self):
+    def __init__(self, reserve_x: int = 0, reserve_y: int = 0,
+                 fee_rate: Fraction = Fraction(3, 1_000), total_lp_units: int = 0):
+        self.reserve_x, self.reserve_y = reserve_x, reserve_y
+        self.fee_rate, self.total_lp_units = fee_rate, total_lp_units
         if self.reserve_x < 0 or self.reserve_y < 0:
             raise ValueError("reserves must be non-negative")
         if (self.reserve_x == 0) != (self.reserve_y == 0):

@@ -10,6 +10,12 @@ asset id, price or timestamp the event parser would refuse is refused at
 its scenario line by the parser's own checks, so `report` reads every
 event file `simulate` writes.
 
+Each runner's directives name their positional tokens and the keys they
+take, so a line with too few or too many tokens, or with a key its
+directive does not take, is refused at its line, not ignored. The
+validators replay keeps each stake as an int of wei, and a swap reads its
+input as one Amount, without a Fraction.
+
 Each runner imports its engine itself (`fisc.defi.pool` or
 `fisc.consensus`): every `fisc` command is a new process that compiles
 what it imports, and `report` and the other runners need none of them.
@@ -24,12 +30,40 @@ from .lineformat import LineError, LineReader, pairs
 from .tax.events import (
     EventKind,
     check_asset_id,
+    check_quantity,
     check_timestamp,
     parse_fmv,
     serialize_event_file,
 )
 
 CHUNK_LINES = 4096
+
+
+def _directives(*forms: str) -> dict[str, tuple[int, frozenset[str], str]]:
+    """name -> (positional token count, keys, form) of each directive form
+    `name <token>... key=...`."""
+    table = {}
+    for form in forms:
+        name, *tokens = form.split()
+        keys = frozenset(token[:-4] for token in tokens if token.endswith("=..."))
+        table[name] = (len(tokens) - len(keys), keys, form)
+    return table
+
+
+def _directive(fields: list[str], directives: dict) -> tuple[list[str], dict[str, str]]:
+    """A scenario line's positional tokens and `key=value` fields: it names
+    one of `directives`, holds that directive's tokens and, if the directive
+    takes no keys, nothing more, else only fields with keys it takes."""
+    form = directives.get(fields[0])
+    if form is None:
+        raise ValueError("unknown directive %r" % fields[0])
+    count, keys, usage = form
+    if len(fields) <= count or (len(fields) > count + 1 and not keys):
+        raise ValueError("usage: " + usage)
+    kv = pairs(fields[count + 1:])
+    if not kv.keys() <= keys:
+        raise ValueError("unknown %s key %r" % (fields[0], next(k for k in kv if k not in keys)))
+    return fields[1:count + 1], kv
 
 
 class _Events:
@@ -43,9 +77,8 @@ class _Events:
 
     def add(self, stamp: int, kind: EventKind, asset: str, qty: int, fmv: Fraction,
             metadata: dict[str, str]) -> None:
-        if qty <= 0:  # what ChainEventRecord refuses
-            raise ValueError("quantity must be positive for %s" % kind.value if qty == 0
-                             else "quantity must be non-negative")
+        if qty <= 0:
+            check_quantity(qty, kind)
         self.seq += 1
         self.rows.append((self.seq, stamp, kind, asset, qty, fmv, None, None, metadata))
         if len(self.rows) == CHUNK_LINES:
@@ -63,6 +96,11 @@ class _Events:
 
 
 # --- pool ---
+
+_POOL_DIRECTIVES = _directives(
+    "pool reserve_x=... reserve_y=... fee=... decimals=... asset_x=... asset_y=...",
+    "price x=... y=...", "time at=...", "deposit owner=... x=... y=...", "swap in=... dir=...",
+    "withdraw owner=...")
 
 
 def run_pool_scenario(text: str, write) -> None:
@@ -82,7 +120,10 @@ def run_pool_scenario(text: str, write) -> None:
 
     with LineReader(text) as lines:
         for fields in lines:
-            tag, kv = fields[0], pairs(fields[1:])
+            tag = fields[0]
+            if pool is None and tag != "pool":
+                raise ValueError("pool must be declared first")
+            _, kv = _directive(fields, _POOL_DIRECTIVES)
             if tag == "pool":
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 asset_x = check_asset_id(kv.get("asset_x", "X"))
@@ -97,8 +138,6 @@ def run_pool_scenario(text: str, write) -> None:
                 if declared is not None:
                     raise ValueError("the pool is already declared")
                 events = _Events(write, {asset_x: decimals, asset_y: decimals})
-            elif pool is None:
-                raise ValueError("pool must be declared first")
             elif tag == "price":
                 price_x = parse_fmv(kv.get("x", "1"))
                 price_y = parse_fmv(kv.get("y", "1"))
@@ -128,7 +167,7 @@ def run_pool_scenario(text: str, write) -> None:
                 bought = asset_y if x_to_y else asset_x
                 emit(EventKind.SWAP, sold, amount_in, price_x if x_to_y else price_y)
                 emit(EventKind.PURCHASE, bought, out, price_y if x_to_y else price_x)
-            elif tag == "withdraw":
+            else:  # withdraw
                 owner = kv["owner"]
                 if owner not in positions:
                     raise ValueError("owner %r has no open position" % owner)
@@ -137,8 +176,6 @@ def run_pool_scenario(text: str, write) -> None:
                     emit(EventKind.LP_WITHDRAWAL, asset_x, x_out, price_x, owner=owner)
                 if y_out:
                     emit(EventKind.LP_WITHDRAWAL, asset_y, y_out, price_y, owner=owner)
-            else:
-                raise ValueError("unknown directive %r" % tag)
         if pool is None:
             raise LineError(0, "scenario declares no pool")
         events.flush()
@@ -147,6 +184,10 @@ def run_pool_scenario(text: str, write) -> None:
 
 
 # --- chain ---
+
+_CHAIN_DIRECTIVES = _directives(
+    "schedule initial=... interval=... decimals=...", "retarget window=... interval=...",
+    "price fmv=...", "asset id=...", "mine start=... end=...")
 
 
 def run_chain_scenario(text: str, write) -> None:
@@ -166,7 +207,7 @@ def run_chain_scenario(text: str, write) -> None:
     asset = "BTC"
     with LineReader(text) as lines:
         for fields in lines:
-            tag, kv = fields[0], pairs(fields[1:])
+            tag, (_, kv) = fields[0], _directive(fields, _CHAIN_DIRECTIVES)
             if tag == "schedule":
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 schedule = RewardSchedule(
@@ -183,7 +224,7 @@ def run_chain_scenario(text: str, write) -> None:
                 price = parse_fmv(kv["fmv"])
             elif tag == "asset":
                 asset = check_asset_id(kv["id"])
-            elif tag == "mine":
+            else:  # mine
                 start, end = int(kv["start"]), int(kv["end"])
                 if start < 0:
                     raise ValueError("height must be non-negative")
@@ -191,8 +232,6 @@ def run_chain_scenario(text: str, write) -> None:
                 if start <= end and end > top:
                     top = end
                     check_timestamp(top * rule.target_block_interval)
-            else:
-                raise ValueError("unknown directive %r" % tag)
         events = _Events(write, {asset: schedule.initial_subsidy.decimals})
         rows, kind, spacing = events.rows, EventKind.MINING_REWARD, rule.target_block_interval
         state: list[str] = []
@@ -219,56 +258,53 @@ def run_chain_scenario(text: str, write) -> None:
 
 # --- validators ---
 
+_VALIDATOR_DIRECTIVES = _directives(
+    "validator <id> stake=...", "price fmv=...", "duty <validator> <event>")
+
 
 def run_validator_scenario(text: str, write) -> None:
-    """Replay duty/penalty streams over a validator set."""
-    from .consensus import (
-        DUTY_BY_TEXT,
-        DutyEvent,
-        PosParams,
-        SlashedValidatorError,
-        Validator,
-        ValidatorStatus,
-        apply_penalty_or_slash,
-    )
+    """Replay duty/penalty streams over a validator set, each stake an int
+    of wei; a slashed validator's later duties are skipped."""
+    from .consensus import DUTY_BY_TEXT, DutyEvent, PosParams, penalty_or_slash
 
     params = PosParams()
     price = Fraction(0)
-    validators: dict[str, Validator] = {}
+    stakes: dict[str, int] = {}
+    slashed: set[str] = set()
     duty_log: list[tuple[str, DutyEvent]] = []
     with LineReader(text) as lines:
         for fields in lines:
-            tag = fields[0]
+            tag, (args, kv) = fields[0], _directive(fields, _VALIDATOR_DIRECTIVES)
             if tag == "validator":
-                vid, kv = fields[1], pairs(fields[2:])
-                validator = Validator(vid, Amount.from_decimal_str(kv.get("stake", "32"), 18))
-                if validators.setdefault(vid, validator) is not validator:
-                    raise ValueError("validator %s is already declared" % vid)
+                stake = Amount.from_decimal_str(kv.get("stake", "32"), 18).base_units
+                if stake < 0:
+                    raise ValueError("stake must be non-negative")
+                if args[0] in stakes:
+                    raise ValueError("validator %s is already declared" % args[0])
+                stakes[args[0]] = stake
             elif tag == "price":
-                price = parse_fmv(pairs(fields[1:])["fmv"])
-            elif tag == "duty":
-                duty_log.append((fields[1], DUTY_BY_TEXT.get(fields[2]) or DutyEvent(fields[2])))
-            else:
-                raise ValueError("unknown directive %r" % tag)
+                price = parse_fmv(kv["fmv"])
+            else:  # duty
+                duty_log.append((args[0], DUTY_BY_TEXT.get(args[1]) or DutyEvent(args[1])))
         events = _Events(write, {"ETH": 18})
         for index, (vid, duty) in enumerate(duty_log):
-            if vid not in validators:
+            if vid not in stakes:
                 raise LineError(0, "duty for unknown validator %s" % vid)
-            before = validators[vid]
-            try:
-                after = apply_penalty_or_slash(before, duty, params)
-            except SlashedValidatorError:
+            if vid in slashed:
                 continue
-            validators[vid] = after
-            loss = before.stake.base_units - after.stake.base_units
+            before = stakes[vid]
+            stakes[vid], slashes = penalty_or_slash(before, duty, params)
+            loss = before - stakes[vid]
+            if slashes:
+                slashed.add(vid)
             if loss:
                 meta = {"validator": vid, "deduction": "1"}
-                if after.status is ValidatorStatus.SLASHED:
+                if slashes:
                     meta["slashing"] = "1"
                 events.add(index, EventKind.SPEND, "ETH", loss, price, meta)
         events.flush()
         state_lines = [
-            "%s stake=%d status=%s" % (vid, v.stake.base_units, v.status.value)
-            for vid, v in sorted(validators.items())
+            "%s stake=%d status=%s" % (vid, stake, "slashed" if vid in slashed else "active")
+            for vid, stake in sorted(stakes.items())
         ]
         write("state.txt", "\n".join(state_lines) + "\n")

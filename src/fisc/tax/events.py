@@ -83,10 +83,7 @@ class ChainEventRecord(_EventFields):
 
     def __new__(cls, seq, timestamp, kind, asset, quantity, fmv_unit,
                 counterparty_address=None, specid_lot=None, metadata=None):
-        if quantity < 0:
-            raise ValueError("quantity must be non-negative")
-        if quantity == 0 and kind is not EventKind.SELF_TRANSFER:
-            raise ValueError("quantity must be positive for %s" % kind.value)
+        check_quantity(quantity, kind)
         return tuple.__new__(cls, (seq, timestamp, kind, asset, quantity, fmv_unit,
                                    counterparty_address, specid_lot,
                                    {} if metadata is None else metadata))
@@ -94,6 +91,15 @@ class ChainEventRecord(_EventFields):
     def date_str(self) -> str:
         # Four-digit years: strftime("%Y") may print year 1 as "1".
         return datetime.fromtimestamp(self.timestamp, tz=timezone.utc).date().isoformat()
+
+
+def check_quantity(quantity: int, kind: EventKind) -> None:
+    """Refuse a quantity no event may carry: a negative one, or 0 in any
+    event but a fee-only self transfer."""
+    if quantity < 0:
+        raise ValueError("quantity must be non-negative")
+    if quantity == 0 and kind is not EventKind.SELF_TRANSFER:
+        raise ValueError("quantity must be positive for %s" % kind.value)
 
 
 # 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z, the ends of datetime's range.
@@ -144,10 +150,13 @@ class _Prices(dict):
 
 
 def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]:
-    """Parse an event file into (asset decimals, ordered records)."""
+    """Parse an event file into (asset decimals, ordered records). Each
+    record is built as a plain tuple once it has passed ChainEventRecord's
+    checks, made here in the order its construction makes them."""
     decimals: dict[str, int] = {}
     records: list[ChainEventRecord] = []
     prices = _Prices()
+    new = tuple.__new__
     with LineReader(text) as lines:
         for fields in lines:
             tag = fields[0]
@@ -165,15 +174,17 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
             if asset not in decimals:
                 raise ValueError("asset %r not declared" % asset)
             meta = {}
-            for key in kv:
-                if key[:5] == "meta.":
-                    meta[key[5:]] = kv[key]
-            records.append(ChainEventRecord(
-                int(kv["seq"]), _parse_timestamp(kv["ts"]), kind, asset, int(kv["qty"]),
-                prices[kv["fmv"]], kv.get("counterparty"),
-                tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None,
-                meta,
-            ))
+            if len(kv) > 6:  # more than seq, ts, kind, asset, qty and fmv
+                for key in kv:
+                    if key[:5] == "meta.":
+                        meta[key[5:]] = kv[key]
+            seq, stamp, qty = int(kv["seq"]), _parse_timestamp(kv["ts"]), int(kv["qty"])
+            fmv = prices[kv["fmv"]]
+            specid = tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None
+            if qty <= 0:
+                check_quantity(qty, kind)
+            records.append(new(ChainEventRecord, (seq, stamp, kind, asset, qty, fmv,
+                                                  kv.get("counterparty"), specid, meta)))
     return decimals, records
 
 

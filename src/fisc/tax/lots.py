@@ -16,6 +16,7 @@ disposal names instead.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -143,7 +144,7 @@ class LotStore(Book):
 
     def __init__(self, records, policy, decimals, price_places=None):
         super().__init__(records, policy, decimals, price_places)
-        self._open: dict[str, dict[int, Lot]] = {}
+        self._open: dict[str, dict[int, Lot]] = defaultdict(dict)
         self._open_qty: dict[str, int] = {}
         self._heaps: dict[str, list[tuple]] = {}
         self._next_id = 1
@@ -175,7 +176,7 @@ class LotStore(Book):
         """Record an acquisition as a new lot."""
         lot = Lot(self._next_id, asset, qty, unit_basis, acquired_at)
         self._next_id += 1
-        self._open.setdefault(asset, {})[lot.lot_id] = lot
+        self._open[asset][lot.lot_id] = lot
         self._open_qty[asset] = self._open_qty.get(asset, 0) + qty
         heap = self._heaps.get(asset)
         if heap is not None:

@@ -570,6 +570,12 @@ class TestSimulate:
             ("pool", "pool reserve_x=1 reserve_y=1 asset_x=AAA asset_y=BBB decimals=6",
              "the pool is already declared"),
             ("validators", "validator v1 stake=64", "validator v1 is already declared"),
+            # Each directive takes its own keys and token count, and no others.
+            ("pool", "swap in=1.5 dirr=y2x", "unknown swap key 'dirr'"),
+            ("chain", "schedule interval=300 intial=25", "unknown schedule key 'intial'"),
+            ("validators", "duty v1 missed_head surplus", "usage: duty <validator> <event>"),
+            ("validators", "duty v1", "usage: duty <validator> <event>"),
+            ("validators", "validator", "usage: validator <id> stake=..."),
         ],
     )
     def test_replay_fault_exit_2_with_line(self, tmp_path, capsys, kind, line, message):
@@ -653,17 +659,21 @@ class TestSimulate:
         )
         assert (out / "events.fisc").read_text().count("kind=mining_reward") == 1
 
-    # Scenarios of n swaps, duties or heights, and the Fractions each may
-    # build per item: a swap parses its in=; duties and heights count in ints.
+    # Scenarios of n swaps, duties or heights, and the Fractions and Amounts
+    # each may build per item: a swap reads its in= as one Amount, and duties
+    # count in ints. Heights count in ints, with one Amount per era.
     REPLAYS = {
-        "pool": (run_pool_scenario, 1, lambda n: "pool reserve_x=100000 reserve_y=200000\n"
-                 "price x=2 y=1\n" + "swap in=1.5 dir=x2y\nswap in=3 dir=y2x\n" * (n // 2)),
-        "validators": (run_validator_scenario, 0, lambda n: "price fmv=2000.25\n"
+        "pool": (run_pool_scenario, {Fraction: 0, Amount: 1},
+                 lambda n: "pool reserve_x=100000 reserve_y=200000\nprice x=2 y=1\n"
+                 + "swap in=1.5 dir=x2y\nswap in=3 dir=y2x\n" * (n // 2)),
+        "validators": (run_validator_scenario, {Fraction: 0, Amount: 0},
+                       lambda n: "price fmv=2000.25\n"
                        + "".join("validator v%d stake=32\n" % i for i in range(10))
                        + "duty v9 double_vote\n"
                        + "".join("duty v%d %s\n" % (i % 10, DUTIES[i % 4]) for i in range(n))),
-        "chain": (run_chain_scenario, 0, lambda n: "schedule interval=300\nprice fmv=30000.5\n"
-                  "mine start=0 end=%d\n" % (n - 1)),
+        "chain": (run_chain_scenario, {Fraction: 0},
+                  lambda n: "schedule interval=300\nprice fmv=30000.5\nmine start=0 end=%d\n"
+                  % (n - 1)),
     }
 
     @pytest.mark.parametrize("kind", sorted(REPLAYS))
@@ -673,11 +683,13 @@ class TestSimulate:
         counts = []
         for n in (100, 1_000):
             text = scenario(n)
-            with counting() as count, counting(ChainEventRecord) as events:
+            with counting() as fractions, counting(Amount) as amounts, \
+                    counting(ChainEventRecord) as events:
                 runner(text, lambda name, chunk: None)
             assert events[0] == 0
-            counts.append(count[0])
-        assert counts[1] - counts[0] <= allowed * 900, counts
+            counts.append({Fraction: fractions[0], Amount: amounts[0]})
+        for counted, per_item in allowed.items():
+            assert counts[1][counted] - counts[0][counted] <= per_item * 900, counts
 
     @pytest.mark.parametrize("kind", sorted(REPLAYS))
     def test_event_file_streams_across_chunk_boundaries(self, kind):
@@ -746,10 +758,10 @@ class TestSimulate:
         no event may carry: the run stops as the event parser would."""
         import fisc.consensus
 
-        def reward(v, duty, params):
-            return fisc.consensus.Validator(v.id, Amount(v.stake.base_units + 1, 18))
+        def reward(stake, duty, params):
+            return stake + 1, False
 
-        monkeypatch.setattr(fisc.consensus, "apply_penalty_or_slash", reward)
+        monkeypatch.setattr(fisc.consensus, "penalty_or_slash", reward)
         scenario = write(tmp_path, "v.scn", VALIDATOR_SCENARIO)
         out = tmp_path / "o"
         assert main(["simulate", "validators", str(scenario), "--out", str(out)]) == EXIT_POLICY
@@ -1277,6 +1289,12 @@ def test_cli_import_loads_no_simulation_engine_or_dataclasses():
     assert loaded_by_import(("fisc.consensus", "fisc.blocks", "fisc.addresses",
                              "fisc.ripemd160", "fisc.defi.pool", "fisc.attribution",
                              "dataclasses")) == "[]"
+
+
+def test_simulation_engines_import_no_dataclasses():
+    """`dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`: a cost
+    every `simulate` process would pay before its first line."""
+    assert loaded_by_import("dataclasses", "fisc.cli, fisc.consensus, fisc.defi.pool") == "[]"
 
 
 def test_consensus_import_leaves_blocks_unloaded():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisc.amounts import Amount, btc, eth
-from fisc.scenarios import run_chain_scenario
+from fisc.scenarios import run_chain_scenario, run_validator_scenario
 from fisc.tax.events import parse_event_file
 from fisc.consensus import (
     AttestationVote,
@@ -15,19 +15,18 @@ from fisc.consensus import (
     MevBlockAccounting,
     PosParams,
     RewardSchedule,
-    SlashedValidatorError,
-    Validator,
-    ValidatorStatus,
-    apply_penalty_or_slash,
     attestation_score,
     block_subsidy,
     collision_time_years,
     era_count,
     mev_net_builder_fee,
     mining_expectation,
+    penalty_or_slash,
     pos_issuance_and_return,
     total_issuance,
 )
+
+STAKE = 32 * 10**18
 
 
 class TestSubsidy:
@@ -195,29 +194,20 @@ class TestAttestationScore:
 
 class TestPenalties:
     def test_missed_head_is_free(self):
-        v = Validator("v1")
-        assert apply_penalty_or_slash(v, DutyEvent.MISSED_HEAD) == v
+        assert penalty_or_slash(STAKE, DutyEvent.MISSED_HEAD) == (STAKE, False)
 
     def test_missed_source_deducts_configured_fraction(self):
-        v = Validator("v1")
-        after = apply_penalty_or_slash(v, DutyEvent.MISSED_SOURCE)
-        expected_cut = 32 * 10**18 // 100_000
-        assert v.stake.base_units - after.stake.base_units == expected_cut
+        after, slashed = penalty_or_slash(STAKE, DutyEvent.MISSED_SOURCE)
+        assert STAKE - after == 32 * 10**18 // 100_000 and not slashed
 
     def test_missed_sync_forfeits_the_reward(self):
         params = PosParams()
-        v = Validator("v1")
-        after = apply_penalty_or_slash(v, DutyEvent.MISSED_SYNC, params)
-        cut = v.stake.base_units - after.stake.base_units
-        assert cut == math.floor(Fraction(v.stake.base_units) * params.sync_duty_reward)
+        after, _ = penalty_or_slash(STAKE, DutyEvent.MISSED_SYNC, params)
+        assert STAKE - after == math.floor(Fraction(STAKE) * params.sync_duty_reward)
 
     @pytest.mark.parametrize("event", [DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE])
     def test_equivocation_slashes_and_ejects(self, event):
-        v = Validator("v1")
-        after = apply_penalty_or_slash(v, event)
-        assert after.status is ValidatorStatus.SLASHED
-        assert not after.effective
-        assert after.stake.base_units == 32 * 10**18 - 10**18
+        assert penalty_or_slash(STAKE, event) == (32 * 10**18 - 10**18, True)
 
     @given(
         st.integers(min_value=0, max_value=10**40),
@@ -225,10 +215,9 @@ class TestPenalties:
                          DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE]),
         st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**12),
                  min_size=4, max_size=4),
-        st.booleans(),
     )
     @settings(max_examples=200)
-    def test_integer_cut_matches_rational_oracle(self, stake, event, rates, effective):
+    def test_integer_cut_matches_rational_oracle(self, stake, event, rates):
         """The cut stake * num // den equals floor(Fraction(stake) * rate),
         the expression it replaced, for each penalised duty kind."""
         params = PosParams(missed_source_penalty=rates[0], missed_target_penalty=rates[1],
@@ -236,18 +225,19 @@ class TestPenalties:
         rate = {DutyEvent.MISSED_SOURCE: rates[0], DutyEvent.MISSED_TARGET: rates[1],
                 DutyEvent.MISSED_SYNC: rates[2]}.get(event, rates[3])
         slashed = event in (DutyEvent.DOUBLE_PROPOSAL, DutyEvent.DOUBLE_VOTE)
-        before = Validator("v", Amount(stake, 18), effective)
-        after = apply_penalty_or_slash(before, event, params)
-        assert after == Validator(
-            "v", Amount(stake - math.floor(Fraction(stake) * rate), 18),
-            effective and not slashed,
-            ValidatorStatus.SLASHED if slashed else ValidatorStatus.ACTIVE,
-        )
+        assert penalty_or_slash(stake, event, params) == (
+            stake - math.floor(Fraction(stake) * rate), slashed)
 
     def test_slashed_validator_is_done(self):
-        v = Validator("v1", status=ValidatorStatus.SLASHED)
-        with pytest.raises(SlashedValidatorError):
-            apply_penalty_or_slash(v, DutyEvent.MISSED_SOURCE)
+        """The replay skips every duty of a slashed validator after the slash."""
+        outputs = {}
+        run_validator_scenario("validator v1\nduty v1 double_vote\nduty v1 missed_source\n"
+                               "duty v1 double_proposal\n",
+                               lambda name, chunk: outputs.setdefault(name, []).append(chunk))
+        assert outputs["state.txt"] == ["v1 stake=31000000000000000000 status=slashed\n"]
+        _, records = parse_event_file("".join(outputs["events.fisc"]))
+        assert [(r.timestamp, r.quantity, r.metadata) for r in records] == [
+            (0, 10**18, {"validator": "v1", "deduction": "1", "slashing": "1"})]
 
 class TestDecimalAmounts:
     @given(

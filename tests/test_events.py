@@ -108,16 +108,31 @@ def test_malformed_line_same_error_as_seed(file, data):
     if index == len(lines):  # a new last line
         lines.append("event seq=0 ts=0 kind=sale asset=%s qty=1 fmv=1" % min(decimals))
     fields = lines[index].split()
-    fault = data.draw(st.sampled_from(("no_equals", "unknown_kind", "undeclared_asset")))
+
+    def replace(key, value):
+        return [f for f in fields if not f.startswith(key + "=")] + ["%s=%s" % (key, value)]
+
+    fault = data.draw(st.sampled_from(("no_equals", "unknown_kind", "undeclared_asset",
+                                       "zero_qty", "negative_qty", "late_ts", "bad_qty_and_fmv")))
     if fault == "no_equals":
         bad = data.draw(TOKEN.filter(lambda t: "=" not in t))
         fields.insert(data.draw(st.integers(1, len(fields))), bad)
     elif fault == "unknown_kind":
-        kind = data.draw(TOKEN.filter(lambda t: t not in {k.value for k in EventKind}))
-        fields = [f for f in fields if not f.startswith("kind=")] + ["kind=" + kind]
-    else:
-        asset = data.draw(TOKEN.filter(lambda t: t not in decimals))
-        fields = [f for f in fields if not f.startswith("asset=")] + ["asset=" + asset]
+        fields = replace("kind", data.draw(
+            TOKEN.filter(lambda t: t not in {k.value for k in EventKind})))
+    elif fault == "undeclared_asset":
+        fields = replace("asset", data.draw(TOKEN.filter(lambda t: t not in decimals)))
+    elif fault == "zero_qty":  # a fee-only self transfer may move nothing; no other kind may
+        fields = replace("qty", "0")
+        fields = replace("kind", data.draw(st.sampled_from(
+            [k.value for k in EventKind if k is not EventKind.SELF_TRANSFER])))
+    elif fault == "negative_qty":
+        fields = replace("qty", "-1")
+    elif fault == "late_ts":
+        fields = replace("ts", data.draw(st.sampled_from([MAX_TIMESTAMP + 1, 10**12])))
+    else:  # the line's first fault is the one reported
+        fields = replace("qty", data.draw(st.sampled_from(["-1", "0", "1.5"])))
+        fields = replace("fmv", data.draw(st.sampled_from(["-1", "1/0", "x"])))
     lines[index:index + 1] = [" ".join(fields)]
     text = "\n".join(lines) + "\n"
     error = outcome(parse_event_file, text)
