@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from ..addresses import Scheme as AddrScheme, address_from_pubkey
 from ..amounts import format_rational, parse_rational
-from ..lineformat import LineError, LineReader, pairs
+from ..lineformat import LineError, LineReader, directive, directives
 from ..signatures import DEFAULT_SCHEME
 from ..tax.policy import JurisdictionPolicy, check_range, policy_at
 from .protocol import AttributionError, build_ownership_proof
@@ -31,22 +31,14 @@ class AttributionScenario:
     policy: JurisdictionPolicy = field(default_factory=JurisdictionPolicy)
 
 
-# Each directive's token count after its name, and its form. A form that
-# ends in `key=value...` takes any number of fields after those tokens.
-_DIRECTIVES = {
-    "seed": (1, "seed <n>"),
-    "jurisdiction": (1, "jurisdiction <code>"),
-    "eoi": (3, "eoi <asker> <responder> allow|deny"),
-    "latency": (3, "latency <asker> <responder> <ticks>"),
-    "drop": (3, "drop <asker> <responder> <probability>"),
-    "dsc": (3, "dsc <jurisdiction> <tin> <holder-label>"),
-    "register": (3, "register <jurisdiction> <tin> <wallet-label>"),
-    "register_tampered": (3, "register_tampered <jurisdiction> <tin> <wallet-label>"),
-    "identity": (1, "identity <wallet-label> key=value..."),
-    "transfer": (4, "transfer <origin-label> <beneficiary> <base-units> <deadline>"),
-    "withholding": (0, "withholding key=value..."),
-}
-_IDENTITY_KEYS = ("name", "physical", "national_id", "customer_id", "birth")
+_DIRECTIVES = directives(
+    "seed <n>", "jurisdiction <code>", "eoi <asker> <responder> allow|deny",
+    "latency <asker> <responder> <ticks>", "drop <asker> <responder> <probability>",
+    "dsc <jurisdiction> <tin> <holder-label>", "register <jurisdiction> <tin> <wallet-label>",
+    "register_tampered <jurisdiction> <tin> <wallet-label>",
+    "identity <wallet-label> name=... physical=... national_id=... customer_id=... birth=...",
+    "transfer <origin-label> <beneficiary> <base-units> <deadline>",
+    "withholding standard=... elevated=...")
 # What a reference names, and how a reference to something undeclared reads.
 _UNKNOWN = {"jurisdiction": "jurisdiction %r is not declared",
             "dsc": "no dsc line for %s %s",
@@ -60,12 +52,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
     rates_line = 0
     with LineReader(text) as lines:
         for fields in lines:
-            tag, args = fields[0], fields[1:]
-            if tag not in _DIRECTIVES:
-                raise ValueError("unknown directive %r" % tag)
-            count, form = _DIRECTIVES[tag]
-            if len(args) != count and not (len(args) > count and form.endswith("...")):
-                raise ValueError("usage: " + form)
+            tag, (args, kv) = fields[0], directive(fields, _DIRECTIVES)
             if tag in ("eoi", "latency", "drop"):
                 refs += [(lines.line_no, "jurisdiction", code) for code in args[:2]]
             if tag == "seed":
@@ -96,10 +83,6 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 refs.append((lines.line_no, "dsc", (args[0], args[1])))
             elif tag == "identity":
                 refs.append((lines.line_no, "wallet", args[0]))
-                kv = pairs(args[1:])
-                for key in kv:
-                    if key not in _IDENTITY_KEYS:
-                        raise ValueError("unknown identity key %r" % key)
                 scenario.identities[args[0]] = PartyIdentity(
                     name=kv.get("name", ""),
                     physical_address=kv.get("physical"),
@@ -115,9 +98,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 scenario.transfers.append((args[0], args[1], amount, deadline))
                 refs.append((lines.line_no, "wallet", args[0]))
             elif tag == "withholding":
-                for level, value in pairs(args).items():
-                    if level not in ("standard", "elevated"):
-                        raise ValueError("unknown withholding key %r" % level)
+                for level, value in kv.items():
                     name = level + "_withholding"
                     rates[name] = parse_rational(value)
                     check_range(name, rates[name])
@@ -146,13 +127,14 @@ def drop_threshold(probability: Fraction) -> float:
 
 
 def run_attribution_scenario(scenario: AttributionScenario,
-                             write_trace: Callable[[str], None]) -> str:
-    """Execute a scenario deterministically and return its withholding
-    ledger. The trace goes to `write_trace` in rendered chunks as the run
-    goes: after each transfer once TRACE_CHUNK lines are held, and the rest
-    at the end. Joined, the chunks are the whole trace's `render_trace()`.
-    An affirmed transfer between two identified wallets must pass the
-    travel rule, or the run raises TravelRuleError."""
+                             write: Callable[[str, str], None]) -> None:
+    """Execute a scenario deterministically, writing `trace.txt` and
+    `withholding.txt` with `write(name, text)` in chunks as the run goes:
+    after each transfer once TRACE_CHUNK trace lines are held, each file's
+    lines so far, and the rest at the end. Joined, the trace chunks are the
+    whole trace's `render_trace()`. An affirmed transfer between two
+    identified wallets must pass the travel rule, or the run raises
+    TravelRuleError."""
     network = AttributionNetwork(seed=scenario.seed)
     network.links = LinkConfig(
         latency={(a, b): t for a, b, t in scenario.latencies},
@@ -187,7 +169,7 @@ def run_attribution_scenario(scenario: AttributionScenario,
                   if label in wallets}
 
     trace, chunks = network.trace, 0
-    ledger_lines = ["index origin beneficiary attribution withheld"]
+    ledger_lines = ["index origin beneficiary attribution withheld\n"]
     for index, (origin_label, beneficiary_ref, amount, deadline) in enumerate(scenario.transfers):
         origin = wallets.get(origin_label)
         if origin is None:  # its registration was rejected
@@ -205,12 +187,15 @@ def run_attribution_scenario(scenario: AttributionScenario,
             origin, beneficiary, amount, scenario.policy, deadline_ticks=deadline)
         if attribution == "affirmed" and origin in identities and beneficiary in identities:
             check_travel_rule(identities[origin], identities[beneficiary])
-        ledger_lines.append("%d %s %s %s %s" % (index, origin, beneficiary, attribution,
-                                                format_rational(withheld)))
+        ledger_lines.append("%d %s %s %s %s\n" % (index, origin, beneficiary, attribution,
+                                                  format_rational(withheld)))
         if len(trace) >= TRACE_CHUNK:
-            write_trace(network.render_trace())
+            write("trace.txt", network.render_trace())
+            write("withholding.txt", "".join(ledger_lines))
             trace.clear()
+            ledger_lines.clear()
             chunks += 1
     if trace or not chunks:  # an empty trace renders as one "\n"
-        write_trace(network.render_trace())
-    return "\n".join(ledger_lines) + "\n"
+        write("trace.txt", network.render_trace())
+    if ledger_lines:
+        write("withholding.txt", "".join(ledger_lines))

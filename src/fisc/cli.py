@@ -248,13 +248,11 @@ def cmd_attrib(args) -> int:
         return _bad_input(scenario_path, exc)
     if args.seed is not None:
         scenario.seed = args.seed
-
-    def produce(write) -> None:
-        ledger = run_attribution_scenario(scenario, lambda text: write("trace.txt", text))
-        write("withholding.txt", ledger)
-
     try:
-        return _write_outputs(args.out, "attrib", inputs, produce, scenario.seed)
+        # The run writes its outputs into the staging directory as it goes.
+        return _write_outputs(args.out, "attrib", inputs,
+                              lambda write: run_attribution_scenario(scenario, write),
+                              scenario.seed)
     except (AttributionError, TravelRuleError, ValueError) as exc:
         print("%s: %s" % (scenario_path, exc), file=sys.stderr)
         return EXIT_POLICY

@@ -2,6 +2,10 @@
 
 `#` starts a comment anywhere on a line, blank lines are skipped, and a
 line is its whitespace-separated tokens. A field is a `key=value` token.
+
+Every scenario file, `simulate`'s pool, chain and validators and `attrib`'s,
+checks its lines with `directive` against a table that `directives` builds
+from each directive's form, such as `duty <validator> <event>`.
 """
 
 from __future__ import annotations
@@ -65,3 +69,33 @@ def pairs(tokens: list[str]) -> dict[str, str]:
         return dict(map(str.split, tokens, _EQUALS, _ONCE))
     except ValueError:
         return dict(map(pair, tokens))  # raises at the first token without '='
+
+
+def directives(*forms: str) -> dict[str, tuple[int, frozenset[str], str]]:
+    """name -> (positional token count, keys, form) of each directive form
+    `name <token>... key=...`; a token such as `allow|deny` is positional."""
+    table = {}
+    for form in forms:
+        name, *tokens = form.split()
+        keys = frozenset(token[:-4] for token in tokens if token.endswith("=..."))
+        table[name] = (len(tokens) - len(keys), keys, form)
+    return table
+
+
+def directive(fields: list[str], table: dict) -> tuple[list[str], dict[str, str]]:
+    """A scenario line's positional tokens and `key=value` fields: it names
+    a directive of `table`, holds that directive's tokens and, if the
+    directive takes no keys, nothing more, else only fields with keys it
+    takes. A line of exactly its tokens has no fields to split."""
+    form = table.get(fields[0])
+    if form is None:
+        raise ValueError("unknown directive %r" % fields[0])
+    count, keys, usage = form
+    if len(fields) == count + 1:
+        return fields[1:], {}
+    if len(fields) <= count or not keys:
+        raise ValueError("usage: " + usage)
+    kv = pairs(fields[count + 1:])
+    if not kv.keys() <= keys:
+        raise ValueError("unknown %s key %r" % (fields[0], next(k for k in kv if k not in keys)))
+    return fields[1:count + 1], kv

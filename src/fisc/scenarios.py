@@ -10,11 +10,11 @@ asset id, price or timestamp the event parser would refuse is refused at
 its scenario line by the parser's own checks, so `report` reads every
 event file `simulate` writes.
 
-Each runner's directives name their positional tokens and the keys they
-take, so a line with too few or too many tokens, or with a key its
-directive does not take, is refused at its line, not ignored. The
-validators replay keeps each stake as an int of wei, and a swap reads its
-input as one Amount, without a Fraction.
+Each runner checks its lines with `lineformat.directive` against its
+directive forms, as `attrib` does: a line with too few or too many tokens,
+or with a key its directive does not take, is refused at its line, not
+ignored. The validators replay keeps each stake as an int of wei, and a
+swap reads its input as one Amount, without a Fraction.
 
 Each runner imports its engine itself (`fisc.defi.pool` or
 `fisc.consensus`): every `fisc` command is a new process that compiles
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .amounts import Amount, parse_decimals, parse_rational
-from .lineformat import LineError, LineReader, pairs
+from .lineformat import LineError, LineReader, directive, directives
 from .tax.events import (
     EventKind,
     check_asset_id,
@@ -37,33 +37,6 @@ from .tax.events import (
 )
 
 CHUNK_LINES = 4096
-
-
-def _directives(*forms: str) -> dict[str, tuple[int, frozenset[str], str]]:
-    """name -> (positional token count, keys, form) of each directive form
-    `name <token>... key=...`."""
-    table = {}
-    for form in forms:
-        name, *tokens = form.split()
-        keys = frozenset(token[:-4] for token in tokens if token.endswith("=..."))
-        table[name] = (len(tokens) - len(keys), keys, form)
-    return table
-
-
-def _directive(fields: list[str], directives: dict) -> tuple[list[str], dict[str, str]]:
-    """A scenario line's positional tokens and `key=value` fields: it names
-    one of `directives`, holds that directive's tokens and, if the directive
-    takes no keys, nothing more, else only fields with keys it takes."""
-    form = directives.get(fields[0])
-    if form is None:
-        raise ValueError("unknown directive %r" % fields[0])
-    count, keys, usage = form
-    if len(fields) <= count or (len(fields) > count + 1 and not keys):
-        raise ValueError("usage: " + usage)
-    kv = pairs(fields[count + 1:])
-    if not kv.keys() <= keys:
-        raise ValueError("unknown %s key %r" % (fields[0], next(k for k in kv if k not in keys)))
-    return fields[1:count + 1], kv
 
 
 class _Events:
@@ -97,7 +70,7 @@ class _Events:
 
 # --- pool ---
 
-_POOL_DIRECTIVES = _directives(
+_POOL_DIRECTIVES = directives(
     "pool reserve_x=... reserve_y=... fee=... decimals=... asset_x=... asset_y=...",
     "price x=... y=...", "time at=...", "deposit owner=... x=... y=...", "swap in=... dir=...",
     "withdraw owner=...")
@@ -123,7 +96,7 @@ def run_pool_scenario(text: str, write) -> None:
             tag = fields[0]
             if pool is None and tag != "pool":
                 raise ValueError("pool must be declared first")
-            _, kv = _directive(fields, _POOL_DIRECTIVES)
+            _, kv = directive(fields, _POOL_DIRECTIVES)
             if tag == "pool":
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 asset_x = check_asset_id(kv.get("asset_x", "X"))
@@ -185,7 +158,7 @@ def run_pool_scenario(text: str, write) -> None:
 
 # --- chain ---
 
-_CHAIN_DIRECTIVES = _directives(
+_CHAIN_DIRECTIVES = directives(
     "schedule initial=... interval=... decimals=...", "retarget window=... interval=...",
     "price fmv=...", "asset id=...", "mine start=... end=...")
 
@@ -207,7 +180,7 @@ def run_chain_scenario(text: str, write) -> None:
     asset = "BTC"
     with LineReader(text) as lines:
         for fields in lines:
-            tag, (_, kv) = fields[0], _directive(fields, _CHAIN_DIRECTIVES)
+            tag, (_, kv) = fields[0], directive(fields, _CHAIN_DIRECTIVES)
             if tag == "schedule":
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 schedule = RewardSchedule(
@@ -258,23 +231,24 @@ def run_chain_scenario(text: str, write) -> None:
 
 # --- validators ---
 
-_VALIDATOR_DIRECTIVES = _directives(
+_VALIDATOR_DIRECTIVES = directives(
     "validator <id> stake=...", "price fmv=...", "duty <validator> <event>")
 
 
 def run_validator_scenario(text: str, write) -> None:
     """Replay duty/penalty streams over a validator set, each stake an int
-    of wei; a slashed validator's later duties are skipped."""
+    of wei; a slashed validator's later duties are skipped, and a duty for
+    a validator the file never declares is refused at its line."""
     from .consensus import DUTY_BY_TEXT, DutyEvent, PosParams, penalty_or_slash
 
     params = PosParams()
     price = Fraction(0)
     stakes: dict[str, int] = {}
     slashed: set[str] = set()
-    duty_log: list[tuple[str, DutyEvent]] = []
+    duty_log: list[tuple[int, str, DutyEvent]] = []  # (line, validator, event)
     with LineReader(text) as lines:
         for fields in lines:
-            tag, (args, kv) = fields[0], _directive(fields, _VALIDATOR_DIRECTIVES)
+            tag, (args, kv) = fields[0], directive(fields, _VALIDATOR_DIRECTIVES)
             if tag == "validator":
                 stake = Amount.from_decimal_str(kv.get("stake", "32"), 18).base_units
                 if stake < 0:
@@ -285,11 +259,12 @@ def run_validator_scenario(text: str, write) -> None:
             elif tag == "price":
                 price = parse_fmv(kv["fmv"])
             else:  # duty
-                duty_log.append((args[0], DUTY_BY_TEXT.get(args[1]) or DutyEvent(args[1])))
+                duty_log.append((lines.line_no, args[0],
+                                 DUTY_BY_TEXT.get(args[1]) or DutyEvent(args[1])))
         events = _Events(write, {"ETH": 18})
-        for index, (vid, duty) in enumerate(duty_log):
-            if vid not in stakes:
-                raise LineError(0, "duty for unknown validator %s" % vid)
+        for index, (line_no, vid, duty) in enumerate(duty_log):
+            if vid not in stakes:  # a duty may name a validator declared below it
+                raise LineError(line_no, "duty for unknown validator %s" % vid)
             if vid in slashed:
                 continue
             before = stakes[vid]

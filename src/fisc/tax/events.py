@@ -119,7 +119,10 @@ def _parse_timestamp(text: str) -> int:
     if text.isdigit() or (text.startswith("-") and text[1:].isdigit()):
         stamp = int(text)
     else:
-        moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        try:
+            moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            raise ValueError("not a timestamp: %r" % text) from None
         if moment.tzinfo is None:
             moment = moment.replace(tzinfo=timezone.utc)
         stamp = int(moment.timestamp())

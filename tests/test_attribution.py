@@ -276,11 +276,12 @@ withholding standard=1/10 elevated=3/10
 
 
 def run_scenario(text: str):
-    """The scenario's withholding ledger and its whole trace, joined from
-    the chunks it wrote."""
-    chunks: list[str] = []
-    ledger = run_attribution_scenario(parse_attribution_scenario(text), chunks.append)
-    return ledger, "".join(chunks)
+    """The scenario's withholding ledger and its whole trace, each joined
+    from the chunks the run wrote under its name."""
+    chunks: dict[str, list[str]] = {"withholding.txt": [], "trace.txt": []}
+    run_attribution_scenario(parse_attribution_scenario(text),
+                             lambda name, chunk: chunks[name].append(chunk))
+    return tuple("".join(parts) for parts in chunks.values())
 
 
 class TestScenario:

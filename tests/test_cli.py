@@ -725,8 +725,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "kind,tail,code,message",
         [("pool", "swap in=1 dir=bad\n", EXIT_PARSE, ":%d: dir must be x2y or y2x, got 'bad'"),
-         ("validators", "duty v99 missed_source\n", EXIT_POLICY,
-          ":0: duty for unknown validator v99")],
+         ("validators", "duty v99 missed_source\n", EXIT_PARSE,
+          ":%d: duty for unknown validator v99")],
         ids=["pool-bad-swap", "validators-unknown-duty"],
     )
     def test_fault_after_a_chunk_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
@@ -752,6 +752,24 @@ class TestSimulate:
         assert written and set(written) == {"events.fisc"}
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
         assert sorted(os.listdir(tmp_path)) == ["bad.scn", "good.scn", "o"]
+
+    def test_duty_names_a_validator_declared_anywhere(self, tmp_path, capsys):
+        """A duty may name a validator declared further down, with the bytes
+        of the same scenario in declaration order; a validator the file
+        never declares is refused at the duty's line, exit 2."""
+        runs = []
+        for text in ("validator v3 stake=32\nduty v3 missed_source\n",
+                     "duty v3 missed_source\nvalidator v3 stake=32\n"):
+            out = tmp_path / ("o%d" % len(runs))
+            scenario = write(tmp_path, "s%d.scn" % len(runs), text)
+            assert main(["simulate", "validators", str(scenario), "--out", str(out)]) == EXIT_OK
+            runs.append([(out / name).read_bytes() for name in ("events.fisc", "state.txt")])
+        assert runs[0] == runs[1]
+        bad = write(tmp_path, "bad.scn", "duty v9 missed_source\n" + VALIDATOR_SCENARIO)
+        out = tmp_path / "bad"
+        assert main(["simulate", "validators", str(bad), "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "%s:1: duty for unknown validator v9\n" % bad
+        assert not out.exists()
 
     def test_validator_stake_gain_exit_3(self, tmp_path, capsys, monkeypatch):
         """A penalty that raised a stake would be a negative quantity, which
@@ -822,7 +840,8 @@ class TestAttrib:
             ("register DE T1", "register <jurisdiction> <tin> <wallet-label>"),
             ("register_tampered DE T1 w x",
              "register_tampered <jurisdiction> <tin> <wallet-label>"),
-            ("identity", "identity <wallet-label> key=value..."),
+            ("identity", "identity <wallet-label> name=... physical=... national_id=... "
+             "customer_id=... birth=..."),
             ("transfer wallet_ann wallet_bob 100",
              "transfer <origin-label> <beneficiary> <base-units> <deadline>"),
         ],
@@ -1000,7 +1019,8 @@ class TestAttrib:
         for transfers in (200, 2_000):
             text = mesh_scenario(8, 16, transfers)
             with counting() as fractions, counting(ChainEventRecord) as events:
-                run_attribution_scenario(parse_attribution_scenario(text), lambda chunk: None)
+                run_attribution_scenario(parse_attribution_scenario(text),
+                                         lambda name, chunk: None)
             assert events[0] == 0
             counts.append(fractions[0])
         assert counts[1] - counts[0] <= 2 * 1_800, counts

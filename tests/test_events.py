@@ -113,7 +113,8 @@ def test_malformed_line_same_error_as_seed(file, data):
         return [f for f in fields if not f.startswith(key + "=")] + ["%s=%s" % (key, value)]
 
     fault = data.draw(st.sampled_from(("no_equals", "unknown_kind", "undeclared_asset",
-                                       "zero_qty", "negative_qty", "late_ts", "bad_qty_and_fmv")))
+                                       "zero_qty", "negative_qty", "late_ts", "bad_iso_ts",
+                                       "bad_qty_and_fmv")))
     if fault == "no_equals":
         bad = data.draw(TOKEN.filter(lambda t: "=" not in t))
         fields.insert(data.draw(st.integers(1, len(fields))), bad)
@@ -130,6 +131,9 @@ def test_malformed_line_same_error_as_seed(file, data):
         fields = replace("qty", "-1")
     elif fault == "late_ts":
         fields = replace("ts", data.draw(st.sampled_from([MAX_TIMESTAMP + 1, 10**12])))
+    elif fault == "bad_iso_ts":  # an ISO text datetime cannot read: a five-digit year
+        fields = replace("ts", "%d-01-01T00:00:00%s" % (
+            data.draw(st.integers(10_000, 99_999)), data.draw(st.sampled_from(["Z", "", "+01:00"]))))
     else:  # the line's first fault is the one reported
         fields = replace("qty", data.draw(st.sampled_from(["-1", "0", "1.5"])))
         fields = replace("fmv", data.draw(st.sampled_from(["-1", "1/0", "x"])))

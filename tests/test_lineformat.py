@@ -1,7 +1,7 @@
 import pytest
 
 from fisc.defi.pool import PoolError
-from fisc.lineformat import LineError, LineReader, pair, pairs
+from fisc.lineformat import LineError, LineReader, directive, directives, pair, pairs
 
 
 def read(text):
@@ -65,3 +65,48 @@ def test_line_errors_and_other_exceptions_pass_through():
         with LineReader("a\n") as lines:
             for _ in lines:
                 raise TypeError("not a line fault")
+
+
+TABLE = directives("eoi <asker> <responder> allow|deny", "swap in=... dir=...",
+                   "validator <id> stake=...")
+
+
+def test_directives_count_positional_tokens_and_keys():
+    assert TABLE == {
+        "eoi": (3, frozenset(), "eoi <asker> <responder> allow|deny"),
+        "swap": (0, frozenset({"in", "dir"}), "swap in=... dir=..."),
+        "validator": (1, frozenset({"stake"}), "validator <id> stake=..."),
+    }
+
+
+@pytest.mark.parametrize(
+    "line,args,kv",
+    [
+        ("eoi AT DE allow", ["AT", "DE", "allow"], {}),  # allow|deny is one token
+        ("validator v1", ["v1"], {}),  # exactly its tokens: no fields split
+        ("swap", [], {}),
+        ("validator v1 stake=2 stake=3", ["v1"], {"stake": "3"}),
+        ("swap dir=y2x in=1=2", [], {"dir": "y2x", "in": "1=2"}),
+    ],
+)
+def test_directive_splits_tokens_and_fields(line, args, kv):
+    assert directive(line.split(), TABLE) == (args, kv)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("bogus x", "unknown directive 'bogus'"),
+        ("eoi AT DE", "usage: eoi <asker> <responder> allow|deny"),  # too few
+        ("validator", "usage: validator <id> stake=..."),
+        ("eoi AT DE allow extra", "usage: eoi <asker> <responder> allow|deny"),  # takes no keys
+        ("eoi AT DE allow x=1", "usage: eoi <asker> <responder> allow|deny"),
+        ("swap in=1 dirr=y2x inn=2", "unknown swap key 'dirr'"),  # the first one named
+        ("validator v1 v2", "expected key=value, got 'v2'"),
+        ("swap in=1 x2y", "expected key=value, got 'x2y'"),
+    ],
+)
+def test_directive_refuses_a_line_its_form_does_not_take(line, message):
+    with pytest.raises(ValueError) as err:
+        directive(line.split(), TABLE)
+    assert str(err.value) == message
