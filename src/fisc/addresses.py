@@ -7,13 +7,16 @@ programs per BIP-173, and structural mnemonic detection.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .ripemd160 import ripemd160
 
 BASE58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _BASE58_INDEX = {c: i for i, c in enumerate(BASE58_ALPHABET)}
+# The two base58 digits of every value below 58**2, so that encoding takes
+# one big-int division per two digits.
+_BASE58_PAIRS = [high + low for high in BASE58_ALPHABET for low in BASE58_ALPHABET]
 
 BECH32_CHARSET = "qpzry9x8gf2tvdw0s3jn54khce6mua7l"
 _BECH32_INDEX = {c: i for i, c in enumerate(BECH32_CHARSET)}
@@ -29,11 +32,26 @@ class AddressKind(Enum):
     MNEMONIC = "mnemonic"
 
 
-@dataclass(frozen=True)
-class Address:
+class _AddressFields(NamedTuple):
     kind: AddressKind
     text: str
-    payload: bytes = field(default=b"", compare=False)
+    payload: bytes = b""
+
+
+class Address(_AddressFields):
+    """An immutable classified address. It compares and hashes on its kind
+    and text only: the payload is what decoding found in the text."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Address) and self.kind is other.kind and self.text == other.text
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.kind, self.text))
 
 
 def sha256(data: bytes) -> bytes:
@@ -55,11 +73,12 @@ def base58_encode(data: bytes) -> str:
     num = int.from_bytes(data, "big")
     out = []
     while num:
-        num, rem = divmod(num, 58)
-        out.append(BASE58_ALPHABET[rem])
-    # Leading zero bytes map to '1'.
+        num, rem = divmod(num, 3364)  # 58**2
+        out.append(_BASE58_PAIRS[rem])
+    # The leading pair may start with a zero digit, '1'; leading zero bytes
+    # map to '1'.
     pad = len(data) - len(data.lstrip(b"\x00"))
-    return "1" * pad + "".join(reversed(out))
+    return "1" * pad + "".join(reversed(out)).lstrip("1")
 
 
 def base58_decode(text: str) -> bytes:

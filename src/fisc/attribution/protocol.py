@@ -8,7 +8,7 @@ subject to the exchange-of-information matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..addresses import Address, Scheme, address_from_pubkey
 from ..signatures import DEFAULT_SCHEME
@@ -34,8 +34,7 @@ class AddressConflict(ProofRejected):
     pass
 
 
-@dataclass(frozen=True)
-class DigitalSignatureCertificate:
+class DigitalSignatureCertificate(NamedTuple):
     tin: str
     holder_pubkey: bytes
     issuer: str  # jurisdiction code
@@ -45,8 +44,7 @@ class DigitalSignatureCertificate:
         return b"dsc|" + self.tin.encode() + b"|" + self.holder_pubkey + b"|" + self.issuer.encode()
 
 
-@dataclass(frozen=True)
-class OwnershipProof:
+class OwnershipProof(NamedTuple):
     tin: str
     address: Address
     challenge: bytes
@@ -58,11 +56,13 @@ class OwnershipProof:
         return b"own|" + self.tin.encode() + b"|" + self.address.text.encode()
 
 
-@dataclass
 class EoiMatrix:
     """Pairwise exchange-of-information permissions; the diagonal is allow."""
 
-    allowed: set[tuple[str, str]] = field(default_factory=set)
+    __slots__ = ("allowed",)
+
+    def __init__(self):
+        self.allowed: set[tuple[str, str]] = set()
 
     def allow(self, asker: str, responder: str) -> None:
         self.allowed.add((asker, responder))
@@ -73,13 +73,15 @@ class EoiMatrix:
         return (asker, responder) in self.allowed
 
 
-@dataclass
 class TaxAuthority:
-    jurisdiction_code: str
+    """A jurisdiction's certificate issuer and address registry."""
 
-    def __post_init__(self):
+    __slots__ = ("jurisdiction_code", "_private", "public_key", "_certificates", "registry")
+
+    def __init__(self, jurisdiction_code: str):
+        self.jurisdiction_code = jurisdiction_code
         self._private, self.public_key = DEFAULT_SCHEME.keypair(
-            b"authority|" + self.jurisdiction_code.encode()
+            b"authority|" + jurisdiction_code.encode()
         )
         self._certificates: dict[str, DigitalSignatureCertificate] = {}
         self.registry: dict[str, OwnershipProof] = {}

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from ..addresses import Scheme as AddrScheme, address_from_pubkey
@@ -17,18 +16,24 @@ from .sim import AttributionNetwork, LinkConfig
 from .travelrule import PartyIdentity, check_travel_rule
 
 
-@dataclass
 class AttributionScenario:
-    seed: int = 0
-    jurisdictions: list[str] = field(default_factory=list)
-    eoi_rows: list[tuple[str, str, str]] = field(default_factory=list)
-    latencies: list[tuple[str, str, int]] = field(default_factory=list)
-    drops: list[tuple[str, str, Fraction]] = field(default_factory=list)
-    dscs: list[tuple[str, str, str]] = field(default_factory=list)  # (jurisdiction, tin, holder label)
-    registrations: list[tuple[str, str, str, bool]] = field(default_factory=list)
-    identities: dict[str, PartyIdentity] = field(default_factory=dict)
-    transfers: list[tuple[str, str, int, int]] = field(default_factory=list)
-    policy: JurisdictionPolicy = field(default_factory=JurisdictionPolicy)
+    """What a scenario file declares, in file order. `seed` may be set after
+    parsing: the CLI's --seed does."""
+
+    __slots__ = ("seed", "jurisdictions", "eoi_rows", "latencies", "drops", "dscs",
+                 "registrations", "identities", "transfers", "policy")
+
+    def __init__(self):
+        self.seed = 0
+        self.jurisdictions: list[str] = []
+        self.eoi_rows: list[tuple[str, str, str]] = []
+        self.latencies: list[tuple[str, str, int]] = []
+        self.drops: list[tuple[str, str, Fraction]] = []
+        self.dscs: list[tuple[str, str, str]] = []  # (jurisdiction, tin, holder label)
+        self.registrations: list[tuple[str, str, str, bool]] = []
+        self.identities: dict[str, PartyIdentity] = {}
+        self.transfers: list[tuple[str, str, int, int]] = []
+        self.policy = JurisdictionPolicy()
 
 
 _DIRECTIVES = directives(
@@ -158,7 +163,7 @@ def run_attribution_scenario(scenario: AttributionScenario,
         proof = build_ownership_proof(tin, seed, holder_keys[(jurisdiction, tin)])
         if tampered:
             bad_sig = bytes([proof.wallet_signature[0] ^ 1]) + proof.wallet_signature[1:]
-            proof = replace(proof, wallet_signature=bad_sig)
+            proof = proof._replace(wallet_signature=bad_sig)
         try:
             network.register(jurisdiction, proof)
         except AttributionError:  # traced as registration_rejected
@@ -168,6 +173,7 @@ def run_attribution_scenario(scenario: AttributionScenario,
     identities = {wallets[label]: identity for label, identity in scenario.identities.items()
                   if label in wallets}
 
+    derived: dict[str, str] = {}  # unregistered label -> its would-be address
     trace, chunks = network.trace, 0
     ledger_lines = ["index origin beneficiary attribution withheld\n"]
     for index, (origin_label, beneficiary_ref, amount, deadline) in enumerate(scenario.transfers):
@@ -179,10 +185,12 @@ def run_attribution_scenario(scenario: AttributionScenario,
             beneficiary = beneficiary_ref[5:]
         elif beneficiary_ref in wallets:
             beneficiary = wallets[beneficiary_ref]
+        elif beneficiary_ref in derived:
+            beneficiary = derived[beneficiary_ref]
         else:
-            # Unregistered label: derive its would-be address.
             _, pub = DEFAULT_SCHEME.keypair(b"wallet|" + beneficiary_ref.encode())
-            beneficiary = address_from_pubkey(pub, AddrScheme.BASE58CHECK_P2PKH).text
+            beneficiary = derived[beneficiary_ref] = address_from_pubkey(
+                pub, AddrScheme.BASE58CHECK_P2PKH).text
         attribution, withheld = network.originate_transfer(
             origin, beneficiary, amount, scenario.policy, deadline_ticks=deadline)
         if attribution == "affirmed" and origin in identities and beneficiary in identities:

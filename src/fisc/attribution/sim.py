@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from ..tax.policy import JurisdictionPolicy
-from ..tax.engine import withholding_amount
+from ..tax.engine import withholding_rate
 from .protocol import AttributionError, EoiMatrix, OwnershipProof, TaxAuthority
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
+class QueryOutcome(NamedTuple):
     affirmed: bool
     jurisdiction: str | None = None
 
@@ -27,15 +27,15 @@ def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-@dataclass
-class LinkConfig:
+class LinkConfig(NamedTuple):
     """Per-(sender, receiver) latency in ticks and drop threshold.
 
     A network reads its links at an origin's first query and keeps what it
-    read; to change them, rebind `AttributionNetwork.links`."""
+    read; to change them, rebind `AttributionNetwork.links`. The default
+    maps are empty and read-only."""
 
-    latency: dict[tuple[str, str], int] = field(default_factory=dict)
-    drop: dict[tuple[str, str], float] = field(default_factory=dict)
+    latency: dict[tuple[str, str], int] = MappingProxyType({})
+    drop: dict[tuple[str, str], float] = MappingProxyType({})
     default_latency: int = 1
     default_drop: float = 0.0
 
@@ -111,17 +111,16 @@ class AttributionNetwork:
         dropped = [code for index, code, threshold in droppable if draws[index] < threshold]
         for code in dropped:
             emit(f"{start} {origin_code} query_dropped_to_{code} {query_digest}")
-        authorities = self.authorities
-        holders = [code for code in others if beneficiary_address in authorities[code].registry]
 
         responses: list[tuple[int, str]] = []
-        for latency, code, no_response, reply_drop, reply_latency in schedule:
+        for latency, code, no_response, reply_drop, reply_latency, authority in schedule:
             if latency > deadline_ticks:
                 break
             if code in dropped:
                 continue
             at = start + latency
-            if (code in holders and authorities[code].knows_address(beneficiary_address)
+            if (beneficiary_address in authority.registry
+                    and authority.knows_address(beneficiary_address)
                     and self.eoi.permits(origin_code, code)):
                 reply_digest = _digest("affirm|%s|%s" % (code, beneficiary_address))
                 emit(f"{at} {code} affirm {reply_digest}")
@@ -145,7 +144,8 @@ class AttributionNetwork:
         """Build and keep `origin`'s broadcast plan: the other codes in code
         order; those a query may be dropped to, as (index, code, threshold);
         and the deliveries sorted by (latency, code), each with its
-        no_response text and the reply's drop threshold and latency."""
+        no_response text, the reply's drop threshold and latency, and the
+        authority delivered to."""
         links = self.links
         latency, default_latency = links.latency, links.default_latency
         drop, default_drop = links.drop, links.default_drop
@@ -154,7 +154,8 @@ class AttributionNetwork:
                      if (threshold := drop.get((origin, code), default_drop)) > 0]
         schedule = sorted((latency.get((origin, code), default_latency), code,
                            " %s no_response " % code, drop.get((code, origin), default_drop),
-                           latency.get((code, origin), default_latency)) for code in others)
+                           latency.get((code, origin), default_latency), self.authorities[code])
+                          for code in others)
         plan = self._plans[origin] = (others, droppable, schedule)
         return plan
 
@@ -181,7 +182,9 @@ class AttributionNetwork:
             origin_home, beneficiary_address, deadline_ticks
         )
         attribution = "affirmed" if outcome.affirmed else "unaffirmed"
-        withheld = withholding_amount(Fraction(amount_base_units, 10**8), attribution, policy)
+        # The BTC amount times the rate as one exact product: one gcd.
+        rate = withholding_rate(attribution, policy)
+        withheld = Fraction(amount_base_units * rate.numerator, 10**8 * rate.denominator)
         self._emit(self.now, origin_home, "withholding_" + attribution,
                    _digest("withhold|%s|%s" % (origin_address, withheld)))
         return attribution, withheld

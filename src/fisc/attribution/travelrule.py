@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TravelRuleError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PartyIdentity:
+class PartyIdentity(NamedTuple):
     """A wallet holder's identity; the wallet's registered address is its account."""
 
     name: str

@@ -69,15 +69,17 @@ class IngestResult:
 def withholding_amount(
     proceeds: Fraction | int, attribution_result: str, policy: JurisdictionPolicy
 ) -> Fraction:
-    """Tax retained at source: standard when affirmed, elevated otherwise."""
+    """Tax retained at source at the withholding_rate of the attribution."""
     if proceeds < 0:
         raise ValueError("proceeds must be non-negative")
-    rate = (
-        policy.standard_withholding
-        if attribution_result == "affirmed"
-        else policy.elevated_withholding
-    )
-    return proceeds * rate
+    return proceeds * withholding_rate(attribution_result, policy)
+
+
+def withholding_rate(attribution_result: str, policy: JurisdictionPolicy) -> Fraction:
+    """The rate withheld at source: standard when affirmed, elevated otherwise."""
+    if attribution_result == "affirmed":
+        return policy.standard_withholding
+    return policy.elevated_withholding
 
 
 def lot_move(record: ChainEventRecord,

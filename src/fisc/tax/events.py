@@ -7,6 +7,7 @@ units and prices exact rationals.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
@@ -115,9 +116,20 @@ def check_timestamp(stamp: int, text: str | None = None) -> int:
     return stamp
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# The ISO forms a `ts` may take, whole seconds only. fromisoformat alone
+# takes more, and more on some Python versions than on others.
+_ISO_STAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|[+-][0-9]{2}:[0-9]{2})?)?")
+
+
 def _parse_timestamp(text: str) -> int:
-    if text.isdigit() or (text.startswith("-") and text[1:].isdigit()):
+    """Unix seconds of ASCII `-?[0-9]+` or of `YYYY-MM-DD[THH:MM:SS[Z|±HH:MM]]`
+    (UTC without an offset), within the years 1 to 9999 UTC."""
+    if text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit())):
         stamp = int(text)
+    elif _ISO_STAMP.fullmatch(text) is None:
+        raise ValueError("not a timestamp: %r" % text)
     else:
         try:
             moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -125,7 +137,8 @@ def _parse_timestamp(text: str) -> int:
             raise ValueError("not a timestamp: %r" % text) from None
         if moment.tzinfo is None:
             moment = moment.replace(tzinfo=timezone.utc)
-        stamp = int(moment.timestamp())
+        since = moment - _EPOCH  # whole seconds: no float timestamp() needed
+        stamp = since.days * 86400 + since.seconds
     return check_timestamp(stamp, text)
 
 

@@ -23,7 +23,8 @@ which would add a ledger column, a negative `fmv`, and a timestamp outside
 the years 1 to 9999, where the original accepted all three and the report
 then wrote the first two and failed on the third. Its timestamp parser,
 `seed_timestamp`, is its own: integers, and ISO 8601 texts in whole seconds
-read with a regular expression and `calendar.timegm`, not `datetime`.
+read with a regular expression and `calendar.timegm`, not `datetime`;
+its digits are ASCII `[0-9]`, not the decimal digits of every script.
 `SeedAttributionNetwork` answers each attribution query from the original
 heap event queue, deliveries and responses pushed with a sequence number
 and popped in (tick, seq) order. All are deliberately simple and slow;
@@ -532,7 +533,8 @@ def seed_parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRec
     return decimals, records
 
 
-_ISO = re.compile(r"(\d{4})-(\d\d)-(\d\d)(?:T(\d\d):(\d\d):(\d\d)(Z|([+-])(\d\d):(\d\d))?)?")
+_ISO = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+                  r"(?:T([0-9]{2}):([0-9]{2}):([0-9]{2})(Z|([+-])([0-9]{2}):([0-9]{2}))?)?")
 # The first second of the year 1 and the last of the year 9999, UTC.
 _FIRST, _LAST = calendar.timegm((1, 1, 1, 0, 0, 0)), calendar.timegm((9999, 12, 31, 23, 59, 59))
 

@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 import fisc.ripemd160
 from fisc.addresses import (
+    BASE58_ALPHABET,
+    Address,
     AddressKind,
     Scheme,
+    base58_decode,
+    base58_encode,
     base58check_decode,
     base58check_encode,
     bech32_decode,
@@ -161,6 +165,34 @@ class TestDerive:
 def test_base58check_roundtrip():
     version, payload = base58check_decode(base58check_encode(0x05, bytes(range(20))))
     assert version == 0x05 and payload == bytes(range(20))
+
+
+def base58_digitwise(data: bytes) -> str:
+    """Base58 at one digit per division: the reference for base58_encode."""
+    num, digits = int.from_bytes(data, "big"), ""
+    while num:
+        num, rem = divmod(num, 58)
+        digits = BASE58_ALPHABET[rem] + digits
+    return "1" * (len(data) - len(data.lstrip(b"\x00"))) + digits
+
+
+@given(st.integers(0, 4), st.binary(max_size=40))
+@example(4, b"")
+@example(0, b"\x39")  # 57: one digit, so the leading pair starts with '1'
+@example(1, b"\x3a")  # 58: two digits, the second '1'
+def test_base58_encode_matches_one_digit_per_division(zeros, payload):
+    data = b"\x00" * zeros + payload
+    text = base58_encode(data)
+    assert text == base58_digitwise(data)
+    assert base58_decode(text) == data
+
+
+def test_address_compares_and_hashes_on_kind_and_text():
+    address = Address(AddressKind.P2PKH, "1x", b"\x01")
+    assert address == Address(AddressKind.P2PKH, "1x")
+    assert hash(address) == hash(Address(AddressKind.P2PKH, "1x", b"\x02"))
+    assert address != Address(AddressKind.P2SH, "1x", b"\x01")
+    assert address != tuple(address) and tuple(address) != address
 
 
 def test_base58check_rejects_bad_checksum():

@@ -538,7 +538,16 @@ ISO_STAMPS = st.builds(
                                            st.integers(0, 23), st.integers(0, 59)))
 
 
-@given(st.one_of(INT_STAMPS.map(str), ISO_STAMPS))
+# Texts `datetime.fromisoformat` or `int` take, on some Python versions, that
+# are no `ts`: no seconds, a fraction, a week date, a space for `T`, the basic
+# format, and digits of other scripts.
+LOOSE_STAMPS = st.sampled_from((
+    "2020-01-01T00:00", "2020-01-01T00:00:00.5", "2020-W01-1", "2020-01-01 00:00:00",
+    "20200101T000000Z", "\u0661\u0662\u0663", "-\u0661", "\u0662\u0660\u0662\u0660-01-01",
+    "2020-01-01T00:00:00+0530", "2020-01-01T00:00:00+05:30:00", "2020-01-01T00:00:00z"))
+
+
+@given(st.one_of(INT_STAMPS.map(str), ISO_STAMPS, LOOSE_STAMPS))
 @example("9999-12-31T23:59:59-01:00")  # 10000-01-01T00:59:59Z
 @example("0001-01-01T00:00:00+01:00")
 @example("2020-06-01T12:00:00+05:30")
