@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from ..addresses import Scheme as AddrScheme, address_from_pubkey
 from ..amounts import format_rational, parse_rational
-from ..lineformat import LineError, LineReader, directive, directives
+from ..lineformat import CHUNK_LINES, LineError, LineReader, directive, directives
 from ..signatures import DEFAULT_SCHEME
 from ..tax.policy import JurisdictionPolicy, check_range, policy_at
 from .protocol import AttributionError, build_ownership_proof
@@ -120,10 +120,6 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
     return scenario
 
 
-# Trace lines held before they are rendered and passed on.
-TRACE_CHUNK = 4096
-
-
 def drop_threshold(probability: Fraction) -> float:
     """The float t for which random() < t decides exactly as random() <
     probability: random() returns multiples of 2**-53, so t is the least
@@ -135,7 +131,7 @@ def run_attribution_scenario(scenario: AttributionScenario,
                              write: Callable[[str, str], None]) -> None:
     """Execute a scenario deterministically, writing `trace.txt` and
     `withholding.txt` with `write(name, text)` in chunks as the run goes:
-    after each transfer once TRACE_CHUNK trace lines are held, each file's
+    after each transfer once CHUNK_LINES trace lines are held, each file's
     lines so far, and the rest at the end. Joined, the trace chunks are the
     whole trace's `render_trace()`. An affirmed transfer between two
     identified wallets must pass the travel rule, or the run raises
@@ -197,7 +193,7 @@ def run_attribution_scenario(scenario: AttributionScenario,
             check_travel_rule(identities[origin], identities[beneficiary])
         ledger_lines.append("%d %s %s %s %s\n" % (index, origin, beneficiary, attribution,
                                                   format_rational(withheld)))
-        if len(trace) >= TRACE_CHUNK:
+        if len(trace) >= CHUNK_LINES:
             write("trace.txt", network.render_trace())
             write("withholding.txt", "".join(ledger_lines))
             trace.clear()

@@ -47,6 +47,7 @@ class AttributionNetwork:
         self.eoi = EoiMatrix()
         self.authorities: dict[str, TaxAuthority] = {}
         self._codes: list[str] = []  # sorted(authorities), kept by add_authority
+        self.homes: dict[str, str] = {}  # registered address -> its lowest code, kept by register
         self.links = links if links is not None else LinkConfig()
         self.trace: list[str] = []  # rendered lines: tick actor kind digest
         self.now = 0
@@ -72,20 +73,16 @@ class AttributionNetwork:
         self.trace.append(f"{tick} {actor} {kind} {digest}")
 
     def register(self, code: str, proof: OwnershipProof) -> None:
-        """Register a proof with `code`'s authority and trace the outcome."""
+        """Register a proof with `code`'s authority and trace the outcome.
+        The address's home is the lowest code it is registered with."""
         try:
             self.authorities[code].register_ownership(proof)
         except AttributionError as exc:
             self._emit(self.now, code, "registration_rejected", _digest(str(exc)))
             raise
-        self._emit(self.now, code, "registered", _digest(proof.address.text))
-
-    def find_home(self, address_text: str) -> str | None:
-        """Jurisdiction whose registry holds the address (globally unique)."""
-        for code in self._codes:
-            if address_text in self.authorities[code].registry:
-                return code
-        return None
+        address = proof.address.text
+        self.homes[address] = min(code, self.homes.get(address, code))
+        self._emit(self.now, code, "registered", _digest(address))
 
     # --- the query protocol ---
 
@@ -171,11 +168,11 @@ class AttributionNetwork:
     ) -> tuple[str, Fraction]:
         """Resolve the counterparty of a BTC transfer and compute its
         withholding: the attribution, "affirmed" or "unaffirmed", and the
-        amount withheld. The origin wallet must be attributable (registered
-        somewhere)."""
+        amount withheld. The origin wallet must have been registered
+        through `register`."""
         if amount_base_units < 0:
             raise ValueError("amount must be non-negative")
-        origin_home = self.find_home(origin_address)
+        origin_home = self.homes.get(origin_address)
         if origin_home is None:
             raise AttributionError("origin address %s is not registered" % origin_address)
         outcome = self.query_beneficiary_jurisdiction(

@@ -164,15 +164,6 @@ def _write_outputs(out: str, command: str, inputs: dict[str, str], produce,
     return EXIT_OK
 
 
-def _texts(outputs: dict[str, str]):
-    """A `produce` that writes each text of `outputs` under its name, popping
-    it as it goes, so that one copy is held at a time."""
-    def produce(write) -> None:
-        for name in list(outputs):
-            write(name, outputs.pop(name))
-    return produce
-
-
 # What reading and parsing an input file may raise: an unreadable file, bytes
 # that are not UTF-8, or a bad line.
 _INPUT_ERRORS = (LineError, OSError, UnicodeDecodeError)
@@ -203,16 +194,19 @@ def cmd_report(args) -> int:
     try:
         method = AccountingMethod(args.method)
         report = compute_report(records, policy, method, decimals)
-        # Rendered before any output is written: a value too long to print
-        # leaves nothing.
-        outputs = {"ledger.csv": report.to_csv(), "totals.json": report.to_totals_json()}
+        totals = report.to_totals_json()  # a year total too long to print exits before --out
     except PolicyViolation as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_POLICY
     except (EngineError, LotError, ValueError) as exc:
         print("%s: %s" % (events_path, exc), file=sys.stderr)
         return EXIT_POLICY
-    return _write_outputs(args.out, "report", inputs, _texts(outputs))
+
+    def produce(write) -> None:
+        write("totals.json", totals)
+        report.to_csv(write)
+
+    return _write_outputs(args.out, "report", inputs, produce)
 
 
 _SIM_RUNNERS = {

@@ -1,4 +1,6 @@
-"""The line format of every fisc input file: events, policies, scenarios.
+"""The line format of every fisc input file: events, policies, scenarios;
+and CHUNK_LINES, how many records (events, ledger rows, trace lines) each
+write of an output file carries.
 
 `#` starts a comment anywhere on a line, blank lines are skipped, and a
 line is its whitespace-separated tokens. A field is a `key=value` token.
@@ -15,6 +17,8 @@ from itertools import repeat
 # Raised while a line is handled, these become a LineError at that line.
 _LINE_FAULTS = (KeyError, ValueError, IndexError, ZeroDivisionError)
 _EQUALS, _ONCE = repeat("="), repeat(1)
+
+CHUNK_LINES = 4096
 
 
 class LineError(ValueError):

@@ -2,13 +2,13 @@
 
 Each runner parses a small line-based scenario file, replays it through
 the relevant engine, and writes an event file the tax engine ingests and
-the final state with `write(name, text)`, in chunks of CHUNK_LINES lines
-rendered as it replays, so a run holds little more than its parsed
-scenario. A fault in the replay is a LineError at its line, or at line 0
-once all are read, as is a value past CPython's int->str digit limit. An
-asset id, price or timestamp the event parser would refuse is refused at
-its scenario line by the parser's own checks, so `report` reads every
-event file `simulate` writes.
+the final state with `write(name, text)`, in chunks of CHUNK_LINES (from
+`fisc.lineformat`) lines rendered as it replays, so a run holds little
+more than its parsed scenario. A fault in the replay is a LineError at its
+line, or at line 0 once all are read, as is a value past CPython's
+int->str digit limit. An asset id, price or timestamp the event parser
+would refuse is refused at its scenario line by the parser's own checks,
+so `report` reads every event file `simulate` writes.
 
 Each runner checks its lines with `lineformat.directive` against its
 directive forms, as `attrib` does: a line with too few or too many tokens,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .amounts import Amount, parse_decimals, parse_rational
-from .lineformat import LineError, LineReader, directive, directives
+from .lineformat import CHUNK_LINES, LineError, LineReader, directive, directives
 from .tax.events import (
     EventKind,
     check_asset_id,
@@ -35,8 +35,6 @@ from .tax.events import (
     parse_fmv,
     serialize_event_file,
 )
-
-CHUNK_LINES = 4096
 
 
 class _Events:

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from ..amounts import DigitLimit, decimal_places, format_rational, format_units
+from ..lineformat import CHUNK_LINES
 from .events import DISPOSAL_KINDS, ChainEventRecord, EventKind
 from .lots import (
     AccountingMethod,
@@ -302,8 +303,9 @@ class _ExactSum(dict):
 
 
 class TaxReport:
-    """compute_report appends only lines that to_csv can print; a year total
-    is judged once every line is in, by to_totals_json. `ledger` is in the
+    """compute_report appends only lines that to_csv can print, so the
+    ledger streams to its writer with no fault of its own; a year total is
+    judged once every line is in, by to_totals_json. `ledger` is in the
     book's money (see `Book`); `lines` and `years` are in currency units."""
 
     def __init__(self, method: AccountingMethod, ledger: list[LedgerLine] | None = None,
@@ -330,16 +332,21 @@ class TaxReport:
     def total_income(self) -> Fraction:
         return sum((y.ordinary_income for y in self.years.values()), Fraction(0))
 
-    def to_csv(self) -> str:
+    def to_csv(self, write) -> None:
+        """Write the ledger with `write("ledger.csv", text)`, a chunk every
+        CHUNK_LINES rows, the header in the first."""
         places = self.places
         fmt = format_rational if places is None else lambda units: format_units(units, places)
         rows = ["seq,date,kind,asset,qty,proceeds,basis,gain,term"]
-        for seq, date, kind, asset, qty, proceeds, basis, gain, term in self.ledger:
-            # A zero, as an income line's basis and gain are, prints as 0 directly.
-            rows.append("%d,%s,%s,%s,%d,%s,%s,%s,%s" % (
-                seq, date, kind, asset, qty, fmt(proceeds) if proceeds else "0",
-                fmt(basis) if basis else "0", fmt(gain) if gain else "0", term))
-        return "\n".join(rows) + "\n"
+        for start in range(0, len(self.ledger) or 1, CHUNK_LINES):
+            for seq, date, kind, asset, qty, proceeds, basis, gain, term in (
+                    self.ledger[start:start + CHUNK_LINES]):
+                # A zero, as an income line's basis and gain are, prints as 0 directly.
+                rows.append("%d,%s,%s,%s,%d,%s,%s,%s,%s" % (
+                    seq, date, kind, asset, qty, fmt(proceeds) if proceeds else "0",
+                    fmt(basis) if basis else "0", fmt(gain) if gain else "0", term))
+            write("ledger.csv", "\n".join(rows) + "\n")
+            rows.clear()
 
     def to_totals_json(self) -> str:
         import json

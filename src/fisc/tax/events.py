@@ -118,9 +118,10 @@ def check_timestamp(stamp: int, text: str | None = None) -> int:
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # The ISO forms a `ts` may take, whole seconds only. fromisoformat alone
-# takes more, and more on some Python versions than on others.
+# takes more, such as an offset of 60 minutes, and more on some Python
+# versions than on others.
 _ISO_STAMP = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|[+-][0-9]{2}:[0-9]{2})?)?")
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:Z|[+-][0-9]{2}:[0-5][0-9])?)?")
 
 
 def _parse_timestamp(text: str) -> int:

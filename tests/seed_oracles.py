@@ -37,6 +37,7 @@ import calendar
 import hashlib
 import heapq
 import re
+from datetime import datetime
 from fractions import Fraction
 
 from fisc.amounts import parse_rational
@@ -548,8 +549,14 @@ def seed_timestamp(text: str) -> int:
         iso = _ISO.fullmatch(text)
         if iso is None:
             raise ValueError("not a timestamp: %r" % text)
-        stamp = calendar.timegm(tuple(int(part or 0) for part in iso.groups()[:6]))
         sign, hours, minutes = iso.groups()[7:]
+        try:  # a field out of range, such as 2021-02-29, T24:00:00 or +24:00
+            if sign and (int(hours) > 23 or int(minutes) > 59):
+                raise ValueError
+            moment = datetime(*(int(part or 0) for part in iso.groups()[:6]))
+        except ValueError:
+            raise ValueError("not a timestamp: %r" % text) from None
+        stamp = calendar.timegm(moment.timetuple())
         if sign:
             stamp -= int(sign + "1") * (int(hours) * 3600 + int(minutes) * 60)
     if not _FIRST <= stamp <= _LAST:

@@ -304,7 +304,7 @@ def test_12_attribution_protocol():
         holder_private, holder_public = SCHEME.keypair(b"h|" + tin.encode())
         net.authorities[code].issue_dsc(tin, holder_public)
         proof = build_ownership_proof(tin, seed, holder_private)
-        net.authorities[code].register_ownership(proof)
+        net.register(code, proof)
         return proof.address.text, holder_private
 
     # registered + allow => affirmed at the standard rate

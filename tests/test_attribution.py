@@ -115,11 +115,10 @@ def build_network(seed=0, drop=None, latency=None):
 
 
 def register_wallet(network, code, tin, wallet_seed):
-    authority = network.authorities[code]
     holder_private, holder_public = SCHEME.keypair(b"h|" + tin.encode())
-    authority.issue_dsc(tin, holder_public)
+    network.authorities[code].issue_dsc(tin, holder_public)
     proof = build_ownership_proof(tin, wallet_seed, holder_private)
-    authority.register_ownership(proof)
+    network.register(code, proof)
     return proof.address.text
 
 
@@ -225,6 +224,15 @@ class TestTransfers:
         )
         assert attribution == "unaffirmed"
         assert withheld == Fraction(3, 10)
+
+    def test_origin_registered_thrice_queries_from_its_lowest_code(self):
+        network = build_network()
+        origin = register_wallet(network, "FR", "FR-1", b"wo")
+        for code in ("AT", "DE"):
+            assert register_wallet(network, code, code + "-1", b"wo") == origin
+        network.originate_transfer(origin, "1BoatSLRHtKNngkdXEeobR76b53LETtpyT", 1, POLICY)
+        assert [line.split()[1] for line in network.trace
+                if line.split()[2] == "query_broadcast"] == ["AT"]
 
     def test_unregistered_origin_rejected(self):
         network = build_network()

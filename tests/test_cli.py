@@ -18,12 +18,8 @@ import fisc
 import fisc.cli
 from fisc.amounts import Amount, format_rational, parse_rational
 from fisc.cli import EXIT_OK, EXIT_PARSE, EXIT_POLICY, main
-from fisc.scenarios import (
-    CHUNK_LINES,
-    run_chain_scenario,
-    run_pool_scenario,
-    run_validator_scenario,
-)
+from fisc.lineformat import CHUNK_LINES
+from fisc.scenarios import run_chain_scenario, run_pool_scenario, run_validator_scenario
 from fisc.tax.engine import compute_report
 from fisc.tax.events import ChainEventRecord, parse_event_file, serialize_event_file
 from fisc.tax.lots import AccountingMethod
@@ -118,6 +114,25 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def rewards(n: int) -> str:
+    """An event file of `n` mining rewards at a decimal price: one income
+    line each in the ledger."""
+    return "asset BTC 8\n" + "".join(
+        "event seq=%d ts=%d kind=mining_reward asset=BTC qty=%d fmv=30000.5\n"
+        % (seq, seq * 600, 5_000_000 + seq) for seq in range(1, n + 1))
+
+
+def unprintable_total(tmp_path) -> Path:
+    """800 sales at 1/p for distinct 7-digit primes p: every ledger line
+    prints, but the year's gain has a denominator of about 5,600 digits."""
+    primes = [p for p in range(1_000_003, 1_020_000, 2)
+              if all(p % d for d in range(3, 1_011, 2))][:800]
+    lines = ["asset X 0", "event seq=1 ts=0 kind=purchase asset=X qty=800 fmv=1"]
+    lines += ["event seq=%d ts=%d kind=sale asset=X qty=1 fmv=1/%d" % (seq, seq, p)
+              for seq, p in enumerate(primes, start=2)]
+    return write(tmp_path, "events.fisc", "\n".join(lines) + "\n")
 
 
 def replay(runner, text: str) -> dict[str, list[str]]:
@@ -442,20 +457,64 @@ class TestReport:
         assert not out.exists()
 
     def test_unprintable_total_exit_3(self, tmp_path, capsys):
-        # 800 sales at 1/p for distinct 7-digit primes p: every ledger line
-        # prints, but the year's gain has a denominator of about 5,600 digits.
-        primes = [p for p in range(1_000_003, 1_020_000, 2)
-                  if all(p % d for d in range(3, 1_011, 2))][:800]
-        lines = ["asset X 0", "event seq=1 ts=0 kind=purchase asset=X qty=800 fmv=1"]
-        lines += ["event seq=%d ts=%d kind=sale asset=X qty=1 fmv=1/%d" % (seq, seq, p)
-                  for seq, p in enumerate(primes, start=2)]
-        events = write(tmp_path, "events.fisc", "\n".join(lines) + "\n")
+        events = unprintable_total(tmp_path)
         out = tmp_path / "out"
         assert main(["report", str(events), "--out", str(out)]) == EXIT_POLICY
         err = capsys.readouterr().err
         assert "events.fisc: year 1970 short_term_gain: exact value too long to print" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_unprintable_total_exits_3_before_an_unusable_out(self, tmp_path, capsys):
+        """The year totals are judged before --out is touched: exit 3, not
+        the exit 2 of an --out that cannot be made, and nothing written."""
+        events = unprintable_total(tmp_path)
+        blocker = write(tmp_path, "afile", "kept\n")
+        assert main(["report", str(events), "--out", str(blocker / "sub")]) == EXIT_POLICY
+        assert "year 1970 short_term_gain: exact value too long to print" in (
+            capsys.readouterr().err)
+        assert blocker.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "events.fisc"]
+
+    def test_ledger_streams_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        """Over 13,000 ledger rows, three chunks and more: every ledger.csv
+        write but the last holds CHUNK_LINES rows, the header in the first,
+        and the chunks joined are the file."""
+        written = []
+        staged_write = fisc.cli._Staged.write
+
+        def spy(self, name, text):
+            if name == "ledger.csv":
+                written.append(text)
+            staged_write(self, name, text)
+
+        monkeypatch.setattr(fisc.cli._Staged, "write", spy)
+        events = write(tmp_path, "events.fisc", rewards(13_000))
+        out = tmp_path / "out"
+        assert main(["report", str(events), "--out", str(out)]) == EXIT_OK
+        assert "".join(written) == (out / "ledger.csv").read_text()
+        assert written[0].startswith("seq,date,kind,")
+        rows = [text.count("\n") for text in written]
+        rows[0] -= 1
+        assert len(rows) >= 4 and set(rows[:-1]) == {CHUNK_LINES} and sum(rows) == 13_000, rows
+
+    def test_ledger_rendering_memory_is_bounded(self):
+        """With the ledger built, to_csv holds one chunk, not the whole CSV:
+        four times the rows, written to a hashing sink, peak within 1.5
+        times the memory."""
+        peaks = []
+        for n in (2 * CHUNK_LINES, 8 * CHUNK_LINES):
+            decimals, records = parse_event_file(rewards(n))
+            report = compute_report(records, JurisdictionPolicy(), AccountingMethod.FIFO,
+                                    decimals)
+            digest = hashlib.sha256()
+            tracemalloc.start()
+            try:
+                report.to_csv(lambda name, text: digest.update(text.encode()))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestSimulate:
