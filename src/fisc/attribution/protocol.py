@@ -11,10 +11,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..addresses import Address, Scheme, address_from_pubkey
+from ..lineformat import FiscError
 from ..signatures import DEFAULT_SCHEME
 
 
-class AttributionError(Exception):
+class AttributionError(FiscError):
     pass
 
 

@@ -63,7 +63,7 @@ class AttributionNetwork:
 
     def add_authority(self, code: str) -> TaxAuthority:
         if code in self.authorities:
-            raise ValueError("jurisdiction %s already present" % code)
+            raise AttributionError("jurisdiction %s already present" % code)
         authority = TaxAuthority(code)
         self.authorities[code] = authority
         self._codes, self._plans = sorted(self.authorities), {}

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ..lineformat import FiscError
 
-class TravelRuleError(Exception):
+
+class TravelRuleError(FiscError):
     pass
 
 

@@ -1,8 +1,12 @@
 """Command-line front end: report, simulate, attrib.
 
-Exit codes: 0 success, 2 parse error, 3 policy/scenario violation. Every
-run writes a manifest next to its outputs; identical inputs and seed
-reproduce byte-identical files.
+Exit codes: 0 success; 2 parse error: an input that cannot be read or is
+not UTF-8, a bad line, an unusable --out or an unknown option; 3 policy or
+scenario violation: a fault of a whole file (line 0) or a refusal of the
+engine or the replay, printed after the name of the event file or scenario.
+Any other exit, such as 1 with a traceback, is a bug in fisc, not a
+verdict on the input. Every run writes a manifest next to its outputs;
+identical inputs and seed reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .lineformat import LineError
+from .lineformat import FiscError, LineError
 from .scenarios import run_chain_scenario, run_pool_scenario, run_validator_scenario
-from .tax.engine import EngineError, PolicyViolation, compute_report
+from .tax.engine import compute_report
 from .tax.events import parse_event_file
-from .tax.lots import AccountingMethod, LotError
+from .tax.lots import AccountingMethod
 from .tax.policy import parse_policy
 
 EXIT_OK = 0
@@ -30,12 +34,25 @@ EXIT_PARSE = 2
 EXIT_POLICY = 3
 
 
+class _Unreadable(FiscError):
+    """An input that cannot be read or is not UTF-8, exit 2; its text names
+    the file, so main prints it as it is."""
+
+    exit_code = EXIT_PARSE
+
+
 def _read(path: Path, digests: dict[str, str]) -> str:
     """The text of `path`, read once: the sha256 of the bytes parsed goes in
     `digests` under the path, and the bytes are freed before parsing starts."""
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise _Unreadable(exc) from None
     digests[str(path)] = hashlib.sha256(data).hexdigest()
-    return data.decode()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise _Unreadable("%s: %s" % (path, exc)) from None
 
 
 class _Staged:
@@ -164,43 +181,15 @@ def _write_outputs(out: str, command: str, inputs: dict[str, str], produce,
     return EXIT_OK
 
 
-# What reading and parsing an input file may raise: an unreadable file, bytes
-# that are not UTF-8, or a bad line.
-_INPUT_ERRORS = (LineError, OSError, UnicodeDecodeError)
-
-
-def _bad_input(path: Path, exc: Exception) -> int:
-    """Print why an input file was refused; line 0 is a whole-file violation."""
-    if not isinstance(exc, LineError):
-        print(str(exc) if isinstance(exc, OSError) else "%s: %s" % (path, exc),
-              file=sys.stderr)
-        return EXIT_PARSE
-    print("%s:%d: %s" % (path, exc.line_no, exc), file=sys.stderr)
-    return EXIT_POLICY if exc.line_no == 0 else EXIT_PARSE
-
-
 def cmd_report(args) -> int:
-    events_path = Path(args.events)
-    policy_path = Path(args.config) if args.config else None
     inputs: dict[str, str] = {}
-    try:
-        decimals, records = parse_event_file(_read(events_path, inputs))
-    except _INPUT_ERRORS as exc:
-        return _bad_input(events_path, exc)
-    try:
-        policy = parse_policy(_read(policy_path, inputs) if policy_path else "")
-    except _INPUT_ERRORS as exc:
-        return _bad_input(policy_path, exc)
-    try:
-        method = AccountingMethod(args.method)
-        report = compute_report(records, policy, method, decimals)
-        totals = report.to_totals_json()  # a year total too long to print exits before --out
-    except PolicyViolation as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_POLICY
-    except (EngineError, LotError, ValueError) as exc:
-        print("%s: %s" % (events_path, exc), file=sys.stderr)
-        return EXIT_POLICY
+    events, config = args.input, Path(args.config) if args.config else None
+    decimals, records = parse_event_file(_read(events, inputs))
+    args.input = config  # the file main names in a refusal, until the policy parses
+    policy = parse_policy(_read(config, inputs) if config else "")
+    args.input = events
+    report = compute_report(records, policy, AccountingMethod(args.method), decimals)
+    totals = report.to_totals_json()  # a year total too long to print exits before --out
 
     def produce(write) -> None:
         write("totals.json", totals)
@@ -217,40 +206,25 @@ _SIM_RUNNERS = {
 
 
 def cmd_simulate(args) -> int:
-    scenario_path = Path(args.scenario)
     inputs: dict[str, str] = {}
-    runner = _SIM_RUNNERS[args.kind]
-    try:
-        text = _read(scenario_path, inputs)
-        # The runner writes its outputs into the staging directory as it replays.
-        return _write_outputs(args.out, "simulate " + args.kind, inputs,
-                              lambda write: runner(text, write))
-    except _INPUT_ERRORS as exc:
-        return _bad_input(scenario_path, exc)
+    runner, text = _SIM_RUNNERS[args.kind], _read(args.input, inputs)
+    # The runner writes its outputs into the staging directory as it replays.
+    return _write_outputs(args.out, "simulate " + args.kind, inputs,
+                          lambda write: runner(text, write))
 
 
 def cmd_attrib(args) -> int:
     # Imported here, so that report and simulate do not load the package.
-    from .attribution.protocol import AttributionError
     from .attribution.scenario import parse_attribution_scenario, run_attribution_scenario
-    from .attribution.travelrule import TravelRuleError
 
-    scenario_path = Path(args.scenario)
     inputs: dict[str, str] = {}
-    try:
-        scenario = parse_attribution_scenario(_read(scenario_path, inputs))
-    except _INPUT_ERRORS as exc:
-        return _bad_input(scenario_path, exc)
+    scenario = parse_attribution_scenario(_read(args.input, inputs))
     if args.seed is not None:
         scenario.seed = args.seed
-    try:
-        # The run writes its outputs into the staging directory as it goes.
-        return _write_outputs(args.out, "attrib", inputs,
-                              lambda write: run_attribution_scenario(scenario, write),
-                              scenario.seed)
-    except (AttributionError, TravelRuleError, ValueError) as exc:
-        print("%s: %s" % (scenario_path, exc), file=sys.stderr)
-        return EXIT_POLICY
+    # The run writes its outputs into the staging directory as it goes.
+    return _write_outputs(args.out, "attrib", inputs,
+                          lambda write: run_attribution_scenario(scenario, write),
+                          scenario.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
 
     p_report = sub.add_parser("report", parents=[common], help="compute a tax report")
-    p_report.add_argument("events", help="event file")
+    p_report.add_argument("input", type=Path, metavar="events", help="event file")
     p_report.add_argument("--config", help="policy file")
     p_report.add_argument("--method", default="fifo",
                           choices=[m.value for m in AccountingMethod])
@@ -270,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common], help="replay a scenario")
     p_sim.add_argument("kind", choices=sorted(_SIM_RUNNERS))
-    p_sim.add_argument("scenario")
+    p_sim.add_argument("input", type=Path, metavar="scenario")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_attrib = sub.add_parser("attrib", parents=[common],
                               help="run an attribution-protocol scenario")
-    p_attrib.add_argument("scenario")
+    p_attrib.add_argument("input", type=Path, metavar="scenario")
     p_attrib.add_argument("--seed", type=int, default=None,
                           help="override the scenario's seed line")
     p_attrib.set_defaults(func=cmd_attrib)
@@ -283,15 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand with the cyclic garbage collector off: a run makes
-    no cyclic garbage that grows with its input, so each collection would
-    only walk the growing lists of records, lots and lines again. The
-    collector's state is restored for in-process callers."""
+    """Run one subcommand; a refusal of its input, `args.input`, prints one
+    line on stderr and returns its exit code. The cyclic garbage collector is
+    off: a run makes no cyclic garbage that grows with its input, so each
+    collection would only walk the growing lists of records, lots and lines
+    again. The collector's state is restored for in-process callers."""
     args = build_parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()
     try:
         return args.func(args)
+    except FiscError as exc:
+        where = "%s:%d" % (args.input, exc.line_no) if isinstance(exc, LineError) else args.input
+        print(exc if isinstance(exc, _Unreadable) else "%s: %s" % (where, exc), file=sys.stderr)
+        return exc.exit_code
     finally:
         if enabled:
             gc.enable()

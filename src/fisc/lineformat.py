@@ -1,6 +1,7 @@
 """The line format of every fisc input file: events, policies, scenarios;
-and CHUNK_LINES, how many records (events, ledger rows, trace lines) each
-write of an output file carries.
+FiscError, the one type of every refusal of an input; and CHUNK_LINES, how
+many records (events, ledger rows, trace lines) each write of an output
+file carries.
 
 `#` starts a comment anywhere on a line, blank lines are skipped, and a
 line is its whitespace-separated tokens. A field is a `key=value` token.
@@ -14,27 +15,40 @@ from __future__ import annotations
 
 from itertools import repeat
 
-# Raised while a line is handled, these become a LineError at that line.
-_LINE_FAULTS = (KeyError, ValueError, IndexError, ZeroDivisionError)
+# Raised while a line is parsed, these become a LineError at that line.
+_LINE_FAULTS = (KeyError, ValueError)
 _EQUALS, _ONCE = repeat("="), repeat(1)
 
 CHUNK_LINES = 4096
 
 
-class LineError(ValueError):
-    """A fault at a 1-based line; line 0 is a fault of the whole file."""
+class FiscError(Exception):
+    """A refusal of a run's input: `fisc.cli.main` prints it on one line of
+    stderr and exits with its `exit_code`, 3 (a policy or scenario
+    violation) unless a subclass says otherwise. Any other exception is a
+    bug, not a verdict on the input."""
+
+    exit_code = 3
+
+
+class LineError(FiscError, ValueError):
+    """A fault at a 1-based line, exit 2; line 0 is a fault of the whole
+    file, exit 3."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(message)
         self.line_no = line_no
+        self.exit_code = 2 if line_no else 3
 
 
 class LineReader:
     """`with LineReader(text) as lines: for fields in lines: ...`
 
-    A fault raised in the block becomes a LineError at `lines.line_no`, the
-    current line or 0 once all are read; a KeyError reads as a missing
-    field. The block is entered once per file, not once per line.
+    A KeyError or ValueError raised in the block, the faults parsing raises,
+    becomes a LineError at `lines.line_no`, the current line or 0 once all
+    are read; a KeyError reads as a missing field. Any other exception
+    passes through unchanged. The block is entered once per file, not once
+    per line.
     """
 
     def __init__(self, text: str):

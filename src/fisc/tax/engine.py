@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from ..amounts import DigitLimit, decimal_places, format_rational, format_units
-from ..lineformat import CHUNK_LINES
+from ..lineformat import CHUNK_LINES, FiscError
 from .events import DISPOSAL_KINDS, ChainEventRecord, EventKind
 from .lots import (
     AccountingMethod,
@@ -27,7 +27,7 @@ from .lots import (
 from .policy import HobbyMinerRule, JurisdictionPolicy, ReceiptTreatment
 
 
-class EngineError(Exception):
+class EngineError(FiscError):
     pass
 
 

@@ -21,6 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
+from ..lineformat import FiscError
 from .events import ChainEventRecord
 
 if TYPE_CHECKING:  # fisc.tax.policy imports AccountingMethod from here
@@ -38,7 +39,7 @@ class AccountingMethod(Enum):
     PVCT = "pvct"
 
 
-class LotError(Exception):
+class LotError(FiscError):
     pass
 
 

@@ -1173,6 +1173,38 @@ class TestOutputContract:
         assert capsys.readouterr().err == "%s: No space left on device\n" % out
         assert os.listdir(tmp_path) == [name]
 
+    @pytest.mark.parametrize("command,name,text", [
+        (["report"], "events.fisc", EVENTS), (["simulate", "chain"], "chain.scn", CHAIN_SCENARIO),
+    ], ids=["report", "simulate"])
+    def test_internal_value_error_escapes_and_leaves_out_as_it_was(
+            self, tmp_path, capsys, monkeypatch, command, name, text):
+        """A ValueError that no parse of a line raised is a bug, not a
+        refusal: it escapes main without an exit code or a stderr line, and
+        the run leaves --out as it was and no staging directory."""
+        import fisc.tax.engine
+
+        path = write(tmp_path, name, text)
+        out = tmp_path / "o"
+        assert main(command + [str(path), "--out", str(out)]) == EXIT_OK
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        runner = fisc.cli._SIM_RUNNERS["chain"]
+
+        def fault(*args):
+            raise ValueError("internal")
+
+        def replay_then_fault(text, write):
+            runner(text, write)  # every output is in the staging directory
+            fault()
+
+        monkeypatch.setattr(fisc.tax.engine, "ingest_event", fault)  # called by compute_report
+        monkeypatch.setitem(fisc.cli._SIM_RUNNERS, "chain", replay_then_fault)
+        capsys.readouterr()
+        with pytest.raises(ValueError, match="internal"):
+            main(command + [str(path), "--out", str(out)])
+        assert capsys.readouterr().err == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+        assert sorted(os.listdir(tmp_path)) == [name, "o"]
+
     def test_rerun_stages_inside_out(self, tmp_path, monkeypatch):
         """An existing --out, such as a mount point or a symlink to another
         filesystem, holds the staging directory, so no move crosses devices."""

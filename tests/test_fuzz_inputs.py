@@ -2,11 +2,13 @@
 
 Each strategy builds lines from one format's own tags and keys: the pool,
 chain and validators scenarios of `simulate`, `attrib` scenarios,
-`report --config` policies and `report` event files. Most lines are well
-formed; junk tokens, fields without '=', missing fields, '1/0' and
-negative numbers are mixed in. Every run must exit 0, 2 or 3 with no
-exception escaping, leave no output directory after a nonzero exit, and
-write byte-identical files when rerun after exit 0.
+`report --config` policies and `report` event files, each event file read
+under a drawn policy. Most lines are well formed; junk tokens, fields
+without '=', missing fields, '1/0' and negative numbers are mixed in.
+Every run must exit 0, 2 or 3 with no exception escaping, leave no output
+directory after a nonzero exit, and write byte-identical files when rerun
+after exit 0. Only a refusal exits 2 or 3, so a bug, such as a ValueError
+on one policy's path, escapes and fails the test.
 
 Bounds: numbers lie in [-2,000, 2,000], so heights and `mine` ranges stay
 within 2,000 blocks. `decimals` lie in [-2, 18] or [253, 258], or are 4,400:
@@ -277,6 +279,13 @@ PRICE = mostly(
 ASSET_IDS = mostly(st.sampled_from(["BTC", "X"]), st.sampled_from(["a,b", 'q"t']))
 
 
+# Metadata the engine reads: a deduction, a slashing (which slashing_deductible
+# decides) and an attribution (which sets the withholding).
+META = mostly(st.just(""), st.sampled_from([
+    " meta.deduction=1", " meta.deduction=1 meta.slashing=1", " meta.attribution=affirmed",
+    " meta.attribution=unaffirmed"]), one_in=4)
+
+
 @st.composite
 def event_file(draw):
     """Asset lines, usually an opening purchase, then up to eight events."""
@@ -285,28 +294,44 @@ def event_file(draw):
     if draw(st.integers(1, 5)) > 1:
         lines.append("event seq=0 ts=0 kind=purchase asset=%s qty=1000000 fmv=1" % assets[0])
     for seq in range(1, draw(st.integers(0, 8)) + 1):
-        lines.append("event seq=%d ts=%s kind=%s asset=%s qty=%d fmv=%s" % (
+        lines.append("event seq=%d ts=%s kind=%s asset=%s qty=%d fmv=%s%s" % (
             seq, draw(TIMESTAMP), draw(st.sampled_from(list(EventKind))).value,
-            draw(st.sampled_from(assets)), draw(st.integers(1, 1_000)), draw(PRICE)))
+            draw(st.sampled_from(assets)), draw(st.integers(1, 1_000)), draw(PRICE), draw(META)))
     return "\n".join(lines)
 
 
 EVENT_METHODS = st.sampled_from([method.value for method in AccountingMethod])
+# The switches that change how a report reads its events, each set about
+# half the time; allowed_methods sometimes leaves out the method run.
+REPORT_POLICY = st.fixed_dictionaries({}, optional={
+    **{key: POLICY_VALUES[key] for key in (
+        "gift_taxable", "lp_events_are_disposals", "slashing_deductible", "mining_is_business",
+        "hobby_miner", "fork_treatment", "airdrop_treatment")},
+    "allowed_methods": st.lists(EVENT_METHODS, min_size=1, unique=True).map(", ".join),
+}).map(lambda switches: "".join("%s = %s\n" % item for item in switches.items()))
 
 
-@given(event_file(), EVENT_METHODS)
+@given(event_file(), EVENT_METHODS, REPORT_POLICY)
 @example("asset BTC 8\nevent seq=1 ts=100000000000000000000 kind=airdrop asset=BTC qty=1 fmv=1",
-         "fifo")
-@example("asset BTC 8\nevent seq=1 ts=-100000000000 kind=airdrop asset=BTC qty=1 fmv=1", "fifo")
-@example("asset X 0\nevent seq=1 ts=-62135596800 kind=mining_reward asset=X qty=1 fmv=1", "fifo")
+         "fifo", "")
+@example("asset BTC 8\nevent seq=1 ts=-100000000000 kind=airdrop asset=BTC qty=1 fmv=1", "fifo",
+         "")
+@example("asset X 0\nevent seq=1 ts=-62135596800 kind=mining_reward asset=X qty=1 fmv=1", "fifo",
+         "")
 @example("asset X 0\nevent seq=1 ts=0 kind=mining_reward asset=X qty=2 fmv=1\n"
-         "event seq=2 ts=1 kind=sale asset=X qty=1 fmv=-5", "fifo")
+         "event seq=2 ts=1 kind=sale asset=X qty=1 fmv=-5", "fifo", "")
 @example("asset a,b 0\nevent seq=1 ts=0 kind=mining_reward asset=a,b qty=2 fmv=1\n"
-         "event seq=2 ts=0 kind=sale asset=a,b qty=1 fmv=2", "hifo")
+         "event seq=2 ts=0 kind=sale asset=a,b qty=1 fmv=2", "hifo", "")
+# A gift the policy exempts takes its own path through ingest_event.
+@example("asset X 0\nevent seq=1 ts=0 kind=purchase asset=X qty=2 fmv=1\n"
+         "event seq=2 ts=1 kind=gift asset=X qty=1 fmv=3", "fifo", "gift_taxable = no\n")
 @FUZZ
-def test_event_files(text, method):
+def test_event_files(text, method, policy):
     """A ledger written has 9 fields a row, YYYY-MM-DD dates and proceeds >= 0."""
-    files = check_cli(text, ["report"], ["--method", method])
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "policy.cfg"
+        config.write_text(policy)
+        files = check_cli(text, ["report"], ["--method", method, "--config", str(config)])
     if not files:
         return
     header, *rows = files["ledger.csv"].decode().splitlines()

@@ -25,6 +25,9 @@ def test_first_token_without_equals_is_named(tokens, bad):
         pairs(tokens)
 
 
+# KeyError and ValueError are the faults parsing raises. Any other fault,
+# such as IndexError or ZeroDivisionError, is a bug: it leaves the block as
+# it was raised, not as a LineError that would read as a refusal.
 @pytest.mark.parametrize(
     "fault,message",
     [
@@ -36,13 +39,17 @@ def test_first_token_without_equals_is_named(tokens, bad):
     ],
 )
 def test_faults_become_line_errors_at_their_line(fault, message):
-    with pytest.raises(LineError) as err:
+    parse_fault = isinstance(fault, (KeyError, ValueError))
+    with pytest.raises(LineError if parse_fault else type(fault)) as err:
         with LineReader("ok\n\nbad\n") as lines:
             for fields in lines:
                 if fields == ["bad"]:
                     raise fault
-    assert (err.value.line_no, str(err.value)) == (3, message)
-    assert err.value.__cause__ is fault
+    if parse_fault:
+        assert (err.value.line_no, str(err.value)) == (3, message)
+        assert err.value.__cause__ is fault
+    else:
+        assert err.value is fault and str(err.value) == message
 
 
 def test_fault_after_the_last_line_is_a_whole_file_error():
