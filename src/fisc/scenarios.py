@@ -4,11 +4,13 @@ Each runner parses a small line-based scenario file, replays it through
 the relevant engine, and writes an event file the tax engine ingests and
 the final state with `write(name, text)`, in chunks of CHUNK_LINES (from
 `fisc.lineformat`) lines rendered as it replays, so a run holds little
-more than its parsed scenario. A fault in the replay is a LineError at its
-line, or at line 0 once all are read, as is a value past CPython's
-int->str digit limit. An asset id, price or timestamp the event parser
-would refuse is refused at its scenario line by the parser's own checks,
-so `report` reads every event file `simulate` writes.
+more than its parsed scenario. A fault of a line is a LineError at that
+line. What runs after the last line is read, the chain and validators
+replays and the last writes of every runner, refuses only a value past
+CPython's int->str digit limit, as a LineError at line 0; any other
+exception there is a bug and escapes. An asset id, price or timestamp the
+event parser would refuse is refused at its scenario line by the parser's
+own checks, so `report` reads every event file `simulate` writes.
 
 Each runner checks its lines with `lineformat.directive` against its
 directive forms, as `attrib` does: a line with too few or too many tokens,
@@ -64,6 +66,15 @@ class _Events:
         self.write("events.fisc", text)
         self.decimals = {}
         self.rows.clear()
+
+
+def _digits(n: int) -> str:
+    """str(n); an int past CPython's int->str digit limit is a fault of the
+    whole file."""
+    try:
+        return str(n)
+    except ValueError as exc:
+        raise LineError(0, str(exc)) from exc
 
 
 # --- pool ---
@@ -147,11 +158,11 @@ def run_pool_scenario(text: str, write) -> None:
                     emit(EventKind.LP_WITHDRAWAL, asset_x, x_out, price_x, owner=owner)
                 if y_out:
                     emit(EventKind.LP_WITHDRAWAL, asset_y, y_out, price_y, owner=owner)
-        if pool is None:
-            raise LineError(0, "scenario declares no pool")
-        events.flush()
-        write("state.txt", "reserve_x %d\nreserve_y %d\nproduct %d\ntotal_lp_units %d\n"
-              % (pool.reserve_x, pool.reserve_y, pool.k, pool.total_lp_units))
+    if pool is None:
+        raise LineError(0, "scenario declares no pool")
+    events.flush()
+    write("state.txt", "reserve_x %s\nreserve_y %s\nproduct %s\ntotal_lp_units %s\n" % tuple(
+        map(_digits, (pool.reserve_x, pool.reserve_y, pool.k, pool.total_lp_units))))
 
 
 # --- chain ---
@@ -203,28 +214,28 @@ def run_chain_scenario(text: str, write) -> None:
                 if start <= end and end > top:
                     top = end
                     check_timestamp(top * rule.target_block_interval)
-        events = _Events(write, {asset: schedule.initial_subsidy.decimals})
-        rows, kind, spacing = events.rows, EventKind.MINING_REWARD, rule.target_block_interval
-        state: list[str] = []
-        seq = 0
-        for start, end in mined:
-            for height in range(start, end + 1):
-                if height == start or not height % schedule.halving_interval_blocks:
-                    subsidy = block_subsidy(height, schedule).base_units
-                    form = "height %%d subsidy %d\n" % subsidy  # one per era
-                seq += 1
-                # The schedule refuses a negative subsidy, so this quantity is positive.
-                if subsidy:
-                    rows.append((seq, height * spacing, kind, asset, subsidy, price, None, None,
-                                 {"height": str(height)}))
-                state.append(form % height)
-                if len(state) == CHUNK_LINES:
-                    events.flush()
-                    write("state.txt", "".join(state))
-                    state.clear()
-        events.flush()
-        # A replay of no height writes one blank line, as it always has.
-        write("state.txt", "".join(state) if seq else "\n")
+    events = _Events(write, {asset: schedule.initial_subsidy.decimals})
+    rows, kind, spacing = events.rows, EventKind.MINING_REWARD, rule.target_block_interval
+    state: list[str] = []
+    seq = 0
+    for start, end in mined:
+        for height in range(start, end + 1):
+            if height == start or not height % schedule.halving_interval_blocks:
+                subsidy = block_subsidy(height, schedule).base_units
+                form = "height %%d subsidy %s\n" % _digits(subsidy)  # one per era
+            seq += 1
+            # The schedule refuses a negative subsidy, so this quantity is positive.
+            if subsidy:
+                rows.append((seq, height * spacing, kind, asset, subsidy, price, None, None,
+                             {"height": str(height)}))
+            state.append(form % height)
+            if len(state) == CHUNK_LINES:
+                events.flush()
+                write("state.txt", "".join(state))
+                state.clear()
+    events.flush()
+    # A replay of no height writes one blank line, as it always has.
+    write("state.txt", "".join(state) if seq else "\n")
 
 
 # --- validators ---
@@ -259,25 +270,25 @@ def run_validator_scenario(text: str, write) -> None:
             else:  # duty
                 duty_log.append((lines.line_no, args[0],
                                  DUTY_BY_TEXT.get(args[1]) or DutyEvent(args[1])))
-        events = _Events(write, {"ETH": 18})
-        for index, (line_no, vid, duty) in enumerate(duty_log):
-            if vid not in stakes:  # a duty may name a validator declared below it
-                raise LineError(line_no, "duty for unknown validator %s" % vid)
-            if vid in slashed:
-                continue
-            before = stakes[vid]
-            stakes[vid], slashes = penalty_or_slash(before, duty, params)
-            loss = before - stakes[vid]
+    events = _Events(write, {"ETH": 18})
+    for index, (line_no, vid, duty) in enumerate(duty_log):
+        if vid not in stakes:  # a duty may name a validator declared below it
+            raise LineError(line_no, "duty for unknown validator %s" % vid)
+        if vid in slashed:
+            continue
+        before = stakes[vid]
+        stakes[vid], slashes = penalty_or_slash(before, duty, params)
+        loss = before - stakes[vid]
+        if slashes:
+            slashed.add(vid)
+        if loss:
+            meta = {"validator": vid, "deduction": "1"}
             if slashes:
-                slashed.add(vid)
-            if loss:
-                meta = {"validator": vid, "deduction": "1"}
-                if slashes:
-                    meta["slashing"] = "1"
-                events.add(index, EventKind.SPEND, "ETH", loss, price, meta)
-        events.flush()
-        state_lines = [
-            "%s stake=%d status=%s" % (vid, stake, "slashed" if vid in slashed else "active")
-            for vid, stake in sorted(stakes.items())
-        ]
-        write("state.txt", "\n".join(state_lines) + "\n")
+                meta["slashing"] = "1"
+            events.add(index, EventKind.SPEND, "ETH", loss, price, meta)
+    events.flush()
+    state_lines = [
+        "%s stake=%s status=%s" % (vid, _digits(stake), "slashed" if vid in slashed else "active")
+        for vid, stake in sorted(stakes.items())
+    ]
+    write("state.txt", "\n".join(state_lines) + "\n")

@@ -1,23 +1,21 @@
 """Every function under `src/` is entered by a run the project stands behind.
 
-A fresh interpreter records, with a profile hook, each function entered
-while these run:
-- the pinned simulate → report steps of `tests/pipeline/check.py`;
-- `fisc attrib tests/attrib_pinned.scn`;
-- `tests/test_cli.py` and `tests/test_acceptance.py`.
-A function defined under `src/` that none of them enters fails this test,
-unless `KEPT` names it with the reason it stays. Whether the inner tests
-pass is the rest of the suite's business; only what they enter counts here.
+`conftest.py` records, with a profile hook, each function entered while
+every `fisc` module is imported and while its `ROOTS` run: the pinned
+simulate → report steps of `tests/pipeline/check.py`, the pinned `attrib`
+scenario, `tests/test_cli.py` and `tests/test_acceptance.py`. A function
+defined under `src/` that none of them enters fails this test, unless
+`KEPT` names it with the reason it stays. The test runs last, and skips,
+naming them, if the session left out a root item. Whether the roots pass
+is the rest of the suite's business; only what they enter counts here.
 """
 
 import ast
-import json
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 KEPT = {
     **dict.fromkeys(("fisc/addresses.py::Address.__eq__", "fisc/addresses.py::Address.__ne__",
@@ -32,33 +30,6 @@ KEPT = {
     "fisc/tax/lots.py::Lot.__eq__": "the differential tests compare lots with the seed oracle's",
     "fisc/tax/lots.py::Lot.__repr__": "names the lots a failed differential test compared",
 }
-
-PROBE = r"""
-import json, sys, tempfile
-from pathlib import Path
-
-root, out = Path(sys.argv[1]), sys.argv[2]
-entered = set()
-
-def hook(frame, event, arg):
-    if event == "call":
-        entered.add(frame.f_code)
-
-sys.path[:0] = [str(root / "src"), str(root / "tests" / "pipeline")]
-sys.setprofile(hook)
-import check
-import pytest
-from fisc.cli import main
-
-with tempfile.TemporaryDirectory() as tmp:
-    check.run(Path(tmp, "pipeline"))
-    main(["attrib", str(root / "tests" / "attrib_pinned.scn"), "--out", str(Path(tmp, "attrib"))])
-pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-profile=ci",
-             str(root / "tests" / "test_cli.py"), str(root / "tests" / "test_acceptance.py")])
-sys.setprofile(None)
-with open(out, "w") as f:
-    json.dump(sorted({(c.co_filename, c.co_firstlineno) for c in entered}), f)
-"""
 
 
 def defined_functions() -> dict[tuple[str, int], str]:
@@ -83,13 +54,13 @@ def defined_functions() -> dict[tuple[str, int], str]:
     return found
 
 
-def test_every_src_function_is_reached_or_kept(tmp_path):
-    out = tmp_path / "entered.json"
-    subprocess.run([sys.executable, "-c", PROBE, str(ROOT), str(out)], cwd=tmp_path,
-                   stdout=subprocess.DEVNULL, timeout=600, check=True)
-    entered = {tuple(site) for site in json.loads(out.read_text())}
+def test_every_src_function_is_reached_or_kept(reach):
+    entered, missing = reach
     defined = defined_functions()
     assert set(KEPT) <= set(defined.values()), "KEPT names a function that is gone"
+    if missing:
+        pytest.skip("roots not run in full in this session: " + ", ".join(missing))
+    entered = {(code.co_filename, code.co_firstlineno) for code in entered}
     unreached = sorted(name for site, name in defined.items()
                        if site not in entered and name not in KEPT)
     assert not unreached, "never entered: " + ", ".join(unreached)
