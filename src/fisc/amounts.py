@@ -86,12 +86,7 @@ class Amount(_AmountFields):
         """Parse a decimal string like '2.5' (or a/b) into base units, exactly;
         a value finer than one base unit is refused, not truncated. Plain
         `digits[.digits]` is read off its digits, as Fraction reads them."""
-        whole, dot, fraction = text.partition(".")
-        if whole.isdigit() and (fraction.isdigit() or not dot) and text.isascii():
-            num, den = int(whole) * 10 ** len(fraction) + int(fraction or 0), 10 ** len(fraction)
-        else:
-            value = parse_rational(text)
-            num, den = value.numerator, value.denominator
+        num, den = _plain_decimal(text) or parse_rational(text).as_integer_ratio()
         units, rest = divmod(num * 10**decimals, den)
         if rest:
             raise ValueError("%r is not representable with %d decimals" % (text, decimals))
@@ -180,10 +175,20 @@ class DigitLimit:
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
+def _plain_decimal(text: str) -> tuple[int, int] | None:
+    """(numerator, 10**places) of ASCII `digits[.digits]`, unreduced; else None."""
+    whole, dot, fraction = text.partition(".")
+    if whole.isdigit() and (fraction.isdigit() or not dot) and text.isascii():
+        return int(whole + fraction), 10 ** len(fraction)
+    return None
+
+
 def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; also accepts plain decimals and a/b. An
-    exponent larger in magnitude than CPython's int->str digit limit is
-    refused: Fraction would build 10**exponent, hours of work past 10**9."""
+    """Inverse of format_rational; also accepts plain decimals, read off their
+    digits, and a/b. An exponent larger in magnitude than CPython's int->str
+    digit limit is refused: Fraction would build 10**exponent, hours past 10**9."""
+    if plain := _plain_decimal(text):
+        return Fraction(*plain)
     exponent = _EXPONENT.search(text)
     if exponent:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

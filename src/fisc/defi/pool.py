@@ -14,8 +14,8 @@ from fractions import Fraction
 EQUAL_VALUE_TOLERANCE = Fraction(1, 1000)
 
 
-class PoolError(ValueError):
-    """A pool operation refused; a ValueError, so an input line reports it."""
+class PoolError(Exception):
+    """A pool operation refused; not a ValueError, which from the pool is a bug."""
 
 
 class DustOutput(PoolError):
@@ -39,11 +39,11 @@ class LiquidityPool:
         self.reserve_x, self.reserve_y = reserve_x, reserve_y
         self.fee_rate, self.total_lp_units = fee_rate, total_lp_units
         if self.reserve_x < 0 or self.reserve_y < 0:
-            raise ValueError("reserves must be non-negative")
+            raise PoolError("reserves must be non-negative")
         if (self.reserve_x == 0) != (self.reserve_y == 0):
             raise PoolError("reserves must both be zero or both be positive")
         if not 0 <= self.fee_rate < 1:
-            raise ValueError("fee rate must be in [0, 1)")
+            raise PoolError("fee rate must be in [0, 1)")
         if self.live and self.total_lp_units == 0:
             # Declared reserves are backed by units no position holds, so a
             # deposit mints only its own share, as every later deposit does.
@@ -101,9 +101,11 @@ class LiquidityPool:
         value_x = x_in * price_x
         value_y = y_in * price_y
         if abs(value_x - value_y) > EQUAL_VALUE_TOLERANCE * max(value_x, value_y):
-            raise PoolError(
-                "deposit values differ beyond tolerance: %s vs %s" % (value_x, value_y)
-            )
+            try:
+                message = "deposit values differ beyond tolerance: %s vs %s" % (value_x, value_y)
+            except ValueError as exc:  # a value past CPython's int->str digit limit
+                message = str(exc)
+            raise PoolError(message)
         if self.total_lp_units == 0:
             minted = math.isqrt(x_in * y_in)
             if minted <= 0:

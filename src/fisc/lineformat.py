@@ -47,8 +47,8 @@ class LineReader:
     A KeyError or ValueError raised in the block, the faults parsing raises,
     becomes a LineError at `lines.line_no`, the current line or 0 once all
     are read; a KeyError reads as a missing field. Any other exception
-    passes through unchanged. The block is entered once per file, not once
-    per line.
+    passes through unchanged. The block holds a whole file, or one line
+    where the pool's replay must run outside it.
     """
 
     def __init__(self, text: str):

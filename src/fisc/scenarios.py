@@ -4,11 +4,11 @@ Each runner parses a small line-based scenario file, replays it through
 the relevant engine, and writes an event file the tax engine ingests and
 the final state with `write(name, text)`, in chunks of CHUNK_LINES (from
 `fisc.lineformat`) lines rendered as it replays, so a run holds little
-more than its parsed scenario. A fault of a line is a LineError at that
-line. What runs after the last line is read, the chain and validators
-replays and the last writes of every runner, refuses only a value past
-CPython's int->str digit limit, as a LineError at line 0; any other
-exception there is a bug and escapes. An asset id, price or timestamp the
+more than its parsed scenario. A fault of a line, or a PoolError, is a
+LineError at that line. Outside the LineReader blocks (the pool's steps,
+the chain and validators replays, every runner's last writes) the one
+refusal is a value past CPython's int->str digit limit, a LineError at
+line 0; any other exception is a bug. An asset id, price or timestamp the
 event parser would refuse is refused at its scenario line by the parser's
 own checks, so `report` reads every event file `simulate` writes.
 
@@ -87,7 +87,7 @@ _POOL_DIRECTIVES = directives(
 
 def run_pool_scenario(text: str, write) -> None:
     """Replay swaps and LP operations against one constant-product pool."""
-    from .defi.pool import LiquidityPool, LpPosition
+    from .defi.pool import LiquidityPool, LpPosition, PoolError
 
     pool: LiquidityPool | None = None
     decimals = 8
@@ -100,8 +100,9 @@ def run_pool_scenario(text: str, write) -> None:
     def emit(kind: EventKind, asset: str, qty: int, fmv: Fraction, **meta: str):
         events.add(timestamp, kind, asset, qty, fmv, meta)
 
-    with LineReader(text) as lines:
-        for fields in lines:
+    lines = LineReader(text)
+    for fields in lines:
+        with lines:  # the line's own faults; the pool's calls come after the block
             tag = fields[0]
             if pool is None and tag != "pool":
                 raise ValueError("pool must be declared first")
@@ -110,16 +111,9 @@ def run_pool_scenario(text: str, write) -> None:
                 decimals = parse_decimals(kv.get("decimals", "8"))
                 asset_x = check_asset_id(kv.get("asset_x", "X"))
                 asset_y = check_asset_id(kv.get("asset_y", "Y"))
-                declared = pool
-                pool = LiquidityPool(
-                    Amount.from_decimal_str(kv["reserve_x"], decimals).base_units,
-                    Amount.from_decimal_str(kv["reserve_y"], decimals).base_units,
-                    parse_rational(kv.get("fee", "3/1000")),
-                )
-                # The event file declares one asset pair, so one pool per scenario.
-                if declared is not None:
-                    raise ValueError("the pool is already declared")
-                events = _Events(write, {asset_x: decimals, asset_y: decimals})
+                args = (Amount.from_decimal_str(kv["reserve_x"], decimals).base_units,
+                        Amount.from_decimal_str(kv["reserve_y"], decimals).base_units,
+                        parse_rational(kv.get("fee", "3/1000")))
             elif tag == "price":
                 price_x = parse_fmv(kv.get("x", "1"))
                 price_y = parse_fmv(kv.get("y", "1"))
@@ -127,37 +121,46 @@ def run_pool_scenario(text: str, write) -> None:
                 timestamp = check_timestamp(int(kv["at"]))
             elif tag == "deposit":
                 owner = kv["owner"]
-                position = pool.add_liquidity(
-                    owner,
-                    Amount.from_decimal_str(kv["x"], decimals).base_units,
-                    Amount.from_decimal_str(kv["y"], decimals).base_units,
-                    price_x, price_y,
-                )
-                if owner in positions:  # a repeat deposit adds to the owner's units
-                    position.lp_units += positions[owner].lp_units
-                positions[owner] = position
-                emit(EventKind.LP_DEPOSIT, asset_x, position.x_in, price_x, owner=owner)
-                emit(EventKind.LP_DEPOSIT, asset_y, position.y_in, price_y, owner=owner)
+                args = (owner, Amount.from_decimal_str(kv["x"], decimals).base_units,
+                        Amount.from_decimal_str(kv["y"], decimals).base_units, price_x, price_y)
             elif tag == "swap":
                 direction = kv.get("dir", "x2y")
                 if direction not in ("x2y", "y2x"):
                     raise ValueError("dir must be x2y or y2x, got %r" % direction)
                 x_to_y = direction == "x2y"
                 amount_in = Amount.from_decimal_str(kv["in"], decimals).base_units
+            else:  # withdraw
+                owner = kv["owner"]
+                if owner not in positions:
+                    raise ValueError("owner %r has no open position" % owner)
+        try:  # a PoolError is a refusal at this line; any other exception, a bug
+            if tag == "pool":
+                declared, pool = pool, LiquidityPool(*args)
+                # The event file declares one asset pair, so one pool per scenario.
+                if declared is not None:
+                    raise PoolError("the pool is already declared")
+                events = _Events(write, {asset_x: decimals, asset_y: decimals})
+            elif tag == "deposit":
+                position = pool.add_liquidity(*args)
+                if owner in positions:  # a repeat deposit adds to the owner's units
+                    position.lp_units += positions[owner].lp_units
+                positions[owner] = position
+                emit(EventKind.LP_DEPOSIT, asset_x, position.x_in, price_x, owner=owner)
+                emit(EventKind.LP_DEPOSIT, asset_y, position.y_in, price_y, owner=owner)
+            elif tag == "swap":
                 out = pool.swap_exact_in(amount_in, x_to_y)
                 sold = asset_x if x_to_y else asset_y
                 bought = asset_y if x_to_y else asset_x
                 emit(EventKind.SWAP, sold, amount_in, price_x if x_to_y else price_y)
                 emit(EventKind.PURCHASE, bought, out, price_y if x_to_y else price_x)
-            else:  # withdraw
-                owner = kv["owner"]
-                if owner not in positions:
-                    raise ValueError("owner %r has no open position" % owner)
+            elif tag == "withdraw":
                 x_out, y_out = pool.remove_liquidity(positions.pop(owner))
                 if x_out:
                     emit(EventKind.LP_WITHDRAWAL, asset_x, x_out, price_x, owner=owner)
                 if y_out:
                     emit(EventKind.LP_WITHDRAWAL, asset_y, y_out, price_y, owner=owner)
+        except PoolError as exc:
+            raise LineError(lines.line_no, str(exc)) from exc
     if pool is None:
         raise LineError(0, "scenario declares no pool")
     events.flush()

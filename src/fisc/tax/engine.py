@@ -46,15 +46,16 @@ LP_KINDS = {EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL}
 COST_KINDS = {EventKind.PURCHASE, EventKind.ICO_ALLOCATION, EventKind.LP_WITHDRAWAL}
 
 _ZERO = Fraction(0)
+_PROBE = Fraction(1)  # a price _lot_move tells from _ZERO by identity
 
 
 def tax_year_of(timestamp: int, policy: JurisdictionPolicy) -> int:
     """Label a moment with the calendar year its tax year started in."""
-    stamp = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-    month, day = policy.tax_year_start
-    if (stamp.month, stamp.day) >= (month, day):
-        return stamp.year
-    return stamp.year - 1
+    return _tax_year(datetime.fromtimestamp(timestamp, tz=timezone.utc), policy)
+
+
+def _tax_year(stamp: datetime, policy: JurisdictionPolicy) -> int:
+    return stamp.year - ((stamp.month, stamp.day) < tuple(policy.tax_year_start))
 
 
 class IngestResult:
@@ -110,6 +111,20 @@ def lot_move(record: ChainEventRecord,
     return 1, fmv, True  # income at FMV, basis at FMV
 
 
+def _lot_move(record: ChainEventRecord, policy: JurisdictionPolicy,
+              book: Book) -> tuple[int, Fraction, bool]:
+    """lot_move(record, policy), from a memo on `book` for one policy object of
+    its verdict (move, basis is the FMV, income) at _PROBE, by kind and deduction flag."""
+    if book.verdicts[0] is not policy:  # held by reference: a new policy, a new memo
+        book.verdicts = policy, {}
+    verdicts, key = book.verdicts[1], (record.kind, "deduction" in record.metadata)
+    if key not in verdicts:
+        move, basis, income = lot_move(record._replace(fmv_unit=_PROBE), policy)
+        verdicts[key] = move, basis is _PROBE, income
+    move, at_fmv, income = verdicts[key]
+    return move, record.fmv_unit if at_fmv else _ZERO, income
+
+
 def exempt_gift(record: ChainEventRecord, policy: JurisdictionPolicy) -> bool:
     """A gift the policy does not tax: each lot part leaves the portfolio at
     its own basis, so no part recognizes a gain."""
@@ -122,9 +137,10 @@ def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
     dispose of lots, or record a deduction, in the book's money.
 
     Callers must apply records in seq order; compute_report enforces it.
+    The lot move is lot_move's verdict, memoized on the book by `_lot_move`.
     """
     result = IngestResult()
-    move, unit_basis, income = lot_move(record, policy)
+    move, unit_basis, income = _lot_move(record, policy, book)
     if move > 0:
         unit = book.unit(unit_basis)
         if income:
@@ -231,7 +247,7 @@ class AvgTotal(AvgMoving):
         self.averages: dict[tuple[int, str], Fraction] = {}
         flows: dict[int, dict[str, list]] = {}  # year -> asset -> [added, its cost, taken]
         for record in records:
-            move, unit_basis, _ = lot_move(record, policy)
+            move, unit_basis, _ = _lot_move(record, policy, self)
             flow = flows.setdefault(tax_year_of(record.timestamp, policy), {}).setdefault(
                 record.asset, [0, _ZERO, 0])
             if move > 0:
@@ -308,12 +324,10 @@ class TaxReport:
     judged once every line is in, by to_totals_json. `ledger` is in the
     book's money (see `Book`); `lines` and `years` are in currency units."""
 
-    def __init__(self, method: AccountingMethod, ledger: list[LedgerLine] | None = None,
-                 years: dict[int, YearTotals] | None = None, places: int | None = None):
-        self.method = method
-        self.ledger = [] if ledger is None else ledger
-        self.years = {} if years is None else years
-        self.places = places
+    def __init__(self, method: AccountingMethod, places: int | None = None):
+        self.method, self.places = method, places
+        self.ledger: list[LedgerLine] = []
+        self.years: dict[int, YearTotals] = {}
 
     @property
     def lines(self) -> list[LedgerLine]:
@@ -415,11 +429,12 @@ def compute_report(
         last_seq = record.seq
 
         day = record.timestamp // 86_400
-        if day not in days:
-            year = tax_year_of(record.timestamp, policy)
+        if day not in days:  # one datetime gives the tax year and the ledger date
+            stamp = datetime.fromtimestamp(record.timestamp, tz=timezone.utc)
+            year = _tax_year(stamp, policy)
             if year not in sums:
                 sums[year] = {name: _ExactSum() for name in YEAR_FIELDS}
-            days[day] = (year, record.date_str(), sums[year])
+            days[day] = (year, stamp.date().isoformat(), sums[year])
         year, date, totals = days[day]
         if current_year is None:
             current_year = year

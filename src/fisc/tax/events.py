@@ -89,10 +89,6 @@ class ChainEventRecord(_EventFields):
                                    counterparty_address, specid_lot,
                                    {} if metadata is None else metadata))
 
-    def date_str(self) -> str:
-        # Four-digit years: strftime("%Y") may print year 1 as "1".
-        return datetime.fromtimestamp(self.timestamp, tz=timezone.utc).date().isoformat()
-
 
 def check_quantity(quantity: int, kind: EventKind) -> None:
     """Refuse a quantity no event may carry: a negative one, or 0 in any
@@ -153,7 +149,7 @@ def check_asset_id(asset: str) -> str:
 def parse_fmv(text: str) -> Fraction:
     """A price per whole unit: an exact rational >= 0."""
     value = parse_rational(text)
-    if value < 0:
+    if value.numerator < 0:  # the sign, without a slow Fraction comparison
         raise ValueError("fmv must be non-negative, got %s" % text)
     return value
 
@@ -197,7 +193,7 @@ def parse_event_file(text: str) -> tuple[dict[str, int], list[ChainEventRecord]]
                         meta[key[5:]] = kv[key]
             seq, stamp, qty = int(kv["seq"]), _parse_timestamp(kv["ts"]), int(kv["qty"])
             fmv = prices[kv["fmv"]]
-            specid = tuple(int(x) for x in kv["specid"].split(",")) if "specid" in kv else None
+            specid = tuple(map(int, kv["specid"].split(","))) if "specid" in kv else None
             if qty <= 0:
                 check_quantity(qty, kind)
             records.append(new(ChainEventRecord, (seq, stamp, kind, asset, qty, fmv,

@@ -106,12 +106,14 @@ class Book:
     """
 
     integral = False
+    _price = _unit = None  # Book.unit's last price and its unit
 
     def __init__(self, records: list[ChainEventRecord], policy: JurisdictionPolicy,
                  decimals: dict[str, int] | None, price_places: int | None = None):
         self.decimals = dict(decimals or {})
         self.prices: dict[str, Fraction] = {}
         self.places: int | None = None
+        self.verdicts: tuple[JurisdictionPolicy, dict] = (policy, {})  # see engine._lot_move
         if price_places is not None:
             self.decimals = dict.fromkeys({r.asset for r in records}, 8) | self.decimals
             top = max(self.decimals.values(), default=0)
@@ -122,10 +124,12 @@ class Book:
         return 10 ** self.decimals.setdefault(asset, 8)
 
     def unit(self, price: Fraction) -> Fraction | int:
-        """A price per whole unit in this book's money (exact: P places suffice)."""
-        if self.places is None:
-            return price
-        return price.numerator * (self._price_one // price.denominator)
+        """A price per whole unit in this book's money (exact: P places suffice),
+        cached for the last price by identity: records share price objects."""
+        if price is not self._price:
+            self._price, self._unit = price, price if self.places is None else (
+                price.numerator * (self._price_one // price.denominator))
+        return self._unit
 
     def value(self, qty: int, asset: str, unit: Fraction | int) -> Fraction | int:
         """`qty` base units of `asset` at `unit`, a `unit(price)`, normalised once."""
@@ -209,15 +213,15 @@ class LotStore(Book):
             raise InsufficientQuantity("disposing %d but only %d %s held"
                                        % (qty, available, asset))
         book, value = self._open[asset], self.value
-        remaining = qty
+        remaining, basis = qty, 0
         parts: list[LotConsumption] = []
         for lot in self._choose(record):
             take = min(lot.remaining_qty, remaining)
             lot.remaining_qty -= take
             if lot.remaining_qty == 0:
                 del book[lot.lot_id]
-            parts.append(LotConsumption(lot.lot_id, take, value(take, asset, lot.unit_basis),
-                                        lot.acquired_at))
+            basis += (part := value(take, asset, lot.unit_basis))
+            parts.append(LotConsumption(lot.lot_id, take, part, lot.acquired_at))
             remaining -= take
             if remaining == 0:
                 break
@@ -226,7 +230,7 @@ class LotStore(Book):
             raise LotError("disposal of %d %s left %d unconsumed" % (qty, asset, remaining))
         self._open_qty[asset] = available - qty
         proceeds = value(qty, asset, self.unit(record.fmv_unit))
-        return DisposalResult(asset, qty, proceeds, sum(p.basis for p in parts), tuple(parts))
+        return DisposalResult(asset, qty, proceeds, basis, tuple(parts))
 
 
 class Lifo(LotStore):

@@ -37,7 +37,7 @@ import calendar
 import hashlib
 import heapq
 import re
-from datetime import datetime
+from datetime import datetime, timezone
 from fractions import Fraction
 
 from fisc.amounts import parse_rational
@@ -422,7 +422,8 @@ def seed_compute_report(
             if result.disposal is not None:
                 pvct_cost -= result.disposal.basis
 
-        date = record.date_str()
+        # The seed's ChainEventRecord.date_str, frozen here.
+        date = datetime.fromtimestamp(record.timestamp, tz=timezone.utc).date().isoformat()
         if result.income:
             totals.ordinary_income += result.income
             report.lines.append(engine.LedgerLine(

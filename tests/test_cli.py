@@ -687,6 +687,45 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    # Each a PoolError, raised by the pool after its line is read and
+    # refused at that line by run_pool_scenario.
+    @pytest.mark.parametrize("text,message", [
+        ("pool reserve_x=-1 reserve_y=5\n", "1: reserves must be non-negative"),
+        ("pool reserve_x=1 reserve_y=5 fee=1\n", "1: fee rate must be in [0, 1)"),
+        ("pool reserve_x=0 reserve_y=0\nswap in=1\n", "2: pool is not live"),
+        ("pool reserve_x=10000000 reserve_y=10 fee=0 decimals=0\nswap in=1\n",
+         "2: output rounds to zero"),
+        ("pool reserve_x=40 reserve_y=40 decimals=0\ndeposit owner=a x=1 y=5\n",
+         "2: deposit values differ beyond tolerance: 1 vs 5"),
+        ("pool reserve_x=1 reserve_y=1\npool reserve_x=1 reserve_y=1\n",
+         "2: the pool is already declared"),
+        # The two values would print past the int->str digit limit.
+        ("pool reserve_x=0 reserve_y=0\ndeposit owner=a x=1e4299 y=1\n",
+         "2: Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    def test_pool_refusal_exit_2_at_its_line(self, tmp_path, capsys, text, message):
+        scenario = write(tmp_path, "bad.scn", text)
+        out = tmp_path / "o"
+        assert main(["simulate", "pool", str(scenario), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "bad.scn:" + message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_pool_swap_value_error_escapes(self, tmp_path, capsys, monkeypatch):
+        """A ValueError from inside the pool is a bug, not a refusal of the
+        line that called it: it escapes main and leaves nothing."""
+        from fisc.defi.pool import LiquidityPool
+
+        def swap_exact_in(self, amount_in, x_to_y=True):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(LiquidityPool, "swap_exact_in", swap_exact_in)
+        scenario = write(tmp_path, "p.scn", POOL_SCENARIO)
+        with pytest.raises(ValueError, match="^internal$"):
+            main(["simulate", "pool", str(scenario), "--out", str(tmp_path / "o")])
+        assert capsys.readouterr().err == ""
+        assert os.listdir(tmp_path) == ["p.scn"]
+
     def test_withdraw_unknown_owner_names_the_owner(self, tmp_path, capsys):
         scenario = write(tmp_path, "bad.scn", POOL_SCENARIO + "withdraw owner=nobody\n")
         code = main(["simulate", "pool", str(scenario), "--out", str(tmp_path / "o")])

@@ -1,3 +1,4 @@
+import itertools
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -254,6 +255,44 @@ class TestIngestTreatments:
         book.add_lot("BTC", BTC, Fraction(100), ts(2020))
         result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), policy, book)
         assert result.disposal.gain == 400
+        assert book.total_qty("BTC") == 0
+
+
+# Every combination of the switches lot_move reads.
+MOVE_POLICIES = [
+    JurisdictionPolicy(mining_is_business=business, hobby_miner=hobby, fork_treatment=fork,
+                       airdrop_treatment=airdrop, lp_events_are_disposals=lp)
+    for business, hobby, fork, airdrop, lp in itertools.product(
+        (True, False), HobbyMinerRule, ReceiptTreatment, ReceiptTreatment, (False, True))
+]
+
+
+class TestLotMoveMemo:
+    """ingest_event and AvgTotal's pre-pass take lot_move's verdict from a
+    memo on the book, by kind and deduction flag, for one policy object."""
+
+    def test_memo_matches_a_fresh_lot_move(self):
+        # Each memo is built at an FMV of 0, or at the engine's own zero
+        # object, and must still price the FMV of 7/3 that follows.
+        for policy, first in itertools.product(MOVE_POLICIES, (Fraction(0), engine._ZERO)):
+            book = LotStore([], policy, {"BTC": 8})
+            for fmv in (first, Fraction(7, 3)):
+                for kind, deduction in itertools.product(EventKind, (False, True)):
+                    record = ChainEventRecord(1, ts(2020), kind, "BTC", 1, fmv,
+                                              metadata={"deduction": "1"} if deduction else {})
+                    memoized = engine._lot_move(record, policy, book)
+                    assert memoized == engine.lot_move(record, policy)
+
+    def test_a_book_fed_two_policies_classifies_under_each(self):
+        book = LotStore([], DEFAULT, {"BTC": 8})
+        book.add_lot("BTC", 3 * BTC, Fraction(100), ts(2020))
+        # Each policy is built afresh and dropped: a memo keyed by id() could
+        # meet a new policy at the address of a dead one.
+        for seq, disposes in enumerate((False, True, False, True, True, False), start=1):
+            policy = JurisdictionPolicy(lp_events_are_disposals=disposes)
+            result = ingest_event(ev(seq, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), policy, book)
+            assert (result.disposal is not None) == disposes
+            del policy
         assert book.total_qty("BTC") == 0
 
 

@@ -5,18 +5,27 @@ the engine's per-day labels.
 same random records and files, malformed ones included, and must agree
 exactly: records, metadata, bytes written, and each error's line number
 and message. `compute_report` labels each record through a per-day memo;
-its years and dates must equal `tax_year_of` and `date_str()` per record.
+its years and dates must equal `tax_year_of` and the UTC day counted from
+1970-01-01, per record. A plain decimal price is read off its digits, with
+no Fraction built from its text, to the value Fraction gives; on the pinned
+event file every report asks lot_move once per kind and deduction flag.
 """
 
 import string
-from datetime import date
+from contextlib import contextmanager
+from datetime import date, timedelta
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fisc import amounts
+from fisc.amounts import Amount, parse_rational
 from fisc.lineformat import LineError
+from fisc.tax import engine
 from fisc.tax.engine import LedgerLine, compute_report, tax_year_of
 from fisc.tax.events import (
     MAX_TIMESTAMP,
@@ -27,7 +36,7 @@ from fisc.tax.events import (
     serialize_event_file,
 )
 from fisc.tax.lots import AccountingMethod, DisposalResult, LotConsumption
-from fisc.tax.policy import JurisdictionPolicy
+from fisc.tax.policy import JurisdictionPolicy, parse_policy
 from seed_oracles import seed_parse_event_file, seed_serialize_event
 
 TOKEN = st.text(string.ascii_letters + string.digits + "._-:", min_size=1, max_size=8)
@@ -202,10 +211,112 @@ def test_per_day_labels_match_per_record_calls(start, stamps, repeats):
                for seq, ts in enumerate(stamps, start=1)]
     report = compute_report(records, policy, AccountingMethod.FIFO, {"X": 0})
     assert [(line.seq, line.date) for line in report.lines] == [
-        (r.seq, r.date_str()) for r in records
+        (r.seq, (date(1970, 1, 1) + timedelta(days=r.timestamp // 86_400)).isoformat())
+        for r in records
     ]
     expected: dict[int, int] = {}
     for record in records:
         year = tax_year_of(record.timestamp, policy)
         expected[year] = expected.get(year, 0) + 1
     assert {year: t.ordinary_income for year, t in report.years.items()} == expected
+
+
+@contextmanager
+def fraction_texts():
+    """The texts fisc.amounts builds a Fraction from while the block runs."""
+    texts = []
+
+    def counted(*args):
+        if isinstance(args[0], str):
+            texts.append(args[0])
+        return Fraction(*args)
+
+    with patch.object(amounts, "Fraction", counted):
+        yield texts
+
+
+# ASCII `digits[.digits]`, with leading zeros and trailing zeros.
+PLAIN_DECIMALS = st.builds(
+    lambda lead, whole, fraction, trail: "0" * lead + whole + (
+        "" if fraction is None else "." + fraction + "0" * trail),
+    st.integers(0, 3), st.text("0123456789", min_size=1, max_size=30),
+    st.none() | st.text("0123456789", min_size=1, max_size=30), st.integers(0, 3))
+
+
+@given(PLAIN_DECIMALS)
+@example("0")
+@example("000.000")
+@example("2012.55")
+@example("0010.2500")
+@settings(max_examples=300)
+def test_plain_decimals_are_read_off_their_digits(text):
+    """parse_rational reads them with no Fraction(str), to the same value;
+    from_decimal_str, which shares the reading, gives the same units."""
+    with fraction_texts() as texts:
+        value = parse_rational(text)
+        units = Amount.from_decimal_str(text, 30).base_units
+    assert texts == []
+    assert type(value) is Fraction and value == Fraction(text)
+    assert units == Fraction(text) * 10**30
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1.", Fraction(1)),
+    (".5", Fraction(1, 2)),
+    ("+2", Fraction(2)),
+    ("-1.5", Fraction(-3, 2)),
+    (" 3 ", Fraction(3)),
+    ("1_000", Fraction(1000)),
+    ("1.5e3", Fraction(1500)),
+    ("\u0663.\u0665", Fraction(7, 2)),  # Arabic-Indic digits: not ASCII
+    ("1e4301", "exponent of 1e4301 exceeds 4300 in magnitude"),
+    ("1/0", "zero denominator in '1/0'"),
+])
+def test_other_price_forms_parse_as_before(text, expected):
+    """Every other form goes to Fraction(str) as before, or is refused
+    with the same message; an exponent past the limit before Fraction."""
+    with fraction_texts() as texts:
+        try:
+            outcome = parse_rational(text)
+        except ValueError as exc:
+            outcome = str(exc)
+    assert outcome == expected
+    assert texts == ([] if text == "1e4301" else [text])
+
+
+@pytest.mark.parametrize("fmv,refused", [("-1.5", True), ("-2/3", True), ("-0", False),
+                                         ("0", False)])
+def test_negative_fmv_is_refused_at_its_line(fmv, refused):
+    text = "asset BTC 8\n# a comment\nevent seq=1 ts=0 kind=purchase asset=BTC qty=1 fmv=%s\n" % fmv
+    if not refused:
+        assert parse_event_file(text)[1][0].fmv_unit == 0
+        return
+    with pytest.raises(LineError) as err:
+        parse_event_file(text)
+    assert (err.value.line_no, err.value.exit_code) == (3, 2)
+    assert str(err.value) == "fmv must be non-negative, got %s" % fmv
+
+
+def test_pipeline_report_parses_two_price_texts_and_classifies_each_pair_once(monkeypatch):
+    """The pinned event file, under every method: parsing builds a Fraction
+    from a text only for the two prices that are not plain decimals, and
+    each report asks lot_move once per (kind, deduction flag)."""
+    pipeline = Path(__file__).parent / "pipeline"
+    with fraction_texts() as texts:
+        decimals, records = parse_event_file((pipeline / "events.fisc").read_text())
+    assert texts == ["1/3", "40/3"]
+
+    policy = parse_policy((pipeline / "policy.cfg").read_text())
+    pairs = {(r.kind, "deduction" in r.metadata) for r in records}
+    asked = []
+    fresh = engine.lot_move
+
+    def lot_move(record, policy):
+        asked.append((record.kind, "deduction" in record.metadata))
+        return fresh(record, policy)
+
+    monkeypatch.setattr(engine, "lot_move", lot_move)
+    for method in AccountingMethod:
+        asked.clear()
+        compute_report(records, policy, method, decimals)
+        assert len(asked) == len(set(asked)) and set(asked) == pairs, method

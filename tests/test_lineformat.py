@@ -27,7 +27,8 @@ def test_first_token_without_equals_is_named(tokens, bad):
 
 # KeyError and ValueError are the faults parsing raises. Any other fault,
 # such as IndexError or ZeroDivisionError, is a bug: it leaves the block as
-# it was raised, not as a LineError that would read as a refusal.
+# it was raised, not as a LineError that would read as a refusal. A
+# PoolError is not a parse fault either: run_pool_scenario refuses it itself.
 @pytest.mark.parametrize(
     "fault,message",
     [

@@ -145,6 +145,31 @@ class TestRebase:
         assert {l.unit_basis for l in book.lots("BTC")} == {100, 300, 200}
 
 
+class TestUnitCache:
+    """Book.unit keeps the last price and its unit, by identity."""
+
+    @pytest.mark.parametrize("price_places", [None, 3])
+    @given(picks=st.lists(st.integers(0, 4), max_size=30))
+    def test_unit_through_the_cache_is_the_price_in_book_money(self, price_places, picks):
+        # Two equal prices that are distinct objects, a zero, and two more.
+        prices = [Fraction(5, 4), Fraction(5, 4), Fraction(0), Fraction(3, 1000), Fraction(7)]
+        book = LotStore([], JurisdictionPolicy(), {"BTC": 8}, price_places)
+        for pick in picks:
+            price = prices[pick]
+            unit = book.unit(price)
+            assert unit == (price if price_places is None else price * 10**price_places)
+            assert type(unit) is (Fraction if price_places is None else int)
+
+    def test_rebase_after_a_cached_unit(self):
+        """Periodic's year end converts the last price afresh, not the unit
+        cached for an earlier one."""
+        book = Periodic([], JurisdictionPolicy(), {"BTC": 8}, 0)
+        book.add_lot("BTC", BTC, book.unit(Fraction(100)), 10)
+        book.prices["BTC"] = Fraction(500)
+        book.year_end(2020)
+        assert [lot.unit_basis for lot in book.lots("BTC")] == [500]
+
+
 def hifo_oracle(lots, qty):
     """Minimal-gain basis: enumerate (fully consumed subset, partial lot)."""
     best = None
