@@ -20,6 +20,8 @@ ETH_DECIMALS = 18
 SATOSHI_PER_BTC = 10**BTC_DECIMALS
 # ERC-20 `decimals` is a uint8, so this covers every real token.
 MAX_DECIMALS = 255
+# decimal_places takes residues modulo this prime below 2**30: one machine word.
+_RESIDUE_MODULUS = 2**30 - 35
 
 
 def parse_decimals(text: str) -> int:
@@ -102,15 +104,19 @@ def eth(text: str) -> Amount:
 
 
 def decimal_places(den: int) -> int | None:
-    """The smallest p with den dividing 10**p, or None if there is none."""
+    """The smallest p with den dividing 10**p, or None if there is none, in a
+    fixed number of big-int steps whatever the power of 5: a shift, a residue
+    and, unless the residue rules it out, one exact power and comparison."""
     # den divides a power of ten iff den = 2^a * 5^b; then p = max(a, b).
     a = (den & -den).bit_length() - 1
     odd = den >> a
-    b = 0
-    while odd % 5 == 0:
-        odd //= 5
-        b += 1
-    return max(a, b) if odd == 1 else None
+    # 5**b has floor(b * log2 5) + 1 bits, so only b = floor(n / log2 5) can
+    # have odd's n bits; b + 1 covers n * (1 / log2 5) rounding below b.
+    b, rest = int(odd.bit_length() * 0.43067655807339306), odd % _RESIDUE_MODULUS
+    for b in (b, b + 1):
+        if pow(5, b, _RESIDUE_MODULUS) == rest and 5**b == odd:
+            return a if a > b else b
+    return None
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -244,11 +244,12 @@ class AvgTotal(AvgMoving):
     def __init__(self, records, policy, *args):
         super().__init__(records, policy, *args)
         self.policy = policy
+        self.years_by_day: dict[int, int] = {}  # UTC day -> its tax year under `policy`
         self.averages: dict[tuple[int, str], Fraction] = {}
         flows: dict[int, dict[str, list]] = {}  # year -> asset -> [added, its cost, taken]
         for record in records:
             move, unit_basis, _ = _lot_move(record, policy, self)
-            flow = flows.setdefault(tax_year_of(record.timestamp, policy), {}).setdefault(
+            flow = flows.setdefault(self._year(record.timestamp), {}).setdefault(
                 record.asset, [0, _ZERO, 0])
             if move > 0:
                 flow[0] += record.quantity
@@ -267,8 +268,15 @@ class AvgTotal(AvgMoving):
                 avg = self.averages[year, asset] = cost / Fraction(qty, scale) if qty else _ZERO
                 carry[asset] = (qty - taken, Fraction(qty - taken, scale) * avg)
 
+    def _year(self, timestamp: int) -> int:
+        """tax_year_of under the book's policy, computed once per UTC day."""
+        day = timestamp // 86_400
+        if day not in self.years_by_day:
+            self.years_by_day[day] = tax_year_of(timestamp, self.policy)
+        return self.years_by_day[day]
+
     def _basis(self, record: ChainEventRecord, pool: list) -> Fraction:
-        year = tax_year_of(record.timestamp, self.policy)
+        year = self._year(record.timestamp)
         return self.value(record.quantity, record.asset, self.averages[year, record.asset])
 
 
@@ -310,12 +318,17 @@ class _ExactSum(dict):
 
     def total(self, one: int) -> Fraction:
         """The terms over their least common denominator, over `one`, reduced
-        once: one gcd per denominator, where each Fraction addition takes two."""
-        num, lcd = 0, 1
-        for den, part in self.items():
-            g = gcd(lcd, den)
-            num, lcd = num * (den // g) + part * (lcd // g), lcd // g * den
-        return Fraction(num, lcd * one)
+        once: sorted by denominator and combined pairwise, in rounds, so that
+        each gcd and division works on operands of similar size."""
+        terms = sorted(self.items())  # (den, part); each den is a distinct key
+        while len(terms) > 1:
+            merged = []
+            for (d1, n1), (d2, n2) in zip(terms[::2], terms[1::2]):
+                g = gcd(d1, d2)
+                merged.append((d1 // g * d2, n1 * (d2 // g) + n2 * (d1 // g)))
+            terms = merged + terms[2 * len(merged):]  # an odd count carries its last
+        den, num = terms[0] if terms else (1, 0)
+        return Fraction(num, den * one)
 
 
 class TaxReport:

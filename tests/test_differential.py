@@ -16,7 +16,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fisc.amounts import DigitLimit, format_rational, format_units, parse_rational
+from fisc.amounts import (
+    _RESIDUE_MODULUS,
+    DigitLimit,
+    decimal_places,
+    format_rational,
+    format_units,
+    parse_rational,
+)
 from fisc.attribution.protocol import build_ownership_proof
 from fisc.attribution.sim import AttributionNetwork, LinkConfig
 from fisc.lineformat import LineError
@@ -232,6 +239,26 @@ def test_year_totals_over_many_denominators(method, case):
         assert all(type(value) is Fraction for value in vars(totals).values())
 
 
+# Denominators of up to 90 bits, parts of either sign: 0 to 12 terms.
+SUM_TERMS = st.dictionaries(st.integers(1, 2**90), st.integers(-2**90, 2**90), max_size=12)
+
+
+@given(SUM_TERMS, st.integers(0, 30), st.data())
+@example({}, 0, None)  # no term
+@example({7: 3}, 2, None)  # one term
+@example({3: 1, 6: -2}, 0, None)  # cancels to 0
+@example({2: 1, 3: 1, 5: 1}, 1, None)  # an odd count: the last carries a round
+@example({1: 4, 10: -40, 3: 9, 7: -1, 14: 2}, 3, None)
+def test_exact_sum_totals_its_terms_in_any_order(terms, k, data):
+    """_ExactSum.total(one) is the plain Fraction sum over `one`, for one of
+    1 and of 10**k, whatever order the denominators were added in."""
+    order = list(terms) if data is None else data.draw(st.permutations(list(terms)))
+    expected = sum((Fraction(part, den) for den, part in terms.items()), Fraction(0))
+    for one in (1, 10**k):
+        total = engine._ExactSum((den, terms[den]) for den in order).total(one)
+        assert type(total) is Fraction and total == expected / one
+
+
 # Prices of 0 to 6 decimal places, over assets of 0 to 18 decimals.
 DECIMAL_PRICES = st.builds(lambda n, places: Fraction(n, 10**places),
                            st.integers(0, 10**9), st.integers(0, 6))
@@ -403,6 +430,49 @@ def test_digit_limit_decides_as_format_rational(low_digit_limit, num, negative, 
     assert limit.fits(value) == printable(value)
     if value.numerator.bit_length() + 3 * value.denominator.bit_length() <= limit.room:
         assert printable(value)
+
+
+def places_by_definition(den: int) -> int | None:
+    """The smallest p with den | 10**p, else None, by search: such a p is at
+    most den's bit length, and every larger p works too."""
+    low, high = 0, den.bit_length()
+    if 10**high % den:
+        return None
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if 10**mid % den == 0 else (mid + 1, high)
+    return low
+
+
+ODD_COFACTORS = st.one_of(
+    st.just(1),
+    st.integers(1, 10**6).filter(lambda m: m % 2 and m % 5),  # coprime to 10
+    st.integers(1, 10**6).map(lambda m: 5 * m),  # a multiple of 5
+    st.integers(2**59, 2**60 - 1).map(lambda m: m | 1),  # 60 bits, odd
+)
+
+
+@given(st.integers(0, 4_000), st.integers(0, 4_000), ODD_COFACTORS)
+@example(0, 0, 1)
+@example(4_000, 0, 1)
+@example(0, 4_000, 1)
+@example(0, 4_000, 3)
+@example(4_001, 4_000, 1)
+@example(0, 59, 1)  # powers of 5 just below a power of 2
+@example(0, 643, 1)
+@settings(max_examples=300)
+def test_decimal_places_matches_its_definition(a, b, m):
+    den = 2**a * 5**b * m
+    assert decimal_places(den) == places_by_definition(den)
+
+
+@pytest.mark.parametrize("b", [20, 643, 4_000])
+def test_decimal_places_refuses_a_residue_collision(b):
+    """An odd number with the bit length and the residue of 5**b that is not
+    5**b: the exact comparison, not the residue, decides."""
+    odd = 5**b + 2 * _RESIDUE_MODULUS
+    assert odd.bit_length() == (5**b).bit_length()
+    assert decimal_places(odd) is None and decimal_places(odd << 7) is None
 
 
 CODES = ("AT", "BE", "CH", "DE", "ES", "FR")

@@ -483,6 +483,30 @@ class TestAverageTotal:
         assert [(l.seq, l.basis, l.term) for l in report.lines] == [
             (2, Fraction("718.75"), "long"), (5, Fraction("1581.25"), "long")]
 
+    def test_tax_year_taken_once_per_day_across_a_shifted_start(self, monkeypatch):
+        # Tax years start on 6 April. Seq 1-2 fall on 5 April 2020 (year 2019),
+        # 3-4 on 6 April (2020), 5 on 5 April 2021 (2020), 6 on 6 April 2021.
+        policy = JurisdictionPolicy(tax_year_start=(4, 6))
+        at = lambda *when: int(datetime(*when, tzinfo=timezone.utc).timestamp())
+        records = [
+            ev(1, at(2020, 4, 5, 1), EventKind.PURCHASE, 10, 10, asset="X"),
+            ev(2, at(2020, 4, 5, 23, 59), EventKind.SALE, 5, 30, asset="X"),
+            ev(3, at(2020, 4, 6), EventKind.PURCHASE, 5, 40, asset="X"),
+            ev(4, at(2020, 4, 6, 12), EventKind.SALE, 4, 50, asset="X"),
+            ev(5, at(2021, 4, 5, 12), EventKind.SALE, 2, 60, asset="X"),
+            ev(6, at(2021, 4, 6), EventKind.SALE, 4, 70, asset="X"),
+        ]
+        calls = []
+        monkeypatch.setattr(engine, "tax_year_of",
+                            lambda *args: calls.append(args) or tax_year_of(*args))
+        report = compute_report(records, policy, AccountingMethod.AVG_TOTAL, {"X": 0})
+        assert len(calls) == 4  # one per distinct UTC day, for the pre-pass and every disposal
+        # 2019: 100 / 10 = 10 a unit, 5 carried out (50). 2020: (50 + 200) / 10
+        # = 25, 4 carried out (100). 2021 prices its sale at that 25.
+        assert [(l.seq, l.basis) for l in report.lines] == [(2, 50), (4, 100), (5, 50), (6, 100)]
+        assert {year: t.short_term_gain + t.long_term_gain
+                for year, t in report.years.items()} == {2019: 100, 2020: 170, 2021: 180}
+
     def test_year_disposing_of_more_than_it_holds_is_refused(self):
         # The sale is dated in 2020, a year before the purchase it follows:
         # 2020 holds nothing, so it has no average to price the sale at.
