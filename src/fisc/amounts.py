@@ -8,6 +8,7 @@ Fraction, as rates and fee math are; never a float.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -152,7 +153,9 @@ def format_units(units: int, places: int) -> str:
 
 class DigitLimit:
     """CPython's int->str digit limit L as format_rational meets it, read
-    once; no limit (0, or before 3.10.7) makes `room` sys.maxsize.
+    once. An int prints if its magnitude is below `ceiling`, 10**L; no
+    limit (0, or before 3.10.7) makes `ceiling` infinite and `room`
+    sys.maxsize.
 
     A value whose numerator and denominator have n and d bits prints if
     n + 3d <= `room` = 3L. As log10(2) < 1/3, an int of k bits has under
@@ -165,7 +168,7 @@ class DigitLimit:
         get_limit = getattr(sys, "get_int_max_str_digits", None)
         limit = get_limit() if get_limit else 0
         self.room = 3 * limit if limit else sys.maxsize
-        self._ceiling = 10**limit
+        self.ceiling = 10**limit if limit else math.inf
 
     def fits(self, value: Fraction) -> bool:
         """Whether every int format_rational(value) converts is below 10**L,
@@ -174,7 +177,7 @@ class DigitLimit:
         places = decimal_places(den)
         if places is not None:  # printed as the digits of num * 10**p / den
             num, den = num * (10**places // den), 1
-        return num < self._ceiling and den < self._ceiling
+        return num < self.ceiling and den < self.ceiling
 
 
 # The exponent of a decimal text, as Fraction's own parser reads it.

@@ -7,7 +7,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from ..addresses import Scheme as AddrScheme, address_from_pubkey
-from ..amounts import format_rational, parse_rational
+from ..amounts import DigitLimit, format_rational, parse_rational
 from ..lineformat import CHUNK_LINES, LineError, LineReader, directive, directives
 from ..signatures import DEFAULT_SCHEME
 from ..tax.policy import JurisdictionPolicy, check_range, policy_at
@@ -55,6 +55,7 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
     refs: list[tuple[int, str, object]] = []  # (line, what it names, name), checked at the end
     rates: dict[str, Fraction] = {}
     rates_line = 0
+    ticks, ceiling = 0, DigitLimit().ceiling  # the deadlines' sum bounds every traced tick
     with LineReader(text) as lines:
         for fields in lines:
             tag, (args, kv) = fields[0], directive(fields, _DIRECTIVES)
@@ -100,6 +101,9 @@ def parse_attribution_scenario(text: str) -> AttributionScenario:
                 amount, deadline = int(args[2]), int(args[3])
                 if amount < 0 or deadline < 0:
                     raise ValueError("transfer amount and deadline must be non-negative")
+                ticks += deadline
+                if ticks >= ceiling:
+                    raise ValueError("transfer deadlines sum to a tick too long to print")
                 scenario.transfers.append((args[0], args[1], amount, deadline))
                 refs.append((lines.line_no, "wallet", args[0]))
             elif tag == "withholding":

@@ -1,9 +1,11 @@
-"""Event ingestion, the pooled-cost books, `BOOKS` (each method's book) and
-report assembly. The lot books are in `fisc.tax.lots`."""
+"""The report path: `lot_moves`, each event kind's effect on the lots under
+a policy; the pooled-cost books and `BOOKS`, each method's book; and
+`compute_report`, which passes every record to its book after one lookup
+in that table. The lot books are in `fisc.tax.lots`."""
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import date, timedelta
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -46,35 +48,22 @@ LP_KINDS = {EventKind.LP_DEPOSIT, EventKind.LP_WITHDRAWAL}
 COST_KINDS = {EventKind.PURCHASE, EventKind.ICO_ALLOCATION, EventKind.LP_WITHDRAWAL}
 
 _ZERO = Fraction(0)
-_PROBE = Fraction(1)  # a price _lot_move tells from _ZERO by identity
+_EPOCH = date(1970, 1, 1)
 
 
-def tax_year_of(timestamp: int, policy: JurisdictionPolicy) -> int:
-    """Label a moment with the calendar year its tax year started in."""
-    return _tax_year(datetime.fromtimestamp(timestamp, tz=timezone.utc), policy)
+class TaxDays(dict):
+    """UTC day (a timestamp // 86_400) -> its (tax year, ledger date) under
+    one policy, each worked out once: the year is the calendar year the tax
+    year started in, the date its ISO form."""
 
+    def __init__(self, policy: JurisdictionPolicy):
+        super().__init__()
+        self.start = tuple(policy.tax_year_start)
 
-def _tax_year(stamp: datetime, policy: JurisdictionPolicy) -> int:
-    return stamp.year - ((stamp.month, stamp.day) < tuple(policy.tax_year_start))
-
-
-class IngestResult:
-    """One event's effect: amounts in the book's money, each 0 and
-    `disposal` None unless ingest_event sets it."""
-
-    income: Fraction | int = 0
-    deduction: Fraction | int = 0
-    disposal: DisposalResult | None = None
-    withholding: Fraction | int = 0
-
-
-def withholding_amount(
-    proceeds: Fraction | int, attribution_result: str, policy: JurisdictionPolicy
-) -> Fraction:
-    """Tax retained at source at the withholding_rate of the attribution."""
-    if proceeds < 0:
-        raise ValueError("proceeds must be non-negative")
-    return proceeds * withholding_rate(attribution_result, policy)
+    def __missing__(self, day: int) -> tuple[int, str]:
+        stamp = _EPOCH + timedelta(days=day)
+        label = self[day] = stamp.year - ((stamp.month, stamp.day) < self.start), stamp.isoformat()
+        return label
 
 
 def withholding_rate(attribution_result: str, policy: JurisdictionPolicy) -> Fraction:
@@ -84,80 +73,37 @@ def withholding_rate(attribution_result: str, policy: JurisdictionPolicy) -> Fra
     return policy.elevated_withholding
 
 
-def lot_move(record: ChainEventRecord,
-             policy: JurisdictionPolicy) -> tuple[int, Fraction, bool]:
-    """How an event moves lots: (1 if it adds a lot, -1 if it consumes lots,
-    0 if neither; per-unit basis of the added lot; whether that basis, the
-    FMV, is also recognized as income).
+def lot_move(kind: EventKind, deduction: bool,
+             policy: JurisdictionPolicy) -> tuple[int, bool, bool]:
+    """How an event of `kind`, flagged as a deduction or not, moves lots:
+    (1 if it adds a lot, -1 if it consumes lots, 0 if neither; whether the
+    added lot's basis is the FMV, else 0; whether that FMV is also
+    recognized as income).
 
-    ingest_event and the total-average pre-pass both classify events here,
-    so every method sees the same acquisitions and disposals. Under
-    lp_events_are_disposals an LP deposit is a sale and a withdrawal a
+    Under lp_events_are_disposals an LP deposit is a sale and a withdrawal a
     purchase at FMV; otherwise both leave the lots with the owner.
     """
-    kind, fmv = record.kind, record.fmv_unit
     lp_transfer = kind in LP_KINDS and not policy.lp_events_are_disposals
-    if "deduction" in record.metadata or kind is EventKind.SELF_TRANSFER or lp_transfer:
-        return 0, _ZERO, False
+    if deduction or kind is EventKind.SELF_TRANSFER or lp_transfer:
+        return 0, False, False
     if kind in DISPOSAL_KINDS or kind is EventKind.LP_DEPOSIT:
-        return -1, _ZERO, False
+        return -1, False, False
     hobby = None if policy.mining_is_business or kind not in MINING_KINDS else policy.hobby_miner
     receipt = (policy.fork_treatment if kind is EventKind.FORK_RECEIPT
                else policy.airdrop_treatment if kind is EventKind.AIRDROP else None)
     if kind in COST_KINDS or hobby is HobbyMinerRule.EXEMPT_WITH_COST_BASIS:
-        return 1, fmv, False
+        return 1, True, False
     if hobby is HobbyMinerRule.ZERO_BASIS_NO_DEDUCTION or receipt is ReceiptTreatment.ZERO_BASIS:
-        return 1, _ZERO, False
-    return 1, fmv, True  # income at FMV, basis at FMV
+        return 1, False, False
+    return 1, True, True  # income at FMV, basis at FMV
 
 
-def _lot_move(record: ChainEventRecord, policy: JurisdictionPolicy,
-              book: Book) -> tuple[int, Fraction, bool]:
-    """lot_move(record, policy), from a memo on `book` for one policy object of
-    its verdict (move, basis is the FMV, income) at _PROBE, by kind and deduction flag."""
-    if book.verdicts[0] is not policy:  # held by reference: a new policy, a new memo
-        book.verdicts = policy, {}
-    verdicts, key = book.verdicts[1], (record.kind, "deduction" in record.metadata)
-    if key not in verdicts:
-        move, basis, income = lot_move(record._replace(fmv_unit=_PROBE), policy)
-        verdicts[key] = move, basis is _PROBE, income
-    move, at_fmv, income = verdicts[key]
-    return move, record.fmv_unit if at_fmv else _ZERO, income
-
-
-def exempt_gift(record: ChainEventRecord, policy: JurisdictionPolicy) -> bool:
-    """A gift the policy does not tax: each lot part leaves the portfolio at
-    its own basis, so no part recognizes a gain."""
-    return record.kind is EventKind.GIFT and not policy.gift_taxable
-
-
-def ingest_event(record: ChainEventRecord, policy: JurisdictionPolicy,
-                 book: Book) -> IngestResult:
-    """Apply one event to `book`: add a lot and recognize its income,
-    dispose of lots, or record a deduction, in the book's money.
-
-    Callers must apply records in seq order; compute_report enforces it.
-    The lot move is lot_move's verdict, memoized on the book by `_lot_move`.
-    """
-    result = IngestResult()
-    move, unit_basis, income = _lot_move(record, policy, book)
-    if move > 0:
-        unit = book.unit(unit_basis)
-        if income:
-            result.income = book.value(record.quantity, record.asset, unit)
-        book.acquire(record, unit)
-    elif move < 0:
-        disposal = book.dispose(record)
-        if exempt_gift(record, policy):
-            disposal = disposal._replace(proceeds=disposal.basis)
-        result.disposal = disposal
-        attribution = record.metadata.get("attribution")
-        if attribution and record.kind is not EventKind.LP_DEPOSIT:
-            result.withholding = withholding_amount(disposal.proceeds, attribution, policy)
-    elif "deduction" in record.metadata and (policy.slashing_deductible
-                                             or "slashing" not in record.metadata):
-        result.deduction = book.value(record.quantity, record.asset, book.unit(record.fmv_unit))
-    return result
+def lot_moves(policy: JurisdictionPolicy) -> dict[tuple[EventKind, bool], tuple[int, bool, bool]]:
+    """lot_move for each (kind, deduction flag). compute_report and the
+    total-average pre-pass both look every record up here, so every method
+    sees the same acquisitions and disposals."""
+    return {(kind, deduction): lot_move(kind, deduction, policy)
+            for kind in EventKind for deduction in (False, True)}
 
 
 class Pvct(LotStore):
@@ -243,17 +189,17 @@ class AvgTotal(AvgMoving):
 
     def __init__(self, records, policy, *args):
         super().__init__(records, policy, *args)
-        self.policy = policy
-        self.years_by_day: dict[int, int] = {}  # UTC day -> its tax year under `policy`
+        self.days, moves = TaxDays(policy), lot_moves(policy)  # compute_report reads days too
         self.averages: dict[tuple[int, str], Fraction] = {}
         flows: dict[int, dict[str, list]] = {}  # year -> asset -> [added, its cost, taken]
         for record in records:
-            move, unit_basis, _ = _lot_move(record, policy, self)
-            flow = flows.setdefault(self._year(record.timestamp), {}).setdefault(
+            move, at_fmv, _ = moves[record.kind, "deduction" in record.metadata]
+            flow = flows.setdefault(self.days[record.timestamp // 86_400][0], {}).setdefault(
                 record.asset, [0, _ZERO, 0])
             if move > 0:
                 flow[0] += record.quantity
-                flow[1] += self.value(record.quantity, record.asset, unit_basis)
+                flow[1] += self.value(record.quantity, record.asset,
+                                      record.fmv_unit if at_fmv else _ZERO)
             elif move < 0:
                 flow[2] += record.quantity
         carry: dict[str, tuple[int, Fraction]] = {}  # asset -> (qty, cost)
@@ -268,15 +214,8 @@ class AvgTotal(AvgMoving):
                 avg = self.averages[year, asset] = cost / Fraction(qty, scale) if qty else _ZERO
                 carry[asset] = (qty - taken, Fraction(qty - taken, scale) * avg)
 
-    def _year(self, timestamp: int) -> int:
-        """tax_year_of under the book's policy, computed once per UTC day."""
-        day = timestamp // 86_400
-        if day not in self.years_by_day:
-            self.years_by_day[day] = tax_year_of(timestamp, self.policy)
-        return self.years_by_day[day]
-
     def _basis(self, record: ChainEventRecord, pool: list) -> Fraction:
-        year = self._year(record.timestamp)
+        year = self.days[record.timestamp // 86_400][0]
         return self.value(record.quantity, record.asset, self.averages[year, record.asset])
 
 
@@ -417,6 +356,8 @@ def compute_report(
 ) -> TaxReport:
     """Deterministic per-year tax report over a seq-ordered single portfolio,
     in ints where `_price_places` allows, else in Fractions: the same text.
+    Each record is classified by one lookup in `lot_moves(policy)` and
+    passed straight to its method's book.
 
     Stops with EngineError at the first ledger line too long to print.
     """
@@ -427,11 +368,13 @@ def compute_report(
                       _price_places(records) if book_class.integral else None)
     report = TaxReport(method, places=book.places)
     one, zero = (1, _ZERO) if book.places is None else (10**book.places, 0)
+    moves = lot_moves(policy)
+    days = getattr(book, "days", None) or TaxDays(policy)  # AvgTotal's, labelled in its pre-pass
+    exempt = None if policy.gift_taxable else EventKind.GIFT  # parts leave at their own basis
+    cutoff = policy.long_term_days * 86_400
     current_year: int | None = None
     last_seq: int | None = None
     sums: dict[int, dict[str, _ExactSum]] = {}  # year -> YearTotals field -> its sum
-    # Tax year, ledger date and year totals depend only on the UTC day.
-    days: dict[int, tuple[int, str, dict[str, _ExactSum]]] = {}
     limit = DigitLimit()
     # The bounds read an int n as n/1, not n/one: take one's extra bits off the room.
     room = limit.room - 3 * (one.bit_length() - 1)
@@ -441,14 +384,10 @@ def compute_report(
             raise SequenceError("seq %d out of order (after %d)" % (record.seq, last_seq))
         last_seq = record.seq
 
-        day = record.timestamp // 86_400
-        if day not in days:  # one datetime gives the tax year and the ledger date
-            stamp = datetime.fromtimestamp(record.timestamp, tz=timezone.utc)
-            year = _tax_year(stamp, policy)
-            if year not in sums:
-                sums[year] = {name: _ExactSum() for name in YEAR_FIELDS}
-            days[day] = (year, stamp.date().isoformat(), sums[year])
-        year, date, totals = days[day]
+        year, date = days[record.timestamp // 86_400]
+        if year not in sums:
+            sums[year] = {name: _ExactSum() for name in YEAR_FIELDS}
+        totals = sums[year]
         if current_year is None:
             current_year = year
         while year > current_year:
@@ -456,24 +395,47 @@ def compute_report(
             current_year += 1
 
         book.prices[record.asset] = record.fmv_unit
-        result = ingest_event(record, policy, book)
-        kind = record.kind._value_  # a plain attribute; Enum's `value` is a Python property
-
-        income = result.income
-        if income:
-            totals["ordinary_income"].add(income)
-            line = LedgerLine(record.seq, date, kind, record.asset,
-                              record.quantity, income, zero, zero, "-")
-            if income.numerator.bit_length() + 3 * income.denominator.bit_length() > room:
-                _check_printable(line, limit, one)
-            report.ledger.append(line)
-        if result.deduction:
-            totals["deductible_expenses"].add(result.deduction)
-        if result.withholding:
-            totals["withholding_owed"].add(result.withholding)
-        if result.disposal is not None:
-            _record_disposal(report, totals, record, kind, date, result.disposal, policy, book,
-                             limit, room)
+        # A line's kind is `kind._value_`, a plain attribute; Enum's `value` is a Python property.
+        kind, asset, deduction = record.kind, record.asset, "deduction" in record.metadata
+        move, at_fmv, income = moves[kind, deduction]
+        if move > 0:
+            unit = book.unit(record.fmv_unit if at_fmv else _ZERO)
+            book.acquire(record, unit)
+            if income and (value := book.value(record.quantity, asset, unit)):
+                totals["ordinary_income"].add(value)
+                line = LedgerLine(record.seq, date, kind._value_, asset,
+                                  record.quantity, value, zero, zero, "-")
+                if value.numerator.bit_length() + 3 * value.denominator.bit_length() > room:
+                    _check_printable(line, limit, one)
+                report.ledger.append(line)
+        elif move < 0:
+            disposal = book.dispose(record)
+            # Proceeds per part: its own basis for an exempt gift, else its quantity at the price.
+            unit = None if kind is exempt else book.unit(record.fmv_unit)
+            attribution = record.metadata.get("attribution")
+            if attribution and kind is not EventKind.LP_DEPOSIT:
+                proceeds = disposal.basis if unit is None else disposal.proceeds
+                totals["withholding_owed"].add(proceeds * withholding_rate(attribution, policy))
+            for part in disposal.parts:
+                basis = part.basis
+                proceeds = basis if unit is None else book.value(part.qty, asset, unit)
+                gain = proceeds - basis
+                term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
+                totals["long_term_gain" if term == "long" else "short_term_gain"].add(gain)
+                line = LedgerLine(record.seq, date, kind._value_, asset,
+                                  part.qty, proceeds, basis, gain, term)
+                # One sum bounds all three values: with n and d the numerator and
+                # denominator bit lengths of proceeds (p) and basis (b), the gain
+                # has at most dp + db denominator and max(np + db, nb + dp) + 1
+                # numerator bits, so each value's n + 3d is at most the sum + 1.
+                if (proceeds.numerator.bit_length() + basis.numerator.bit_length() + 4 * (
+                        proceeds.denominator.bit_length() + basis.denominator.bit_length())
+                        >= room):
+                    _check_printable(line, limit, one)
+                report.ledger.append(line)
+        elif deduction and (policy.slashing_deductible or "slashing" not in record.metadata):
+            totals["deductible_expenses"].add(
+                book.value(record.quantity, asset, book.unit(record.fmv_unit)))
     for year, totals in sums.items():
         report.years[year] = YearTotals(**{name: s.total(one) for name, s in totals.items()})
     return report
@@ -489,36 +451,3 @@ def _check_printable(line: LedgerLine, limit: DigitLimit, one: int) -> None:
             except ValueError as exc:  # past the limit, in CPython's words
                 raise EngineError("seq %d: exact value too long to print: %s"
                                   % (line.seq, exc)) from None
-
-
-def _record_disposal(
-    report: TaxReport,
-    totals: dict[str, _ExactSum],
-    record: ChainEventRecord,
-    kind: str,
-    date: str,
-    disposal: DisposalResult,
-    policy: JurisdictionPolicy,
-    book: Book,
-    limit: DigitLimit,
-    room: int,
-) -> None:
-    cutoff = policy.long_term_days * 86_400
-    # Proceeds per part: its own basis for an exempt gift, else its quantity at the price.
-    unit = None if exempt_gift(record, policy) else book.unit(record.fmv_unit)
-    for part in disposal.parts:
-        basis = part.basis
-        proceeds = basis if unit is None else book.value(part.qty, record.asset, unit)
-        gain = proceeds - basis
-        term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
-        totals["long_term_gain" if term == "long" else "short_term_gain"].add(gain)
-        line = LedgerLine(record.seq, date, kind, record.asset,
-                          part.qty, proceeds, basis, gain, term)
-        # One sum bounds all three values: with n and d the numerator and
-        # denominator bit lengths of proceeds (p) and basis (b), the gain
-        # has at most dp + db denominator and max(np + db, nb + dp) + 1
-        # numerator bits, so each value's n + 3d is at most the sum + 1.
-        if (proceeds.numerator.bit_length() + basis.numerator.bit_length() + 4 * (
-                proceeds.denominator.bit_length() + basis.denominator.bit_length()) >= room):
-            _check_printable(line, limit, 10 ** (book.places or 0))
-        report.ledger.append(line)

@@ -113,7 +113,6 @@ class Book:
         self.decimals = dict(decimals or {})
         self.prices: dict[str, Fraction] = {}
         self.places: int | None = None
-        self.verdicts: tuple[JurisdictionPolicy, dict] = (policy, {})  # see engine._lot_move
         if price_places is not None:
             self.decimals = dict.fromkeys({r.asset for r in records}, 8) | self.decimals
             top = max(self.decimals.values(), default=0)

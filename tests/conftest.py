@@ -4,7 +4,8 @@
 runners swing too much in speed for 200 ms to mean anything, and prints a
 blob that reproduces any failure. `reach` is what `tests/test_reach.py`
 checks: each code object entered, under a profile hook, while every `fisc`
-module is imported at configure time and while each `ROOTS` item runs.
+module is imported at configure time and, in a session that runs
+`tests/test_reach.py`, while each `ROOTS` item runs.
 """
 
 import importlib
@@ -20,6 +21,8 @@ ROOTS = ("tests/test_cli.py", "tests/test_acceptance.py",
          "tests/test_pipeline.py::test_pinned_pipeline_outputs",
          "tests/test_attribution.py::TestScenario::test_pinned_outputs")
 entered, ran = set(), set()  # code objects; node ids of the root items run
+REACH = "tests/test_reach.py"
+hooked = False  # whether this session runs REACH, so the roots are profiled
 
 
 def _enter(frame, event, arg):
@@ -45,12 +48,17 @@ def pytest_configure():
 
 
 def pytest_collection_modifyitems(items):
-    items.sort(key=lambda item: item.nodeid.startswith("tests/test_reach.py"))
+    items.sort(key=lambda item: item.nodeid.startswith(REACH))
+
+
+def pytest_collection_finish(session):
+    global hooked
+    hooked = any(item.nodeid.startswith(REACH) for item in session.items)
 
 
 @pytest.hookimpl(wrapper=True)
 def pytest_runtest_protocol(item):
-    if not _root(item.nodeid):
+    if not (hooked and _root(item.nodeid)):
         return (yield)
     sys.setprofile(_enter)
     try:

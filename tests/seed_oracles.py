@@ -6,14 +6,15 @@ override what the others leave. `seed_compute_report` is the original
 report loop on that store, with its own copy of the original per-method
 routing (`ingest_event` with a method and an override, the AVG_TOTAL
 pre-pass) and the PVCT cost pool kept as a running sum: acquisitions add
-their cost, every disposal subtracts its basis. It imports no engine
-internals, only the result and report types, `tax_year_of` and
-`withholding_amount`. It has three corrections: `_seed_moves` makes every
-method see the same acquisitions and disposals, the AVG_TOTAL pre-pass
-refuses a year that disposes of more than it carries in and acquires,
-where the original carried a negative quantity on, and each part of an
-exempt gift leaves at its own basis, where the original split the gift's
-total basis over its parts by quantity.
+their cost, every disposal subtracts its basis. It keeps its own result
+record and per-record tax years (`seed_tax_year`), and imports no engine
+internals, only the report types and `withholding_rate`. It has three
+corrections: `_seed_moves` makes every method see the same acquisitions
+and disposals, the AVG_TOTAL pre-pass refuses a year that disposes of
+more than it carries in and acquires, where the original carried a
+negative quantity on, and each part of an exempt gift leaves at its own
+basis, where the original split the gift's total basis over its parts by
+quantity.
 `seed_format_rational` is the original scale-by-ten decimal renderer,
 `seed_to_csv` the original ledger rendering, which judged every line only
 once the whole report was built, and `seed_parse_event_file` /
@@ -247,15 +248,30 @@ def _seed_moves(record: ChainEventRecord, policy: JurisdictionPolicy) -> str | N
     return None
 
 
+def seed_tax_year(timestamp: int, policy: JurisdictionPolicy) -> int:
+    """The calendar year a moment's tax year started in, worked out per record."""
+    stamp = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    return stamp.year - ((stamp.month, stamp.day) < tuple(policy.tax_year_start))
+
+
+class _SeedIngestResult:
+    """One event's effect: each amount 0 and `disposal` None unless set."""
+
+    income: Fraction = Fraction(0)
+    deduction: Fraction = Fraction(0)
+    disposal: DisposalResult | None = None
+    withholding: Fraction = Fraction(0)
+
+
 def _seed_ingest_event(
     record: ChainEventRecord,
     policy: JurisdictionPolicy,
     store: SeedLotStore,
     method: AccountingMethod,
     basis_override: Fraction | None,
-) -> engine.IngestResult:
+) -> _SeedIngestResult:
     """The original ingest_event: the method and the override routed in."""
-    result = engine.IngestResult()
+    result = _SeedIngestResult()
     scale = 10 ** store.decimals(record.asset)
     if "deduction" in record.metadata:
         if "slashing" in record.metadata and not policy.slashing_deductible:
@@ -288,7 +304,7 @@ def _seed_ingest_event(
     result.disposal = disposal
     attribution = record.metadata.get("attribution")
     if attribution:
-        result.withholding = engine.withholding_amount(disposal.proceeds, attribution, policy)
+        result.withholding = disposal.proceeds * engine.withholding_rate(attribution, policy)
     return result
 
 
@@ -302,7 +318,7 @@ def _seed_avg_total_averages(
     carry_cost: dict[str, Fraction] = {}
     by_year: dict[int, list[ChainEventRecord]] = {}
     for record in records:
-        by_year.setdefault(engine.tax_year_of(record.timestamp, policy), []).append(record)
+        by_year.setdefault(seed_tax_year(record.timestamp, policy), []).append(record)
     for year in sorted(by_year):
         acq_qty: dict[str, int] = {}
         acq_cost: dict[str, Fraction] = {}
@@ -374,7 +390,7 @@ def seed_compute_report(
         if last_seq is not None and record.seq <= last_seq:
             raise engine.SequenceError("seq %d out of order (after %d)" % (record.seq, last_seq))
         last_seq = record.seq
-        year = engine.tax_year_of(record.timestamp, policy)
+        year = seed_tax_year(record.timestamp, policy)
         totals = report.years.setdefault(year, engine.YearTotals())
         if current_year is None:
             current_year = year

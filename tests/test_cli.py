@@ -926,6 +926,10 @@ class TestAttrib:
             "latency AT DE -1",
             "drop AT DE 3/2",
             "drop AT DE -1/2",
+            # With line 9's 8, the deadlines sum to 10**4300: a tick of one
+            # digit more than CPython's default limit prints.
+            pytest.param("transfer wallet_ann wallet_bob 1 " + "9" * 4299 + "2",
+                         id="deadline-sum"),
         ],
     )
     def test_invalid_directive_exit_2_with_line(self, tmp_path, capsys, line):
@@ -1243,7 +1247,7 @@ class TestOutputContract:
             runner(text, write)  # every output is in the staging directory
             fault()
 
-        monkeypatch.setattr(fisc.tax.engine, "ingest_event", fault)  # called by compute_report
+        monkeypatch.setattr(fisc.tax.engine, "lot_moves", fault)  # called by compute_report
         monkeypatch.setitem(fisc.cli._SIM_RUNNERS, "chain", replay_then_fault)
         capsys.readouterr()
         with pytest.raises(ValueError, match="internal"):

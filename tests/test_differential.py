@@ -8,6 +8,7 @@ versions.
 random operation sequences and must agree exactly, errors included.
 """
 
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
@@ -38,6 +39,7 @@ from seed_oracles import (
     seed_compute_report,
     seed_format_rational,
     seed_parse_event_file,
+    seed_tax_year,
     seed_to_csv,
 )
 
@@ -230,7 +232,7 @@ def test_year_totals_over_many_denominators(method, case):
         return
     assert report.years == seed.years
     assert report_outputs(report) == report_outputs(seed)
-    year_of = {record.seq: engine.tax_year_of(record.timestamp, policy) for record in records}
+    year_of = {record.seq: seed_tax_year(record.timestamp, policy) for record in records}
     for year, totals in report.years.items():
         lines = [line for line in report.lines if year_of[line.seq] == year]
         assert totals.ordinary_income == sum(l.proceeds for l in lines if l.term == "-")
@@ -430,6 +432,14 @@ def test_digit_limit_decides_as_format_rational(low_digit_limit, num, negative, 
     assert limit.fits(value) == printable(value)
     if value.numerator.bit_length() + 3 * value.denominator.bit_length() <= limit.room:
         assert printable(value)
+
+
+def test_no_digit_limit_fits_every_value(monkeypatch):
+    """With the limit off (0, or a CPython before 3.10.7) every value prints."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    limit = DigitLimit()
+    assert limit.fits(Fraction(10**5000 + 1, 3)) and 10**5000 < limit.ceiling
+    assert limit.room == sys.maxsize
 
 
 def places_by_definition(den: int) -> int | None:

@@ -13,9 +13,8 @@ from fisc.tax.engine import (
     PolicyViolation,
     SequenceError,
     compute_report,
-    ingest_event,
-    tax_year_of,
-    withholding_amount,
+    lot_moves,
+    withholding_rate,
 )
 from fisc.tax.events import (
     ChainEventRecord,
@@ -30,6 +29,7 @@ from fisc.tax.policy import (
     ReceiptTreatment,
     parse_policy,
 )
+from seed_oracles import _seed_acquisition_treatment, _seed_moves
 
 BTC = 10**8
 
@@ -118,47 +118,54 @@ class TestPolicyFile:
             parse_policy("standard_withholding = 1/2\nelevated_withholding = 1/10\n")
 
 
+def tax_year(timestamp, policy):
+    return engine.TaxDays(policy)[timestamp // 86_400][0]
+
+
 class TestTaxYear:
     def test_calendar_year(self):
-        assert tax_year_of(ts(2021, 1, 1), DEFAULT) == 2021
-        assert tax_year_of(ts(2021, 12, 31), DEFAULT) == 2021
+        assert tax_year(ts(2021, 1, 1), DEFAULT) == 2021
+        assert tax_year(ts(2021, 12, 31), DEFAULT) == 2021
 
     def test_shifted_fiscal_year(self):
         policy = JurisdictionPolicy(tax_year_start=(4, 6))
-        assert tax_year_of(ts(2021, 4, 5), policy) == 2020
-        assert tax_year_of(ts(2021, 4, 6), policy) == 2021
+        assert tax_year(ts(2021, 4, 5), policy) == 2020
+        assert tax_year(ts(2021, 4, 6), policy) == 2021
+
+
+def fifo(policy, *records, decimals=8):
+    return compute_report(list(records), policy, AccountingMethod.FIFO,
+                          {record.asset: decimals for record in records})
+
+
+def income_and_basis(record, policy):
+    """The income `record` recognizes and the basis of the lot it adds, as
+    a sale of all of it at 0 reads that lot."""
+    sale = ev(2, record.timestamp + 1, EventKind.SALE, record.quantity, 0, asset=record.asset)
+    report = fifo(policy, record, sale)
+    return report.total_income, sum(line.basis for line in report.lines if line.seq == 2)
 
 
 class TestIngestTreatments:
+    """Each switch of the policy, as compute_report applies it to one event."""
+
     def test_mining_business_income_at_fmv(self):
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        result = ingest_event(
-            ev(1, ts(2020), EventKind.MINING_REWARD, 2 * BTC, 10_000), DEFAULT, book
-        )
-        assert result.income == 20_000
-        assert book.total_basis("BTC") == 20_000
+        record = ev(1, ts(2020), EventKind.MINING_REWARD, 2 * BTC, 10_000)
+        assert income_and_basis(record, DEFAULT) == (20_000, 20_000)
 
     def test_hobby_exempt_keeps_cost_basis(self):
         policy = JurisdictionPolicy(
             mining_is_business=False, hobby_miner=HobbyMinerRule.EXEMPT_WITH_COST_BASIS
         )
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        result = ingest_event(
-            ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, book
-        )
-        assert result.income == 0
-        assert book.total_basis("BTC") == 10_000
+        record = ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000)
+        assert income_and_basis(record, policy) == (0, 10_000)
 
     def test_hobby_zero_basis(self):
         policy = JurisdictionPolicy(
             mining_is_business=False, hobby_miner=HobbyMinerRule.ZERO_BASIS_NO_DEDUCTION
         )
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        result = ingest_event(
-            ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000), policy, book
-        )
-        assert result.income == 0
-        assert book.total_basis("BTC") == 0
+        record = ev(1, ts(2020), EventKind.MINING_REWARD, BTC, 10_000)
+        assert income_and_basis(record, policy) == (0, 0)
 
     @pytest.mark.parametrize("kind", [EventKind.FORK_RECEIPT, EventKind.AIRDROP])
     def test_receipt_treatment_switch(self, kind):
@@ -167,29 +174,22 @@ class TestIngestTreatments:
             fork_treatment=ReceiptTreatment.ZERO_BASIS,
             airdrop_treatment=ReceiptTreatment.ZERO_BASIS,
         )
+        record = ev(1, ts(2020), kind, 8 * BTC, 50, asset="BCH")
         for policy, income, basis in ((fmv_policy, 400, 400), (zero_policy, 0, 0)):
-            book = LotStore([], DEFAULT, {"BCH": 8})
-            result = ingest_event(
-                ev(1, ts(2020), kind, 8 * BTC, 50, asset="BCH"), policy, book
-            )
-            assert result.income == income
-            assert book.total_basis("BCH") == basis
+            assert income_and_basis(record, policy) == (income, basis)
 
     def test_self_transfer_is_a_noop(self):
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        before = (book.total_qty("BTC"), book.total_basis("BTC"))
-        result = ingest_event(ev(2, ts(2021), EventKind.SELF_TRANSFER, BTC, 500), DEFAULT, book)
-        assert result.income == 0 and result.disposal is None
-        assert (book.total_qty("BTC"), book.total_basis("BTC")) == before
+        report = fifo(DEFAULT, ev(1, ts(2020), EventKind.PURCHASE, BTC, 100),
+                      ev(2, ts(2021), EventKind.SELF_TRANSFER, BTC, 500),
+                      ev(3, ts(2021, 7), EventKind.SALE, BTC, 0))
+        assert [(line.seq, line.qty, line.basis) for line in report.lines] == [(3, BTC, 100)]
+        assert report.total_income == 0
 
     def test_gift_exempt_has_zero_gain(self):
-        policy = JurisdictionPolicy(gift_taxable=False)
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), policy, book)
-        assert result.disposal.gain == 0
-        assert book.total_qty("BTC") == 0
+        report = fifo(JurisdictionPolicy(gift_taxable=False),
+                      ev(1, ts(2020), EventKind.PURCHASE, BTC, 100),
+                      ev(2, ts(2021), EventKind.GIFT, BTC, 900))
+        assert [(line.seq, line.qty, line.gain) for line in report.lines] == [(2, BTC, 0)]
 
     @pytest.mark.parametrize("method", ["fifo", "hifo", "avg_moving", "pvct"])
     def test_exempt_gift_of_two_lots_shifts_no_gain_between_terms(self, method):
@@ -217,45 +217,38 @@ class TestIngestTreatments:
             ("vault_liquidation", "ETH", 10**18, 800, 1000, -200, "short")]
 
     def test_gift_taxable_realizes_gain(self):
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.GIFT, BTC, 900), DEFAULT, book)
-        assert result.disposal.gain == 800
+        report = fifo(DEFAULT, ev(1, ts(2020), EventKind.PURCHASE, BTC, 100),
+                      ev(2, ts(2021), EventKind.GIFT, BTC, 900))
+        assert report.total_gain == 800
 
     def test_slashing_deduction_gate(self):
         record = ev(
             1, ts(2021), EventKind.SPEND, 10**18, 2000, asset="ETH",
             metadata={"deduction": "1", "slashing": "1"},
         )
-        blocked = ingest_event(record, DEFAULT, LotStore([], DEFAULT, {"ETH": 18}))
-        assert blocked.deduction == 0
-        allowed = ingest_event(
-            record, JurisdictionPolicy(slashing_deductible=True), LotStore([], DEFAULT, {"ETH": 18})
-        )
-        assert allowed.deduction == 2000
+        blocked = fifo(DEFAULT, record, decimals=18)
+        assert blocked.years[2021].deductible_expenses == 0 and blocked.lines == []
+        allowed = fifo(JurisdictionPolicy(slashing_deductible=True), record, decimals=18)
+        assert allowed.years[2021].deductible_expenses == 2000
 
     def test_plain_deduction_passes(self):
         record = ev(
             1, ts(2021), EventKind.SPEND, 10**18, 100, asset="ETH",
             metadata={"deduction": "1"},
         )
-        result = ingest_event(record, DEFAULT, LotStore([], DEFAULT, {"ETH": 18}))
-        assert result.deduction == 100
+        assert fifo(DEFAULT, record, decimals=18).years[2021].deductible_expenses == 100
 
     def test_lp_events_default_to_transfers(self):
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), DEFAULT, book)
-        assert result.disposal is None
-        assert book.total_qty("BTC") == BTC
+        report = fifo(DEFAULT, ev(1, ts(2020), EventKind.PURCHASE, BTC, 100),
+                      ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500),
+                      ev(3, ts(2021, 7), EventKind.SALE, BTC, 0))
+        assert [(line.seq, line.qty, line.basis) for line in report.lines] == [(3, BTC, 100)]
 
     def test_lp_events_as_disposals_when_enabled(self):
-        policy = JurisdictionPolicy(lp_events_are_disposals=True)
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        book.add_lot("BTC", BTC, Fraction(100), ts(2020))
-        result = ingest_event(ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), policy, book)
-        assert result.disposal.gain == 400
-        assert book.total_qty("BTC") == 0
+        report = fifo(JurisdictionPolicy(lp_events_are_disposals=True),
+                      ev(1, ts(2020), EventKind.PURCHASE, BTC, 100),
+                      ev(2, ts(2021), EventKind.LP_DEPOSIT, BTC, 500))
+        assert [(line.seq, line.qty, line.gain) for line in report.lines] == [(2, BTC, 400)]
 
 
 # Every combination of the switches lot_move reads.
@@ -267,43 +260,30 @@ MOVE_POLICIES = [
 ]
 
 
-class TestLotMoveMemo:
-    """ingest_event and AvgTotal's pre-pass take lot_move's verdict from a
-    memo on the book, by kind and deduction flag, for one policy object."""
-
-    def test_memo_matches_a_fresh_lot_move(self):
-        # Each memo is built at an FMV of 0, or at the engine's own zero
-        # object, and must still price the FMV of 7/3 that follows.
-        for policy, first in itertools.product(MOVE_POLICIES, (Fraction(0), engine._ZERO)):
-            book = LotStore([], policy, {"BTC": 8})
-            for fmv in (first, Fraction(7, 3)):
-                for kind, deduction in itertools.product(EventKind, (False, True)):
-                    record = ChainEventRecord(1, ts(2020), kind, "BTC", 1, fmv,
-                                              metadata={"deduction": "1"} if deduction else {})
-                    memoized = engine._lot_move(record, policy, book)
-                    assert memoized == engine.lot_move(record, policy)
-
-    def test_a_book_fed_two_policies_classifies_under_each(self):
-        book = LotStore([], DEFAULT, {"BTC": 8})
-        book.add_lot("BTC", 3 * BTC, Fraction(100), ts(2020))
-        # Each policy is built afresh and dropped: a memo keyed by id() could
-        # meet a new policy at the address of a dead one.
-        for seq, disposes in enumerate((False, True, False, True, True, False), start=1):
-            policy = JurisdictionPolicy(lp_events_are_disposals=disposes)
-            result = ingest_event(ev(seq, ts(2021), EventKind.LP_DEPOSIT, BTC, 500), policy, book)
-            assert (result.disposal is not None) == disposes
-            del policy
-        assert book.total_qty("BTC") == 0
+class TestLotMoves:
+    def test_table_matches_the_seed_oracle(self):
+        """Every (kind, deduction flag) entry moves lots as the seed oracle's
+        _seed_moves says, and an acquisition takes its basis and income at
+        the FMV as _seed_acquisition_treatment does."""
+        fmv = Fraction(7, 3)
+        for policy in MOVE_POLICIES:
+            table = lot_moves(policy)
+            assert len(table) == 2 * len(EventKind)
+            for kind, deduction in itertools.product(EventKind, (False, True)):
+                record = ChainEventRecord(1, ts(2020), kind, "BTC", 1, fmv,
+                                          metadata={"deduction": "1"} if deduction else {})
+                moves = _seed_moves(record, policy)
+                expected = (0 if moves is None else -1, False, False)
+                if moves == "acquires":
+                    income, basis = _seed_acquisition_treatment(record, policy)
+                    expected = (1, basis == fmv, income == fmv)
+                assert table[kind, deduction] == expected, (policy, kind, deduction)
 
 
 class TestWithholding:
     def test_rates(self):
-        assert withholding_amount(Fraction(1000), "affirmed", DEFAULT) == 100
-        assert withholding_amount(Fraction(1000), "unaffirmed", DEFAULT) == 300
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            withholding_amount(Fraction(-1), "affirmed", DEFAULT)
+        assert Fraction(1000) * withholding_rate("affirmed", DEFAULT) == 100
+        assert Fraction(1000) * withholding_rate("unaffirmed", DEFAULT) == 300
 
     def test_flows_into_report(self):
         records = [
@@ -373,13 +353,18 @@ class TestReport:
     @pytest.mark.parametrize("skip,seq,ingested", [(None, 3, 3), (3, 4, 3)])
     def test_stops_at_first_unprintable_line(self, low_digit_limit, monkeypatch, skip, seq,
                                              ingested):
-        calls = []
+        calls = []  # the seq of each record passed to the book
 
-        def counted(record, policy, book):
-            calls.append(record.seq)
-            return ingest_event(record, policy, book)
+        class Counted(LotStore):
+            def acquire(self, record, unit):
+                calls.append(record.seq)
+                super().acquire(record, unit)
 
-        monkeypatch.setattr(engine, "ingest_event", counted)
+            def dispose(self, record):
+                calls.append(record.seq)
+                return super().dispose(record)
+
+        monkeypatch.setitem(engine.BOOKS, AccountingMethod.FIFO, Counted)
         records = [record for record in self.STREAM if record.seq != skip]
         with pytest.raises(EngineError, match=r"^seq %d: exact value too long to print: "
                                               r"Exceeds the limit \(640 digits\)" % seq):
@@ -497,10 +482,11 @@ class TestAverageTotal:
             ev(6, at(2021, 4, 6), EventKind.SALE, 4, 70, asset="X"),
         ]
         calls = []
-        monkeypatch.setattr(engine, "tax_year_of",
-                            lambda *args: calls.append(args) or tax_year_of(*args))
+        missing = engine.TaxDays.__missing__
+        monkeypatch.setattr(engine.TaxDays, "__missing__",
+                            lambda days, day: calls.append(day) or missing(days, day))
         report = compute_report(records, policy, AccountingMethod.AVG_TOTAL, {"X": 0})
-        assert len(calls) == 4  # one per distinct UTC day, for the pre-pass and every disposal
+        assert len(calls) == 4  # one per distinct UTC day, shared by the pre-pass and the loop
         # 2019: 100 / 10 = 10 a unit, 5 carried out (50). 2020: (50 + 200) / 10
         # = 25, 4 carried out (100). 2021 prices its sale at that 25.
         assert [(l.seq, l.basis) for l in report.lines] == [(2, 50), (4, 100), (5, 50), (6, 100)]

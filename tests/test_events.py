@@ -5,10 +5,11 @@ the engine's per-day labels.
 same random records and files, malformed ones included, and must agree
 exactly: records, metadata, bytes written, and each error's line number
 and message. `compute_report` labels each record through a per-day memo;
-its years and dates must equal `tax_year_of` and the UTC day counted from
-1970-01-01, per record. A plain decimal price is read off its digits, with
+its years and dates must equal the seed oracle's `seed_tax_year` and the
+UTC day counted from 1970-01-01, per record. A plain decimal price is read off its digits, with
 no Fraction built from its text, to the value Fraction gives; on the pinned
-event file every report asks lot_move once per kind and deduction flag.
+event file every report asks lot_move a fixed number of times, whatever
+the file's length.
 """
 
 import string
@@ -26,7 +27,7 @@ from fisc import amounts
 from fisc.amounts import Amount, parse_rational
 from fisc.lineformat import LineError
 from fisc.tax import engine
-from fisc.tax.engine import LedgerLine, compute_report, tax_year_of
+from fisc.tax.engine import LedgerLine, compute_report
 from fisc.tax.events import (
     MAX_TIMESTAMP,
     MIN_TIMESTAMP,
@@ -37,7 +38,7 @@ from fisc.tax.events import (
 )
 from fisc.tax.lots import AccountingMethod, DisposalResult, LotConsumption
 from fisc.tax.policy import JurisdictionPolicy, parse_policy
-from seed_oracles import seed_parse_event_file, seed_serialize_event
+from seed_oracles import seed_parse_event_file, seed_serialize_event, seed_tax_year
 
 TOKEN = st.text(string.ascii_letters + string.digits + "._-:", min_size=1, max_size=8)
 # Metadata values may hold '=': only the first one splits a field.
@@ -216,7 +217,7 @@ def test_per_day_labels_match_per_record_calls(start, stamps, repeats):
     ]
     expected: dict[int, int] = {}
     for record in records:
-        year = tax_year_of(record.timestamp, policy)
+        year = seed_tax_year(record.timestamp, policy)
         expected[year] = expected.get(year, 0) + 1
     assert {year: t.ordinary_income for year, t in report.years.items()} == expected
 
@@ -297,26 +298,32 @@ def test_negative_fmv_is_refused_at_its_line(fmv, refused):
     assert str(err.value) == "fmv must be non-negative, got %s" % fmv
 
 
-def test_pipeline_report_parses_two_price_texts_and_classifies_each_pair_once(monkeypatch):
+def test_pipeline_report_parses_two_price_texts_and_classifies_a_fixed_number_of_times(
+        monkeypatch):
     """The pinned event file, under every method: parsing builds a Fraction
-    from a text only for the two prices that are not plain decimals, and
-    each report asks lot_move once per (kind, deduction flag)."""
+    from a text only for the two prices that are not plain decimals, and a
+    report asks lot_move as often for the whole file as for its first
+    record: once per (kind, deduction flag) in each move table it builds."""
     pipeline = Path(__file__).parent / "pipeline"
     with fraction_texts() as texts:
         decimals, records = parse_event_file((pipeline / "events.fisc").read_text())
     assert texts == ["1/3", "40/3"]
 
     policy = parse_policy((pipeline / "policy.cfg").read_text())
-    pairs = {(r.kind, "deduction" in r.metadata) for r in records}
     asked = []
     fresh = engine.lot_move
 
-    def lot_move(record, policy):
-        asked.append((record.kind, "deduction" in record.metadata))
-        return fresh(record, policy)
+    def lot_move(kind, deduction, policy):
+        asked.append((kind, deduction))
+        return fresh(kind, deduction, policy)
 
     monkeypatch.setattr(engine, "lot_move", lot_move)
+    table = {(kind, deduction) for kind in EventKind for deduction in (False, True)}
     for method in AccountingMethod:
-        asked.clear()
-        compute_report(records, policy, method, decimals)
-        assert len(asked) == len(set(asked)) and set(asked) == pairs, method
+        counts = []
+        for part in (records, records[:1]):
+            asked.clear()
+            compute_report(part, policy, method, decimals)
+            counts.append(len(asked))
+        tables = 2 if method is AccountingMethod.AVG_TOTAL else 1  # and its pre-pass
+        assert counts == [tables * len(table)] * 2 and set(asked) == table, method

@@ -328,7 +328,7 @@ REPORT_POLICY = st.fixed_dictionaries({}, optional={
          "event seq=2 ts=1 kind=sale asset=X qty=1 fmv=-5", "fifo", "")
 @example("asset a,b 0\nevent seq=1 ts=0 kind=mining_reward asset=a,b qty=2 fmv=1\n"
          "event seq=2 ts=0 kind=sale asset=a,b qty=1 fmv=2", "hifo", "")
-# A gift the policy exempts takes its own path through ingest_event.
+# A gift the policy exempts takes its own path through compute_report.
 @example("asset X 0\nevent seq=1 ts=0 kind=purchase asset=X qty=2 fmv=1\n"
          "event seq=2 ts=1 kind=gift asset=X qty=1 fmv=3", "fifo", "gift_taxable = no\n")
 @FUZZ
