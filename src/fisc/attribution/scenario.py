@@ -191,12 +191,16 @@ def run_attribution_scenario(scenario: AttributionScenario,
             _, pub = DEFAULT_SCHEME.keypair(b"wallet|" + beneficiary_ref.encode())
             beneficiary = derived[beneficiary_ref] = address_from_pubkey(
                 pub, AddrScheme.BASE58CHECK_P2PKH).text
-        attribution, withheld = network.originate_transfer(
-            origin, beneficiary, amount, scenario.policy, deadline_ticks=deadline)
+        try:  # the amount withheld, as its trace digest and its ledger line print it
+            attribution, withheld = network.originate_transfer(
+                origin, beneficiary, amount, scenario.policy, deadline_ticks=deadline)
+            ledger_lines.append("%d %s %s %s %s\n" % (index, origin, beneficiary, attribution,
+                                                      format_rational(withheld)))
+        except ValueError as exc:  # past CPython's int->str digit limit
+            raise AttributionError("transfer %d: withheld amount too long to print: %s"
+                                   % (index, exc)) from None
         if attribution == "affirmed" and origin in identities and beneficiary in identities:
             check_travel_rule(identities[origin], identities[beneficiary])
-        ledger_lines.append("%d %s %s %s %s\n" % (index, origin, beneficiary, attribution,
-                                                  format_rational(withheld)))
         if len(trace) >= CHUNK_LINES:
             write("trace.txt", network.render_trace())
             write("withholding.txt", "".join(ledger_lines))

@@ -131,10 +131,10 @@ class Pvct(LotStore):
         share = disposal.proceeds / value if value else _ZERO
         basis = self.cost * share
         self.cost *= 1 - share
-        qty = disposal.qty
-        parts = tuple(LotConsumption(p.lot_id, p.qty, basis * Fraction(p.qty, qty), p.acquired_at)
-                      for p in disposal.parts)
-        return DisposalResult(disposal.asset, qty, disposal.proceeds, basis, parts)
+        qty, new = disposal.qty, tuple.__new__
+        parts = tuple(new(LotConsumption, (p.lot_id, p.qty, basis * Fraction(p.qty, qty),
+                                           p.acquired_at)) for p in disposal.parts)
+        return new(DisposalResult, (disposal.asset, qty, disposal.proceeds, basis, parts))
 
 
 class AvgMoving(Book):
@@ -164,9 +164,9 @@ class AvgMoving(Book):
             raise InsufficientQuantity("disposing %d but only %d %s held" % (qty, held, asset))
         basis = self._basis(record, pool)
         pool[0] = held - qty
-        proceeds = self.value(qty, asset, record.fmv_unit)
-        return DisposalResult(asset, qty, proceeds, basis,
-                              (LotConsumption(0, qty, basis, pool[2]),))
+        proceeds, new = self.value(qty, asset, record.fmv_unit), tuple.__new__
+        return new(DisposalResult, (asset, qty, proceeds, basis,
+                                    (new(LotConsumption, (0, qty, basis, pool[2])),)))
 
     def _basis(self, record: ChainEventRecord, pool: list) -> Fraction:
         held, cost = pool[0], pool[1]
@@ -273,8 +273,9 @@ class _ExactSum(dict):
 class TaxReport:
     """compute_report appends only lines that to_csv can print, so the
     ledger streams to its writer with no fault of its own; a year total is
-    judged once every line is in, by to_totals_json. `ledger` is in the
-    book's money (see `Book`); `lines` and `years` are in currency units."""
+    judged once every line is in, by to_totals_json. `ledger` holds plain
+    tuples in the book's money (see `Book`), and to_csv reuses the text of an
+    amount equal to the row above's; `lines` and `years` are in currency units."""
 
     def __init__(self, method: AccountingMethod, places: int | None = None):
         self.method, self.places = method, places
@@ -304,13 +305,20 @@ class TaxReport:
         places = self.places
         fmt = format_rational if places is None else lambda units: format_units(units, places)
         rows = ["seq,date,kind,asset,qty,proceeds,basis,gain,term"]
+        last_p = last_b = last_g = 0  # the amounts in the row above, printed as text_*
+        text_p = text_b = text_g = "0"
         for start in range(0, len(self.ledger) or 1, CHUNK_LINES):
             for seq, date, kind, asset, qty, proceeds, basis, gain, term in (
                     self.ledger[start:start + CHUNK_LINES]):
                 # A zero, as an income line's basis and gain are, prints as 0 directly.
+                if proceeds != last_p:
+                    last_p, text_p = proceeds, fmt(proceeds) if proceeds else "0"
+                if basis != last_b:
+                    last_b, text_b = basis, fmt(basis) if basis else "0"
+                if gain != last_g:
+                    last_g, text_g = gain, fmt(gain) if gain else "0"
                 rows.append("%d,%s,%s,%s,%d,%s,%s,%s,%s" % (
-                    seq, date, kind, asset, qty, fmt(proceeds) if proceeds else "0",
-                    fmt(basis) if basis else "0", fmt(gain) if gain else "0", term))
+                    seq, date, kind, asset, qty, text_p, text_b, text_g, term))
             write("ledger.csv", "\n".join(rows) + "\n")
             rows.clear()
 
@@ -378,6 +386,7 @@ def compute_report(
     limit = DigitLimit()
     # The bounds read an int n as n/1, not n/one: take one's extra bits off the room.
     room = limit.room - 3 * (one.bit_length() - 1)
+    new = tuple.__new__  # each line is a plain tuple, as parse_event_file builds records
 
     for record in records:
         if last_seq is not None and record.seq <= last_seq:
@@ -403,8 +412,8 @@ def compute_report(
             book.acquire(record, unit)
             if income and (value := book.value(record.quantity, asset, unit)):
                 totals["ordinary_income"].add(value)
-                line = LedgerLine(record.seq, date, kind._value_, asset,
-                                  record.quantity, value, zero, zero, "-")
+                line = new(LedgerLine, (record.seq, date, kind._value_, asset,
+                                        record.quantity, value, zero, zero, "-"))
                 if value.numerator.bit_length() + 3 * value.denominator.bit_length() > room:
                     _check_printable(line, limit, one)
                 report.ledger.append(line)
@@ -422,8 +431,8 @@ def compute_report(
                 gain = proceeds - basis
                 term = "long" if record.timestamp - part.acquired_at > cutoff else "short"
                 totals["long_term_gain" if term == "long" else "short_term_gain"].add(gain)
-                line = LedgerLine(record.seq, date, kind._value_, asset,
-                                  part.qty, proceeds, basis, gain, term)
+                line = new(LedgerLine, (record.seq, date, kind._value_, asset,
+                                        part.qty, proceeds, basis, gain, term))
                 # One sum bounds all three values: with n and d the numerator and
                 # denominator bit lengths of proceeds (p) and basis (b), the gain
                 # has at most dp + db denominator and max(np + db, nb + dp) + 1

@@ -5,12 +5,14 @@ ints (see `Book`). Every accounting method is a `Book`; the pooled-cost
 books (moving and total average, PVCT) are in `fisc.tax.engine`.
 
 `LotStore` is the FIFO book, and each lot book takes its lots in one order.
-Each asset keeps its open lots in a dict keyed by `lot_id` (exhausted lots
-are dropped), a running open quantity and, from the asset's first disposal
-on, one heap of `key(lot) + (lot,)`, so a book that only acquires builds
-none. FIFO is keyed `(acquired_at, lot_id)`, not on insertion order,
-because timestamps need not rise with `seq`. SpecID takes the lots each
-disposal names instead.
+Each asset keeps its open lots, each a plain list `[remaining_qty,
+unit_basis, acquired_at, lot_id]` (`lots()` lists them as `Lot`s), in a
+dict keyed by `lot_id` (exhausted lots are dropped), a running open quantity
+and, from the asset's first disposal on, one heap of `key(lot) + (lot,)`,
+so a book that only acquires builds none. FIFO is keyed `(acquired_at,
+lot_id)`, not on insertion order, because timestamps need not rise with
+`seq`. SpecID takes the lots each disposal names instead. Disposal parts
+and results are plain tuples, built with no Python-level constructor.
 """
 
 from __future__ import annotations
@@ -48,18 +50,14 @@ class InsufficientQuantity(LotError):
 
 
 class Lot:
-    """An open lot. A book lowers `remaining_qty` (base units) as disposals
-    consume it; `unit_basis` is a price per whole asset unit, see Book.unit.
+    """An open lot as `LotStore.lots` lists it: `remaining_qty` base units
+    left, at `unit_basis`, a price per whole asset unit (see Book.unit).
     Lots are equal when their fields are."""
 
     __slots__ = ("lot_id", "asset", "remaining_qty", "unit_basis", "acquired_at")
 
     def __init__(self, lot_id: int, asset: str, remaining_qty: int,
                  unit_basis: Fraction | int, acquired_at: int):
-        if remaining_qty <= 0:
-            raise ValueError("acquired quantity must be positive")
-        if unit_basis.numerator < 0:  # the sign, without a slow Fraction comparison
-            raise ValueError("unit basis must be non-negative")
         self.lot_id, self.asset, self.remaining_qty = lot_id, asset, remaining_qty
         self.unit_basis, self.acquired_at = unit_basis, acquired_at
 
@@ -148,19 +146,20 @@ class LotStore(Book):
 
     def __init__(self, records, policy, decimals, price_places=None):
         super().__init__(records, policy, decimals, price_places)
-        self._open: dict[str, dict[int, Lot]] = defaultdict(dict)
+        self._open: dict[str, dict[int, list]] = defaultdict(dict)  # asset -> id -> lot
         self._open_qty: dict[str, int] = {}
         self._heaps: dict[str, list[tuple]] = {}
         self._next_id = 1
 
     @staticmethod
-    def key(lot: Lot) -> tuple:
+    def key(lot: list) -> tuple:
         """Disposal order, lowest first; `lot_id` makes every key unique."""
-        return (lot.acquired_at, lot.lot_id)
+        return (lot[2], lot[3])
 
     def lots(self, asset: str) -> list[Lot]:
         """Open lots of `asset` in acquisition-record (lot id) order."""
-        return list(self._open.get(asset, {}).values())
+        return [Lot(lot_id, asset, qty, unit_basis, acquired_at)
+                for qty, unit_basis, acquired_at, lot_id in self._open.get(asset, {}).values()]
 
     def all_assets(self) -> list[str]:
         return sorted(a for a, qty in self._open_qty.items() if qty)
@@ -176,18 +175,20 @@ class LotStore(Book):
     def acquire(self, record: ChainEventRecord, unit: Fraction | int) -> None:
         self.add_lot(record.asset, record.quantity, unit, record.timestamp)
 
-    def add_lot(self, asset: str, qty: int, unit_basis: Fraction, acquired_at: int) -> Lot:
+    def add_lot(self, asset: str, qty: int, unit_basis: Fraction, acquired_at: int) -> None:
         """Record an acquisition as a new lot."""
-        lot = Lot(self._next_id, asset, qty, unit_basis, acquired_at)
-        self._next_id += 1
-        self._open[asset][lot.lot_id] = lot
+        if qty <= 0:
+            raise ValueError("acquired quantity must be positive")
+        if unit_basis.numerator < 0:  # the sign, without a slow Fraction comparison
+            raise ValueError("unit basis must be non-negative")
+        lot_id, self._next_id = self._next_id, self._next_id + 1
+        lot = self._open[asset][lot_id] = [qty, unit_basis, acquired_at, lot_id]
         self._open_qty[asset] = self._open_qty.get(asset, 0) + qty
         heap = self._heaps.get(asset)
         if heap is not None:
             heapq.heappush(heap, self.key(lot) + (lot,))
-        return lot
 
-    def _choose(self, record: ChainEventRecord) -> list[Lot]:
+    def _choose(self, record: ChainEventRecord) -> list[list]:
         """The lots a disposal consumes, in order. Every lot it uses up
         leaves the heap; one it takes only part of stays on top."""
         heap = self._heaps.get(record.asset)
@@ -199,7 +200,7 @@ class LotStore(Book):
         while rest > 0:
             lot = heap[0][-1]
             chosen.append(lot)
-            rest -= lot.remaining_qty
+            rest -= lot[0]
             if rest >= 0:
                 heapq.heappop(heap)
         return chosen
@@ -212,15 +213,16 @@ class LotStore(Book):
             raise InsufficientQuantity("disposing %d but only %d %s held"
                                        % (qty, available, asset))
         book, value = self._open[asset], self.value
-        remaining, basis = qty, 0
+        remaining, basis, new = qty, 0, tuple.__new__
         parts: list[LotConsumption] = []
         for lot in self._choose(record):
-            take = min(lot.remaining_qty, remaining)
-            lot.remaining_qty -= take
-            if lot.remaining_qty == 0:
-                del book[lot.lot_id]
-            basis += (part := value(take, asset, lot.unit_basis))
-            parts.append(LotConsumption(lot.lot_id, take, part, lot.acquired_at))
+            left, unit_basis, acquired_at, lot_id = lot
+            take = min(left, remaining)
+            lot[0] = left = left - take
+            if not left:
+                del book[lot_id]
+            basis += (part := value(take, asset, unit_basis))
+            parts.append(new(LotConsumption, (lot_id, take, part, acquired_at)))
             remaining -= take
             if remaining == 0:
                 break
@@ -229,29 +231,29 @@ class LotStore(Book):
             raise LotError("disposal of %d %s left %d unconsumed" % (qty, asset, remaining))
         self._open_qty[asset] = available - qty
         proceeds = value(qty, asset, self.unit(record.fmv_unit))
-        return DisposalResult(asset, qty, proceeds, basis, tuple(parts))
+        return new(DisposalResult, (asset, qty, proceeds, basis, tuple(parts)))
 
 
 class Lifo(LotStore):
     """Consume the open lots acquired last."""
 
     @staticmethod
-    def key(lot: Lot) -> tuple:
-        return (-lot.acquired_at, -lot.lot_id)
+    def key(lot: list) -> tuple:
+        return (-lot[2], -lot[3])
 
 
 class Hifo(LotStore):
     """Consume the open lots of highest unit basis first, lowest lot id on a tie."""
 
     @staticmethod
-    def key(lot: Lot) -> tuple:
-        return (-lot.unit_basis, lot.lot_id)
+    def key(lot: list) -> tuple:
+        return (-lot[1], lot[3])
 
 
 class SpecId(LotStore):
     """Consume the open lots each disposal names, in the order named."""
 
-    def _choose(self, record: ChainEventRecord) -> list[Lot]:
+    def _choose(self, record: ChainEventRecord) -> list[list]:
         refs, asset = record.specid_lot, record.asset
         if not refs:
             raise LotError("SpecID disposal requires lot references")
@@ -264,7 +266,7 @@ class SpecId(LotStore):
             if lot is None:
                 raise LotError("SpecID lot %d not available for %s" % (lot_id, asset))
             chosen.append(lot)
-        if sum(l.remaining_qty for l in chosen) < record.quantity:
+        if sum(lot[0] for lot in chosen) < record.quantity:
             raise InsufficientQuantity("referenced lots cannot cover the disposal")
         return chosen
 
@@ -278,4 +280,4 @@ class Periodic(LotStore):
             if asset in self.prices:
                 unit = self.unit(self.prices[asset])
                 for lot in book.values():
-                    lot.unit_basis = unit
+                    lot[1] = unit

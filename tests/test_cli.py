@@ -964,6 +964,20 @@ class TestAttrib:
         assert "bad.scn:10: usage: " + form in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("nines,code", [(4300, EXIT_POLICY), (4299, EXIT_OK)])
+    def test_withheld_amount_past_the_digit_limit_exit_3_naming_the_transfer(
+            self, tmp_path, capsys, nines, code):
+        # 3/10 of 10**N - 1 base units, over 10**8, has N + 1 digits to print.
+        scenario = write(tmp_path, "big.scn", (
+            "jurisdiction AT\ndsc AT t1 h1\nregister AT t1 w1\n"
+            "transfer w1 addr:1BoatSLRHtKNngkdXEeobR76b53LETtpyT %s 8\n" % ("9" * nines)))
+        out = tmp_path / "o"
+        assert main(["attrib", str(scenario), "--out", str(out)]) == code
+        if code == EXIT_POLICY:
+            assert capsys.readouterr().err.startswith(
+                "%s: transfer 0: withheld amount too long to print: Exceeds the limit" % scenario)
+            assert os.listdir(tmp_path) == ["big.scn"]  # no --out, no staging directory
+
     @pytest.mark.parametrize("line", ["withholding standrd=1/2",
                                       "withholding standard=1/10 elevated=3/10 standrd=1/2"])
     def test_unknown_withholding_key_exit_2_with_line(self, tmp_path, capsys, line):

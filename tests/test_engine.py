@@ -1,4 +1,5 @@
 import itertools
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from fisc.lineformat import LineError
 from fisc.tax import engine
 from fisc.tax.engine import (
     EngineError,
+    LedgerLine,
     PolicyViolation,
     SequenceError,
     compute_report,
@@ -22,7 +24,7 @@ from fisc.tax.events import (
     parse_event_file,
     serialize_event_file,
 )
-from fisc.tax.lots import AccountingMethod, LotStore
+from fisc.tax.lots import AccountingMethod, DisposalResult, Lot, LotConsumption, LotStore
 from fisc.tax.policy import (
     HobbyMinerRule,
     JurisdictionPolicy,
@@ -411,6 +413,43 @@ class TestReport:
         assert first.to_totals_json() == second.to_totals_json()
         # Non-terminating decimals render as exact fractions.
         assert "1000/7" in ledger_csv(first) or "999/7" in ledger_csv(first)
+
+
+class TestNoConstructorPerRow:
+    """Lots are plain lists and ledger rows, lot parts and disposal results
+    plain tuples: no Python-level constructor runs per lot, row or part."""
+
+    CONSTRUCTORS = {id(getattr(cls, name).__code__): cls.__name__ + "." + name
+                    for cls, name in ((Lot, "__init__"), (LedgerLine, "__new__"),
+                                      (LotConsumption, "__new__"), (DisposalResult, "__new__"))}
+
+    def test_fifo_income_and_hifo_disposals(self):
+        income = [ev(seq, ts(2020, seq), EventKind.MINING_REWARD, BTC, fmv)
+                  for seq, fmv in enumerate((100, 100, 200, 100), 1)]
+        trades = [ev(1, ts(2020), EventKind.PURCHASE, BTC, 100),
+                  ev(2, ts(2020, 2), EventKind.PURCHASE, BTC, 300),
+                  ev(3, ts(2020, 3), EventKind.PURCHASE, BTC, 200),
+                  ev(4, ts(2021), EventKind.SALE, BTC + BTC // 2, 400),
+                  ev(5, ts(2021, 2), EventKind.SALE, BTC, 400)]
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and id(frame.f_code) in self.CONSTRUCTORS:
+                entered.append(self.CONSTRUCTORS[id(frame.f_code)])
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            fifo = compute_report(income, DEFAULT, AccountingMethod.FIFO, {"BTC": 8})
+            hifo = compute_report(trades, DEFAULT, AccountingMethod.HIFO, {"BTC": 8})
+        finally:
+            sys.setprofile(previous)
+        assert entered == []
+        assert [(l.seq, l.basis) for l in hifo.lines] == [(4, 300), (4, 100), (5, 100), (5, 50)]
+        # A repeated amount reuses the row above's text, also after a change.
+        assert ledger_csv(fifo).splitlines()[1:] == [
+            "%d,2020-0%d-01,mining_reward,BTC,100000000,%d,0,0,-" % (seq, seq, fmv)
+            for seq, fmv in enumerate((100, 100, 200, 100), 1)]
 
 
 class TestAverageTotal:
